@@ -62,11 +62,8 @@ from .problems import (
 from .scalarize import (
     Scalarization,
     ScalarizationKind,
-    analytic_weighted_sum_minimizer_convex,
     equal_interval_schedule,
-    log_density,
     tchebycheff,
-    validate_schedule,
     weighted_sum,
 )
 
@@ -90,7 +87,6 @@ __all__ = [
     "RunReport",
     "Scalarization",
     "ScalarizationKind",
-    "analytic_weighted_sum_minimizer_convex",
     "available_problems",
     "compare",
     "convex_problem",
@@ -107,7 +103,6 @@ __all__ = [
     "importance_weights",
     "initialize",
     "kursawe_problem",
-    "log_density",
     "lookup_problem",
     "metropolis_sweep",
     "nondominated_filter",
@@ -120,7 +115,6 @@ __all__ = [
     "run_preset",
     "tchebycheff",
     "update_incumbent",
-    "validate_schedule",
     "weighted_sum",
     "write_comparison_csv",
     "write_front_csv",

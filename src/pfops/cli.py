@@ -151,7 +151,7 @@ def _cmd_list(_: argparse.Namespace) -> int:
                 detail += f" utopian={cfg.utopian}"
         else:
             detail = f"pop={cfg.pop_size} gen={cfg.generations}"
-        print(f"  {preset.name:26} problem={preset.problem:8} {detail} repeats={preset.repeats}")
+        print(f"  {preset.name:26} problem={preset.problem:8} {detail}")
     return 0
 
 

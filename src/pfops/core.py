@@ -18,6 +18,7 @@ proposals included).
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -54,6 +55,12 @@ class Population:
         return len(self.particles)
 
 
+def check_integer(name: str, value: object, minimum: int) -> None:
+    """Reject a config count or seed that is not an integer >= ``minimum``."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < minimum:
+        raise InvalidConfigError(f"{name} must be an integer >= {minimum}, got {value!r}")
+
+
 @dataclass(frozen=True)
 class PfopsConfig:
     """Run settings.
@@ -80,10 +87,9 @@ class PfopsConfig:
     utopian: tuple[float, float] | None = None
 
     def validate(self) -> None:
-        if self.n_targets < 2:
-            raise InvalidConfigError(f"n_targets must be >= 2, got {self.n_targets}")
-        if self.n_particles < 1:
-            raise InvalidConfigError(f"n_particles must be >= 1, got {self.n_particles}")
+        check_integer("n_targets", self.n_targets, 2)
+        check_integer("n_particles", self.n_particles, 1)
+        check_integer("seed", self.seed, 0)
         if not self.sigma > 0:
             raise InvalidConfigError(f"sigma must be positive, got {self.sigma}")
         if self.scalarization_kind is ScalarizationKind.TCHEBYCHEFF and self.utopian is None:

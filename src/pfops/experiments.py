@@ -49,7 +49,6 @@ class ExperimentPreset:
     problem: str
     algorithm: str  # "pfops" | "nsga2"
     config: core.PfopsConfig | nsga2.Nsga2Config
-    repeats: int
 
 
 def _preset_table() -> dict[str, ExperimentPreset]:
@@ -59,28 +58,24 @@ def _preset_table() -> dict[str, ExperimentPreset]:
             "convex",
             "pfops",
             core.PfopsConfig(n_targets=100, n_particles=100, metropolis_enabled=False),
-            repeats=10,
         ),
         ExperimentPreset(
             "pfops-convex-under",
             "convex",
             "pfops",
             core.PfopsConfig(n_targets=20, n_particles=5, metropolis_enabled=False),
-            repeats=10,
         ),
         ExperimentPreset(
             "nsga2-convex-sufficient",
             "convex",
             "nsga2",
             nsga2.Nsga2Config(pop_size=100, generations=100),
-            repeats=10,
         ),
         ExperimentPreset(
             "nsga2-convex-under",
             "convex",
             "nsga2",
             nsga2.Nsga2Config(pop_size=20, generations=5),
-            repeats=10,
         ),
         ExperimentPreset(
             "pfops-fonseca",
@@ -93,7 +88,6 @@ def _preset_table() -> dict[str, ExperimentPreset]:
                 scalarization_kind=ScalarizationKind.TCHEBYCHEFF,
                 utopian=(-1.0, -1.0),
             ),
-            repeats=5,
         ),
         ExperimentPreset(
             "pfops-kursawe",
@@ -106,21 +100,18 @@ def _preset_table() -> dict[str, ExperimentPreset]:
                 scalarization_kind=ScalarizationKind.TCHEBYCHEFF,
                 utopian=(-21.0, -13.0),
             ),
-            repeats=5,
         ),
         ExperimentPreset(
             "nsga2-fonseca",
             "fonseca",
             "nsga2",
             nsga2.Nsga2Config(pop_size=200, generations=500),
-            repeats=5,
         ),
         ExperimentPreset(
             "nsga2-kursawe",
             "kursawe",
             "nsga2",
             nsga2.Nsga2Config(pop_size=200, generations=500),
-            repeats=5,
         ),
     ]
     return {p.name: p for p in presets}
@@ -404,43 +395,84 @@ def emit_front_svg(
         raise OSError(f"writing SVG to {path}: {exc}") from exc
 
 
+_REQUIRED = object()
+_JSON_KINDS = {bool: "true or false", float: "a number", str: "a string"}
+
+
+def _json_value(value: object, key: str, kind: type, where: str) -> object:
+    """Check one parsed JSON value against ``kind``: a bool is never a
+    number, and an integer is accepted where a number is expected."""
+    accepted = (int, float) if kind is float else kind
+    if isinstance(value, bool) != (kind is bool) or not isinstance(value, accepted):
+        raise InvalidConfigError(f"{where}: '{key}' must be {_JSON_KINDS[kind]}, got {value!r}")
+    return kind(value)
+
+
+def _take(
+    section: dict, key: str, kind: type | None, where: str, default: object = _REQUIRED
+) -> object:
+    """Pop ``key`` from a parsed JSON object and check its type; a default
+    of None lets the key be null. A ``kind`` of None passes the value on
+    as written, for counts and the seed that ``validate`` checks."""
+    value = section.pop(key, default)
+    if value is _REQUIRED:
+        raise InvalidConfigError(f"{where}: missing required key '{key}'")
+    if kind is None or (value is None and default is None):
+        return value
+    return _json_value(value, key, kind, where)
+
+
 def load_config_file(path: str | Path) -> tuple[str, str, core.PfopsConfig | nsga2.Nsga2Config]:
     """Parse a custom-run JSON file into (problem, algorithm, config).
 
     Schema: top-level keys ``problem``, ``algorithm`` ("pfops" | "nsga2"),
     optional ``seed``, and a section named after the algorithm holding its
     numeric parameters and switches (see README for the full key list).
+    Values are taken as written: a missing required key, a value of the
+    wrong JSON type or a file that is not JSON raises InvalidConfigError.
     """
-    raw = json.loads(Path(path).read_text())
     try:
-        problem = raw["problem"]
-        algorithm = raw["algorithm"]
-    except KeyError as exc:
-        raise InvalidConfigError(f"{path}: missing required key {exc}") from None
-    seed = int(raw.get("seed", 0))
-    section = dict(raw.get(algorithm, {}))
+        raw = json.loads(Path(path).read_text())
+    except json.JSONDecodeError as exc:
+        raise InvalidConfigError(f"{path}: not valid JSON: {exc}") from None
+    if not isinstance(raw, dict):
+        raise InvalidConfigError(f"{path}: expected a JSON object")
+    problem = _take(raw, "problem", str, str(path))
+    algorithm = _take(raw, "algorithm", str, str(path))
+    seed = _take(raw, "seed", None, str(path), 0)
+    section = raw.get(algorithm, {})
+    if not isinstance(section, dict):
+        raise InvalidConfigError(f"{path}: '{algorithm}' must be a JSON object")
+    section = dict(section)
+    where = f"{path}: {algorithm}"
     if algorithm == "pfops":
-        kind = ScalarizationKind(section.pop("scalarization", "weighted-sum"))
+        kinds = {k.value: k for k in ScalarizationKind}
+        kind = _take(section, "scalarization", str, where, "weighted-sum")
+        if kind not in kinds:
+            raise InvalidConfigError(f"{where}: 'scalarization' must be one of {list(kinds)}")
         utopian = section.pop("utopian", None)
+        if utopian is not None:
+            if not isinstance(utopian, list) or len(utopian) != 2:
+                raise InvalidConfigError(f"{where}: 'utopian' must be [z1, z2], got {utopian!r}")
+            utopian = tuple(_json_value(z, "utopian", float, where) for z in utopian)
         config: core.PfopsConfig | nsga2.Nsga2Config = core.PfopsConfig(
-            n_targets=int(section.pop("n_targets")),
-            n_particles=int(section.pop("n_particles")),
-            sigma=float(section.pop("sigma", 1.0)),
-            metropolis_enabled=bool(section.pop("metropolis_enabled", True)),
-            final_filter_enabled=bool(section.pop("final_filter_enabled", True)),
+            n_targets=_take(section, "n_targets", None, where),
+            n_particles=_take(section, "n_particles", None, where),
+            sigma=_take(section, "sigma", float, where, 1.0),
+            metropolis_enabled=_take(section, "metropolis_enabled", bool, where, True),
+            final_filter_enabled=_take(section, "final_filter_enabled", bool, where, True),
             seed=seed,
-            scalarization_kind=kind,
-            utopian=None if utopian is None else (float(utopian[0]), float(utopian[1])),
+            scalarization_kind=kinds[kind],
+            utopian=utopian,
         )
     elif algorithm == "nsga2":
-        mutation_prob = section.pop("mutation_prob", None)
         config = nsga2.Nsga2Config(
-            pop_size=int(section.pop("pop_size")),
-            generations=int(section.pop("generations")),
-            crossover_prob=float(section.pop("crossover_prob", 0.9)),
-            crossover_index=float(section.pop("crossover_index", 20.0)),
-            mutation_prob=None if mutation_prob is None else float(mutation_prob),
-            mutation_index=float(section.pop("mutation_index", 20.0)),
+            pop_size=_take(section, "pop_size", None, where),
+            generations=_take(section, "generations", None, where),
+            crossover_prob=_take(section, "crossover_prob", float, where, 0.9),
+            crossover_index=_take(section, "crossover_index", float, where, 20.0),
+            mutation_prob=_take(section, "mutation_prob", float, where, None),
+            mutation_index=_take(section, "mutation_index", float, where, 20.0),
             seed=seed,
         )
     else:

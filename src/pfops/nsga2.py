@@ -2,8 +2,9 @@
 
 Real-coded: binary tournament on (rank, crowding), simulated-binary
 crossover, polynomial mutation, elitist environmental selection. Children
-are clamped to the box after variation. Not a general EC framework; it
-exists to give runs a comparison point.
+are clamped to the box after variation. Ranks come from peeling fronts with
+the same O(n log n) sort-and-sweep that filters PFOPS archives. Not a
+general EC framework; it exists to give runs a comparison point.
 """
 
 from __future__ import annotations
@@ -12,8 +13,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ParetoArchive
+from .core import ParetoArchive, check_integer
 from .errors import InvalidConfigError
+from .pareto import nondominated_mask
 from .problems import BiObjectiveProblem
 
 
@@ -28,10 +30,11 @@ class Nsga2Config:
     seed: int = 0
 
     def validate(self) -> None:
-        if self.pop_size < 2 or self.pop_size % 2 != 0:
-            raise InvalidConfigError(f"pop_size must be a positive even integer, got {self.pop_size}")
-        if self.generations < 1:
-            raise InvalidConfigError(f"generations must be >= 1, got {self.generations}")
+        check_integer("pop_size", self.pop_size, 2)
+        if self.pop_size % 2 != 0:
+            raise InvalidConfigError(f"pop_size must be even, got {self.pop_size}")
+        check_integer("generations", self.generations, 1)
+        check_integer("seed", self.seed, 0)
         for name in ("crossover_prob", "mutation_prob"):
             v = getattr(self, name)
             if v is not None and not 0.0 <= v <= 1.0:
@@ -41,22 +44,19 @@ class Nsga2Config:
 
 
 def fast_nondominated_sort(points: np.ndarray) -> list[list[int]]:
-    """Partition indices into ranked fronts; front 0 is the non-dominated set."""
+    """Partition indices into ranked fronts; front 0 is the non-dominated set.
+
+    Peels one front per pass with :func:`~pfops.pareto.nondominated_mask`,
+    each front in ascending index order. A pass always removes the first
+    remaining point in (f1, f2) order, which nothing dominates.
+    """
     points = np.asarray(points, dtype=float).reshape(-1, 2)
-    n = len(points)
-    if n == 0:
-        return []
-    a = points[:, None, :]
-    b = points[None, :, :]
-    dom = np.all(a <= b, axis=2) & np.any(a < b, axis=2)  # dom[i, j]: i dominates j
-    dom_count = dom.sum(axis=0)
+    remaining = np.arange(len(points))
     fronts: list[list[int]] = []
-    assigned = np.zeros(n, dtype=bool)
-    while not assigned.all():
-        current = np.flatnonzero((dom_count == 0) & ~assigned)
-        fronts.append(current.tolist())
-        assigned[current] = True
-        dom_count = dom_count - dom[current].sum(axis=0)
+    while len(remaining):
+        on_front = nondominated_mask(points[remaining])
+        fronts.append(remaining[on_front].tolist())
+        remaining = remaining[~on_front]
     return fronts
 
 

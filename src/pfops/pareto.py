@@ -32,6 +32,8 @@ def nondominated_mask(points: np.ndarray) -> np.ndarray:
     Sort-and-sweep, O(n log n): after ordering by (f1, f2, index), a point is
     dominated iff some point with strictly smaller f1 has f2 <= its own, or a
     point with equal f1 has strictly smaller f2. Exact duplicates survive.
+    Infinite values are ordered like any other; a NaN row raises
+    InvalidInputError, since no dominance order holds for it.
     """
     points = np.asarray(points, dtype=float)
     n = len(points)
@@ -39,6 +41,9 @@ def nondominated_mask(points: np.ndarray) -> np.ndarray:
         return np.zeros(0, dtype=bool)
     if points.ndim != 2 or points.shape[1] != 2:
         raise InvalidInputError(f"expected an (n, 2) array, got shape {points.shape}")
+    if np.isnan(points).any():
+        i = int(np.flatnonzero(np.isnan(points).any(axis=1))[0])
+        raise InvalidInputError(f"row {i} contains NaN: {points[i].tolist()}")
     order = np.lexsort((np.arange(n), points[:, 1], points[:, 0]))
     f1 = points[order, 0]
     f2 = points[order, 1]
@@ -52,7 +57,10 @@ def nondominated_mask(points: np.ndarray) -> np.ndarray:
     min_f2_before[0] = np.inf
     if len(group_starts) > 1:
         np.minimum.accumulate(group_min_f2[:-1], out=min_f2_before[1:])
-    dominated = (min_f2_before[group_id] <= f2) | (f2 > group_min_f2[group_id])
+    # group 0 has no earlier group; its +inf sentinel must not match f2 = +inf
+    dominated = ((group_id > 0) & (min_f2_before[group_id] <= f2)) | (
+        f2 > group_min_f2[group_id]
+    )
     mask = np.ones(n, dtype=bool)
     mask[order] = ~dominated
     return mask

@@ -93,18 +93,6 @@ class BiObjectiveProblem:
             )
         return points
 
-    def evaluate_f1(self, x: np.ndarray) -> float:
-        """Evaluate the first objective at one point. Counts one evaluation."""
-        p = self._check_batch(x)
-        self.counter.add(1)
-        return float(self.f1(p)[0])
-
-    def evaluate_f2(self, x: np.ndarray) -> float:
-        """Evaluate the second objective at one point. Counts one evaluation."""
-        p = self._check_batch(x)
-        self.counter.add(1)
-        return float(self.f2(p)[0])
-
     def evaluate(self, x: np.ndarray) -> np.ndarray:
         """Evaluate both objectives at one point, returning a (2,) array."""
         p = self._check_batch(x)

@@ -22,8 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidConfigError, InvalidInputError
-from .problems import BiObjectiveProblem
+from .errors import InvalidConfigError
 
 
 class ScalarizationKind(enum.Enum):
@@ -98,35 +97,3 @@ def equal_interval_schedule(k_targets: int) -> np.ndarray:
             f"need at least 2 targets to span lambda from 0 to 1, got {k_targets}"
         )
     return np.linspace(0.0, 1.0, int(k_targets))
-
-
-def validate_schedule(values: np.ndarray) -> np.ndarray:
-    """Check a schedule is strictly increasing from exactly 0 to exactly 1."""
-    values = np.asarray(values, dtype=float)
-    if values.ndim != 1 or len(values) < 2:
-        raise InvalidConfigError("schedule must be a 1-D array of length >= 2")
-    if values[0] != 0.0 or values[-1] != 1.0:
-        raise InvalidConfigError("schedule must start at 0 and end at 1")
-    if not np.all(np.diff(values) > 0):
-        raise InvalidConfigError("schedule must be strictly increasing")
-    return values
-
-
-def log_density(s: Scalarization, problem: BiObjectiveProblem, x: np.ndarray) -> float:
-    """log pi at a decision vector; evaluates both objectives (counted).
-
-    Out-of-bounds ``x`` raises BoundsError via the problem.
-    """
-    return float(s.log_density_values(problem.evaluate(x)))
-
-
-def analytic_weighted_sum_minimizer_convex(lam: float) -> np.ndarray:
-    """Exact minimizer of the weighted-sum scalarized convex benchmark.
-
-    Minimizing (1-lam)(x1^2 + x2^2) + lam((x1-5)^2 + (x2-5)^2): the gradient
-    vanishes at x_j = 5 lam in each coordinate, and the quadratic is strictly
-    convex, so (5 lam, 5 lam) is the unique minimizer.
-    """
-    if not 0.0 <= lam <= 1.0:
-        raise InvalidInputError(f"lambda must lie in [0, 1], got {lam}")
-    return np.array([5.0 * lam, 5.0 * lam])

@@ -54,6 +54,18 @@ def test_run_config_file(tmp_path, capsys):
     assert "eval count: 24" in capsys.readouterr().out
 
 
+def test_run_config_file_malformed_json(tmp_path, capsys):
+    path = tmp_path / "broken.json"
+    path.write_text('{"problem": ')
+    assert main(["run", "--config", str(path)]) == 1
+    assert "broken.json" in capsys.readouterr().err
+
+
+def test_run_negative_seed(capsys):
+    assert main(["run", "--preset", "pfops-convex-under", "--seed", "-1"]) == 1
+    assert "seed must be an integer >= 0" in capsys.readouterr().err
+
+
 def test_run_unknown_preset(capsys):
     code = main(["run", "--preset", "nope", "--seed", "0"])
     assert code == 1

@@ -83,9 +83,6 @@ class TestGoldenConfig:
                 assert cfg.utopian[0] < mins[0]
                 assert cfg.utopian[1] < mins[1]
 
-    def test_repeats_positive(self):
-        assert all(p.repeats >= 1 for p in PRESETS.values())
-
 
 class TestRunPreset:
     def test_eval_counts(self):
@@ -318,6 +315,42 @@ class TestConfigFile:
         with pytest.raises(InvalidConfigError, match="typo"):
             run_config_file(path)
 
+    @pytest.mark.parametrize(
+        "section, key",
+        [
+            ({"n_targets": 3, "n_particles": 2, "metropolis_enabled": "false"}, "metropolis_enabled"),
+            ({"n_particles": 2}, "n_targets"),
+            ({"n_targets": 10.5, "n_particles": 2}, "n_targets"),
+            ({"n_targets": 3, "n_particles": "2"}, "n_particles"),
+            ({"n_targets": 3, "n_particles": True}, "n_particles"),
+            ({"n_targets": 3, "n_particles": 2, "scalarization": "pareto"}, "scalarization"),
+            (
+                {"n_targets": 3, "n_particles": 2, "scalarization": "tchebycheff",
+                 "utopian": ["-1", -1.0]},
+                "utopian",
+            ),
+        ],
+    )
+    def test_bad_section_value_names_the_key(self, tmp_path, section, key):
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps({"problem": "convex", "algorithm": "pfops", "pfops": section}))
+        with pytest.raises(InvalidConfigError, match=key):
+            run_config_file(path)
+
+
+    @pytest.mark.parametrize("seed", ["3", True, 2.0, -1])
+    def test_bad_seed_names_the_key(self, tmp_path, seed):
+        payload = {
+            "problem": "convex",
+            "algorithm": "nsga2",
+            "seed": seed,
+            "nsga2": {"pop_size": 4, "generations": 1},
+        }
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps(payload))
+        with pytest.raises(InvalidConfigError, match="seed"):
+            run_config_file(path)
+
 
 class TestPfopsConfigDefaults:
     def test_defaults(self):
@@ -330,3 +363,19 @@ class TestPfopsConfigDefaults:
         cfg = Nsga2Config(pop_size=4, generations=1)
         assert cfg.crossover_prob == 0.9
         assert cfg.mutation_index == 20.0
+
+
+@pytest.mark.parametrize(
+    "config, field",
+    [
+        (PfopsConfig(n_targets=10.5, n_particles=5), "n_targets"),
+        (PfopsConfig(n_targets=10, n_particles=5.0), "n_particles"),
+        (PfopsConfig(n_targets=10, n_particles=5, seed=-1), "seed"),
+        (Nsga2Config(pop_size=10.0, generations=2), "pop_size"),
+        (Nsga2Config(pop_size=4, generations=2.5), "generations"),
+        (Nsga2Config(pop_size=4, generations=2, seed=-1), "seed"),
+    ],
+)
+def test_config_rejects_non_integral_counts_and_negative_seed(config, field):
+    with pytest.raises(InvalidConfigError, match=field):
+        config.validate()

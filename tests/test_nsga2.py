@@ -12,6 +12,24 @@ from pfops.pareto import hypervolume_2d, igd, nondominated_mask, reference_front
 from pfops.problems import convex_problem
 
 
+def dense_peel_fronts(points):
+    """O(n^2) reference ranking: count each point's dominators, then peel
+    the points whose count reaches zero, front by front."""
+    points = np.asarray(points, dtype=float)
+    a = points[:, None, :]
+    b = points[None, :, :]
+    dom = np.all(a <= b, axis=2) & np.any(a < b, axis=2)  # dom[i, j]: i dominates j
+    dom_count = dom.sum(axis=0)
+    fronts = []
+    assigned = np.zeros(len(points), dtype=bool)
+    while not assigned.all():
+        current = np.flatnonzero((dom_count == 0) & ~assigned)
+        fronts.append(current.tolist())
+        assigned[current] = True
+        dom_count = dom_count - dom[current].sum(axis=0)
+    return fronts
+
+
 class TestConfig:
     def test_validation(self):
         Nsga2Config(pop_size=4, generations=1).validate()
@@ -40,15 +58,32 @@ class TestFastNondominatedSort:
         fronts = fast_nondominated_sort(np.array([[0.0, 0.0], [1.0, 1.0], [2.0, 2.0]]))
         assert fronts == [[0], [1], [2]]
 
-    def test_front0_matches_filter_on_random_sets(self):
-        rng = np.random.default_rng(20)
+    def test_matches_dense_peel_on_tie_heavy_sets(self):
+        self._check_against_dense_peel(np.arange(5.0), seed=20)
+
+    def test_matches_dense_peel_with_infinities(self):
+        self._check_against_dense_peel(np.array([-np.inf, 0.0, 1.0, 2.0, np.inf]), seed=22)
+
+    @staticmethod
+    def _check_against_dense_peel(grid, seed):
+        rng = np.random.default_rng(seed)
         for _ in range(500):
-            n = int(rng.integers(1, 50))
-            pts = rng.integers(0, 5, size=(n, 2)).astype(float)
-            front0 = fast_nondominated_sort(pts)[0]
-            np.testing.assert_array_equal(
-                np.asarray(front0), np.flatnonzero(nondominated_mask(pts))
-            )
+            n = int(rng.integers(1, 61))
+            pts = grid[rng.integers(0, len(grid), size=(n, 2))]  # many exact duplicates
+            fronts = fast_nondominated_sort(pts)
+            assert fronts == dense_peel_fronts(pts)
+            assert all(front == sorted(front) for front in fronts)
+
+    @pytest.mark.parametrize(
+        "pts, expected",
+        [
+            ([[0.0, np.inf]], [[0]]),
+            ([[0.0, 0.0], [1.0, np.inf]], [[0], [1]]),
+            ([[1.0, np.inf], [0.0, np.inf], [0.0, np.inf]], [[1, 2], [0]]),
+        ],
+    )
+    def test_infinite_f2_terminates(self, pts, expected):
+        assert fast_nondominated_sort(np.array(pts)) == expected
 
     def test_partition_is_complete(self):
         rng = np.random.default_rng(21)

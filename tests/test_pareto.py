@@ -87,6 +87,31 @@ class TestNondominatedFilter:
             pts = rng.normal(size=(n, 2))
             np.testing.assert_array_equal(nondominated_mask(pts), brute_force_mask(pts))
 
+    def test_nan_row_rejected(self):
+        # a NaN would poison the sweep's running minimum and keep (2, 2) alive
+        with pytest.raises(InvalidInputError, match="row 1"):
+            nondominated_mask([[0.0, 1.0], [1.0, np.nan], [2.0, 2.0]])
+
+    def test_infinite_values_ranked(self):
+        pts = np.array(
+            [[np.inf, 0.0], [0.0, np.inf], [-np.inf, 5.0], [1.0, 1.0], [np.inf, np.inf]]
+        )
+        np.testing.assert_array_equal(nondominated_mask(pts), brute_force_mask(pts))
+
+    @pytest.mark.parametrize(
+        "pts",
+        [
+            [[0.0, np.inf]],
+            [[0.0, np.inf], [0.0, np.inf], [1.0, np.inf]],
+            [[-np.inf, np.inf], [0.0, np.inf], [np.inf, np.inf]],
+        ],
+    )
+    def test_infinite_f2_in_smallest_f1_group_survives(self, pts):
+        # the first group's "no earlier group" sentinel is +inf; it must not
+        # mark a point whose own f2 is +inf as dominated
+        np.testing.assert_array_equal(nondominated_mask(pts), brute_force_mask(pts))
+        assert nondominated_mask(pts)[0]
+
 
 class TestIgd:
     def test_identical_fronts(self):

@@ -27,10 +27,10 @@ def test_convex_values():
 def test_fonseca_values():
     p = fonseca_fleming_problem()
     a = 1.0 / np.sqrt(2.0)
-    assert p.evaluate_f1((a, a)) == pytest.approx(0.0, abs=1e-12)
-    assert p.evaluate_f2((-a, -a)) == pytest.approx(0.0, abs=1e-12)
+    assert p.evaluate((a, a))[0] == pytest.approx(0.0, abs=1e-12)
+    assert p.evaluate((-a, -a))[1] == pytest.approx(0.0, abs=1e-12)
     # sum of squared deviations from (1/sqrt2, 1/sqrt2) at the origin is 1
-    assert p.evaluate_f1((0.0, 0.0)) == pytest.approx(1.0 - np.exp(-1.0))
+    assert p.evaluate((0.0, 0.0))[0] == pytest.approx(1.0 - np.exp(-1.0))
     assert p.lower.tolist() == [-4.0, -4.0]
     assert p.upper.tolist() == [4.0, 4.0]
 
@@ -39,7 +39,7 @@ def test_kursawe_values():
     p = kursawe_problem()
     assert p.evaluate((0.0, 0.0, 0.0)) == pytest.approx([-20.0, 0.0])
     expected_f1 = -20.0 * np.exp(-0.2 * np.sqrt(2.0))
-    assert p.evaluate_f1((1.0, 1.0, 1.0)) == pytest.approx(expected_f1)
+    assert p.evaluate((1.0, 1.0, 1.0))[0] == pytest.approx(expected_f1)
     assert p.dim == 3
     assert p.lower.tolist() == [-5.0] * 3
     assert p.upper.tolist() == [5.0] * 3
@@ -72,9 +72,7 @@ def test_objectives_finite_on_uniform_samples(name):
 
 def test_evaluation_counting():
     p = convex_problem()
-    p.evaluate_f1((0.0, 0.0))
-    assert p.counter.count == 1
-    p.evaluate_f2((0.0, 0.0))
+    p.evaluate((0.0, 0.0))
     assert p.counter.count == 2
     p.evaluate((1.0, 1.0))
     assert p.counter.count == 4
