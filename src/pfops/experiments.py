@@ -150,10 +150,12 @@ def _execute(
     config: core.PfopsConfig | nsga2.Nsga2Config,
     seed: int,
 ) -> RunReport:
+    core.check_integer("seed", seed, 0)
+    seed = int(seed)  # a numpy integer seed is reported as a plain int
     problem = lookup_problem(problem_name)
     started = time.perf_counter()
     if algorithm == "pfops":
-        cfg = replace(config, seed=int(seed))
+        cfg = replace(config, seed=seed)
         _check_utopian(problem_name, cfg)
         archive, evals = core.run(cfg, problem)
         extra = {
@@ -164,7 +166,7 @@ def _execute(
             "nominal_eval_count": 2 * cfg.n_targets * cfg.n_particles,
         }
     elif algorithm == "nsga2":
-        cfg = replace(config, seed=int(seed))
+        cfg = replace(config, seed=seed)
         archive, evals = nsga2.evolve(cfg, problem)
         extra = {
             "bounds_handling": "clip",
@@ -185,7 +187,7 @@ def _execute(
         "label": label,
         "problem": problem_name,
         "algorithm": algorithm,
-        "seed": int(seed),
+        "seed": seed,
         "config": asdict(cfg),
         "reference_resolution": REFERENCE_RESOLUTION[problem_name],
         "hypervolume_ref_point": tuple(ref_point.tolist()),
@@ -201,7 +203,7 @@ def _execute(
         hypervolume=hv_value,
         eval_count=int(evals),
         wall_time=wall,
-        seed=int(seed),
+        seed=seed,
         metadata=metadata,
     )
 
@@ -248,6 +250,8 @@ def compare(preset_a: str, preset_b: str, seeds: list[int]) -> ComparisonResult:
         raise InvalidInputError(
             f"presets target different problems: {a.problem} vs {b.problem}"
         )
+    for s in seeds:
+        core.check_integer("seed", s, 0)
     seeds = [int(s) for s in seeds]
     if not seeds:
         raise InvalidInputError("seed list must not be empty")
@@ -396,6 +400,7 @@ def emit_front_svg(
 
 
 _REQUIRED = object()
+_TOP_LEVEL_KEYS = {"problem", "algorithm", "seed", "pfops", "nsga2"}
 _JSON_KINDS = {bool: "true or false", float: "a number", str: "a string"}
 
 
@@ -428,8 +433,9 @@ def load_config_file(path: str | Path) -> tuple[str, str, core.PfopsConfig | nsg
     Schema: top-level keys ``problem``, ``algorithm`` ("pfops" | "nsga2"),
     optional ``seed``, and a section named after the algorithm holding its
     numeric parameters and switches (see README for the full key list).
-    Values are taken as written: a missing required key, a value of the
-    wrong JSON type or a file that is not JSON raises InvalidConfigError.
+    Values are taken as written: a missing required key, an unknown key, a
+    value of the wrong JSON type or a file that is not JSON raises
+    InvalidConfigError.
     """
     try:
         raw = json.loads(Path(path).read_text())
@@ -437,6 +443,9 @@ def load_config_file(path: str | Path) -> tuple[str, str, core.PfopsConfig | nsg
         raise InvalidConfigError(f"{path}: not valid JSON: {exc}") from None
     if not isinstance(raw, dict):
         raise InvalidConfigError(f"{path}: expected a JSON object")
+    unknown = sorted(set(raw) - _TOP_LEVEL_KEYS)
+    if unknown:
+        raise InvalidConfigError(f"{path}: unrecognized top-level keys {unknown}")
     problem = _take(raw, "problem", str, str(path))
     algorithm = _take(raw, "algorithm", str, str(path))
     seed = _take(raw, "seed", None, str(path), 0)
@@ -486,5 +495,5 @@ def load_config_file(path: str | Path) -> tuple[str, str, core.PfopsConfig | nsg
 def run_config_file(path: str | Path, seed: int | None = None) -> RunReport:
     """Run a custom configuration file; ``seed`` overrides the file's seed."""
     problem, algorithm, config = load_config_file(path)
-    effective_seed = config.seed if seed is None else int(seed)
+    effective_seed = config.seed if seed is None else seed
     return _execute(f"custom:{Path(path).name}", problem, algorithm, config, effective_seed)

@@ -3,12 +3,15 @@
 Real-coded: binary tournament on (rank, crowding), simulated-binary
 crossover, polynomial mutation, elitist environmental selection. Children
 are clamped to the box after variation. Ranks come from peeling fronts with
-the same O(n log n) sort-and-sweep that filters PFOPS archives. Not a
-general EC framework; it exists to give runs a comparison point.
+the same O(n log n) sort-and-sweep that filters PFOPS archives. Selection
+peels parents and children only until the new population is full, and the
+survivors keep the rank and crowding it found, so each generation ranks
+once. Not a general EC framework; it exists to give runs a comparison point.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -43,21 +46,25 @@ class Nsga2Config:
             raise InvalidConfigError("distribution indices must be positive")
 
 
+def _peel_fronts(points: np.ndarray) -> Iterator[np.ndarray]:
+    """Yield the ranked fronts of an (n, 2) array, front 0 first, each as an
+    ascending index array. A pass always removes the first remaining point in
+    (f1, f2) order, which nothing dominates."""
+    remaining = np.arange(len(points))
+    while len(remaining):
+        on_front = nondominated_mask(points[remaining])
+        yield remaining[on_front]
+        remaining = remaining[~on_front]
+
+
 def fast_nondominated_sort(points: np.ndarray) -> list[list[int]]:
     """Partition indices into ranked fronts; front 0 is the non-dominated set.
 
     Peels one front per pass with :func:`~pfops.pareto.nondominated_mask`,
-    each front in ascending index order. A pass always removes the first
-    remaining point in (f1, f2) order, which nothing dominates.
+    each front in ascending index order.
     """
     points = np.asarray(points, dtype=float).reshape(-1, 2)
-    remaining = np.arange(len(points))
-    fronts: list[list[int]] = []
-    while len(remaining):
-        on_front = nondominated_mask(points[remaining])
-        fronts.append(remaining[on_front].tolist())
-        remaining = remaining[~on_front]
-    return fronts
+    return [front.tolist() for front in _peel_fronts(points)]
 
 
 def crowding_distance(front_points: np.ndarray) -> np.ndarray:
@@ -151,22 +158,33 @@ def _polynomial_mutation(
 
 def _environmental_selection(
     decisions: np.ndarray, objectives: np.ndarray, pop_size: int
-) -> tuple[np.ndarray, np.ndarray]:
-    fronts = fast_nondominated_sort(objectives)
-    chosen: list[int] = []
-    for front in fronts:
-        if len(chosen) + len(front) <= pop_size:
-            chosen.extend(front)
-            if len(chosen) == pop_size:
-                break
-        else:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Keep ``pop_size`` rows front by front; the last front that does not
+    fit keeps its most isolated members. Returns the survivors' decisions,
+    objectives, ranks and crowding.
+
+    Everything that dominates a survivor sits in an earlier, whole front, so
+    its rank among the survivors is its rank here. Survivors are stored
+    front by front in the order kept, the order in which a re-sort of them
+    would pass each front to :func:`crowding_distance`.
+    """
+    chosen: list[np.ndarray] = []
+    ranks: list[np.ndarray] = []
+    crowds: list[np.ndarray] = []
+    need = pop_size
+    for rank, front in enumerate(_peel_fronts(objectives)):
+        crowd = crowding_distance(objectives[front])
+        if len(front) > need:
+            front = front[np.argsort(-crowd, kind="stable")[:need]]  # most isolated first
             crowd = crowding_distance(objectives[front])
-            order = np.argsort(-crowd, kind="stable")  # most isolated first
-            need = pop_size - len(chosen)
-            chosen.extend(np.asarray(front)[order[:need]].tolist())
+        chosen.append(front)
+        ranks.append(np.full(len(front), rank))
+        crowds.append(crowd)
+        need -= len(front)
+        if need == 0:
             break
-    idx = np.asarray(chosen)
-    return decisions[idx].copy(), objectives[idx].copy()
+    idx = np.concatenate(chosen)
+    return decisions[idx], objectives[idx], np.concatenate(ranks), np.concatenate(crowds)
 
 
 def evolve(config: Nsga2Config, problem: BiObjectiveProblem) -> tuple[ParetoArchive, int]:
@@ -183,9 +201,9 @@ def evolve(config: Nsga2Config, problem: BiObjectiveProblem) -> tuple[ParetoArch
     span = problem.upper - problem.lower
     pop = problem.lower + span * rng.random((config.pop_size, problem.dim))
     obj = problem.evaluate_batch(pop)
+    ranks, crowd = _rank_and_crowding(obj)
 
     for _ in range(config.generations):
-        ranks, crowd = _rank_and_crowding(obj)
         parents = pop[_tournament(ranks, crowd, rng)]
         children = _sbx(parents, config.crossover_prob, config.crossover_index, rng)
         children = _polynomial_mutation(
@@ -193,10 +211,10 @@ def evolve(config: Nsga2Config, problem: BiObjectiveProblem) -> tuple[ParetoArch
         )
         children = np.clip(children, problem.lower, problem.upper)
         child_obj = problem.evaluate_batch(children)
-        pop, obj = _environmental_selection(
+        pop, obj, ranks, crowd = _environmental_selection(
             np.vstack([pop, children]), np.vstack([obj, child_obj]), config.pop_size
         )
 
-    rank0 = fast_nondominated_sort(obj)[0]
-    archive = ParetoArchive(decisions=pop[rank0].copy(), front=obj[rank0].copy())
+    rank0 = np.flatnonzero(ranks == 0)
+    archive = ParetoArchive(decisions=pop[rank0], front=obj[rank0])
     return archive, problem.counter.count - start_count

@@ -6,37 +6,35 @@ uncounted) plus counted ``evaluate*`` methods. Every call that goes through
 ``evaluate*`` adds one tally per single-objective evaluation to the problem's
 :class:`EvalCounter`, so experiment budgets are measured, never estimated.
 Out-of-bounds evaluation requests raise :class:`~pfops.errors.BoundsError`
-instead of being clamped; silent clamping would corrupt the tally.
+instead of being clamped; silent clamping would corrupt the tally. An
+objective that returns NaN raises :class:`~pfops.errors.InvalidInputError`,
+since no dominance order or density holds for it; infinite values pass.
 """
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
 
-from .errors import BoundsError, NotFoundError
+from .errors import BoundsError, InvalidInputError, NotFoundError
 
 # Vectorized objective: maps an (n, d) batch to an (n,) value array.
 ObjectiveFn = Callable[[np.ndarray], np.ndarray]
 
 
 class EvalCounter:
-    """Thread-safe tally of single-objective function evaluations."""
+    """Tally of single-objective function evaluations; not thread-safe."""
 
     def __init__(self) -> None:
-        self._lock = threading.Lock()
         self._count = 0
 
     def add(self, n: int) -> None:
-        with self._lock:
-            self._count += int(n)
+        self._count += int(n)
 
     def reset(self) -> None:
-        with self._lock:
-            self._count = 0
+        self._count = 0
 
     @property
     def count(self) -> int:
@@ -93,21 +91,31 @@ class BiObjectiveProblem:
             )
         return points
 
+    def _counted(self, points: np.ndarray, values: np.ndarray) -> np.ndarray:
+        """Count 2 evaluations per row of ``values`` unless one is NaN."""
+        if np.isnan(values).any():
+            bad = int(np.flatnonzero(np.isnan(values).any(axis=1))[0])
+            raise InvalidInputError(
+                f"objectives of problem '{self.name}' are NaN at point "
+                f"{points[bad].tolist()}: {values[bad].tolist()}"
+            )
+        self.counter.add(2 * len(values))
+        return values
+
     def evaluate(self, x: np.ndarray) -> np.ndarray:
         """Evaluate both objectives at one point, returning a (2,) array."""
         p = self._check_batch(x)
-        self.counter.add(2)
-        return np.array([self.f1(p)[0], self.f2(p)[0]])
+        return self._counted(p, np.array([[self.f1(p)[0], self.f2(p)[0]]]))[0]
 
     def evaluate_batch(self, points: np.ndarray) -> np.ndarray:
         """Evaluate both objectives at an (n, d) batch, returning (n, 2).
 
         Counts 2n evaluations. Raises BoundsError if any row is outside
-        the box (nothing is counted in that case).
+        the box, and InvalidInputError if an objective is NaN at any row
+        (nothing is counted in either case).
         """
         p = self._check_batch(points)
-        self.counter.add(2 * len(p))
-        return np.stack([self.f1(p), self.f2(p)], axis=1)
+        return self._counted(p, np.stack([self.f1(p), self.f2(p)], axis=1))
 
 
 def _convex_f1(x: np.ndarray) -> np.ndarray:

@@ -333,6 +333,21 @@ class TestRun:
         with pytest.raises(DegenerateWeightsError):
             run(cfg, flat_problem(np.inf))
 
+    def test_nan_objective_names_the_point(self):
+        # NaN on half the box used to surface as "every particle has zero density"
+        problem = BiObjectiveProblem(
+            name="half-nan",
+            dim=1,
+            lower=np.array([0.0]),
+            upper=np.array([1.0]),
+            f1=lambda x: np.where(x[:, 0] > 0.5, np.nan, x[:, 0]),
+            f2=lambda x: np.zeros(len(x)),
+        )
+        cfg = PfopsConfig(n_targets=3, n_particles=20, seed=4)
+        with pytest.raises(InvalidInputError, match=r"'half-nan' are NaN at point \[0\.[5-9]"):
+            run(cfg, problem)
+        assert problem.counter.count == 0
+
     def test_decisions_within_bounds(self):
         cfg = PfopsConfig(n_targets=8, n_particles=16, seed=5)
         prob = convex_problem()

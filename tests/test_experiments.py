@@ -131,6 +131,19 @@ class TestRunPreset:
             experiments._execute("x", "fonseca", "pfops", bad, 0)
 
 
+class TestSeedTypes:
+    @pytest.mark.parametrize("seed", [1.7, 2.0, True])
+    def test_non_integer_seed_rejected(self, seed):
+        # int(seed) used to run 1.7 as seed 1 and True as seed 1
+        with pytest.raises(InvalidConfigError, match="seed"):
+            run_preset("pfops-convex-under", seed)
+
+    def test_numpy_integer_seed_runs(self):
+        report = run_preset("pfops-convex-under", np.int64(3))
+        assert report.seed == 3 and type(report.seed) is int
+        assert report.metadata["seed"] == 3 and type(report.metadata["seed"]) is int
+
+
 class TestCompare:
     def test_self_comparison_identical_columns(self):
         result = compare("pfops-convex-under", "pfops-convex-under", [1, 2, 3])
@@ -145,6 +158,10 @@ class TestCompare:
     def test_empty_seeds(self):
         with pytest.raises(InvalidInputError):
             compare("pfops-convex-under", "nsga2-convex-under", [])
+
+    def test_non_integral_seed_rejected(self):
+        with pytest.raises(InvalidConfigError, match="seed"):
+            compare("pfops-convex-under", "nsga2-convex-under", [0, 1.5])
 
     def test_performs_exactly_2n_runs(self, monkeypatch):
         calls = []
@@ -303,6 +320,39 @@ class TestConfigFile:
         path.write_text(json.dumps({"problem": "convex", "algorithm": "pso"}))
         with pytest.raises(InvalidConfigError, match="pso"):
             run_config_file(path)
+
+    def test_unknown_top_level_key_rejected(self, tmp_path):
+        # "sead" used to be ignored, so the run went ahead at seed 0
+        payload = {
+            "problem": "convex",
+            "algorithm": "nsga2",
+            "sead": 7,
+            "nsga2": {"pop_size": 4, "generations": 1},
+        }
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps(payload))
+        with pytest.raises(InvalidConfigError, match="sead"):
+            run_config_file(path)
+
+    def test_other_algorithm_section_allowed(self, tmp_path):
+        payload = {
+            "problem": "convex",
+            "algorithm": "nsga2",
+            "pfops": {"n_targets": "unread"},
+            "nsga2": {"pop_size": 4, "generations": 1},
+        }
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps(payload))
+        assert run_config_file(path).eval_count == 2 * 4 * 2
+
+    def test_non_integral_seed_override_rejected(self, tmp_path):
+        path = tmp_path / "run.json"
+        path.write_text(
+            json.dumps({"problem": "convex", "algorithm": "nsga2",
+                        "nsga2": {"pop_size": 4, "generations": 1}})
+        )
+        with pytest.raises(InvalidConfigError, match="seed"):
+            run_config_file(path, seed=2.5)
 
     def test_unrecognized_keys_rejected(self, tmp_path):
         payload = {

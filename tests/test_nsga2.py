@@ -1,15 +1,17 @@
 import numpy as np
 import pytest
 
-from pfops.errors import InvalidConfigError
+from pfops.errors import InvalidConfigError, InvalidInputError
 from pfops.nsga2 import (
     Nsga2Config,
+    _environmental_selection,
+    _rank_and_crowding,
     crowding_distance,
     evolve,
     fast_nondominated_sort,
 )
 from pfops.pareto import hypervolume_2d, igd, nondominated_mask, reference_front
-from pfops.problems import convex_problem
+from pfops.problems import BiObjectiveProblem, convex_problem
 
 
 def dense_peel_fronts(points):
@@ -108,6 +110,43 @@ class TestCrowdingDistance:
         assert np.isfinite(d[1]) and np.isfinite(d[2])  # no division by zero
 
 
+class TestEnvironmentalSelection:
+    # a front spanning -inf..inf has NaN crowding (inf - inf), in both rankings
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    @pytest.mark.parametrize(
+        "grid, seed",
+        [(np.arange(5.0), 30), (np.array([-np.inf, 0.0, 1.0, 2.0, np.inf]), 31)],
+    )
+    def test_survivors_keep_rank_and_crowding(self, grid, seed):
+        # survivors' ranks and crowding must equal a fresh ranking of them
+        rng = np.random.default_rng(seed)
+        cases = {"fill": 0, "cut front 0": 0, "cut later front": 0}
+        for _ in range(300):
+            n = int(rng.integers(2, 61))
+            obj = grid[rng.integers(0, len(grid), size=(n, 2))]  # many exact duplicates
+            fronts = dense_peel_fronts(obj)
+            assert fast_nondominated_sort(obj) == fronts
+            ends = np.cumsum([len(f) for f in fronts])
+            sizes = {"fill": int(ends[rng.integers(len(ends))])}
+            if len(fronts[0]) > 1:
+                sizes["cut front 0"] = int(rng.integers(1, len(fronts[0])))
+            later = [r for r in range(1, len(fronts)) if len(fronts[r]) > 1]
+            if later:
+                r = later[rng.integers(len(later))]
+                sizes["cut later front"] = int(ends[r - 1] + rng.integers(1, len(fronts[r])))
+            for case, pop_size in sizes.items():
+                cases[case] += 1
+                labels = np.arange(n, dtype=float)[:, None]
+                kept, kept_obj, ranks, crowd = _environmental_selection(labels, obj, pop_size)
+                assert len(kept) == pop_size
+                np.testing.assert_array_equal(kept_obj, obj[kept[:, 0].astype(int)])
+                fresh_ranks, fresh_crowd = _rank_and_crowding(kept_obj)
+                np.testing.assert_array_equal(ranks, fresh_ranks)
+                np.testing.assert_array_equal(crowd, fresh_crowd)  # NaN == NaN here
+                assert np.flatnonzero(ranks == 0).tolist() == dense_peel_fronts(kept_obj)[0]
+        assert min(cases.values()) >= 50, cases
+
+
 class TestEvolve:
     def test_convex_quality(self):
         config = Nsga2Config(pop_size=100, generations=100, seed=0)
@@ -166,3 +205,16 @@ class TestEvolve:
             transitions += len(steps)
             good += int((steps >= -1e-9).sum())
         assert good / transitions >= 0.95
+
+    def test_nan_objective_names_the_point(self):
+        problem = BiObjectiveProblem(
+            name="half-nan",
+            dim=2,
+            lower=np.zeros(2),
+            upper=np.ones(2),
+            f1=lambda x: np.where(x[:, 0] > 0.5, np.nan, x[:, 0]),
+            f2=lambda x: 1.0 - x[:, 0],
+        )
+        with pytest.raises(InvalidInputError, match=r"'half-nan' are NaN at point \[0\.[5-9]"):
+            evolve(Nsga2Config(pop_size=10, generations=2, seed=0), problem)
+        assert problem.counter.count == 0

@@ -1,11 +1,9 @@
-import concurrent.futures
-
 import numpy as np
 import pytest
 
-from pfops.errors import BoundsError, NotFoundError
+from pfops.errors import BoundsError, InvalidInputError, NotFoundError
 from pfops.problems import (
-    EvalCounter,
+    BiObjectiveProblem,
     available_problems,
     convex_problem,
     fonseca_fleming_problem,
@@ -92,6 +90,24 @@ def test_out_of_bounds_rejected_and_uncounted():
     assert p.counter.count == 0
 
 
+def test_nan_objective_rejected_and_uncounted():
+    p = BiObjectiveProblem(
+        name="nan-right",
+        dim=1,
+        lower=np.array([0.0]),
+        upper=np.array([1.0]),
+        f1=lambda x: np.where(x[:, 0] > 0.5, np.nan, np.inf),
+        f2=lambda x: x[:, 0].copy(),
+    )
+    with pytest.raises(InvalidInputError, match=r"'nan-right' are NaN at point \[0\.75\]"):
+        p.evaluate((0.75,))
+    with pytest.raises(InvalidInputError, match=r"point \[0\.75\]"):
+        p.evaluate_batch([[0.25], [0.75], [1.0]])
+    assert p.counter.count == 0
+    assert np.isinf(p.evaluate_batch([[0.25]])).any()  # infinite values pass
+    assert p.counter.count == 2
+
+
 def test_bounds_are_inclusive():
     p = convex_problem()
     p.evaluate((-5.0, 10.0))  # corners are valid
@@ -113,9 +129,3 @@ def test_convex_symmetry():
     mirrored = 5.0 - pts
     np.testing.assert_allclose(p.f1(pts), p.f2(mirrored), rtol=1e-12)
 
-
-def test_counter_tolerates_concurrent_increments():
-    counter = EvalCounter()
-    with concurrent.futures.ThreadPoolExecutor(max_workers=8) as pool:
-        list(pool.map(lambda _: counter.add(1), range(4000)))
-    assert counter.count == 4000
