@@ -26,7 +26,7 @@ import numpy as np
 from .errors import DegenerateWeightsError, InvalidConfigError, InvalidInputError
 from .pareto import nondominated_mask
 from .problems import BiObjectiveProblem
-from .scalarize import Scalarization, ScalarizationKind, equal_interval_schedule
+from .scalarize import Scalarization, ScalarizationKind, equal_interval_schedule, is_finite_number
 
 
 @dataclass(frozen=True)
@@ -61,20 +61,34 @@ def check_integer(name: str, value: object, minimum: int) -> None:
         raise InvalidConfigError(f"{name} must be an integer >= {minimum}, got {value!r}")
 
 
+def check_float(config: object, name: str, probability: bool = False) -> None:
+    """Store a frozen config's float field as a float; reject it unless it is
+    a finite number, in [0, 1] if ``probability`` and positive otherwise."""
+    value = getattr(config, name)
+    if not is_finite_number(value):
+        raise InvalidConfigError(f"{name} must be a finite number, got {value!r}")
+    if probability and not 0 <= value <= 1:
+        raise InvalidConfigError(f"{name} must lie in [0, 1], got {value!r}")
+    if not probability and value <= 0:
+        raise InvalidConfigError(f"{name} must be positive, got {value!r}")
+    object.__setattr__(config, name, float(value))
+
+
 @dataclass(frozen=True)
 class PfopsConfig:
-    """Run settings.
+    """Run settings, checked when built: a wrongly typed, out-of-range or
+    non-finite field raises InvalidConfigError naming it, as in a config file.
 
     Attributes:
-        n_targets: K, number of target densities (>= 2).
-        n_particles: N, particle count (>= 1).
-        sigma: Metropolis proposal standard deviation (> 0), shared by all
-            coordinates.
-        metropolis_enabled: run the componentwise rejuvenation sweep.
-        final_filter_enabled: drop dominated members from the archive.
-        seed: seed for the run's random stream.
-        scalarization_kind: weighted-sum or Tchebycheff target family.
-        utopian: (z1, z2), required iff Tchebycheff.
+        n_targets: K, number of target densities (integer >= 2).
+        n_particles: N, particle count (integer >= 1).
+        sigma: Metropolis proposal standard deviation (finite, > 0), shared
+            by all coordinates.
+        metropolis_enabled: run the componentwise rejuvenation sweep (bool).
+        final_filter_enabled: drop dominated members from the archive (bool).
+        seed: seed for the run's random stream (integer >= 0).
+        scalarization_kind: a ScalarizationKind, weighted-sum or Tchebycheff.
+        utopian: (z1, z2), finite, required iff Tchebycheff; kept as floats.
     """
 
     n_targets: int
@@ -86,16 +100,21 @@ class PfopsConfig:
     scalarization_kind: ScalarizationKind = ScalarizationKind.WEIGHTED_SUM
     utopian: tuple[float, float] | None = None
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         check_integer("n_targets", self.n_targets, 2)
         check_integer("n_particles", self.n_particles, 1)
+        check_float(self, "sigma")
+        for name in ("metropolis_enabled", "final_filter_enabled"):
+            if not isinstance(value := getattr(self, name), bool):
+                raise InvalidConfigError(f"{name} must be true or false, got {value!r}")
         check_integer("seed", self.seed, 0)
-        if not self.sigma > 0:
-            raise InvalidConfigError(f"sigma must be positive, got {self.sigma}")
-        if self.scalarization_kind is ScalarizationKind.TCHEBYCHEFF and self.utopian is None:
-            raise InvalidConfigError("Tchebycheff runs require a Utopian point")
-        if self.scalarization_kind is ScalarizationKind.WEIGHTED_SUM and self.utopian is not None:
-            raise InvalidConfigError("weighted-sum runs take no Utopian point")
+        if not isinstance(self.scalarization_kind, ScalarizationKind):
+            raise InvalidConfigError(
+                f"scalarization_kind must be a ScalarizationKind, got {self.scalarization_kind!r}"
+            )
+        # the Utopian rules live in Scalarization; keep its float copy of z
+        z = Scalarization(self.scalarization_kind, 0.0, self.utopian).utopian
+        object.__setattr__(self, "utopian", z)
 
     def scalarization(self, lam: float) -> Scalarization:
         return Scalarization(self.scalarization_kind, float(lam), self.utopian)
@@ -116,7 +135,6 @@ def initialize(
     config: PfopsConfig, problem: BiObjectiveProblem, rng: np.random.Generator
 ) -> Population:
     """Draw N particles uniformly inside the box; weights uniform, no incumbent."""
-    config.validate()
     span = problem.upper - problem.lower
     particles = problem.lower + span * rng.random((config.n_particles, problem.dim))
     log_weights = np.full(config.n_particles, -np.log(config.n_particles))
@@ -263,7 +281,6 @@ def run(config: PfopsConfig, problem: BiObjectiveProblem) -> tuple[ParetoArchive
     front entries come from objective values cached when each incumbent was
     scored, and the final dominated-member filter, when enabled, is free.
     """
-    config.validate()
     rng = np.random.default_rng(config.seed)
     schedule = equal_interval_schedule(config.n_targets)
     targets = [config.scalarization(lam) for lam in schedule]

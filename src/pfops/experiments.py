@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import asdict, dataclass, replace
+from dataclasses import MISSING, asdict, dataclass, fields, replace
 from pathlib import Path
 from xml.sax.saxutils import escape
 
@@ -153,9 +153,9 @@ def _execute(
     core.check_integer("seed", seed, 0)
     seed = int(seed)  # a numpy integer seed is reported as a plain int
     problem = lookup_problem(problem_name)
+    cfg = replace(config, seed=seed)
     started = time.perf_counter()
     if algorithm == "pfops":
-        cfg = replace(config, seed=seed)
         _check_utopian(problem_name, cfg)
         archive, evals = core.run(cfg, problem)
         extra = {
@@ -166,7 +166,6 @@ def _execute(
             "nominal_eval_count": 2 * cfg.n_targets * cfg.n_particles,
         }
     elif algorithm == "nsga2":
-        cfg = replace(config, seed=seed)
         archive, evals = nsga2.evolve(cfg, problem)
         extra = {
             "bounds_handling": "clip",
@@ -399,43 +398,21 @@ def emit_front_svg(
         raise OSError(f"writing SVG to {path}: {exc}") from exc
 
 
-_REQUIRED = object()
 _TOP_LEVEL_KEYS = {"problem", "algorithm", "seed", "pfops", "nsga2"}
-_JSON_KINDS = {bool: "true or false", float: "a number", str: "a string"}
-
-
-def _json_value(value: object, key: str, kind: type, where: str) -> object:
-    """Check one parsed JSON value against ``kind``: a bool is never a
-    number, and an integer is accepted where a number is expected."""
-    accepted = (int, float) if kind is float else kind
-    if isinstance(value, bool) != (kind is bool) or not isinstance(value, accepted):
-        raise InvalidConfigError(f"{where}: '{key}' must be {_JSON_KINDS[kind]}, got {value!r}")
-    return kind(value)
-
-
-def _take(
-    section: dict, key: str, kind: type | None, where: str, default: object = _REQUIRED
-) -> object:
-    """Pop ``key`` from a parsed JSON object and check its type; a default
-    of None lets the key be null. A ``kind`` of None passes the value on
-    as written, for counts and the seed that ``validate`` checks."""
-    value = section.pop(key, default)
-    if value is _REQUIRED:
-        raise InvalidConfigError(f"{where}: missing required key '{key}'")
-    if kind is None or (value is None and default is None):
-        return value
-    return _json_value(value, key, kind, where)
+_CONFIG_CLASSES = {"pfops": core.PfopsConfig, "nsga2": nsga2.Nsga2Config}
+# config field -> its key in a config file, where the two differ
+_FILE_KEYS = {"scalarization_kind": "scalarization"}
 
 
 def load_config_file(path: str | Path) -> tuple[str, str, core.PfopsConfig | nsga2.Nsga2Config]:
     """Parse a custom-run JSON file into (problem, algorithm, config).
 
     Schema: top-level keys ``problem``, ``algorithm`` ("pfops" | "nsga2"),
-    optional ``seed``, and a section named after the algorithm holding its
-    numeric parameters and switches (see README for the full key list).
-    Values are taken as written: a missing required key, an unknown key, a
-    value of the wrong JSON type or a file that is not JSON raises
-    InvalidConfigError.
+    optional ``seed``, and a section named after the algorithm whose keys
+    are its config's fields, ``scalarization`` for ``scalarization_kind``
+    (see README). Values are passed on as written for the config to check:
+    a missing required key, an unknown key, an invalid value or a file that
+    is not JSON raises InvalidConfigError naming the file and the key.
     """
     try:
         raw = json.loads(Path(path).read_text())
@@ -446,50 +423,39 @@ def load_config_file(path: str | Path) -> tuple[str, str, core.PfopsConfig | nsg
     unknown = sorted(set(raw) - _TOP_LEVEL_KEYS)
     if unknown:
         raise InvalidConfigError(f"{path}: unrecognized top-level keys {unknown}")
-    problem = _take(raw, "problem", str, str(path))
-    algorithm = _take(raw, "algorithm", str, str(path))
-    seed = _take(raw, "seed", None, str(path), 0)
+    for key in ("problem", "algorithm"):
+        if key not in raw:
+            raise InvalidConfigError(f"{path}: missing required key '{key}'")
+        if not isinstance(raw[key], str):
+            raise InvalidConfigError(f"{path}: '{key}' must be a string, got {raw[key]!r}")
+    problem, algorithm = raw["problem"], raw["algorithm"]
+    cls = _CONFIG_CLASSES.get(algorithm)
+    if cls is None:
+        raise InvalidConfigError(f"{path}: unknown algorithm '{algorithm}'")
     section = raw.get(algorithm, {})
     if not isinstance(section, dict):
         raise InvalidConfigError(f"{path}: '{algorithm}' must be a JSON object")
-    section = dict(section)
     where = f"{path}: {algorithm}"
-    if algorithm == "pfops":
-        kinds = {k.value: k for k in ScalarizationKind}
-        kind = _take(section, "scalarization", str, where, "weighted-sum")
-        if kind not in kinds:
-            raise InvalidConfigError(f"{where}: 'scalarization' must be one of {list(kinds)}")
-        utopian = section.pop("utopian", None)
-        if utopian is not None:
-            if not isinstance(utopian, list) or len(utopian) != 2:
-                raise InvalidConfigError(f"{where}: 'utopian' must be [z1, z2], got {utopian!r}")
-            utopian = tuple(_json_value(z, "utopian", float, where) for z in utopian)
-        config: core.PfopsConfig | nsga2.Nsga2Config = core.PfopsConfig(
-            n_targets=_take(section, "n_targets", None, where),
-            n_particles=_take(section, "n_particles", None, where),
-            sigma=_take(section, "sigma", float, where, 1.0),
-            metropolis_enabled=_take(section, "metropolis_enabled", bool, where, True),
-            final_filter_enabled=_take(section, "final_filter_enabled", bool, where, True),
-            seed=seed,
-            scalarization_kind=kinds[kind],
-            utopian=utopian,
-        )
-    elif algorithm == "nsga2":
-        config = nsga2.Nsga2Config(
-            pop_size=_take(section, "pop_size", None, where),
-            generations=_take(section, "generations", None, where),
-            crossover_prob=_take(section, "crossover_prob", float, where, 0.9),
-            crossover_index=_take(section, "crossover_index", float, where, 20.0),
-            mutation_prob=_take(section, "mutation_prob", float, where, None),
-            mutation_index=_take(section, "mutation_index", float, where, 20.0),
-            seed=seed,
-        )
-    else:
-        raise InvalidConfigError(f"{path}: unknown algorithm '{algorithm}'")
-    if section:
-        raise InvalidConfigError(f"{path}: unrecognized keys {sorted(section)}")
-    config.validate()
-    return problem, algorithm, config
+    by_key = {_FILE_KEYS.get(f.name, f.name): f for f in fields(cls) if f.name != "seed"}
+    unknown = sorted(set(section) - set(by_key))
+    if unknown:
+        raise InvalidConfigError(f"{where}: unrecognized keys {unknown}")
+    missing = [k for k, f in by_key.items() if f.default is MISSING and k not in section]
+    if missing:
+        raise InvalidConfigError(f"{where}: missing required keys {missing}")
+    kwargs = {by_key[k].name: value for k, value in section.items()}
+    if "scalarization_kind" in kwargs:
+        try:
+            kwargs["scalarization_kind"] = ScalarizationKind(kwargs["scalarization_kind"])
+        except ValueError:
+            kinds = [k.value for k in ScalarizationKind]
+            raise InvalidConfigError(f"{where}: 'scalarization' must be one of {kinds}") from None
+    if "seed" in raw:
+        kwargs["seed"] = raw["seed"]
+    try:
+        return problem, algorithm, cls(**kwargs)
+    except InvalidConfigError as exc:
+        raise InvalidConfigError(f"{where}: {exc}") from None
 
 
 def run_config_file(path: str | Path, seed: int | None = None) -> RunReport:

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ParetoArchive, check_integer
+from .core import ParetoArchive, check_float, check_integer
 from .errors import InvalidConfigError
 from .pareto import nondominated_mask
 from .problems import BiObjectiveProblem
@@ -24,26 +24,30 @@ from .problems import BiObjectiveProblem
 
 @dataclass(frozen=True)
 class Nsga2Config:
+    """Baseline settings, checked when built: a wrongly typed, out-of-range or
+    non-finite field raises InvalidConfigError naming it, as in a config file.
+    pop_size is an even integer >= 2; probabilities lie in [0, 1] and a
+    ``mutation_prob`` of None means 1/d; distribution indices are positive."""
+
     pop_size: int
     generations: int
     crossover_prob: float = 0.9
     crossover_index: float = 20.0
-    mutation_prob: float | None = None  # None -> 1/d
+    mutation_prob: float | None = None
     mutation_index: float = 20.0
     seed: int = 0
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         check_integer("pop_size", self.pop_size, 2)
         if self.pop_size % 2 != 0:
             raise InvalidConfigError(f"pop_size must be even, got {self.pop_size}")
         check_integer("generations", self.generations, 1)
+        check_float(self, "crossover_prob", probability=True)
+        check_float(self, "crossover_index")
+        if self.mutation_prob is not None:
+            check_float(self, "mutation_prob", probability=True)
+        check_float(self, "mutation_index")
         check_integer("seed", self.seed, 0)
-        for name in ("crossover_prob", "mutation_prob"):
-            v = getattr(self, name)
-            if v is not None and not 0.0 <= v <= 1.0:
-                raise InvalidConfigError(f"{name} must lie in [0, 1], got {v}")
-        if self.crossover_index <= 0 or self.mutation_index <= 0:
-            raise InvalidConfigError("distribution indices must be positive")
 
 
 def _peel_fronts(points: np.ndarray) -> Iterator[np.ndarray]:
@@ -71,8 +75,8 @@ def crowding_distance(front_points: np.ndarray) -> np.ndarray:
     """Crowding of each member of one front; boundaries get +inf.
 
     Interior members sum, over objectives, the gap between their sorted
-    neighbors normalized by the objective's range; an objective with zero
-    range is skipped.
+    neighbors normalized by the objective's range; an objective whose range
+    is zero or infinite is skipped.
     """
     front_points = np.asarray(front_points, dtype=float).reshape(-1, 2)
     n = len(front_points)
@@ -82,12 +86,12 @@ def crowding_distance(front_points: np.ndarray) -> np.ndarray:
     for m in range(front_points.shape[1]):
         values = front_points[:, m]
         order = np.argsort(values, kind="stable")
-        span = values[order[-1]] - values[order[0]]
+        lo, hi = values[order[0]], values[order[-1]]
         distance[order[0]] = np.inf
         distance[order[-1]] = np.inf
-        if span == 0:
+        if lo == hi or hi - lo == np.inf:  # zero or infinite range
             continue
-        gaps = (values[order[2:]] - values[order[:-2]]) / span
+        gaps = (values[order[2:]] - values[order[:-2]]) / (hi - lo)
         interior = order[1:-1]
         distance[interior] = distance[interior] + gaps
     return distance
@@ -191,7 +195,6 @@ def evolve(config: Nsga2Config, problem: BiObjectiveProblem) -> tuple[ParetoArch
     """Run NSGA-II and return the final rank-0 front plus the measured
     evaluation count, 2 * pop_size * (generations + 1): the initial
     population and one offspring batch per generation."""
-    config.validate()
     rng = np.random.default_rng(config.seed)
     mutation_prob = (
         config.mutation_prob if config.mutation_prob is not None else 1.0 / problem.dim

@@ -18,11 +18,18 @@ at the far corner of its box).
 from __future__ import annotations
 
 import enum
+import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import InvalidConfigError
+
+
+def is_finite_number(value: object) -> bool:
+    """A finite real number; an int counts, a bool does not."""
+    return not isinstance(value, bool) and isinstance(value, numbers.Real) and math.isfinite(value)
 
 
 class ScalarizationKind(enum.Enum):
@@ -37,7 +44,8 @@ class Scalarization:
     Attributes:
         kind: weighted-sum or Tchebycheff.
         lam: balance parameter in [0, 1].
-        utopian: (z1, z2), required iff kind is Tchebycheff.
+        utopian: (z1, z2), two finite numbers, required iff kind is
+            Tchebycheff; stored as a float tuple.
     """
 
     kind: ScalarizationKind
@@ -47,12 +55,17 @@ class Scalarization:
     def __post_init__(self) -> None:
         if not 0.0 <= self.lam <= 1.0:
             raise InvalidConfigError(f"lambda must lie in [0, 1], got {self.lam}")
+        z = self.utopian
         if self.kind is ScalarizationKind.TCHEBYCHEFF:
-            if self.utopian is None:
-                raise InvalidConfigError("Tchebycheff scalarization requires a Utopian point")
-            object.__setattr__(self, "utopian", (float(self.utopian[0]), float(self.utopian[1])))
-        elif self.utopian is not None:
-            raise InvalidConfigError("weighted-sum scalarization takes no Utopian point")
+            if z is None:
+                raise InvalidConfigError("utopian is required by the Tchebycheff scalarization")
+            if not isinstance(z, (tuple, list, np.ndarray)) or len(z) != 2 or not all(
+                map(is_finite_number, z)
+            ):
+                raise InvalidConfigError(f"utopian must be two finite numbers, got {z!r}")
+            object.__setattr__(self, "utopian", (float(z[0]), float(z[1])))
+        elif z is not None:
+            raise InvalidConfigError(f"the weighted-sum scalarization takes no utopian, got {z!r}")
 
     def log_density_values(self, objectives: np.ndarray) -> np.ndarray | float:
         """log pi at pre-computed objective values.

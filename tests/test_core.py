@@ -1,3 +1,6 @@
+from dataclasses import replace
+from functools import partial
+
 import numpy as np
 import pytest
 from scipy.stats import chisquare, norm
@@ -63,20 +66,62 @@ def make_population(particles):
 
 class TestConfig:
     def test_validation(self):
-        PfopsConfig(n_targets=2, n_particles=1).validate()
+        PfopsConfig(n_targets=2, n_particles=1)
         with pytest.raises(InvalidConfigError):
-            PfopsConfig(n_targets=1, n_particles=5).validate()
+            PfopsConfig(n_targets=1, n_particles=5)
         with pytest.raises(InvalidConfigError):
-            PfopsConfig(n_targets=3, n_particles=0).validate()
+            PfopsConfig(n_targets=3, n_particles=0)
         with pytest.raises(InvalidConfigError):
-            PfopsConfig(n_targets=3, n_particles=5, sigma=0.0).validate()
+            PfopsConfig(n_targets=3, n_particles=5, sigma=0.0)
         with pytest.raises(InvalidConfigError):
             PfopsConfig(
                 n_targets=3, n_particles=5,
                 scalarization_kind=ScalarizationKind.TCHEBYCHEFF,
-            ).validate()
+            )
         with pytest.raises(InvalidConfigError):
-            PfopsConfig(n_targets=3, n_particles=5, utopian=(0.0, 0.0)).validate()
+            PfopsConfig(n_targets=3, n_particles=5, utopian=(0.0, 0.0))
+
+    @pytest.mark.parametrize(
+        "build, field",
+        [
+            # each of these used to build, and run or fail later with another message
+            (partial(PfopsConfig, 3, 2, metropolis_enabled="false"), "metropolis_enabled"),
+            (partial(PfopsConfig, 3, 2, final_filter_enabled=1), "final_filter_enabled"),
+            (partial(PfopsConfig, 3, 2, sigma=True), "sigma"),
+            (partial(PfopsConfig, 3, 2, sigma="1"), "sigma"),
+            (partial(PfopsConfig, 3, 2, sigma=float("inf")), "sigma"),
+            (
+                partial(PfopsConfig, 3, 2, scalarization_kind="tchebycheff", utopian=(-1, -1)),
+                "scalarization_kind",
+            ),
+            (
+                partial(PfopsConfig, 3, 2, scalarization_kind=ScalarizationKind.TCHEBYCHEFF,
+                        utopian=(float("nan"), 0.0)),
+                "utopian",
+            ),
+            (
+                partial(PfopsConfig, 3, 2, scalarization_kind=ScalarizationKind.TCHEBYCHEFF,
+                        utopian=(-1.0, -1.0, -1.0)),
+                "utopian",
+            ),
+            (partial(replace, PfopsConfig(3, 2), n_targets=1), "n_targets"),
+        ],
+        ids=[
+            "switch-string", "switch-int", "sigma-bool", "sigma-string", "sigma-inf",
+            "kind-string", "utopian-nan", "utopian-three", "replace-n_targets",
+        ],
+    )
+    def test_library_input_names_the_field(self, build, field):
+        with pytest.raises(InvalidConfigError, match=field):
+            build()
+
+    def test_numbers_stored_as_floats(self):
+        cfg = PfopsConfig(
+            3, 2, sigma=2, scalarization_kind=ScalarizationKind.TCHEBYCHEFF,
+            utopian=[-1, np.float32(-2)],
+        )
+        assert cfg.utopian == (-1.0, -2.0)
+        assert all(type(v) is float for v in (cfg.sigma, *cfg.utopian))
 
 
 class TestInitialize:

@@ -1,6 +1,7 @@
 import json
 import xml.etree.ElementTree as ET
-from dataclasses import replace
+from dataclasses import asdict, replace
+from functools import partial
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from pfops.experiments import (
     compare,
     emit_front_csv,
     emit_front_svg,
+    load_config_file,
     run_config_file,
     run_preset,
     write_comparison_csv,
@@ -402,6 +404,40 @@ class TestConfigFile:
             run_config_file(path)
 
 
+def _config_file(tmp_path, problem, algorithm, section, seed=None):
+    payload = {"problem": problem, "algorithm": algorithm, algorithm: section}
+    if seed is not None:
+        payload["seed"] = seed
+    path = tmp_path / f"{algorithm}.json"
+    path.write_text(json.dumps(payload))
+    return path
+
+
+class TestOneConfigPath:
+    @pytest.mark.parametrize("name", sorted(PRESETS))
+    def test_preset_written_as_file_loads_back_equal(self, tmp_path, name):
+        preset = PRESETS[name]
+        section = asdict(preset.config)
+        seed = section.pop("seed")
+        if preset.algorithm == "pfops":
+            section["scalarization"] = section.pop("scalarization_kind").value
+        path = _config_file(tmp_path, preset.problem, preset.algorithm, section, seed)
+        assert load_config_file(path) == (preset.problem, preset.algorithm, preset.config)
+
+    @pytest.mark.parametrize(
+        "algorithm, section, expected",
+        [
+            ("pfops", {"n_targets": 5, "n_particles": 4}, PfopsConfig(5, 4)),
+            ("nsga2", {"pop_size": 6, "generations": 3}, Nsga2Config(6, 3)),
+        ],
+    )
+    def test_required_keys_only_give_the_dataclass_defaults(
+        self, tmp_path, algorithm, section, expected
+    ):
+        path = _config_file(tmp_path, "convex", algorithm, section)
+        assert load_config_file(path) == ("convex", algorithm, expected)
+
+
 class TestPfopsConfigDefaults:
     def test_defaults(self):
         cfg = PfopsConfig(n_targets=2, n_particles=1)
@@ -418,14 +454,14 @@ class TestPfopsConfigDefaults:
 @pytest.mark.parametrize(
     "config, field",
     [
-        (PfopsConfig(n_targets=10.5, n_particles=5), "n_targets"),
-        (PfopsConfig(n_targets=10, n_particles=5.0), "n_particles"),
-        (PfopsConfig(n_targets=10, n_particles=5, seed=-1), "seed"),
-        (Nsga2Config(pop_size=10.0, generations=2), "pop_size"),
-        (Nsga2Config(pop_size=4, generations=2.5), "generations"),
-        (Nsga2Config(pop_size=4, generations=2, seed=-1), "seed"),
+        (partial(PfopsConfig, n_targets=10.5, n_particles=5), "n_targets"),
+        (partial(PfopsConfig, n_targets=10, n_particles=5.0), "n_particles"),
+        (partial(PfopsConfig, n_targets=10, n_particles=5, seed=-1), "seed"),
+        (partial(Nsga2Config, pop_size=10.0, generations=2), "pop_size"),
+        (partial(Nsga2Config, pop_size=4, generations=2.5), "generations"),
+        (partial(Nsga2Config, pop_size=4, generations=2, seed=-1), "seed"),
     ],
 )
 def test_config_rejects_non_integral_counts_and_negative_seed(config, field):
     with pytest.raises(InvalidConfigError, match=field):
-        config.validate()
+        config()

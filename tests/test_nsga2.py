@@ -1,3 +1,7 @@
+import warnings
+from dataclasses import replace
+from functools import partial
+
 import numpy as np
 import pytest
 
@@ -34,17 +38,37 @@ def dense_peel_fronts(points):
 
 class TestConfig:
     def test_validation(self):
-        Nsga2Config(pop_size=4, generations=1).validate()
+        Nsga2Config(pop_size=4, generations=1)
         with pytest.raises(InvalidConfigError):
-            Nsga2Config(pop_size=5, generations=1).validate()
+            Nsga2Config(pop_size=5, generations=1)
         with pytest.raises(InvalidConfigError):
-            Nsga2Config(pop_size=0, generations=1).validate()
+            Nsga2Config(pop_size=0, generations=1)
         with pytest.raises(InvalidConfigError):
-            Nsga2Config(pop_size=4, generations=0).validate()
+            Nsga2Config(pop_size=4, generations=0)
         with pytest.raises(InvalidConfigError):
-            Nsga2Config(pop_size=4, generations=1, crossover_prob=1.2).validate()
+            Nsga2Config(pop_size=4, generations=1, crossover_prob=1.2)
         with pytest.raises(InvalidConfigError):
-            Nsga2Config(pop_size=4, generations=1, mutation_index=0.0).validate()
+            Nsga2Config(pop_size=4, generations=1, mutation_index=0.0)
+
+    @pytest.mark.parametrize(
+        "build, field",
+        [
+            # each of these used to build, and run or fail later with another message
+            (partial(Nsga2Config, 4, 1, crossover_index=float("nan")), "crossover_index"),
+            (partial(Nsga2Config, 4, 1, crossover_prob="0.5"), "crossover_prob"),
+            (partial(Nsga2Config, 4, 1, crossover_prob=True), "crossover_prob"),
+            (partial(Nsga2Config, 4, 1, mutation_prob=False), "mutation_prob"),
+            (partial(Nsga2Config, 4, 1, mutation_index=float("inf")), "mutation_index"),
+            (partial(replace, Nsga2Config(4, 1), pop_size=3), "pop_size"),
+        ],
+        ids=[
+            "index-nan", "prob-string", "prob-bool", "mutation-bool", "index-inf",
+            "replace-pop_size",
+        ],
+    )
+    def test_library_input_names_the_field(self, build, field):
+        with pytest.raises(InvalidConfigError, match=field):
+            build()
 
 
 class TestFastNondominatedSort:
@@ -109,10 +133,23 @@ class TestCrowdingDistance:
         d = crowding_distance(pts)
         assert np.isfinite(d[1]) and np.isfinite(d[2])  # no division by zero
 
+    @pytest.mark.parametrize(
+        "pts",
+        [
+            [[0.0, np.inf], [1.0, np.inf], [2.0, np.inf]],
+            [[-np.inf, 2.0], [0.0, 1.0], [np.inf, 0.0]],
+        ],
+        ids=["both-ends-inf", "inf-to-inf"],
+    )
+    def test_infinite_objective_range_skipped(self, pts):
+        # inf - inf used to give NaN crowding, which tournaments and selection misorder
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            d = crowding_distance(np.array(pts))
+        np.testing.assert_array_equal(d, [np.inf, 1.0, np.inf])
+
 
 class TestEnvironmentalSelection:
-    # a front spanning -inf..inf has NaN crowding (inf - inf), in both rankings
-    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
     @pytest.mark.parametrize(
         "grid, seed",
         [(np.arange(5.0), 30), (np.array([-np.inf, 0.0, 1.0, 2.0, np.inf]), 31)],
@@ -142,7 +179,8 @@ class TestEnvironmentalSelection:
                 np.testing.assert_array_equal(kept_obj, obj[kept[:, 0].astype(int)])
                 fresh_ranks, fresh_crowd = _rank_and_crowding(kept_obj)
                 np.testing.assert_array_equal(ranks, fresh_ranks)
-                np.testing.assert_array_equal(crowd, fresh_crowd)  # NaN == NaN here
+                np.testing.assert_array_equal(crowd, fresh_crowd)
+                assert not np.isnan(crowd).any()
                 assert np.flatnonzero(ranks == 0).tolist() == dense_peel_fronts(kept_obj)[0]
         assert min(cases.values()) >= 50, cases
 

@@ -54,6 +54,13 @@ class TestScalarizationConstruction:
         with pytest.raises(InvalidConfigError):
             Scalarization(ScalarizationKind.WEIGHTED_SUM, 0.5, utopian=(0.0, 0.0))
 
+    @pytest.mark.parametrize(
+        "utopian", [(float("nan"), 0.0), (0.0, float("-inf")), ("-1", 0.0), (True, 0.0), (0.0,)]
+    )
+    def test_utopian_must_be_two_finite_numbers(self, utopian):
+        with pytest.raises(InvalidConfigError, match="utopian"):
+            tchebycheff(0.5, utopian)
+
 
 class TestLogDensity:
     def test_weighted_sum_at_f1_minimum(self):
