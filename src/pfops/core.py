@@ -6,6 +6,8 @@ pi_k, the best particle becomes the step's incumbent, particles are
 importance-reweighted by the density ratio pi_k / pi_{k-1}, multinomially
 resampled, and optionally rejuvenated by a componentwise Metropolis sweep
 (which may also improve the incumbent, including through rejected proposals).
+Resampling draws by inverse CDF, the same draw from the same random stream as
+``rng.choice(N, size=N, p=w)``.
 The K recorded incumbents form the estimated Pareto set; their objective
 vectors, kept from the evaluations already paid for, form the estimated front.
 
@@ -18,6 +20,7 @@ proposals included).
 
 from __future__ import annotations
 
+import math
 import numbers
 from dataclasses import dataclass, replace
 
@@ -201,18 +204,34 @@ def importance_weights(
 def resample(pop: Population, rng: np.random.Generator) -> Population:
     """Multinomial resampling: N independent draws by weight; weights reset to 1/N.
 
-    Offspring reuse their parents' cached objective values, so resampling
-    consumes no evaluations.
+    The draw is by inverse CDF: N uniforms from ``rng.random`` looked up in
+    the normalized cumulative weights. It is the draw that
+    ``rng.choice(N, size=N, replace=True, p=w)`` makes, the same indices
+    from the same stream, leaving ``rng`` in the same state, without that
+    call's validation of ``p``. Offspring reuse their parents' cached
+    objective values, so resampling consumes no evaluations.
+
+    Raises:
+        InvalidInputError: if there is not one log weight per particle, or
+            their maximum is not finite (a NaN, a +inf, or all -inf).
     """
     n = len(pop)
-    probs = np.exp(pop.log_weights - pop.log_weights.max())
+    m = pop.log_weights.max()
+    if pop.log_weights.shape != (n,) or not math.isfinite(m):
+        raise InvalidInputError(
+            f"resampling needs one log weight per particle ({n}) with a finite "
+            f"maximum, got shape {pop.log_weights.shape} and maximum {m}"
+        )
+    probs = np.exp(pop.log_weights - m)
     probs /= probs.sum()
-    idx = rng.choice(n, size=n, replace=True, p=probs)
+    cdf = np.cumsum(probs)
+    cdf /= cdf[-1]
+    idx = cdf.searchsorted(rng.random(n), side="right")
     return Population(
-        particles=pop.particles[idx].copy(),
+        particles=pop.particles[idx],
         log_weights=np.full(n, -np.log(n)),
         incumbent=pop.incumbent,
-        objectives=None if pop.objectives is None else pop.objectives[idx].copy(),
+        objectives=None if pop.objectives is None else pop.objectives[idx],
     )
 
 
@@ -246,29 +265,29 @@ def metropolis_sweep(
     for dim in range(problem.dim):
         proposed_col = particles[:, dim] + sigma * rng.standard_normal(n)
         inside = (proposed_col >= problem.lower[dim]) & (proposed_col <= problem.upper[dim])
-        proposals = particles.copy()
-        proposals[:, dim] = proposed_col
+        rows = np.flatnonzero(inside)
 
         prop_obj = np.full((n, 2), np.nan)
         prop_log_pi = np.full(n, -np.inf)
-        if inside.any():
-            prop_obj[inside] = problem.evaluate_batch(proposals[inside])
-            prop_log_pi[inside] = np.asarray(
-                s.log_density_values(prop_obj[inside]), dtype=float
-            )
+        if rows.size:
+            batch = particles[rows]
+            batch[:, dim] = proposed_col[rows]
+            values = problem.evaluate_batch(batch)
+            prop_obj[rows] = values
+            prop_log_pi[rows] = s.log_density_values(values)
         # out-of-box proposals still consumed two objective calls each
-        problem.counter.add(2 * int(np.count_nonzero(~inside)))
+        problem.counter.add(2 * (n - rows.size))
 
         best = int(np.argmax(prop_log_pi))
         if prop_log_pi[best] > inc.log_density:
-            inc = Incumbent(
-                proposals[best].copy(), float(prop_log_pi[best]), prop_obj[best].copy()
-            )
+            decision = particles[best].copy()
+            decision[dim] = proposed_col[best]
+            inc = Incumbent(decision, float(prop_log_pi[best]), prop_obj[best].copy())
 
         accept = rng.random(n) < np.exp(np.minimum(prop_log_pi - log_pi, 0.0))
-        particles[accept, dim] = proposed_col[accept]
-        objectives[accept] = prop_obj[accept]
-        log_pi[accept] = prop_log_pi[accept]
+        np.copyto(particles[:, dim], proposed_col, where=accept)
+        np.copyto(objectives, prop_obj, where=accept[:, None])
+        np.copyto(log_pi, prop_log_pi, where=accept)
 
     return replace(pop, particles=particles, objectives=objectives, incumbent=inc)
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 import time
+from collections.abc import Iterable
 from dataclasses import MISSING, asdict, dataclass, fields, replace
 from pathlib import Path
 from xml.sax.saxutils import escape
@@ -237,11 +238,11 @@ class ComparisonResult:
 _COMPARE_METRICS = ("igd", "hypervolume", "eval_count", "wall_time")
 
 
-def compare(preset_a: str, preset_b: str, seeds: list[int]) -> ComparisonResult:
+def compare(preset_a: str, preset_b: str, seeds: Iterable[int]) -> ComparisonResult:
     """Run two presets on the same problem over paired seeds.
 
-    Per-run seeds are the entries of ``seeds`` verbatim, no hidden
-    reseeding, so any row can be re-run in isolation.
+    Per-run seeds are the entries of ``seeds`` (any iterable, read once)
+    verbatim, no hidden reseeding, so any row can be re-run in isolation.
     """
     a = get_preset(preset_a)
     b = get_preset(preset_b)
@@ -249,6 +250,7 @@ def compare(preset_a: str, preset_b: str, seeds: list[int]) -> ComparisonResult:
         raise InvalidInputError(
             f"presets target different problems: {a.problem} vs {b.problem}"
         )
+    seeds = list(seeds)
     for s in seeds:
         core.check_integer("seed", s, 0)
     seeds = [int(s) for s in seeds]
@@ -428,6 +430,11 @@ def load_config_file(path: str | Path) -> tuple[str, str, core.PfopsConfig | nsg
             raise InvalidConfigError(f"{path}: missing required key '{key}'")
         if not isinstance(raw[key], str):
             raise InvalidConfigError(f"{path}: '{key}' must be a string, got {raw[key]!r}")
+    if "seed" in raw:
+        try:
+            core.check_integer("seed", raw["seed"], 0)
+        except InvalidConfigError as exc:
+            raise InvalidConfigError(f"{path}: {exc}") from None
     problem, algorithm = raw["problem"], raw["algorithm"]
     cls = _CONFIG_CLASSES.get(algorithm)
     if cls is None:

@@ -8,7 +8,8 @@ uncounted) plus counted ``evaluate*`` methods. Every call that goes through
 Out-of-bounds evaluation requests raise :class:`~pfops.errors.BoundsError`
 instead of being clamped; silent clamping would corrupt the tally. An
 objective that returns NaN raises :class:`~pfops.errors.InvalidInputError`,
-since no dominance order or density holds for it; infinite values pass.
+since no dominance order or density holds for it; infinite values pass. A
+batch objective that does not return one value per row raises it too.
 """
 
 from __future__ import annotations
@@ -82,8 +83,10 @@ class BiObjectiveProblem:
             raise ValueError(
                 f"expected decision vectors of dimension {self.dim}, got {points.shape[1]}"
             )
-        inside = np.all(points >= self.lower, axis=1) & np.all(points <= self.upper, axis=1)
-        if not inside.all():
+        # one whole-array test; the per-row mask is built only to name the
+        # first bad row (a NaN coordinate fails both comparisons)
+        if not ((points >= self.lower).all() and (points <= self.upper).all()):
+            inside = np.all(points >= self.lower, axis=1) & np.all(points <= self.upper, axis=1)
             bad = int(np.flatnonzero(~inside)[0])
             raise BoundsError(
                 f"point {points[bad].tolist()} is outside the box of problem "
@@ -111,11 +114,20 @@ class BiObjectiveProblem:
         """Evaluate both objectives at an (n, d) batch, returning (n, 2).
 
         Counts 2n evaluations. Raises BoundsError if any row is outside
-        the box, and InvalidInputError if an objective is NaN at any row
-        (nothing is counted in either case).
+        the box, and InvalidInputError if an objective does not return one
+        value per row or is NaN at any row (nothing is counted in any case).
         """
         p = self._check_batch(points)
-        return self._counted(p, np.stack([self.f1(p), self.f2(p)], axis=1))
+        f1, f2 = self.f1(p), self.f2(p)
+        if np.shape(f1) != (len(p),) or np.shape(f2) != (len(p),):
+            raise InvalidInputError(
+                f"objectives of problem '{self.name}' must return shape ({len(p)},) "
+                f"for {len(p)} points, got {np.shape(f1)} and {np.shape(f2)}"
+            )
+        values = np.empty((len(p), 2))
+        values[:, 0] = f1
+        values[:, 1] = f2
+        return self._counted(p, values)
 
 
 def _convex_f1(x: np.ndarray) -> np.ndarray:

@@ -6,6 +6,7 @@ import pytest
 from scipy.stats import chisquare, norm
 
 from pfops.core import (
+    Incumbent,
     ParetoArchive,
     PfopsConfig,
     Population,
@@ -18,8 +19,8 @@ from pfops.core import (
 )
 from pfops.errors import DegenerateWeightsError, InvalidConfigError, InvalidInputError
 from pfops.pareto import nondominated_mask
-from pfops.problems import BiObjectiveProblem, convex_problem
-from pfops.scalarize import ScalarizationKind, weighted_sum
+from pfops.problems import BiObjectiveProblem, convex_problem, kursawe_problem
+from pfops.scalarize import ScalarizationKind, tchebycheff, weighted_sum
 
 
 def line_problem(length=20.0):
@@ -260,8 +261,145 @@ class TestResample:
         expected = np.stack([prob.f1(out.particles), prob.f2(out.particles)], axis=1)
         np.testing.assert_allclose(out.objectives, expected)
 
+    def test_same_draw_as_rng_choice(self):
+        # random N and weights, zero weights included: the same indices and the
+        # same generator state afterwards as rng.choice with p
+        cases = np.random.default_rng(20)
+        for case in range(400):
+            n = int(cases.integers(1, 601))
+            log_w = cases.normal(0.0, float(cases.choice([0.1, 1.0, 30.0])), n)
+            if case % 5 == 0:
+                log_w[cases.random(n) < 0.5] = -np.inf
+                log_w[cases.integers(n)] = 0.0
+            pop = Population(particles=np.arange(float(n))[:, None], log_weights=log_w)
+            rng_new, rng_ref = np.random.default_rng(case), np.random.default_rng(case)
+            idx = resample(pop, rng_new).particles[:, 0].astype(int)
+            probs = np.exp(log_w - log_w.max())
+            probs /= probs.sum()
+            ref = rng_ref.choice(n, size=n, replace=True, p=probs)
+            np.testing.assert_array_equal(idx, ref)
+            assert rng_new.bit_generator.state == rng_ref.bit_generator.state
+
+    @pytest.mark.parametrize(
+        "log_weights",
+        [[0.0, np.nan, 0.0], [-np.inf, -np.inf, -np.inf], [0.0, np.inf, 0.0], [0.0, 0.0]],
+    )
+    def test_bad_log_weights_rejected(self, log_weights):
+        pop = Population(particles=np.zeros((3, 1)), log_weights=np.array(log_weights))
+        with pytest.raises(InvalidInputError, match="log weight"):
+            resample(pop, np.random.default_rng(0))
+
+
+def reference_metropolis_sweep(pop, s, problem, sigma, rng):
+    """The sweep as first written, kept as the oracle of the faster one: it
+    copies every particle for each dimension's proposals and gathers the
+    in-box rows of that copy."""
+    particles = pop.particles.copy()
+    objectives = (
+        problem.evaluate_batch(pop.particles) if pop.objectives is None else pop.objectives
+    ).copy()
+    log_pi = np.asarray(s.log_density_values(objectives), dtype=float)
+    n = len(particles)
+
+    if pop.incumbent is not None:
+        inc = pop.incumbent
+    else:
+        j = int(np.argmax(log_pi))
+        inc = Incumbent(particles[j].copy(), float(log_pi[j]), objectives[j].copy())
+
+    for dim in range(problem.dim):
+        proposed_col = particles[:, dim] + sigma * rng.standard_normal(n)
+        inside = (proposed_col >= problem.lower[dim]) & (proposed_col <= problem.upper[dim])
+        proposals = particles.copy()
+        proposals[:, dim] = proposed_col
+
+        prop_obj = np.full((n, 2), np.nan)
+        prop_log_pi = np.full(n, -np.inf)
+        if inside.any():
+            prop_obj[inside] = problem.evaluate_batch(proposals[inside])
+            prop_log_pi[inside] = np.asarray(
+                s.log_density_values(prop_obj[inside]), dtype=float
+            )
+        problem.counter.add(2 * int(np.count_nonzero(~inside)))
+
+        best = int(np.argmax(prop_log_pi))
+        if prop_log_pi[best] > inc.log_density:
+            inc = Incumbent(
+                proposals[best].copy(), float(prop_log_pi[best]), prop_obj[best].copy()
+            )
+
+        accept = rng.random(n) < np.exp(np.minimum(prop_log_pi - log_pi, 0.0))
+        particles[accept, dim] = proposed_col[accept]
+        objectives[accept] = prop_obj[accept]
+        log_pi[accept] = prop_log_pi[accept]
+
+    return replace(pop, particles=particles, objectives=objectives, incumbent=inc)
+
+
+def assert_same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    assert a.dtype == b.dtype and a.shape == b.shape
+    assert a.tobytes() == b.tobytes()
+
 
 class TestMetropolisSweep:
+    @pytest.mark.parametrize("make_problem", [convex_problem, kursawe_problem])
+    @pytest.mark.parametrize("sigma", [1e-12, 1.0, 100.0])
+    @pytest.mark.parametrize("with_incumbent", [False, True])
+    def test_bit_identical_to_reference_sweep(self, make_problem, sigma, with_incumbent):
+        for seed in range(6):
+            setup = np.random.default_rng(seed)
+            n = int(setup.integers(1, 120))
+            lam = setup.random()
+            s = weighted_sum(lam) if seed % 2 else tchebycheff(lam, (-30.0, -30.0))
+            sides = []
+            for sweep in (metropolis_sweep, reference_metropolis_sweep):
+                prob = make_problem()
+                pop = initialize(PfopsConfig(2, n, seed=seed), prob, np.random.default_rng(seed))
+                if with_incumbent:
+                    pop = update_incumbent(pop, s, prob)
+                before = pop.particles.copy()
+                start = prob.counter.count
+                rng = np.random.default_rng(1000 + seed)
+                out = sweep(pop, s, prob, sigma, rng)
+                assert_same_bits(pop.particles, before)  # the input is not mutated
+                sides.append((out, prob.counter.count - start, rng.bit_generator.state))
+            (new, new_evals, new_state), (ref, ref_evals, ref_state) = sides
+            assert_same_bits(new.particles, ref.particles)
+            assert_same_bits(new.objectives, ref.objectives)
+            assert_same_bits(new.incumbent.decision, ref.incumbent.decision)
+            assert_same_bits(new.incumbent.objectives, ref.incumbent.objectives)
+            assert new.incumbent.log_density == ref.incumbent.log_density
+            assert new_evals == ref_evals == 2 * n * (prob.dim + (not with_incumbent))
+            assert new_state == ref_state
+
+    def test_no_proposal_in_box(self):
+        # sigma 1e9 on a box 15 wide: every proposal leaves it, so nothing is
+        # evaluated, every proposal is still counted and nothing moves
+        sides = []
+        for sweep in (metropolis_sweep, reference_metropolis_sweep):
+            prob = convex_problem()
+            pop = initialize(PfopsConfig(2, 40), prob, np.random.default_rng(3))
+            pop = update_incumbent(pop, weighted_sum(0.5), prob)
+            batches = []
+
+            def counting(points, evaluate_batch=prob.evaluate_batch):
+                batches.append(len(points))
+                return evaluate_batch(points)
+
+            prob.evaluate_batch = counting
+            start = prob.counter.count
+            rng = np.random.default_rng(4)
+            out = sweep(pop, weighted_sum(0.5), prob, 1e9, rng)
+            assert batches == []
+            assert prob.counter.count - start == 2 * 40 * 2
+            assert_same_bits(out.particles, pop.particles)
+            assert out.incumbent is pop.incumbent
+            sides.append((out, rng.bit_generator.state))
+        (new, new_state), (ref, ref_state) = sides
+        assert_same_bits(new.objectives, ref.objectives)
+        assert new_state == ref_state
+
     def test_vanishing_sigma_accepts_everything(self):
         prob = convex_problem()
         rng = np.random.default_rng(10)

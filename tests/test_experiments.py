@@ -165,6 +165,12 @@ class TestCompare:
         with pytest.raises(InvalidConfigError, match="seed"):
             compare("pfops-convex-under", "nsga2-convex-under", [0, 1.5])
 
+    def test_seed_generator_read_once(self):
+        # the check loop used to use the generator up: "seed list must not be empty"
+        result = compare("pfops-convex-under", "nsga2-convex-under", (s for s in [0, 1]))
+        assert result.seeds == [0, 1]
+        assert [row["seed"] for row in result.rows] == [0, 1]
+
     def test_performs_exactly_2n_runs(self, monkeypatch):
         calls = []
         original = experiments.run_preset
@@ -402,6 +408,21 @@ class TestConfigFile:
         path.write_text(json.dumps(payload))
         with pytest.raises(InvalidConfigError, match="seed"):
             run_config_file(path)
+
+
+    @pytest.mark.parametrize("algorithm", ["pfops", "nsga2"])
+    @pytest.mark.parametrize("seed", ["3", -1])
+    def test_bad_seed_reported_as_top_level_key(self, tmp_path, algorithm, seed):
+        # the seed is a top-level key; it used to read "run.json: nsga2: seed ..."
+        sections = {"pfops": {"n_targets": 3, "n_particles": 2},
+                    "nsga2": {"pop_size": 4, "generations": 1}}
+        payload = {"problem": "convex", "algorithm": algorithm, "seed": seed,
+                   algorithm: sections[algorithm]}
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps(payload))
+        with pytest.raises(InvalidConfigError) as info:
+            load_config_file(path)
+        assert str(info.value) == f"{path}: seed must be an integer >= 0, got {seed!r}"
 
 
 def _config_file(tmp_path, problem, algorithm, section, seed=None):

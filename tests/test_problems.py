@@ -87,6 +87,34 @@ def test_out_of_bounds_rejected_and_uncounted():
         p.evaluate((11.0, 0.0))
     with pytest.raises(BoundsError):
         p.evaluate_batch([[0.0, 0.0], [0.0, -5.0001]])
+    # several bad rows, the first below the box and a later one above it:
+    # the message names the first
+    with pytest.raises(BoundsError, match=r"point \[0\.0, -6\.0\] is outside"):
+        p.evaluate_batch([[0.0, 0.0], [0.0, -6.0], [11.0, 0.0], [12.0, 12.0]])
+    with pytest.raises(BoundsError, match=r"point \[11\.0, 0\.0\] is outside"):
+        p.evaluate_batch([[0.0, 0.0], [11.0, 0.0], [0.0, -6.0]])
+    # a NaN coordinate is outside the box, whatever the other rows hold
+    with pytest.raises(BoundsError, match=r"point \[nan, 1\.0\] is outside"):
+        p.evaluate_batch([[0.0, 0.0], [np.nan, 1.0], [1.0, 1.0]])
+    with pytest.raises(BoundsError, match=r"point \[0\.0, nan\] is outside"):
+        p.evaluate((0.0, np.nan))
+    assert p.counter.count == 0
+
+
+@pytest.mark.parametrize(
+    "f1, f2",
+    [
+        (lambda x: 1.0, lambda x: x[:, 0].copy()),  # a scalar
+        (lambda x: np.ones(1), lambda x: np.ones(1)),  # one value for two rows
+        (lambda x: x.copy(), lambda x: x[:, 0].copy()),  # a column, not a vector
+    ],
+)
+def test_objective_of_wrong_shape_rejected_and_uncounted(f1, f2):
+    p = BiObjectiveProblem(
+        name="shape", dim=1, lower=np.array([0.0]), upper=np.array([1.0]), f1=f1, f2=f2
+    )
+    with pytest.raises(InvalidInputError, match=r"'shape' must return shape \(2,\)"):
+        p.evaluate_batch([[0.25], [0.75]])
     assert p.counter.count == 0
 
 
