@@ -9,7 +9,6 @@ sits to the reference.
 from pathlib import Path
 
 import numpy as np
-from scipy.spatial.distance import cdist
 
 import pfops
 
@@ -24,7 +23,9 @@ print(
 )
 
 report = pfops.run_preset("pfops-kursawe", seed=0)
-distances = cdist(report.archive.front, reference).min(axis=1)
+# distance from each archive point to its nearest reference point
+diff = report.archive.front[:, None, :] - reference[None, :, :]
+distances = np.sqrt((diff * diff).sum(axis=2)).min(axis=1)
 print(
     f"archive: {len(report.archive)} points, igd {report.igd:.4f}, "
     f"evals {report.eval_count}, wall {report.wall_time:.2f}s"

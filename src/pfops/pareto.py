@@ -10,7 +10,6 @@ from __future__ import annotations
 from pathlib import Path
 
 import numpy as np
-from scipy.spatial.distance import cdist
 
 from .errors import InvalidInputError, NotFoundError
 from .problems import fonseca_fleming_problem, kursawe_problem
@@ -75,13 +74,30 @@ def nondominated_filter(points: np.ndarray) -> np.ndarray:
 
 
 def igd(estimate: np.ndarray, reference: np.ndarray) -> float:
-    """Inverted generational distance: mean distance from each reference
-    point to its nearest estimate point. Lower is better, 0 is exact."""
+    """Inverted generational distance: mean Euclidean distance from each
+    reference point to its nearest estimate point. Lower is better, 0 is exact.
+
+    Both fronts must be non-empty and have shape (n, 2) after
+    ``np.atleast_2d``, so a single point may be given as a (2,) vector; a
+    front of any other shape raises InvalidInputError naming both shapes.
+    """
     estimate = np.atleast_2d(np.asarray(estimate, dtype=float))
     reference = np.atleast_2d(np.asarray(reference, dtype=float))
     if estimate.size == 0 or reference.size == 0:
         raise InvalidInputError("igd requires non-empty estimate and reference fronts")
-    return float(cdist(reference, estimate).min(axis=1).mean())
+    if not (estimate.ndim == reference.ndim == 2 and estimate.shape[1] == reference.shape[1] == 2):
+        raise InvalidInputError(
+            f"igd requires (n, 2) fronts, got estimate shape {estimate.shape} "
+            f"and reference shape {reference.shape}"
+        )
+    d1 = reference[:, 0, None] - estimate[:, 0]
+    d2 = reference[:, 1, None] - estimate[:, 1]
+    d1 *= d1
+    d2 *= d2
+    d1 += d2
+    # sqrt is correctly rounded and monotone, so taking it after the row
+    # minimum gives the same bits as the minimum of the distances
+    return float(np.sqrt(d1.min(axis=1)).mean())
 
 
 def hypervolume_2d(front: np.ndarray, ref_point: np.ndarray) -> float:

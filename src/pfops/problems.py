@@ -106,9 +106,19 @@ class BiObjectiveProblem:
         return values
 
     def evaluate(self, x: np.ndarray) -> np.ndarray:
-        """Evaluate both objectives at one point, returning a (2,) array."""
-        p = self._check_batch(x)
-        return self._counted(p, np.array([[self.f1(p)[0], self.f2(p)[0]]]))[0]
+        """Evaluate both objectives at one point of shape (d,), returning (2,).
+
+        Counts 2 evaluations and raises as :meth:`evaluate_batch` does; any
+        other shape raises InvalidInputError and counts nothing.
+        """
+        x = np.asarray(x, dtype=float)
+        if x.shape != (self.dim,):
+            raise InvalidInputError(
+                f"evaluate takes one decision vector of dimension {self.dim}, shape "
+                f"({self.dim},), for problem '{self.name}', got shape {x.shape}; "
+                "use evaluate_batch for a batch"
+            )
+        return self.evaluate_batch(x[None])[0]
 
     def evaluate_batch(self, points: np.ndarray) -> np.ndarray:
         """Evaluate both objectives at an (n, d) batch, returning (n, 2).

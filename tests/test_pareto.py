@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.spatial.distance import cdist
 
 from pfops.errors import InvalidInputError, NotFoundError
 from pfops.pareto import (
@@ -120,6 +121,7 @@ class TestIgd:
 
     def test_single_pair(self):
         assert igd(np.array([[3.0, 4.0]]), np.array([[0.0, 0.0]])) == pytest.approx(5.0)
+        assert igd(np.array([3.0, 4.0]), np.array([0.0, 0.0])) == 5.0  # (2,) is one point
 
     def test_mean_over_reference(self):
         ref = np.array([[0.0, 0.0], [2.0, 0.0]])
@@ -138,6 +140,39 @@ class TestIgd:
         est = np.vstack([ref, rng.normal(size=(5, 2))])
         assert igd(est, ref) == 0.0
         assert igd(ref[:-1], ref) > 0.0
+
+    @pytest.mark.parametrize(
+        "name, resolution", [("convex", 100), ("fonseca", 200), ("kursawe", 201)]
+    )
+    def test_bit_identical_to_cdist(self, name, resolution):
+        ref = reference_front(name, resolution)
+        rng = np.random.default_rng(len(ref))
+        for n in [1, 2, 3, 17, 200, *rng.integers(1, 201, size=40)]:
+            for scale in [0.0, 1e-3, 1.0, 1e6]:
+                est = ref[rng.integers(len(ref), size=n)] + scale * rng.normal(size=(n, 2))
+                expected = float(cdist(ref, est).min(axis=1).mean())
+                assert igd(est, ref) == expected, (name, n, scale)
+        est = ref[:5].copy()
+        est[0, 0] = np.inf
+        est[1, 1] = -np.inf
+        assert igd(est, ref) == float(cdist(ref, est).min(axis=1).mean())
+        est[2, 0] = np.nan
+        assert np.isnan(igd(est, ref)) and np.isnan(cdist(ref, est).min(axis=1).mean())
+
+    @pytest.mark.parametrize(
+        "estimate, reference",
+        [
+            (np.zeros((4, 3)), np.zeros((5, 2))),  # would read the first two columns
+            (np.zeros((4, 1)), np.zeros((5, 2))),
+            (np.zeros((4, 2)), np.zeros((5, 3))),
+            (np.zeros((4, 3)), np.zeros((5, 3))),  # matching, but not objective pairs
+            (np.zeros(3), np.zeros((5, 2))),
+            (np.zeros((2, 4, 2)), np.zeros((5, 2))),
+        ],
+    )
+    def test_fronts_must_be_n_by_2(self, estimate, reference):
+        with pytest.raises(InvalidInputError, match=r"estimate shape \(.*\) and reference shape"):
+            igd(estimate, reference)
 
 
 class TestHypervolume:

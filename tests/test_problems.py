@@ -118,6 +118,36 @@ def test_objective_of_wrong_shape_rejected_and_uncounted(f1, f2):
     assert p.counter.count == 0
 
 
+@pytest.mark.parametrize(
+    "x", [[[0.0, 0.0], [5.0, 5.0]], [[0.0, 0.0]], 0.0, [0.0, 0.0, 0.0], [[[0.0, 0.0]]]]
+)
+def test_evaluate_takes_exactly_one_point(x):
+    # a batch used to be evaluated whole, answered with its first row and
+    # counted as one point
+    p = convex_problem()
+    with pytest.raises(InvalidInputError, match=r"shape \(2,\).*'convex', got shape"):
+        p.evaluate(x)
+    assert p.counter.count == 0
+
+
+@pytest.mark.parametrize(
+    "f1",
+    [lambda x: 1.0, lambda x: x.copy()],  # a scalar; a column, not a vector
+)
+def test_evaluate_shares_the_objective_shape_check(f1):
+    p = BiObjectiveProblem(
+        name="shape",
+        dim=1,
+        lower=np.array([0.0]),
+        upper=np.array([1.0]),
+        f1=f1,
+        f2=lambda x: x[:, 0].copy(),
+    )
+    with pytest.raises(InvalidInputError, match=r"'shape' must return shape \(1,\)"):
+        p.evaluate((0.25,))
+    assert p.counter.count == 0
+
+
 def test_nan_objective_rejected_and_uncounted():
     p = BiObjectiveProblem(
         name="nan-right",
