@@ -11,11 +11,14 @@ Resampling draws by inverse CDF, the same draw from the same random stream as
 The K recorded incumbents form the estimated Pareto set; their objective
 vectors, kept from the evaluations already paid for, form the estimated front.
 
-Objective values are evaluated once per particle per step and shared by the
-incumbent update and both sides of the weight ratio, so a run consumes exactly
-2*K*N single-objective evaluations, plus 2*K*N*d more when the Metropolis
-sweep is on (one (f1, f2) pair per componentwise proposal, out-of-box
-proposals included).
+``run`` keeps the step on plain arrays: the particles are evaluated once per
+step and scored once under pi_k, and that one score picks the incumbent, is
+pi_k's side of the weight ratio (pi_{k-1} is scored at the same objective
+values) and, gathered by the resampling index, starts the sweep. A run thus
+consumes exactly 2*K*N single-objective evaluations, plus 2*K*N*d more when
+the Metropolis sweep is on (one (f1, f2) pair per componentwise proposal,
+out-of-box proposals included). The public step functions run the same
+kernels on a ``Population``, each scoring its particles afresh.
 """
 
 from __future__ import annotations
@@ -43,16 +46,11 @@ class Incumbent:
 
 @dataclass
 class Population:
-    """N weighted particles plus the per-step incumbent.
-
-    ``objectives`` caches (f1, f2) rows for ``particles`` when they have
-    already been paid for this step; ``None`` means not evaluated yet.
-    """
+    """N weighted particles plus the per-step incumbent."""
 
     particles: np.ndarray
     log_weights: np.ndarray
     incumbent: Incumbent | None = None
-    objectives: np.ndarray | None = None
 
     def __len__(self) -> int:
         return len(self.particles)
@@ -144,30 +142,15 @@ def initialize(
     return Population(particles=particles, log_weights=log_weights)
 
 
-def _ensure_objectives(pop: Population, problem: BiObjectiveProblem) -> np.ndarray:
-    if pop.objectives is None:
-        pop.objectives = problem.evaluate_batch(pop.particles)
-    return pop.objectives
-
-
-def update_incumbent(
-    pop: Population, s: Scalarization, problem: BiObjectiveProblem
-) -> Population:
-    """Set the incumbent to the particle maximizing log pi; first index wins ties."""
-    if len(pop) == 0:
-        raise InvalidInputError("population is empty")
-    objectives = _ensure_objectives(pop, problem)
-    log_pi = np.asarray(s.log_density_values(objectives))
+def _incumbent(particles: np.ndarray, log_pi: np.ndarray, objectives: np.ndarray) -> Incumbent:
     j = int(np.argmax(log_pi))
-    incumbent = Incumbent(
-        decision=pop.particles[j].copy(),
-        log_density=float(log_pi[j]),
-        objectives=objectives[j].copy(),
-    )
-    return replace(pop, incumbent=incumbent, objectives=objectives)
+    return Incumbent(particles[j].copy(), float(log_pi[j]), objectives[j].copy())
 
 
-def _normalize_log_weights(log_w: np.ndarray) -> np.ndarray:
+def _step_log_weights(
+    log_pi: np.ndarray, objectives: np.ndarray, s_prev: Scalarization | None
+) -> np.ndarray:
+    log_w = log_pi if s_prev is None else log_pi - s_prev.log_density_values(objectives)
     m = np.max(log_w)
     if not np.isfinite(m):
         raise DegenerateWeightsError(
@@ -175,6 +158,73 @@ def _normalize_log_weights(log_w: np.ndarray) -> np.ndarray:
         )
     shifted = log_w - m
     return shifted - np.log(np.sum(np.exp(shifted)))
+
+
+def _resample_index(log_weights: np.ndarray, n: int, rng: np.random.Generator) -> np.ndarray:
+    m = log_weights.max()
+    if log_weights.shape != (n,) or not math.isfinite(m):
+        raise InvalidInputError(
+            f"resampling needs one log weight per particle ({n}) with a finite "
+            f"maximum, got shape {log_weights.shape} and maximum {m}"
+        )
+    probs = np.exp(log_weights - m)
+    probs /= probs.sum()
+    cdf = np.cumsum(probs)
+    cdf /= cdf[-1]
+    return cdf.searchsorted(rng.random(n), side="right")
+
+
+def _sweep(
+    particles: np.ndarray, log_pi: np.ndarray, inc: Incumbent, s: Scalarization,
+    problem: BiObjectiveProblem, sigma: float, rng: np.random.Generator,
+) -> Incumbent:
+    """Sweep ``particles`` in place, keeping ``log_pi`` (their log pi under
+    ``s``) in step; return the incumbent after the sweep."""
+    n = len(particles)
+    for dim in range(problem.dim):
+        proposed_col = particles[:, dim] + sigma * rng.standard_normal(n)
+        inside = (proposed_col >= problem.lower[dim]) & (proposed_col <= problem.upper[dim])
+        rows = np.flatnonzero(inside)
+
+        prop_log_pi = np.full(n, -np.inf)
+        if rows.size:
+            batch = particles[rows]
+            batch[:, dim] = proposed_col[rows]
+            values = problem.evaluate_batch(batch)
+            batch_log_pi = s.log_density_values(values)
+            prop_log_pi[rows] = batch_log_pi
+            # out-of-box rows score -inf, so the batch's first maximum is the
+            # first maximum over all proposals
+            best = _incumbent(batch, batch_log_pi, values)
+            if best.log_density > inc.log_density:
+                inc = best
+        # out-of-box proposals still consumed two objective calls each
+        problem.counter.add(2 * (n - rows.size))
+
+        accept = rng.random(n) < np.exp(np.minimum(prop_log_pi - log_pi, 0.0))
+        np.copyto(particles[:, dim], proposed_col, where=accept)
+        np.copyto(log_pi, prop_log_pi, where=accept)
+    return inc
+
+
+def _score(
+    particles: np.ndarray, s: Scalarization, problem: BiObjectiveProblem
+) -> tuple[np.ndarray, np.ndarray]:
+    objectives = problem.evaluate_batch(particles)
+    return objectives, s.log_density_values(objectives)
+
+
+def update_incumbent(
+    pop: Population, s: Scalarization, problem: BiObjectiveProblem
+) -> Population:
+    """Set the incumbent to the particle maximizing log pi; first index wins ties.
+
+    Scores the population afresh: 2N evaluations.
+    """
+    if len(pop) == 0:
+        raise InvalidInputError("population is empty")
+    objectives, log_pi = _score(pop.particles, s, problem)
+    return replace(pop, incumbent=_incumbent(pop.particles, log_pi, objectives))
 
 
 def importance_weights(
@@ -187,18 +237,15 @@ def importance_weights(
     """Incremental importance weighting, normalized in log space.
 
     Raw weight: pi_k at the particle when k = 1, else the ratio
-    pi_k / pi_{k-1}; both targets are scored at the same cached objective
-    values, so the ratio costs no extra evaluations.
+    pi_k / pi_{k-1}; both targets are scored at the same objective values,
+    so the step costs 2N evaluations.
     """
     if k < 1:
         raise InvalidInputError(f"step index must be >= 1, got {k}")
     if (k == 1) != (s_prev is None):
         raise InvalidInputError("s_prev is required exactly when k > 1")
-    objectives = _ensure_objectives(pop, problem)
-    log_w = np.asarray(s_k.log_density_values(objectives), dtype=float)
-    if s_prev is not None:
-        log_w = log_w - np.asarray(s_prev.log_density_values(objectives), dtype=float)
-    return replace(pop, log_weights=_normalize_log_weights(log_w), objectives=objectives)
+    objectives, log_pi = _score(pop.particles, s_k, problem)
+    return replace(pop, log_weights=_step_log_weights(log_pi, objectives, s_prev))
 
 
 def resample(pop: Population, rng: np.random.Generator) -> Population:
@@ -208,31 +255,15 @@ def resample(pop: Population, rng: np.random.Generator) -> Population:
     the normalized cumulative weights. It is the draw that
     ``rng.choice(N, size=N, replace=True, p=w)`` makes, the same indices
     from the same stream, leaving ``rng`` in the same state, without that
-    call's validation of ``p``. Offspring reuse their parents' cached
-    objective values, so resampling consumes no evaluations.
+    call's validation of ``p``. Resampling costs 0 evaluations.
 
     Raises:
         InvalidInputError: if there is not one log weight per particle, or
             their maximum is not finite (a NaN, a +inf, or all -inf).
     """
     n = len(pop)
-    m = pop.log_weights.max()
-    if pop.log_weights.shape != (n,) or not math.isfinite(m):
-        raise InvalidInputError(
-            f"resampling needs one log weight per particle ({n}) with a finite "
-            f"maximum, got shape {pop.log_weights.shape} and maximum {m}"
-        )
-    probs = np.exp(pop.log_weights - m)
-    probs /= probs.sum()
-    cdf = np.cumsum(probs)
-    cdf /= cdf[-1]
-    idx = cdf.searchsorted(rng.random(n), side="right")
-    return Population(
-        particles=pop.particles[idx],
-        log_weights=np.full(n, -np.log(n)),
-        incumbent=pop.incumbent,
-        objectives=None if pop.objectives is None else pop.objectives[idx],
-    )
+    idx = _resample_index(pop.log_weights, n, rng)
+    return Population(pop.particles[idx], np.full(n, -np.log(n)), pop.incumbent)
 
 
 def metropolis_sweep(
@@ -249,78 +280,46 @@ def metropolis_sweep(
     min{1, pi(x') / pi(x)}. Proposals leaving the box get zero density
     (always rejected) but are still tallied as objective evaluations.
     Any proposal beating the incumbent's log density replaces the
-    incumbent, accepted or not.
+    incumbent, accepted or not. With no incumbent yet, the best particle
+    starts as one. Scoring the population afresh and the d proposals per
+    particle cost 2N(1+d) evaluations.
     """
     particles = pop.particles.copy()
-    objectives = _ensure_objectives(pop, problem).copy()
-    log_pi = np.asarray(s.log_density_values(objectives), dtype=float)
-    n = len(particles)
-
-    if pop.incumbent is not None:
-        inc = pop.incumbent
-    else:
-        j = int(np.argmax(log_pi))
-        inc = Incumbent(particles[j].copy(), float(log_pi[j]), objectives[j].copy())
-
-    for dim in range(problem.dim):
-        proposed_col = particles[:, dim] + sigma * rng.standard_normal(n)
-        inside = (proposed_col >= problem.lower[dim]) & (proposed_col <= problem.upper[dim])
-        rows = np.flatnonzero(inside)
-
-        prop_obj = np.full((n, 2), np.nan)
-        prop_log_pi = np.full(n, -np.inf)
-        if rows.size:
-            batch = particles[rows]
-            batch[:, dim] = proposed_col[rows]
-            values = problem.evaluate_batch(batch)
-            prop_obj[rows] = values
-            prop_log_pi[rows] = s.log_density_values(values)
-        # out-of-box proposals still consumed two objective calls each
-        problem.counter.add(2 * (n - rows.size))
-
-        best = int(np.argmax(prop_log_pi))
-        if prop_log_pi[best] > inc.log_density:
-            decision = particles[best].copy()
-            decision[dim] = proposed_col[best]
-            inc = Incumbent(decision, float(prop_log_pi[best]), prop_obj[best].copy())
-
-        accept = rng.random(n) < np.exp(np.minimum(prop_log_pi - log_pi, 0.0))
-        np.copyto(particles[:, dim], proposed_col, where=accept)
-        np.copyto(objectives, prop_obj, where=accept[:, None])
-        np.copyto(log_pi, prop_log_pi, where=accept)
-
-    return replace(pop, particles=particles, objectives=objectives, incumbent=inc)
+    objectives, log_pi = _score(particles, s, problem)
+    inc = pop.incumbent if pop.incumbent is not None else _incumbent(particles, log_pi, objectives)
+    inc = _sweep(particles, log_pi, inc, s, problem, sigma, rng)
+    return replace(pop, particles=particles, incumbent=inc)
 
 
 def run(config: PfopsConfig, problem: BiObjectiveProblem) -> tuple[ParetoArchive, int]:
     """Execute the full K-step loop and return the archive and evaluation count.
 
-    Per step: incumbent update, importance weighting, multinomial resampling,
-    optional Metropolis sweep; the step's incumbent is then recorded. The
-    front entries come from objective values cached when each incumbent was
-    scored, and the final dominated-member filter, when enabled, is free.
+    Per step, s_k is scored once, at the objective values of that step's
+    single evaluation, and that score drives the incumbent, pi_k's side of
+    the weight ratio and the sweep; the step's incumbent is then recorded.
+    The front entries are the objective values paid for when each incumbent
+    was scored, and the final dominated-member filter, when enabled, is free.
     """
     rng = np.random.default_rng(config.seed)
     schedule = equal_interval_schedule(config.n_targets)
     targets = [config.scalarization(lam) for lam in schedule]
 
     start_count = problem.counter.count
-    pop = initialize(config, problem, rng)
+    particles = initialize(config, problem, rng).particles
 
     decisions = []
     front = []
-    for k, s_k in enumerate(targets, start=1):
-        # fresh scores each step: one batch evaluation shared by the
-        # incumbent update and both sides of the weight ratio
-        pop.objectives = None
-        pop = update_incumbent(pop, s_k, problem)
-        pop = importance_weights(pop, k, s_k, targets[k - 2] if k > 1 else None, problem)
-        pop = resample(pop, rng)
+    s_prev = None
+    for s_k in targets:
+        objectives, log_pi = _score(particles, s_k, problem)
+        inc = _incumbent(particles, log_pi, objectives)
+        idx = _resample_index(_step_log_weights(log_pi, objectives, s_prev), len(particles), rng)
+        particles = particles[idx]
         if config.metropolis_enabled:
-            pop = metropolis_sweep(pop, s_k, problem, config.sigma, rng)
-        assert pop.incumbent is not None
-        decisions.append(pop.incumbent.decision)
-        front.append(pop.incumbent.objectives)
+            inc = _sweep(particles, log_pi[idx], inc, s_k, problem, config.sigma, rng)
+        decisions.append(inc.decision)
+        front.append(inc.objectives)
+        s_prev = s_k
 
     decisions_arr = np.stack(decisions)
     front_arr = np.stack(front)

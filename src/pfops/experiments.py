@@ -380,7 +380,7 @@ def emit_front_svg(
         )
     for i, report in enumerate(reports):
         color = _SVG_COLORS[i % len(_SVG_COLORS)]
-        label = escape(str(report.metadata.get("label", f"run-{i}")), quote=False)
+        label = escape(str(report.metadata.get("label", f"run-{i}")))
         circles = "".join(
             f'<circle cx="{sx(p[0]):.2f}" cy="{sy(p[1]):.2f}" r="3" '
             f'fill="{color}" fill-opacity="0.75"/>'

@@ -20,7 +20,12 @@ from pfops.core import (
 from pfops.errors import DegenerateWeightsError, InvalidConfigError, InvalidInputError
 from pfops.pareto import nondominated_mask
 from pfops.problems import BiObjectiveProblem, convex_problem, kursawe_problem
-from pfops.scalarize import ScalarizationKind, tchebycheff, weighted_sum
+from pfops.scalarize import (
+    ScalarizationKind,
+    equal_interval_schedule,
+    tchebycheff,
+    weighted_sum,
+)
 
 
 def line_problem(length=20.0):
@@ -253,14 +258,6 @@ class TestResample:
         b = resample(pop, np.random.default_rng(8))
         np.testing.assert_array_equal(a.particles, b.particles)
 
-    def test_objectives_cache_follows_particles(self):
-        prob = convex_problem()
-        pop = make_population([[0.0, 0.0], [5.0, 5.0]])
-        pop = update_incumbent(pop, weighted_sum(0.0), prob)
-        out = resample(pop, np.random.default_rng(9))
-        expected = np.stack([prob.f1(out.particles), prob.f2(out.particles)], axis=1)
-        np.testing.assert_allclose(out.objectives, expected)
-
     def test_same_draw_as_rng_choice(self):
         # random N and weights, zero weights included: the same indices and the
         # same generator state afterwards as rng.choice with p
@@ -295,9 +292,7 @@ def reference_metropolis_sweep(pop, s, problem, sigma, rng):
     copies every particle for each dimension's proposals and gathers the
     in-box rows of that copy."""
     particles = pop.particles.copy()
-    objectives = (
-        problem.evaluate_batch(pop.particles) if pop.objectives is None else pop.objectives
-    ).copy()
+    objectives = problem.evaluate_batch(pop.particles)
     log_pi = np.asarray(s.log_density_values(objectives), dtype=float)
     n = len(particles)
 
@@ -330,10 +325,9 @@ def reference_metropolis_sweep(pop, s, problem, sigma, rng):
 
         accept = rng.random(n) < np.exp(np.minimum(prop_log_pi - log_pi, 0.0))
         particles[accept, dim] = proposed_col[accept]
-        objectives[accept] = prop_obj[accept]
         log_pi[accept] = prop_log_pi[accept]
 
-    return replace(pop, particles=particles, objectives=objectives, incumbent=inc)
+    return replace(pop, particles=particles, incumbent=inc)
 
 
 def assert_same_bits(a, b):
@@ -366,16 +360,15 @@ class TestMetropolisSweep:
                 sides.append((out, prob.counter.count - start, rng.bit_generator.state))
             (new, new_evals, new_state), (ref, ref_evals, ref_state) = sides
             assert_same_bits(new.particles, ref.particles)
-            assert_same_bits(new.objectives, ref.objectives)
             assert_same_bits(new.incumbent.decision, ref.incumbent.decision)
             assert_same_bits(new.incumbent.objectives, ref.incumbent.objectives)
             assert new.incumbent.log_density == ref.incumbent.log_density
-            assert new_evals == ref_evals == 2 * n * (prob.dim + (not with_incumbent))
+            assert new_evals == ref_evals == 2 * n * (prob.dim + 1)
             assert new_state == ref_state
 
     def test_no_proposal_in_box(self):
-        # sigma 1e9 on a box 15 wide: every proposal leaves it, so nothing is
-        # evaluated, every proposal is still counted and nothing moves
+        # sigma 1e9 on a box 15 wide: every proposal leaves it, so only the
+        # population is evaluated, every proposal is still counted and nothing moves
         sides = []
         for sweep in (metropolis_sweep, reference_metropolis_sweep):
             prob = convex_problem()
@@ -391,13 +384,12 @@ class TestMetropolisSweep:
             start = prob.counter.count
             rng = np.random.default_rng(4)
             out = sweep(pop, weighted_sum(0.5), prob, 1e9, rng)
-            assert batches == []
-            assert prob.counter.count - start == 2 * 40 * 2
+            assert batches == [40]
+            assert prob.counter.count - start == 2 * 40 * 3
             assert_same_bits(out.particles, pop.particles)
             assert out.incumbent is pop.incumbent
             sides.append((out, rng.bit_generator.state))
         (new, new_state), (ref, ref_state) = sides
-        assert_same_bits(new.objectives, ref.objectives)
         assert new_state == ref_state
 
     def test_vanishing_sigma_accepts_everything(self):
@@ -429,8 +421,9 @@ class TestMetropolisSweep:
         pop = update_incumbent(pop, weighted_sum(0.5), prob)
         before = prob.counter.count
         out = metropolis_sweep(pop, weighted_sum(0.5), prob, sigma=100.0, rng=rng)
-        # huge sigma: nearly all proposals leave the box yet each costs 2 calls
-        assert prob.counter.count - before == 2 * 300 * 2
+        # huge sigma: nearly all proposals leave the box yet each costs 2 calls,
+        # on top of the 2 per particle of scoring the population
+        assert prob.counter.count - before == 2 * 300 * 3
         inside = np.all(out.particles >= prob.lower, axis=1) & np.all(out.particles <= prob.upper, axis=1)
         assert inside.all()
 
@@ -464,7 +457,55 @@ class TestMetropolisSweep:
         assert chisquare(observed, expected).pvalue > 0.01
 
 
+def chain_run(config, problem, rng):
+    """``run`` spelled as the chain of public step functions."""
+    targets = [config.scalarization(lam) for lam in equal_interval_schedule(config.n_targets)]
+    pop = initialize(config, problem, rng)
+    decisions, front = [], []
+    for k, s_k in enumerate(targets, start=1):
+        pop = update_incumbent(pop, s_k, problem)
+        pop = importance_weights(pop, k, s_k, targets[k - 2] if k > 1 else None, problem)
+        pop = resample(pop, rng)
+        if config.metropolis_enabled:
+            pop = metropolis_sweep(pop, s_k, problem, config.sigma, rng)
+        decisions.append(pop.incumbent.decision)
+        front.append(pop.incumbent.objectives)
+    decisions, front = np.stack(decisions), np.stack(front)
+    keep = nondominated_mask(front) if config.final_filter_enabled else slice(None)
+    return ParetoArchive(decisions=decisions[keep], front=front[keep])
+
+
 class TestRun:
+    @pytest.mark.parametrize("make_problem", [convex_problem, kursawe_problem])
+    @pytest.mark.parametrize("kind", list(ScalarizationKind))
+    @pytest.mark.parametrize("moves", [False, True])
+    def test_equals_chain_of_step_functions(self, monkeypatch, make_problem, kind, moves):
+        # run scores each target once where the chain scores it afresh in every
+        # step function, so the counts differ; the archive and stream must not
+        utopian = (-30.0, -30.0) if kind is ScalarizationKind.TCHEBYCHEFF else None
+        default_rng = np.random.default_rng
+        made = []  # the generators run builds
+
+        def recording_rng(seed):
+            made.append(default_rng(seed))
+            return made[-1]
+
+        monkeypatch.setattr(np.random, "default_rng", recording_rng)
+        for seed in (0, 1, 7):
+            cfg = PfopsConfig(
+                n_targets=5, n_particles=12, sigma=0.5, metropolis_enabled=moves,
+                final_filter_enabled=seed != 1, seed=seed, scalarization_kind=kind,
+                utopian=utopian,
+            )
+            made.clear()
+            archive, _ = run(cfg, make_problem())
+            rng = default_rng(seed)
+            expected = chain_run(cfg, make_problem(), rng)
+            assert len(made) == 1
+            assert_same_bits(archive.decisions, expected.decisions)
+            assert_same_bits(archive.front, expected.front)
+            assert made[0].bit_generator.state == rng.bit_generator.state
+
     def test_examples_k3(self):
         cfg = PfopsConfig(
             n_targets=3, n_particles=10000, metropolis_enabled=False,

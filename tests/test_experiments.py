@@ -256,6 +256,15 @@ class TestEmitters:
         root = ET.parse(path).getroot()
         assert len(root.findall("{http://www.w3.org/2000/svg}g")) == 2
 
+    def test_svg_label_with_quotes_round_trips(self, tmp_path):
+        path = tmp_path / "plot.svg"
+        label = """say "hi" & it's"""
+        emit_front_svg([_tiny_report([[1.0, 2.0]], label=label)], np.zeros((0, 2)), path)
+        root = ET.parse(path).getroot()
+        ns = "{http://www.w3.org/2000/svg}"
+        assert root.find(f"{ns}g").get("data-label") == label
+        assert label in [t.text for t in root.iter(f"{ns}text")]
+
     def test_svg_empty_reference_no_polyline(self, tmp_path):
         path = tmp_path / "plot.svg"
         emit_front_svg([_tiny_report([[1.0, 2.0]])], np.zeros((0, 2)), path)
