@@ -299,7 +299,17 @@ def run(config: PfopsConfig, problem: BiObjectiveProblem) -> tuple[ParetoArchive
     the weight ratio and the sweep; the step's incumbent is then recorded.
     The front entries are the objective values paid for when each incumbent
     was scored, and the final dominated-member filter, when enabled, is free.
+
+    Raises:
+        InvalidConfigError: if a Tchebycheff Utopian point is not strictly
+            below the problem's ideal point, when the problem states one.
     """
+    z, ideal = config.utopian, problem.ideal
+    if z is not None and ideal is not None and not (z[0] < ideal[0] and z[1] < ideal[1]):
+        raise InvalidConfigError(
+            f"Utopian point {z} must lie strictly below the ideal point {ideal} "
+            f"of problem '{problem.name}'"
+        )
     rng = np.random.default_rng(config.seed)
     schedule = equal_interval_schedule(config.n_targets)
     targets = [config.scalarization(lam) for lam in schedule]

@@ -35,15 +35,6 @@ HYPERVOLUME_REF = {
     "kursawe": (-14.0, 1.0),
 }
 
-# measured objective minima, used to check that configured Utopian points
-# sit strictly below both objectives (kursawe values from the dense-grid front)
-OBJECTIVE_MINIMA = {
-    "convex": (0.0, 0.0),
-    "fonseca": (0.0, 0.0),
-    "kursawe": (-20.0, -11.6264),
-}
-
-
 @dataclass(frozen=True)
 class ExperimentPreset:
     name: str
@@ -132,18 +123,6 @@ class RunReport:
     metadata: dict
 
 
-def _check_utopian(problem_name: str, config: core.PfopsConfig) -> None:
-    if config.scalarization_kind is not ScalarizationKind.TCHEBYCHEFF:
-        return
-    mins = OBJECTIVE_MINIMA[problem_name]
-    z = config.utopian
-    if z is None or not (z[0] < mins[0] and z[1] < mins[1]):
-        raise InvalidConfigError(
-            f"Utopian point {z} must lie strictly below the objective minima "
-            f"{mins} of problem '{problem_name}'"
-        )
-
-
 def _execute(
     label: str,
     problem_name: str,
@@ -157,7 +136,6 @@ def _execute(
     cfg = replace(config, seed=seed)
     started = time.perf_counter()
     if algorithm == "pfops":
-        _check_utopian(problem_name, cfg)
         archive, evals = core.run(cfg, problem)
         extra = {
             "resampling_scheme": "multinomial",
@@ -333,7 +311,7 @@ def emit_front_svg(
     """
     if not reports:
         raise InvalidInputError("need at least one report to plot")
-    reference = np.asarray(reference, dtype=float).reshape(-1, 2)
+    reference = pareto.as_front(reference)
 
     stacks = [r.archive.front for r in reports if len(r.archive.front)]
     if len(reference):

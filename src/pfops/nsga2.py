@@ -2,23 +2,24 @@
 
 Real-coded: binary tournament on (rank, crowding), simulated-binary
 crossover, polynomial mutation, elitist environmental selection. Children
-are clamped to the box after variation. Ranks come from peeling fronts with
-the same O(n log n) sort-and-sweep that filters PFOPS archives. Selection
-peels parents and children only until the new population is full, and the
-survivors keep the rank and crowding it found, so each generation ranks
-once. Not a general EC framework; it exists to give runs a comparison point.
+are clamped to the box after variation. Ranks come from
+:func:`~pfops.pareto.peel_fronts`, which also filters PFOPS archives: it
+sorts the points once and sweeps each front out of that order. Selection
+takes fronts of parents and children only until the new population is full,
+and the survivors keep the rank and crowding it found, so each generation
+ranks once. Not a general EC framework; it exists to give runs a comparison
+point.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
 
 from .core import ParetoArchive, check_float, check_integer
 from .errors import InvalidConfigError
-from .pareto import nondominated_mask
+from .pareto import as_front, peel_fronts
 from .problems import BiObjectiveProblem
 
 
@@ -50,25 +51,13 @@ class Nsga2Config:
         check_integer("seed", self.seed, 0)
 
 
-def _peel_fronts(points: np.ndarray) -> Iterator[np.ndarray]:
-    """Yield the ranked fronts of an (n, 2) array, front 0 first, each as an
-    ascending index array. A pass always removes the first remaining point in
-    (f1, f2) order, which nothing dominates."""
-    remaining = np.arange(len(points))
-    while len(remaining):
-        on_front = nondominated_mask(points[remaining])
-        yield remaining[on_front]
-        remaining = remaining[~on_front]
-
-
 def fast_nondominated_sort(points: np.ndarray) -> list[list[int]]:
     """Partition indices into ranked fronts; front 0 is the non-dominated set.
 
-    Peels one front per pass with :func:`~pfops.pareto.nondominated_mask`,
-    each front in ascending index order.
+    Sorts once and peels every front from that order with
+    :func:`~pfops.pareto.peel_fronts`, each front in ascending index order.
     """
-    points = np.asarray(points, dtype=float).reshape(-1, 2)
-    return [front.tolist() for front in _peel_fronts(points)]
+    return [front.tolist() for front in peel_fronts(points)]
 
 
 def crowding_distance(front_points: np.ndarray) -> np.ndarray:
@@ -76,9 +65,10 @@ def crowding_distance(front_points: np.ndarray) -> np.ndarray:
 
     Interior members sum, over objectives, the gap between their sorted
     neighbors normalized by the objective's range; an objective whose range
-    is zero or infinite is skipped.
+    is zero or infinite is skipped. The front is read by
+    :func:`~pfops.pareto.as_front`, which rejects a shape other than (n, 2).
     """
-    front_points = np.asarray(front_points, dtype=float).reshape(-1, 2)
+    front_points = as_front(front_points)
     n = len(front_points)
     if n <= 2:
         return np.full(n, np.inf)
@@ -176,7 +166,7 @@ def _environmental_selection(
     ranks: list[np.ndarray] = []
     crowds: list[np.ndarray] = []
     need = pop_size
-    for rank, front in enumerate(_peel_fronts(objectives)):
+    for rank, front in enumerate(peel_fronts(objectives)):
         crowd = crowding_distance(objectives[front])
         if len(front) > need:
             front = front[np.argsort(-crowd, kind="stable")[:need]]  # most isolated first

@@ -1,12 +1,15 @@
 """Pareto-dominance primitives, reference fronts, and quality metrics.
 
-All fronts are (n, 2) float arrays of objective vectors under minimization.
-Filtering retains duplicates (identical vectors do not dominate each other)
-and preserves input order.
+All fronts are (n, 2) float arrays of objective vectors under minimization;
+:func:`as_front` is the one shape check. Ranking is one sort and one sweep
+per front (:func:`peel_fronts`); the non-dominated filter is its first
+front, and NSGA-II ranks with it too. Filtering retains duplicates
+(identical vectors do not dominate each other) and preserves input order.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from pathlib import Path
 
 import numpy as np
@@ -25,43 +28,77 @@ def dominates(a: np.ndarray, b: np.ndarray) -> bool:
     return bool(np.all(a <= b) and np.any(a < b))
 
 
-def nondominated_mask(points: np.ndarray) -> np.ndarray:
-    """Boolean mask of the non-dominated rows of an (n, 2) array.
+def as_front(points: np.ndarray) -> np.ndarray:
+    """``points`` as a float (n, 2) array of objective vectors.
 
-    Sort-and-sweep, O(n log n): after ordering by (f1, f2, index), a point is
-    dominated iff some point with strictly smaller f1 has f2 <= its own, or a
-    point with equal f1 has strictly smaller f2. Exact duplicates survive.
-    Infinite values are ordered like any other; a NaN row raises
-    InvalidInputError, since no dominance order holds for it.
+    An empty input gives shape (0, 2) and a single (2,) vector one row; any
+    other shape raises InvalidInputError naming it.
     """
     points = np.asarray(points, dtype=float)
-    n = len(points)
-    if n == 0:
-        return np.zeros(0, dtype=bool)
-    if points.ndim != 2 or points.shape[1] != 2:
-        raise InvalidInputError(f"expected an (n, 2) array, got shape {points.shape}")
+    if points.ndim == 2 and points.shape[1] == 2:
+        return points
+    if points.size == 0 or points.shape == (2,):
+        return points.reshape(-1, 2)
+    raise InvalidInputError(f"expected an (n, 2) array, got shape {points.shape}")
+
+
+def _first_front(f1: np.ndarray, f2: np.ndarray) -> np.ndarray:
+    """Mask of the non-dominated points of a non-empty set sorted by (f1, f2).
+
+    Nothing after a point in that order dominates it, and an earlier point
+    that is not its exact duplicate dominates it iff its f2 is <= the point's.
+    So a point is non-dominated iff its f2 is below every earlier f2, and an
+    exact duplicate of the point before it shares that point's verdict.
+    """
+    on_front = np.empty(len(f1), dtype=bool)
+    on_front[0] = True
+    np.less(f2[1:], np.minimum.accumulate(f2)[:-1], out=on_front[1:])
+    duplicate = (f1[1:] == f1[:-1]) & (f2[1:] == f2[:-1])
+    if duplicate.any():
+        run_start = np.arange(len(f1))
+        run_start[1:][duplicate] = 0
+        on_front = on_front[np.maximum.accumulate(run_start)]
+    return on_front
+
+
+def peel_fronts(points: np.ndarray) -> Iterator[np.ndarray]:
+    """Yield the ranked fronts of an (n, 2) array, front 0 (the non-dominated
+    rows) first, each as an ascending index array.
+
+    The shape (as :func:`as_front` reads it) and NaN rows are checked once,
+    and the points are sorted once by (f1, f2, index). Removing a front
+    leaves the rest of that order sorted, so each later front is one sweep
+    over what is left, with no re-sort: for two objectives one sort is
+    enough (Jensen 2003, IEEE TEVC 7(5)). A pass always removes the first
+    point left, which nothing dominates. Exact duplicates share a front.
+    Infinite values are ordered like any other; a NaN row raises
+    InvalidInputError, since no dominance order holds for it. The generator
+    is lazy: a caller that stops early pays only for the fronts it took.
+    """
+    points = as_front(points)
     if np.isnan(points).any():
         i = int(np.flatnonzero(np.isnan(points).any(axis=1))[0])
         raise InvalidInputError(f"row {i} contains NaN: {points[i].tolist()}")
-    order = np.lexsort((np.arange(n), points[:, 1], points[:, 0]))
-    f1 = points[order, 0]
-    f2 = points[order, 1]
-    new_group = np.empty(n, dtype=bool)
-    new_group[0] = True
-    new_group[1:] = f1[1:] > f1[:-1]
-    group_id = np.cumsum(new_group) - 1
-    group_starts = np.flatnonzero(new_group)
-    group_min_f2 = f2[group_starts]  # f2 ascending inside a group
-    min_f2_before = np.empty(len(group_starts))
-    min_f2_before[0] = np.inf
-    if len(group_starts) > 1:
-        np.minimum.accumulate(group_min_f2[:-1], out=min_f2_before[1:])
-    # group 0 has no earlier group; its +inf sentinel must not match f2 = +inf
-    dominated = ((group_id > 0) & (min_f2_before[group_id] <= f2)) | (
-        f2 > group_min_f2[group_id]
-    )
-    mask = np.ones(n, dtype=bool)
-    mask[order] = ~dominated
+    left = np.lexsort((np.arange(len(points)), points[:, 1], points[:, 0]))
+    f1 = points[left, 0]
+    f2 = points[left, 1]
+    while len(left):
+        on_front = _first_front(f1, f2)
+        yield np.sort(left[on_front])
+        rest = ~on_front
+        left, f1, f2 = left[rest], f1[rest], f2[rest]
+
+
+def nondominated_mask(points: np.ndarray) -> np.ndarray:
+    """Boolean mask of the non-dominated rows of an (n, 2) array: the first
+    front of :func:`peel_fronts`, O(n log n). Exact duplicates survive; a
+    NaN row raises InvalidInputError.
+    """
+    points = np.asarray(points, dtype=float)
+    if points.ndim != 2 and points.size:  # one mask entry per row of the input
+        raise InvalidInputError(f"expected an (n, 2) array, got shape {points.shape}")
+    mask = np.zeros(len(points), dtype=bool)
+    mask[next(peel_fronts(points), [])] = True
     return mask
 
 
@@ -105,9 +142,10 @@ def hypervolume_2d(front: np.ndarray, ref_point: np.ndarray) -> float:
 
     Every front point must be strictly below the reference point in both
     objectives. Sorts on f1 and sums rectangular strips; dominated or
-    duplicate members contribute nothing extra.
+    duplicate members contribute nothing extra. The front is read by
+    :func:`as_front`, which rejects a shape other than (n, 2).
     """
-    front = np.asarray(front, dtype=float).reshape(-1, 2)
+    front = as_front(front)
     r1, r2 = float(ref_point[0]), float(ref_point[1])
     if len(front) == 0:
         return 0.0
@@ -185,7 +223,7 @@ def _format_value(x: float) -> str:
 def write_front_csv(points: np.ndarray, path: str | Path) -> None:
     """Write a front as CSV: header ``f1,f2``, rows sorted ascending by f1,
     values in full round-trip precision."""
-    points = np.asarray(points, dtype=float).reshape(-1, 2)
+    points = as_front(points)
     if len(points) > 0:
         points = points[np.argsort(points[:, 0], kind="stable")]
     lines = ["f1,f2"]

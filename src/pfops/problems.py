@@ -54,6 +54,8 @@ class BiObjectiveProblem:
         f1: vectorized first objective, (n, d) -> (n,). Uncounted raw map.
         f2: vectorized second objective, (n, d) -> (n,). Uncounted raw map.
         counter: evaluation tally fed by the ``evaluate*`` methods.
+        ideal: (min f1, min f2) over the box, if known; a Tchebycheff run
+            on the problem needs its Utopian point strictly below it.
     """
 
     name: str
@@ -63,6 +65,7 @@ class BiObjectiveProblem:
     f1: ObjectiveFn
     f2: ObjectiveFn
     counter: EvalCounter = field(default_factory=EvalCounter)
+    ideal: tuple[float, float] | None = None
 
     def __post_init__(self) -> None:
         self.lower = np.asarray(self.lower, dtype=float)
@@ -71,6 +74,11 @@ class BiObjectiveProblem:
             raise ValueError(f"bounds must have shape ({self.dim},)")
         if not np.all(self.lower < self.upper):
             raise ValueError("each lower bound must be strictly below its upper bound")
+        if self.ideal is not None:
+            ideal = np.asarray(self.ideal, dtype=float)
+            if ideal.shape != (2,) or not np.isfinite(ideal).all():
+                raise ValueError(f"ideal must be two finite numbers, got {self.ideal!r}")
+            self.ideal = (float(ideal[0]), float(ideal[1]))
 
     def contains(self, x: np.ndarray) -> bool:
         """True if ``x`` lies inside the (inclusive) box."""
@@ -162,6 +170,7 @@ def convex_problem() -> BiObjectiveProblem:
         upper=np.array([10.0, 10.0]),
         f1=_convex_f1,
         f2=_convex_f2,
+        ideal=(0.0, 0.0),
     )
 
 
@@ -191,6 +200,7 @@ def fonseca_fleming_problem() -> BiObjectiveProblem:
         upper=np.array([4.0, 4.0]),
         f1=_fonseca_f1,
         f2=_fonseca_f2,
+        ideal=(0.0, 0.0),
     )
 
 
@@ -209,6 +219,10 @@ def kursawe_problem() -> BiObjectiveProblem:
 
     f1(x) = sum_{i=1..2} -10 exp(-0.2 sqrt(x_i^2 + x_{i+1}^2)),
     f2(x) = sum_{i=1..3} |x_i|^0.8 + 5 sin(x_i^3).
+
+    f1 is minimized at x = 0 (-20). f2 is a sum of one term per coordinate,
+    each smallest near x_i = -1.152741, so its minimum is about -11.6272868;
+    the ideal point rounds it down to -11.627287.
     """
     return BiObjectiveProblem(
         name="kursawe",
@@ -217,6 +231,7 @@ def kursawe_problem() -> BiObjectiveProblem:
         upper=np.full(3, 5.0),
         f1=_kursawe_f1,
         f2=_kursawe_f2,
+        ideal=(-20.0, -11.627287),
     )
 
 

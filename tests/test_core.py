@@ -582,6 +582,26 @@ class TestRun:
         with pytest.raises(InvalidConfigError):
             run(PfopsConfig(n_targets=1, n_particles=4), convex_problem())
 
+    @pytest.mark.parametrize("z", [(5.0, 5.0), (-1.0, 0.0), (0.0, -1.0)])
+    def test_utopian_not_below_ideal_rejected(self, z):
+        # z = (5, 5) on convex used to run and return an archive
+        cfg = PfopsConfig(
+            n_targets=4, n_particles=5, scalarization_kind=ScalarizationKind.TCHEBYCHEFF,
+            utopian=z,
+        )
+        problem = convex_problem()
+        with pytest.raises(InvalidConfigError, match=r"Utopian point .* ideal point \(0\.0, 0\.0\)"):
+            run(cfg, problem)
+        assert problem.counter.count == 0
+
+    def test_utopian_unchecked_without_ideal(self):
+        cfg = PfopsConfig(
+            n_targets=3, n_particles=4, scalarization_kind=ScalarizationKind.TCHEBYCHEFF,
+            utopian=(5.0, 5.0),
+        )
+        _, evals = run(cfg, line_problem())
+        assert evals == 2 * 3 * 4 + 2 * 3 * 4
+
     def test_archive_is_dataclass_with_len(self):
         archive = ParetoArchive(decisions=np.zeros((2, 2)), front=np.zeros((2, 2)))
         assert len(archive) == 2

@@ -11,7 +11,6 @@ from pfops.core import ParetoArchive, PfopsConfig
 from pfops.errors import InvalidConfigError, InvalidInputError, NotFoundError
 from pfops.experiments import (
     HYPERVOLUME_REF,
-    OBJECTIVE_MINIMA,
     PRESETS,
     REFERENCE_RESOLUTION,
     RunReport,
@@ -25,6 +24,7 @@ from pfops.experiments import (
 )
 from pfops.nsga2 import Nsga2Config
 from pfops.pareto import hypervolume_2d, igd, read_front_csv, reference_front
+from pfops.problems import lookup_problem
 from pfops.scalarize import ScalarizationKind
 
 
@@ -81,9 +81,9 @@ class TestGoldenConfig:
                 continue
             cfg = preset.config
             if cfg.scalarization_kind is ScalarizationKind.TCHEBYCHEFF:
-                mins = OBJECTIVE_MINIMA[preset.problem]
-                assert cfg.utopian[0] < mins[0]
-                assert cfg.utopian[1] < mins[1]
+                ideal = lookup_problem(preset.problem).ideal
+                assert cfg.utopian[0] < ideal[0]
+                assert cfg.utopian[1] < ideal[1]
 
 
 class TestRunPreset:
@@ -274,6 +274,14 @@ class TestEmitters:
     def test_svg_requires_a_report(self, tmp_path):
         with pytest.raises(InvalidInputError):
             emit_front_svg([], np.zeros((0, 2)), tmp_path / "x.svg")
+
+    def test_svg_three_column_reference_rejected(self, tmp_path):
+        # reshape(-1, 2) used to plot [[1, 2, 3], [4, 5, 6]] as three points
+        with pytest.raises(InvalidInputError, match=r"shape \(2, 3\)"):
+            emit_front_svg(
+                [_tiny_report([[1.0, 2.0]])], np.array([[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]]),
+                tmp_path / "x.svg",
+            )
 
 
 class TestConfigFile:

@@ -5,6 +5,7 @@ from functools import partial
 import numpy as np
 import pytest
 
+import pfops.nsga2 as nsga2
 from pfops.errors import InvalidConfigError, InvalidInputError
 from pfops.nsga2 import (
     Nsga2Config,
@@ -111,6 +112,15 @@ class TestFastNondominatedSort:
     def test_infinite_f2_terminates(self, pts, expected):
         assert fast_nondominated_sort(np.array(pts)) == expected
 
+    def test_three_column_points_rejected(self):
+        # reshape(-1, 2) used to re-pair [[1, 2, 3], [4, 5, 6]] as three points
+        with pytest.raises(InvalidInputError, match=r"shape \(2, 3\)"):
+            fast_nondominated_sort(np.array([[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]]))
+
+    def test_empty_and_single_vector(self):
+        assert fast_nondominated_sort(np.zeros((0, 2))) == []
+        assert fast_nondominated_sort(np.array([1.0, 2.0])) == [[0]]
+
     def test_partition_is_complete(self):
         rng = np.random.default_rng(21)
         pts = rng.normal(size=(40, 2))
@@ -127,6 +137,14 @@ class TestCrowdingDistance:
         d = crowding_distance(np.array([[0.0, 2.0], [1.0, 1.0], [2.0, 0.0]]))
         assert np.isinf(d[0]) and np.isinf(d[2])
         assert d[1] == pytest.approx(2.0)
+
+    def test_three_column_front_rejected(self):
+        with pytest.raises(InvalidInputError, match=r"shape \(2, 3\)"):
+            crowding_distance(np.array([[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]]))
+
+    def test_empty_and_single_vector(self):
+        assert crowding_distance(np.zeros((0, 2))).shape == (0,)
+        np.testing.assert_array_equal(crowding_distance(np.array([1.0, 2.0])), [np.inf])
 
     def test_degenerate_objective_range(self):
         pts = np.array([[1.0, 0.0], [1.0, 1.0], [1.0, 2.0], [1.0, 3.0]])
@@ -183,6 +201,25 @@ class TestEnvironmentalSelection:
                 assert not np.isnan(crowd).any()
                 assert np.flatnonzero(ranks == 0).tolist() == dense_peel_fronts(kept_obj)[0]
         assert min(cases.values()) >= 50, cases
+
+    def test_stops_peeling_when_front_0_fills(self, monkeypatch):
+        taken = []
+        peel = nsga2.peel_fronts
+
+        def counting_peel(points):
+            for front in peel(points):
+                taken.append(len(front))
+                yield front
+
+        monkeypatch.setattr(nsga2, "peel_fronts", counting_peel)
+        # six mutually non-dominated points on front 0, two dominated behind them
+        obj = np.array([[float(i), 5.0 - i] for i in range(6)] + [[9.0, 9.0], [8.0, 8.0]])
+        labels = np.arange(len(obj), dtype=float)[:, None]
+        for pop_size in (4, 6):
+            taken.clear()
+            _, _, ranks, _ = _environmental_selection(labels, obj, pop_size)
+            assert taken == [6]
+            assert (ranks == 0).all()
 
 
 class TestEvolve:

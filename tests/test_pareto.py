@@ -4,11 +4,13 @@ from scipy.spatial.distance import cdist
 
 from pfops.errors import InvalidInputError, NotFoundError
 from pfops.pareto import (
+    as_front,
     dominates,
     hypervolume_2d,
     igd,
     nondominated_filter,
     nondominated_mask,
+    peel_fronts,
     read_front_csv,
     reference_front,
     write_front_csv,
@@ -26,6 +28,18 @@ def brute_force_mask(points):
                 mask[i] = False
                 break
     return mask
+
+
+def repeated_mask_peel(points):
+    """Rank by re-filtering what is left: one nondominated_mask per front."""
+    points = np.asarray(points, dtype=float)
+    remaining = np.arange(len(points))
+    fronts = []
+    while len(remaining):
+        on_front = nondominated_mask(points[remaining])
+        fronts.append(remaining[on_front])
+        remaining = remaining[~on_front]
+    return fronts
 
 
 class TestDominates:
@@ -114,6 +128,48 @@ class TestNondominatedFilter:
         assert nondominated_mask(pts)[0]
 
 
+class TestPeelFronts:
+    @pytest.mark.parametrize(
+        "grid, seed",
+        [
+            (np.arange(5.0), 40),
+            (np.array([-np.inf, 0.0, 1.0, 2.0, np.inf]), 41),
+            (np.array([-np.inf, np.inf]), 42),
+        ],
+    )
+    def test_equals_repeated_mask_peel(self, grid, seed):
+        # tie-heavy integer grids, so exact duplicates and equal f1 or f2 abound
+        rng = np.random.default_rng(seed)
+        for _ in range(300):
+            n = int(rng.integers(1, 61))
+            pts = grid[rng.integers(0, len(grid), size=(n, 2))]
+            fronts = list(peel_fronts(pts))
+            expected = repeated_mask_peel(pts)
+            assert len(fronts) == len(expected)
+            for front, want in zip(fronts, expected):
+                assert front.dtype.kind == "i"
+                np.testing.assert_array_equal(front, want)
+
+    def test_empty_and_single_point(self):
+        assert list(peel_fronts(np.zeros((0, 2)))) == []
+        assert [f.tolist() for f in peel_fronts([3.0, 4.0])] == [[0]]
+
+    def test_nan_row_rejected_before_any_front(self):
+        fronts = peel_fronts([[0.0, 0.0], [1.0, 1.0], [np.nan, 2.0]])
+        with pytest.raises(InvalidInputError, match="row 2"):
+            next(fronts)
+
+    @pytest.mark.parametrize("shape", [(2, 3), (3,), (4, 1), (2, 2, 2)])
+    def test_wrong_shape_named(self, shape):
+        with pytest.raises(InvalidInputError, match=rf"shape \({shape[0]},"):
+            as_front(np.ones(shape))
+
+    def test_mask_rejects_a_single_vector(self):
+        # a mask has one entry per input row; a (2,) vector has no rows
+        with pytest.raises(InvalidInputError, match=r"shape \(2,\)"):
+            nondominated_mask([1.0, 2.0])
+
+
 class TestIgd:
     def test_identical_fronts(self):
         pts = np.array([[0.0, 1.0], [1.0, 0.0]])
@@ -189,6 +245,14 @@ class TestHypervolume:
     def test_non_dominating_point_is_error(self):
         with pytest.raises(InvalidInputError, match=r"\[2.0, 0.5\]"):
             hypervolume_2d(np.array([[0.0, 0.0], [2.0, 0.5]]), (1.0, 1.0))
+
+    def test_three_column_front_rejected(self):
+        # reshape(-1, 2) used to re-pair [[1, 2, 3], [4, 5, 6]] as three points
+        with pytest.raises(InvalidInputError, match=r"shape \(2, 3\)"):
+            hypervolume_2d(np.array([[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]]), (10.0, 10.0))
+
+    def test_single_vector_is_one_point(self):
+        assert hypervolume_2d(np.array([0.0, 0.0]), (1.0, 1.0)) == 1.0
 
     def test_duplicates_and_dominated_add_nothing(self):
         base = np.array([[0.0, 0.5], [0.5, 0.0]])
@@ -272,6 +336,10 @@ class TestFrontCsv:
         path = tmp_path / "front.csv"
         write_front_csv(np.array([[50.0, 0.0], [0.0, 50.0]]), path)
         assert path.read_text() == "f1,f2\n0,50\n50,0\n"
+
+    def test_three_column_front_rejected(self, tmp_path):
+        with pytest.raises(InvalidInputError, match=r"shape \(2, 3\)"):
+            write_front_csv(np.array([[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]]), tmp_path / "f.csv")
 
     def test_header_enforced(self, tmp_path):
         path = tmp_path / "bad.csv"

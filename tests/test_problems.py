@@ -68,6 +68,37 @@ def test_objectives_finite_on_uniform_samples(name):
     assert np.isfinite(values).all()
 
 
+@pytest.mark.parametrize(
+    "name, minimizers",
+    [
+        ("convex", [(0.0, 0.0), (5.0, 5.0)]),
+        ("fonseca", [(2**-0.5, 2**-0.5), (-(2**-0.5), -(2**-0.5))]),
+        ("kursawe", [(0.0, 0.0, 0.0), (-1.152741,) * 3]),
+    ],
+)
+def test_ideal_point_bounds_the_objectives(name, minimizers):
+    p = lookup_problem(name)
+    ideal = np.array(p.ideal)
+    rng = np.random.default_rng(8)
+    pts = p.lower + (p.upper - p.lower) * rng.random((20000, p.dim))
+    assert (p.f1(pts) >= ideal[0]).all() and (p.f2(pts) >= ideal[1]).all()
+    # each objective reaches its ideal value at a known minimizer
+    at = np.array(minimizers)
+    reached = np.array([p.f1(at[:1])[0], p.f2(at[1:])[0]])
+    assert (reached >= ideal).all()
+    np.testing.assert_allclose(reached, ideal, atol=1e-6)
+
+
+def _zero(x):
+    return np.zeros(len(x))
+
+
+@pytest.mark.parametrize("ideal", [(0.0,), (0.0, np.nan), (0.0, 1.0, 2.0)])
+def test_ideal_must_be_two_finite_numbers(ideal):
+    with pytest.raises(ValueError, match="ideal"):
+        BiObjectiveProblem("p", 1, [0.0], [1.0], _zero, _zero, ideal=ideal)
+
+
 def test_evaluation_counting():
     p = convex_problem()
     p.evaluate((0.0, 0.0))
