@@ -143,7 +143,7 @@ def initialize(
 
 
 def _incumbent(particles: np.ndarray, log_pi: np.ndarray, objectives: np.ndarray) -> Incumbent:
-    j = int(np.argmax(log_pi))
+    j = int(log_pi.argmax())
     return Incumbent(particles[j].copy(), float(log_pi[j]), objectives[j].copy())
 
 
@@ -151,13 +151,14 @@ def _step_log_weights(
     log_pi: np.ndarray, objectives: np.ndarray, s_prev: Scalarization | None
 ) -> np.ndarray:
     log_w = log_pi if s_prev is None else log_pi - s_prev.log_density_values(objectives)
-    m = np.max(log_w)
-    if not np.isfinite(m):
+    m = log_w.max()
+    if not math.isfinite(m):
         raise DegenerateWeightsError(
             "every particle has zero density under the current target"
         )
     shifted = log_w - m
-    return shifted - np.log(np.sum(np.exp(shifted)))
+    shifted -= np.log(np.exp(shifted).sum())
+    return shifted
 
 
 def _resample_index(log_weights: np.ndarray, n: int, rng: np.random.Generator) -> np.ndarray:
@@ -169,7 +170,7 @@ def _resample_index(log_weights: np.ndarray, n: int, rng: np.random.Generator) -
         )
     probs = np.exp(log_weights - m)
     probs /= probs.sum()
-    cdf = np.cumsum(probs)
+    cdf = probs.cumsum()
     cdf /= cdf[-1]
     return cdf.searchsorted(rng.random(n), side="right")
 
@@ -194,10 +195,11 @@ def _sweep(
             batch_log_pi = s.log_density_values(values)
             prop_log_pi[rows] = batch_log_pi
             # out-of-box rows score -inf, so the batch's first maximum is the
-            # first maximum over all proposals
-            best = _incumbent(batch, batch_log_pi, values)
-            if best.log_density > inc.log_density:
-                inc = best
+            # first maximum over all proposals; it is kept only if it beats
+            # the incumbent
+            j = int(batch_log_pi.argmax())
+            if batch_log_pi[j] > inc.log_density:
+                inc = Incumbent(batch[j].copy(), float(batch_log_pi[j]), values[j].copy())
         # out-of-box proposals still consumed two objective calls each
         problem.counter.add(2 * (n - rows.size))
 

@@ -8,6 +8,10 @@ class PfopsError(Exception):
 class NotFoundError(PfopsError, KeyError):
     """A name was not found in a registry (problems, presets)."""
 
+    def __str__(self) -> str:
+        # KeyError's str() is the repr of its key; this one is a message
+        return Exception.__str__(self)
+
 
 class InvalidConfigError(PfopsError, ValueError):
     """A configuration object violates its own constraints."""

@@ -9,6 +9,7 @@ front, and NSGA-II ranks with it too. Filtering retains duplicates
 
 from __future__ import annotations
 
+import functools
 from collections.abc import Iterator
 from pathlib import Path
 
@@ -185,15 +186,25 @@ def _kursawe_grid_front(resolution: int) -> np.ndarray:
     return front[np.argsort(front[:, 0], kind="stable")]
 
 
+@functools.lru_cache(maxsize=None, typed=True)
 def reference_front(name: str, resolution: int) -> np.ndarray:
     """Ground-truth front for a registered problem, sorted ascending by f1.
 
     convex: the parametric curve (50 t^2, 50 (1-t)^2), t equally spaced on
     [0, 1] (image of the minimizer family (5t, 5t)). fonseca: image of
     x1 = x2 = t for t equally spaced on [-1/sqrt(2), 1/sqrt(2)]. kursawe:
-    non-dominated filter of a dense resolution^3 grid; the shipped cache
-    covers resolution 201, other resolutions are recomputed on the fly.
+    non-dominated filter of a dense resolution^3 grid; the shipped CSV
+    covers resolution 201, other resolutions are computed from the grid.
+
+    Each (name, resolution) is built once per process and cached; every call
+    returns that same read-only array, so copy it before changing it.
     """
+    front = _build_reference_front(name, resolution)
+    front.setflags(write=False)
+    return front
+
+
+def _build_reference_front(name: str, resolution: int) -> np.ndarray:
     if resolution < 2:
         raise InvalidInputError(f"resolution must be >= 2, got {resolution}")
     if name == "convex":

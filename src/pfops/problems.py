@@ -86,16 +86,18 @@ class BiObjectiveProblem:
         return bool(np.all(x >= self.lower) & np.all(x <= self.upper))
 
     def _check_batch(self, points: np.ndarray) -> np.ndarray:
-        points = np.atleast_2d(np.asarray(points, dtype=float))
+        points = np.asarray(points, dtype=float)
+        if points.ndim != 2:
+            points = np.atleast_2d(points)
         if points.shape[1] != self.dim:
             raise ValueError(
                 f"expected decision vectors of dimension {self.dim}, got {points.shape[1]}"
             )
-        # one whole-array test; the per-row mask is built only to name the
-        # first bad row (a NaN coordinate fails both comparisons)
-        if not ((points >= self.lower).all() and (points <= self.upper).all()):
-            inside = np.all(points >= self.lower, axis=1) & np.all(points <= self.upper, axis=1)
-            bad = int(np.flatnonzero(~inside)[0])
+        # one reduction over the whole batch; the per-row mask is built only
+        # to name the first bad row (a NaN coordinate fails both comparisons)
+        inside = (points >= self.lower) & (points <= self.upper)
+        if not inside.all():
+            bad = int(np.flatnonzero(~inside.all(axis=1))[0])
             raise BoundsError(
                 f"point {points[bad].tolist()} is outside the box of problem "
                 f"'{self.name}' (lower={self.lower.tolist()}, upper={self.upper.tolist()})"

@@ -69,7 +69,18 @@ def test_run_negative_seed(capsys):
 def test_run_unknown_preset(capsys):
     code = main(["run", "--preset", "nope", "--seed", "0"])
     assert code == 1
-    assert "unknown preset" in capsys.readouterr().err
+    # the message as written, not the repr KeyError's str() would give
+    assert capsys.readouterr().err.startswith("error: unknown preset 'nope'; available: pfops-")
+
+
+def test_run_config_unknown_problem(tmp_path, capsys):
+    path = tmp_path / "nope.json"
+    path.write_text(json.dumps({
+        "problem": "nope", "algorithm": "pfops", "pfops": {"n_targets": 3, "n_particles": 4},
+    }))
+    assert main(["run", "--config", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err == "error: unknown problem 'nope'; available: convex, fonseca, kursawe\n"
 
 
 def test_compare(tmp_path, capsys):

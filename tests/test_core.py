@@ -427,6 +427,25 @@ class TestMetropolisSweep:
         inside = np.all(out.particles >= prob.lower, axis=1) & np.all(out.particles <= prob.upper, axis=1)
         assert inside.all()
 
+    def test_tied_best_proposals_first_wins(self):
+        # log pi is 0 on (0, 1] and -1 elsewhere in the box; every particle
+        # starts at -0.5, so each in-box proposal above 0 ties for the best
+        prob = BiObjectiveProblem(
+            name="step", dim=1, lower=np.array([-1.0]), upper=np.array([1.0]),
+            f1=lambda x: np.where(x[:, 0] > 0.0, 0.0, 1.0),
+            f2=lambda x: np.zeros(len(x)),
+        )
+        pop = update_incumbent(make_population(np.full((20, 1), -0.5)), weighted_sum(0.0), prob)
+        assert pop.incumbent.log_density == -1.0
+        seed = 4
+        out = metropolis_sweep(pop, weighted_sum(0.0), prob, 1.0, np.random.default_rng(seed))
+        proposed = -0.5 + np.random.default_rng(seed).standard_normal(20)
+        best = np.flatnonzero((proposed > 0.0) & (proposed <= 1.0))
+        assert len(best) >= 2 and (np.abs(proposed) > 1.0).any()  # a tie, out-of-box rows
+        assert out.incumbent.decision.tolist() == [proposed[best[0]]]
+        assert out.incumbent.log_density == 0.0
+        assert out.incumbent.objectives.tolist() == [0.0, 0.0]
+
     def test_incumbent_log_density_never_decreases(self):
         prob = convex_problem()
         rng = np.random.default_rng(15)

@@ -314,6 +314,15 @@ class TestReferenceFronts:
         assert np.all(np.diff(front[:, 0]) >= 0)
         assert np.isfinite(front).all()
 
+    @pytest.mark.parametrize("name, resolution", [("convex", 50), ("fonseca", 40), ("kursawe", 201)])
+    def test_loaded_once_and_read_only(self, name, resolution):
+        first = reference_front(name, resolution)
+        second = reference_front(name, resolution)
+        np.testing.assert_array_equal(first, second)
+        assert not first.flags.writeable and not second.flags.writeable
+        with pytest.raises(ValueError):
+            second[0, 0] = 0.0
+
     def test_unknown_name(self):
         with pytest.raises(NotFoundError):
             reference_front("zdt1", 10)

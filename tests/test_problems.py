@@ -51,6 +51,14 @@ def test_lookup_registry():
         lookup_problem("zdt1")
 
 
+def test_not_found_message_is_plain():
+    # KeyError's str() would quote the message
+    with pytest.raises(NotFoundError) as excinfo:
+        lookup_problem("zdt1")
+    assert isinstance(excinfo.value, KeyError)
+    assert str(excinfo.value) == "unknown problem 'zdt1'; available: convex, fonseca, kursawe"
+
+
 def test_fresh_instances_have_independent_counters():
     a = lookup_problem("convex")
     b = lookup_problem("convex")
@@ -129,6 +137,13 @@ def test_out_of_bounds_rejected_and_uncounted():
         p.evaluate_batch([[0.0, 0.0], [np.nan, 1.0], [1.0, 1.0]])
     with pytest.raises(BoundsError, match=r"point \[0\.0, nan\] is outside"):
         p.evaluate((0.0, np.nan))
+    # so is an infinite one, of either sign
+    with pytest.raises(BoundsError, match=r"point \[inf, 0\.0\] is outside"):
+        p.evaluate_batch([[0.0, 0.0], [np.inf, 0.0], [0.0, -np.inf]])
+    with pytest.raises(BoundsError, match=r"point \[0\.0, -inf\] is outside"):
+        p.evaluate_batch([[1.0, 1.0], [0.0, -np.inf], [np.inf, 0.0]])
+    with pytest.raises(BoundsError, match=r"point \[-inf, 1\.0\] is outside"):
+        p.evaluate((-np.inf, 1.0))
     assert p.counter.count == 0
 
 
