@@ -35,12 +35,35 @@ HYPERVOLUME_REF = {
     "kursawe": (-14.0, 1.0),
 }
 
+_CONFIG_CLASSES = {"pfops": core.PfopsConfig, "nsga2": nsga2.Nsga2Config}
+
+
 @dataclass(frozen=True)
 class ExperimentPreset:
+    """A named run: a registered problem and one algorithm's config.
+
+    Checked when built, also by ``dataclasses.replace``: an unregistered
+    problem raises NotFoundError, and a config that is neither a
+    PfopsConfig nor an Nsga2Config raises InvalidConfigError. The
+    algorithm is the config's type.
+    """
+
     name: str
     problem: str
-    algorithm: str  # "pfops" | "nsga2"
     config: core.PfopsConfig | nsga2.Nsga2Config
+
+    def __post_init__(self) -> None:
+        lookup_problem(self.problem)
+        if not isinstance(self.config, tuple(_CONFIG_CLASSES.values())):
+            raise InvalidConfigError(
+                f"preset '{self.name}': config must be a PfopsConfig or an "
+                f"Nsga2Config, got {type(self.config).__name__}"
+            )
+
+    @property
+    def algorithm(self) -> str:
+        """Either "pfops" or "nsga2", from the config's type."""
+        return "pfops" if isinstance(self.config, core.PfopsConfig) else "nsga2"
 
 
 def _preset_table() -> dict[str, ExperimentPreset]:
@@ -48,31 +71,26 @@ def _preset_table() -> dict[str, ExperimentPreset]:
         ExperimentPreset(
             "pfops-convex-sufficient",
             "convex",
-            "pfops",
             core.PfopsConfig(n_targets=100, n_particles=100, metropolis_enabled=False),
         ),
         ExperimentPreset(
             "pfops-convex-under",
             "convex",
-            "pfops",
             core.PfopsConfig(n_targets=20, n_particles=5, metropolis_enabled=False),
         ),
         ExperimentPreset(
             "nsga2-convex-sufficient",
             "convex",
-            "nsga2",
             nsga2.Nsga2Config(pop_size=100, generations=100),
         ),
         ExperimentPreset(
             "nsga2-convex-under",
             "convex",
-            "nsga2",
             nsga2.Nsga2Config(pop_size=20, generations=5),
         ),
         ExperimentPreset(
             "pfops-fonseca",
             "fonseca",
-            "pfops",
             core.PfopsConfig(
                 n_targets=200,
                 n_particles=500,
@@ -84,7 +102,6 @@ def _preset_table() -> dict[str, ExperimentPreset]:
         ExperimentPreset(
             "pfops-kursawe",
             "kursawe",
-            "pfops",
             core.PfopsConfig(
                 n_targets=200,
                 n_particles=500,
@@ -96,13 +113,11 @@ def _preset_table() -> dict[str, ExperimentPreset]:
         ExperimentPreset(
             "nsga2-fonseca",
             "fonseca",
-            "nsga2",
             nsga2.Nsga2Config(pop_size=200, generations=500),
         ),
         ExperimentPreset(
             "nsga2-kursawe",
             "kursawe",
-            "nsga2",
             nsga2.Nsga2Config(pop_size=200, generations=500),
         ),
     ]
@@ -123,20 +138,17 @@ class RunReport:
     metadata: dict
 
 
-def _execute(
-    label: str,
-    problem_name: str,
-    algorithm: str,
-    config: core.PfopsConfig | nsga2.Nsga2Config,
-    seed: int,
-) -> RunReport:
+def _execute(preset: ExperimentPreset, seed: int) -> RunReport:
     core.check_integer("seed", seed, 0)
     seed = int(seed)  # a numpy integer seed is reported as a plain int
+    problem_name = preset.problem
     problem = lookup_problem(problem_name)
-    cfg = replace(config, seed=seed)
+    cfg = replace(preset.config, seed=seed)
+    config = asdict(cfg)
     started = time.perf_counter()
-    if algorithm == "pfops":
+    if isinstance(cfg, core.PfopsConfig):
         archive, evals = core.run(cfg, problem)
+        config["scalarization_kind"] = cfg.scalarization_kind.value
         extra = {
             "resampling_scheme": "multinomial",
             "metropolis_enabled": cfg.metropolis_enabled,
@@ -144,15 +156,13 @@ def _execute(
             "out_of_box_proposals": "rejected, still counted",
             "nominal_eval_count": 2 * cfg.n_targets * cfg.n_particles,
         }
-    elif algorithm == "nsga2":
+    else:
         archive, evals = nsga2.evolve(cfg, problem)
         extra = {
             "bounds_handling": "clip",
             # the conventional budget formula skips the initial population
             "nominal_eval_count": 2 * cfg.pop_size * cfg.generations,
         }
-    else:
-        raise InvalidConfigError(f"unknown algorithm '{algorithm}'")
     wall = time.perf_counter() - started
 
     reference = pareto.reference_front(problem_name, REFERENCE_RESOLUTION[problem_name])
@@ -162,19 +172,17 @@ def _execute(
     hv_value = pareto.hypervolume_2d(dominating, ref_point)
 
     metadata = {
-        "label": label,
+        "label": preset.name,
         "problem": problem_name,
-        "algorithm": algorithm,
+        "algorithm": preset.algorithm,
         "seed": seed,
-        "config": asdict(cfg),
+        "config": config,
         "reference_resolution": REFERENCE_RESOLUTION[problem_name],
         "hypervolume_ref_point": tuple(ref_point.tolist()),
         "hypervolume_points_used": int(len(dominating)),
         "measured_eval_count": int(evals),
         **extra,
     }
-    if isinstance(cfg, core.PfopsConfig):
-        metadata["config"]["scalarization_kind"] = cfg.scalarization_kind.value
     return RunReport(
         archive=archive,
         igd=igd_value,
@@ -197,8 +205,7 @@ def get_preset(name: str) -> ExperimentPreset:
 
 def run_preset(name: str, seed: int) -> RunReport:
     """Run a shipped preset with the given seed."""
-    preset = get_preset(name)
-    return _execute(preset.name, preset.problem, preset.algorithm, preset.config, seed)
+    return _execute(get_preset(name), seed)
 
 
 @dataclass
@@ -209,8 +216,6 @@ class ComparisonResult:
     rows: list[dict]
     medians: dict
     summary: str
-    reports_a: list[RunReport]
-    reports_b: list[RunReport]
 
 
 _COMPARE_METRICS = ("igd", "hypervolume", "eval_count", "wall_time")
@@ -264,8 +269,6 @@ def compare(preset_a: str, preset_b: str, seeds: Iterable[int]) -> ComparisonRes
         rows=rows,
         medians=medians,
         summary=summary,
-        reports_a=reports_a,
-        reports_b=reports_b,
     )
 
 
@@ -379,20 +382,20 @@ def emit_front_svg(
 
 
 _TOP_LEVEL_KEYS = {"problem", "algorithm", "seed", "pfops", "nsga2"}
-_CONFIG_CLASSES = {"pfops": core.PfopsConfig, "nsga2": nsga2.Nsga2Config}
 # config field -> its key in a config file, where the two differ
 _FILE_KEYS = {"scalarization_kind": "scalarization"}
 
 
-def load_config_file(path: str | Path) -> tuple[str, str, core.PfopsConfig | nsga2.Nsga2Config]:
-    """Parse a custom-run JSON file into (problem, algorithm, config).
+def load_config_file(path: str | Path) -> ExperimentPreset:
+    """Parse a custom-run JSON file into a preset named ``custom:<file name>``.
 
     Schema: top-level keys ``problem``, ``algorithm`` ("pfops" | "nsga2"),
     optional ``seed``, and a section named after the algorithm whose keys
     are its config's fields, ``scalarization`` for ``scalarization_kind``
     (see README). Values are passed on as written for the config to check:
     a missing required key, an unknown key, an invalid value or a file that
-    is not JSON raises InvalidConfigError naming the file and the key.
+    is not JSON raises InvalidConfigError naming the file and the key; an
+    unregistered problem raises NotFoundError naming the file.
     """
     try:
         raw = json.loads(Path(path).read_text())
@@ -438,13 +441,16 @@ def load_config_file(path: str | Path) -> tuple[str, str, core.PfopsConfig | nsg
     if "seed" in raw:
         kwargs["seed"] = raw["seed"]
     try:
-        return problem, algorithm, cls(**kwargs)
+        config = cls(**kwargs)
     except InvalidConfigError as exc:
         raise InvalidConfigError(f"{where}: {exc}") from None
+    try:
+        return ExperimentPreset(f"custom:{Path(path).name}", problem, config)
+    except NotFoundError as exc:
+        raise NotFoundError(f"{path}: {exc}") from None
 
 
 def run_config_file(path: str | Path, seed: int | None = None) -> RunReport:
     """Run a custom configuration file; ``seed`` overrides the file's seed."""
-    problem, algorithm, config = load_config_file(path)
-    effective_seed = config.seed if seed is None else seed
-    return _execute(f"custom:{Path(path).name}", problem, algorithm, config, effective_seed)
+    preset = load_config_file(path)
+    return _execute(preset, preset.config.seed if seed is None else seed)

@@ -10,6 +10,7 @@ front, and NSGA-II ranks with it too. Filtering retains duplicates
 from __future__ import annotations
 
 import functools
+import numbers
 from collections.abc import Iterator
 from pathlib import Path
 
@@ -186,7 +187,6 @@ def _kursawe_grid_front(resolution: int) -> np.ndarray:
     return front[np.argsort(front[:, 0], kind="stable")]
 
 
-@functools.lru_cache(maxsize=None, typed=True)
 def reference_front(name: str, resolution: int) -> np.ndarray:
     """Ground-truth front for a registered problem, sorted ascending by f1.
 
@@ -197,16 +197,23 @@ def reference_front(name: str, resolution: int) -> np.ndarray:
     covers resolution 201, other resolutions are computed from the grid.
 
     Each (name, resolution) is built once per process and cached; every call
-    returns that same read-only array, so copy it before changing it.
+    returns that same read-only array, so copy it before changing it. A
+    resolution that is not an integer >= 2 (numpy integers pass) raises
+    InvalidInputError.
     """
-    front = _build_reference_front(name, resolution)
+    if (
+        isinstance(resolution, bool)
+        or not isinstance(resolution, numbers.Integral)
+        or resolution < 2
+    ):
+        raise InvalidInputError(f"resolution must be an integer >= 2, got {resolution!r}")
+    front = _build_reference_front(name, int(resolution))
     front.setflags(write=False)
     return front
 
 
+@functools.lru_cache(maxsize=None)
 def _build_reference_front(name: str, resolution: int) -> np.ndarray:
-    if resolution < 2:
-        raise InvalidInputError(f"resolution must be >= 2, got {resolution}")
     if name == "convex":
         t = np.linspace(0.0, 1.0, resolution)
         return np.stack([50.0 * t**2, 50.0 * (1.0 - t) ** 2], axis=1)

@@ -34,9 +34,6 @@ class EvalCounter:
     def add(self, n: int) -> None:
         self._count += int(n)
 
-    def reset(self) -> None:
-        self._count = 0
-
     @property
     def count(self) -> int:
         return self._count
@@ -79,11 +76,6 @@ class BiObjectiveProblem:
             if ideal.shape != (2,) or not np.isfinite(ideal).all():
                 raise ValueError(f"ideal must be two finite numbers, got {self.ideal!r}")
             self.ideal = (float(ideal[0]), float(ideal[1]))
-
-    def contains(self, x: np.ndarray) -> bool:
-        """True if ``x`` lies inside the (inclusive) box."""
-        x = np.asarray(x, dtype=float)
-        return bool(np.all(x >= self.lower) & np.all(x <= self.upper))
 
     def _check_batch(self, points: np.ndarray) -> np.ndarray:
         points = np.asarray(points, dtype=float)
@@ -252,7 +244,7 @@ def lookup_problem(name: str) -> BiObjectiveProblem:
     """Return a fresh instance (own counter) of a registered problem."""
     try:
         factory = PROBLEM_FACTORIES[name]
-    except KeyError:
+    except (KeyError, TypeError):  # TypeError: an unhashable name
         raise NotFoundError(
             f"unknown problem '{name}'; available: {', '.join(PROBLEM_FACTORIES)}"
         ) from None

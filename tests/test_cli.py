@@ -80,7 +80,7 @@ def test_run_config_unknown_problem(tmp_path, capsys):
     }))
     assert main(["run", "--config", str(path)]) == 1
     err = capsys.readouterr().err
-    assert err == "error: unknown problem 'nope'; available: convex, fonseca, kursawe\n"
+    assert err == f"error: {path}: unknown problem 'nope'; available: convex, fonseca, kursawe\n"
 
 
 def test_compare(tmp_path, capsys):

@@ -139,7 +139,7 @@ class TestInitialize:
         )
         pop = initialize(PfopsConfig(2, 1), prob, np.random.default_rng(0))
         assert pop.particles.shape == (1, 2)
-        assert prob.contains(pop.particles[0])
+        assert np.all((prob.lower <= pop.particles) & (pop.particles <= prob.upper))
         assert pop.incumbent is None
 
     def test_uniform_coverage(self):

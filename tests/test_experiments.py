@@ -1,6 +1,6 @@
 import json
 import xml.etree.ElementTree as ET
-from dataclasses import asdict, replace
+from dataclasses import asdict, fields, replace
 from functools import partial
 
 import numpy as np
@@ -12,6 +12,7 @@ from pfops.errors import InvalidConfigError, InvalidInputError, NotFoundError
 from pfops.experiments import (
     HYPERVOLUME_REF,
     PRESETS,
+    ExperimentPreset,
     REFERENCE_RESOLUTION,
     RunReport,
     compare,
@@ -86,6 +87,48 @@ class TestGoldenConfig:
                 assert cfg.utopian[1] < ideal[1]
 
 
+class TestPresetCheck:
+    """A preset checks itself when built; its algorithm is its config's type."""
+
+    def test_shipped_algorithms(self):
+        assert {name: (p.problem, p.algorithm) for name, p in PRESETS.items()} == {
+            "pfops-convex-sufficient": ("convex", "pfops"),
+            "pfops-convex-under": ("convex", "pfops"),
+            "nsga2-convex-sufficient": ("convex", "nsga2"),
+            "nsga2-convex-under": ("convex", "nsga2"),
+            "pfops-fonseca": ("fonseca", "pfops"),
+            "pfops-kursawe": ("kursawe", "pfops"),
+            "nsga2-fonseca": ("fonseca", "nsga2"),
+            "nsga2-kursawe": ("kursawe", "nsga2"),
+        }
+
+    def test_fields(self):
+        assert [f.name for f in fields(ExperimentPreset)] == ["name", "problem", "config"]
+
+    def test_replace_config_flips_algorithm(self):
+        preset = PRESETS["pfops-convex-under"]
+        swapped = replace(preset, config=Nsga2Config(4, 1))
+        assert (swapped.algorithm, preset.algorithm) == ("nsga2", "pfops")
+        report = experiments._execute(swapped, 0)
+        assert report.metadata["algorithm"] == "nsga2"
+        assert report.eval_count == 2 * 4 * 2  # initial population + one generation
+
+    @pytest.mark.parametrize("config", [None, "pfops", {"n_targets": 3, "n_particles": 2}])
+    def test_non_config_rejected(self, config):
+        with pytest.raises(InvalidConfigError, match="PfopsConfig or an Nsga2Config"):
+            ExperimentPreset("x", "convex", config)
+        with pytest.raises(InvalidConfigError, match="PfopsConfig or an Nsga2Config"):
+            replace(PRESETS["nsga2-convex-under"], config=config)
+
+    @pytest.mark.parametrize("problem", ["nope", None, ["convex"]])
+    def test_unknown_problem_rejected(self, problem):
+        with pytest.raises(NotFoundError) as info:
+            ExperimentPreset("x", problem, Nsga2Config(4, 1))
+        assert str(info.value) == (
+            f"unknown problem '{problem}'; available: convex, fonseca, kursawe"
+        )
+
+
 class TestRunPreset:
     def test_eval_counts(self):
         assert run_preset("pfops-convex-sufficient", 0).eval_count == 20000
@@ -130,7 +173,7 @@ class TestRunPreset:
         preset = PRESETS["pfops-fonseca"]
         bad = replace(preset.config, utopian=(0.5, -1.0))
         with pytest.raises(InvalidConfigError, match="Utopian"):
-            experiments._execute("x", "fonseca", "pfops", bad, 0)
+            experiments._execute(replace(preset, config=bad), 0)
 
 
 class TestSeedTypes:
@@ -442,6 +485,16 @@ class TestConfigFile:
         assert str(info.value) == f"{path}: seed must be an integer >= 0, got {seed!r}"
 
 
+    def test_unknown_problem_names_the_file(self, tmp_path):
+        # the problem used to be checked only at run time, without the path
+        path = _config_file(tmp_path, "nope", "nsga2", {"pop_size": 4, "generations": 1})
+        with pytest.raises(NotFoundError) as info:
+            load_config_file(path)
+        assert str(info.value) == (
+            f"{path}: unknown problem 'nope'; available: convex, fonseca, kursawe"
+        )
+
+
 def _config_file(tmp_path, problem, algorithm, section, seed=None):
     payload = {"problem": problem, "algorithm": algorithm, algorithm: section}
     if seed is not None:
@@ -460,7 +513,11 @@ class TestOneConfigPath:
         if preset.algorithm == "pfops":
             section["scalarization"] = section.pop("scalarization_kind").value
         path = _config_file(tmp_path, preset.problem, preset.algorithm, section, seed)
-        assert load_config_file(path) == (preset.problem, preset.algorithm, preset.config)
+        loaded = load_config_file(path)
+        assert loaded.name == f"custom:{path.name}"
+        assert (loaded.problem, loaded.algorithm, loaded.config) == (
+            preset.problem, preset.algorithm, preset.config
+        )
 
     @pytest.mark.parametrize(
         "algorithm, section, expected",
@@ -473,7 +530,8 @@ class TestOneConfigPath:
         self, tmp_path, algorithm, section, expected
     ):
         path = _config_file(tmp_path, "convex", algorithm, section)
-        assert load_config_file(path) == ("convex", algorithm, expected)
+        loaded = load_config_file(path)
+        assert (loaded.problem, loaded.algorithm, loaded.config) == ("convex", algorithm, expected)
 
 
 class TestPfopsConfigDefaults:

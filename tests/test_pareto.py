@@ -331,6 +331,18 @@ class TestReferenceFronts:
         with pytest.raises(InvalidInputError):
             reference_front("convex", 1)
 
+    @pytest.mark.parametrize(
+        "name, resolution",
+        [("convex", 10.5), ("kursawe", 10.0), ("convex", "10"), ("fonseca", True), ("convex", [3])],
+    )
+    def test_non_integer_resolution_rejected(self, name, resolution):
+        # these used to escape as raw TypeErrors from np.linspace or `<`
+        with pytest.raises(InvalidInputError, match="resolution must be an integer"):
+            reference_front(name, resolution)
+
+    def test_numpy_integer_resolution_accepted(self):
+        assert reference_front("convex", np.int64(50)) is reference_front("convex", 50)
+
 
 class TestFrontCsv:
     def test_round_trip_bit_exact(self, tmp_path):

@@ -49,6 +49,8 @@ def test_lookup_registry():
     assert lookup_problem("kursawe").dim == 3
     with pytest.raises(NotFoundError, match="convex, fonseca, kursawe"):
         lookup_problem("zdt1")
+    with pytest.raises(NotFoundError, match="unknown problem"):
+        lookup_problem(["convex"])  # unhashable: no raw TypeError
 
 
 def test_not_found_message_is_plain():
@@ -116,8 +118,6 @@ def test_evaluation_counting():
     pts = np.zeros((25, 2))
     p.evaluate_batch(pts)
     assert p.counter.count == 4 + 2 * 25
-    p.counter.reset()
-    assert p.counter.count == 0
 
 
 def test_out_of_bounds_rejected_and_uncounted():
@@ -215,8 +215,9 @@ def test_nan_objective_rejected_and_uncounted():
 def test_bounds_are_inclusive():
     p = convex_problem()
     p.evaluate((-5.0, 10.0))  # corners are valid
-    assert p.contains((10.0, 10.0))
-    assert not p.contains((10.0001, 0.0))
+    p.evaluate((10.0, 10.0))
+    with pytest.raises(BoundsError):
+        p.evaluate((10.0001, 0.0))
 
 
 def test_dimension_mismatch():
