@@ -6,8 +6,8 @@ pi_k, the best particle becomes the step's incumbent, particles are
 importance-reweighted by the density ratio pi_k / pi_{k-1}, multinomially
 resampled, and optionally rejuvenated by a componentwise Metropolis sweep
 (which may also improve the incumbent, including through rejected proposals).
-Resampling draws by inverse CDF, the same draw from the same random stream as
-``rng.choice(N, size=N, p=w)``.
+Resampling draws by inverse CDF: N uniforms from ``rng.random`` looked up in
+the cumulative weights, the lookup ``rng.choice(N, size=N, p=w)`` makes.
 The K recorded incumbents form the estimated Pareto set; their objective
 vectors, kept from the evaluations already paid for, form the estimated front.
 
@@ -17,8 +17,15 @@ pi_k's side of the weight ratio (pi_{k-1} is scored at the same objective
 values) and, gathered by the resampling index, starts the sweep. A run thus
 consumes exactly 2*K*N single-objective evaluations, plus 2*K*N*d more when
 the Metropolis sweep is on (one (f1, f2) pair per componentwise proposal,
-out-of-box proposals included). The public step functions run the same
-kernels on a ``Population``, each scoring its particles afresh.
+out-of-box proposals included). The weights take one pass per step: the raw
+log weights' maximum is checked once, and the CDF is built from
+exp(log w - max) and divided by its last entry, with no log-sum in between.
+
+The public step functions run the same kernels on a ``Population``, each
+scoring its particles afresh. ``importance_weights`` returns normalized log
+weights, and ``resample`` turns its log weights into ``rng.choice``'s ``p``
+before the shared lookup, so it keeps ``rng.choice``'s stream; the CDF
+``run`` builds may differ from that one in its last bits.
 """
 
 from __future__ import annotations
@@ -147,32 +154,26 @@ def _incumbent(particles: np.ndarray, log_pi: np.ndarray, objectives: np.ndarray
     return Incumbent(particles[j].copy(), float(log_pi[j]), objectives[j].copy())
 
 
-def _step_log_weights(
+def _raw_log_weights(
     log_pi: np.ndarray, objectives: np.ndarray, s_prev: Scalarization | None
 ) -> np.ndarray:
+    """The step's unnormalized log weights, log pi_k - log pi_{k-1} (log pi_k
+    alone at the first step), shifted by their maximum, which must be finite."""
     log_w = log_pi if s_prev is None else log_pi - s_prev.log_density_values(objectives)
     m = log_w.max()
     if not math.isfinite(m):
         raise DegenerateWeightsError(
             "every particle has zero density under the current target"
         )
-    shifted = log_w - m
-    shifted -= np.log(np.exp(shifted).sum())
-    return shifted
+    return log_w - m
 
 
-def _resample_index(log_weights: np.ndarray, n: int, rng: np.random.Generator) -> np.ndarray:
-    m = log_weights.max()
-    if log_weights.shape != (n,) or not math.isfinite(m):
-        raise InvalidInputError(
-            f"resampling needs one log weight per particle ({n}) with a finite "
-            f"maximum, got shape {log_weights.shape} and maximum {m}"
-        )
-    probs = np.exp(log_weights - m)
-    probs /= probs.sum()
-    cdf = probs.cumsum()
+def _inverse_cdf(weights: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    """N ancestor indices drawn by inverse CDF from N non-negative weights
+    (any scale, largest > 0): ``rng.choice``'s lookup, one uniform per draw."""
+    cdf = weights.cumsum()
     cdf /= cdf[-1]
-    return cdf.searchsorted(rng.random(n), side="right")
+    return cdf.searchsorted(rng.random(len(weights)), side="right")
 
 
 def _sweep(
@@ -240,14 +241,21 @@ def importance_weights(
 
     Raw weight: pi_k at the particle when k = 1, else the ratio
     pi_k / pi_{k-1}; both targets are scored at the same objective values,
-    so the step costs 2N evaluations.
+    so the step costs 2N evaluations. ``run`` skips the normalization and
+    draws its ancestors from the CDF of the raw weights.
+
+    Raises:
+        DegenerateWeightsError: if the raw log weights' maximum is not
+            finite (every particle has zero density under pi_k, or a NaN).
     """
     if k < 1:
         raise InvalidInputError(f"step index must be >= 1, got {k}")
     if (k == 1) != (s_prev is None):
         raise InvalidInputError("s_prev is required exactly when k > 1")
     objectives, log_pi = _score(pop.particles, s_k, problem)
-    return replace(pop, log_weights=_step_log_weights(log_pi, objectives, s_prev))
+    log_w = _raw_log_weights(log_pi, objectives, s_prev)
+    log_w -= np.log(np.exp(log_w).sum())
+    return replace(pop, log_weights=log_w)
 
 
 def resample(pop: Population, rng: np.random.Generator) -> Population:
@@ -257,14 +265,24 @@ def resample(pop: Population, rng: np.random.Generator) -> Population:
     the normalized cumulative weights. It is the draw that
     ``rng.choice(N, size=N, replace=True, p=w)`` makes, the same indices
     from the same stream, leaving ``rng`` in the same state, without that
-    call's validation of ``p``. Resampling costs 0 evaluations.
+    call's validation of ``p``. ``run`` looks up the CDF of its raw
+    weights instead, skipping ``p``. Resampling costs 0 evaluations.
 
     Raises:
         InvalidInputError: if there is not one log weight per particle, or
             their maximum is not finite (a NaN, a +inf, or all -inf).
     """
     n = len(pop)
-    idx = _resample_index(pop.log_weights, n, rng)
+    log_weights = pop.log_weights
+    m = log_weights.max()
+    if log_weights.shape != (n,) or not math.isfinite(m):
+        raise InvalidInputError(
+            f"resampling needs one log weight per particle ({n}) with a finite "
+            f"maximum, got shape {log_weights.shape} and maximum {m}"
+        )
+    p = np.exp(log_weights - m)
+    p /= p.sum()
+    idx = _inverse_cdf(p, rng)
     return Population(pop.particles[idx], np.full(n, -np.log(n)), pop.incumbent)
 
 
@@ -325,7 +343,7 @@ def run(config: PfopsConfig, problem: BiObjectiveProblem) -> tuple[ParetoArchive
     for s_k in targets:
         objectives, log_pi = _score(particles, s_k, problem)
         inc = _incumbent(particles, log_pi, objectives)
-        idx = _resample_index(_step_log_weights(log_pi, objectives, s_prev), len(particles), rng)
+        idx = _inverse_cdf(np.exp(_raw_log_weights(log_pi, objectives, s_prev)), rng)
         particles = particles[idx]
         if config.metropolis_enabled:
             inc = _sweep(particles, log_pi[idx], inc, s_k, problem, config.sigma, rng)

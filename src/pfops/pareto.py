@@ -18,9 +18,11 @@ import numpy as np
 
 from .errors import InvalidInputError, NotFoundError
 from .problems import fonseca_fleming_problem, kursawe_problem
+from .scalarize import is_finite_pair
 
 _DATA_DIR = Path(__file__).parent / "data"
 _INV_SQRT2 = 1.0 / np.sqrt(2.0)
+_REFERENCE_NAMES = ("convex", "fonseca", "kursawe")
 
 
 def dominates(a: np.ndarray, b: np.ndarray) -> bool:
@@ -145,8 +147,11 @@ def hypervolume_2d(front: np.ndarray, ref_point: np.ndarray) -> float:
     Every front point must be strictly below the reference point in both
     objectives. Sorts on f1 and sums rectangular strips; dominated or
     duplicate members contribute nothing extra. The front is read by
-    :func:`as_front`, which rejects a shape other than (n, 2).
+    :func:`as_front`, which rejects a shape other than (n, 2); a
+    ``ref_point`` that is not two finite numbers raises InvalidInputError.
     """
+    if not is_finite_pair(ref_point):
+        raise InvalidInputError(f"ref_point must be two finite numbers, got {ref_point!r}")
     front = as_front(front)
     r1, r2 = float(ref_point[0]), float(ref_point[1])
     if len(front) == 0:
@@ -197,10 +202,14 @@ def reference_front(name: str, resolution: int) -> np.ndarray:
     covers resolution 201, other resolutions are computed from the grid.
 
     Each (name, resolution) is built once per process and cached; every call
-    returns that same read-only array, so copy it before changing it. A
-    resolution that is not an integer >= 2 (numpy integers pass) raises
-    InvalidInputError.
+    returns that same read-only array, so copy it before changing it. A name
+    other than these three raises NotFoundError, and a resolution that is not
+    an integer >= 2 (numpy integers pass) raises InvalidInputError.
     """
+    if not isinstance(name, str) or name not in _REFERENCE_NAMES:
+        raise NotFoundError(
+            f"no reference front for {name!r}; available: {', '.join(_REFERENCE_NAMES)}"
+        )
     if (
         isinstance(resolution, bool)
         or not isinstance(resolution, numbers.Integral)
@@ -223,14 +232,11 @@ def _build_reference_front(name: str, resolution: int) -> np.ndarray:
         problem = fonseca_fleming_problem()
         front = np.stack([problem.f1(pts), problem.f2(pts)], axis=1)
         return front[np.argsort(front[:, 0], kind="stable")]
-    if name == "kursawe":
-        cache = _DATA_DIR / f"kursawe_front_{resolution}.csv"
-        if cache.is_file():
-            return read_front_csv(cache)
-        return _kursawe_grid_front(resolution)
-    raise NotFoundError(
-        f"no reference front for '{name}'; available: convex, fonseca, kursawe"
-    )
+    # kursawe, the one name left after reference_front's check
+    cache = _DATA_DIR / f"kursawe_front_{resolution}.csv"
+    if cache.is_file():
+        return read_front_csv(cache)
+    return _kursawe_grid_front(resolution)
 
 
 def _format_value(x: float) -> str:

@@ -32,6 +32,15 @@ def is_finite_number(value: object) -> bool:
     return not isinstance(value, bool) and isinstance(value, numbers.Real) and math.isfinite(value)
 
 
+def is_finite_pair(value: object) -> bool:
+    """A tuple, list or 1-D array of two finite real numbers."""
+    return (
+        isinstance(value, (tuple, list, np.ndarray))
+        and len(value) == 2
+        and all(map(is_finite_number, value))
+    )
+
+
 class ScalarizationKind(enum.Enum):
     WEIGHTED_SUM = "weighted-sum"
     TCHEBYCHEFF = "tchebycheff"
@@ -59,9 +68,7 @@ class Scalarization:
         if self.kind is ScalarizationKind.TCHEBYCHEFF:
             if z is None:
                 raise InvalidConfigError("utopian is required by the Tchebycheff scalarization")
-            if not isinstance(z, (tuple, list, np.ndarray)) or len(z) != 2 or not all(
-                map(is_finite_number, z)
-            ):
+            if not is_finite_pair(z):
                 raise InvalidConfigError(f"utopian must be two finite numbers, got {z!r}")
             object.__setattr__(self, "utopian", (float(z[0]), float(z[1])))
         elif z is not None:

@@ -18,8 +18,9 @@ from pfops.core import (
     update_incumbent,
 )
 from pfops.errors import DegenerateWeightsError, InvalidConfigError, InvalidInputError
+from pfops.experiments import PRESETS
 from pfops.pareto import nondominated_mask
-from pfops.problems import BiObjectiveProblem, convex_problem, kursawe_problem
+from pfops.problems import BiObjectiveProblem, convex_problem, kursawe_problem, lookup_problem
 from pfops.scalarize import (
     ScalarizationKind,
     equal_interval_schedule,
@@ -494,6 +495,55 @@ def chain_run(config, problem, rng):
     return ParetoArchive(decisions=decisions[keep], front=front[keep])
 
 
+def reference_step_log_weights(log_pi, objectives, s_prev):
+    """The weighting step as ``run`` first had it: the raw log weights
+    normalized in log space (max, exp, sum, log)."""
+    log_w = log_pi if s_prev is None else log_pi - s_prev.log_density_values(objectives)
+    m = log_w.max()
+    if not np.isfinite(m):
+        raise DegenerateWeightsError("every particle has zero density under the current target")
+    shifted = log_w - m
+    shifted -= np.log(np.exp(shifted).sum())
+    return shifted
+
+
+def reference_resample_index(log_weights, n, rng):
+    """The resampling draw as ``run`` first had it: the normalized log weights
+    turned into probabilities again (max, exp, sum, divide), then their CDF."""
+    probs = np.exp(log_weights - log_weights.max())
+    probs /= probs.sum()
+    cdf = probs.cumsum()
+    cdf /= cdf[-1]
+    return cdf.searchsorted(rng.random(n), side="right")
+
+
+def reference_run(config, problem):
+    """``run`` with the two-pass weight step above, kept as the oracle of its
+    one-pass inverse CDF."""
+    rng = np.random.default_rng(config.seed)
+    particles = initialize(config, problem, rng).particles
+    decisions, front = [], []
+    s_prev = None
+    for lam in equal_interval_schedule(config.n_targets):
+        s_k = config.scalarization(lam)
+        objectives = problem.evaluate_batch(particles)
+        log_pi = s_k.log_density_values(objectives)
+        j = int(np.argmax(log_pi))
+        inc = Incumbent(particles[j].copy(), float(log_pi[j]), objectives[j].copy())
+        log_w = reference_step_log_weights(log_pi, objectives, s_prev)
+        pop = make_population(particles[reference_resample_index(log_w, len(particles), rng)])
+        pop.incumbent = inc
+        if config.metropolis_enabled:
+            pop = metropolis_sweep(pop, s_k, problem, config.sigma, rng)
+        particles = pop.particles
+        decisions.append(pop.incumbent.decision)
+        front.append(pop.incumbent.objectives)
+        s_prev = s_k
+    decisions, front = np.stack(decisions), np.stack(front)
+    keep = nondominated_mask(front) if config.final_filter_enabled else slice(None)
+    return ParetoArchive(decisions=decisions[keep], front=front[keep])
+
+
 class TestRun:
     @pytest.mark.parametrize("make_problem", [convex_problem, kursawe_problem])
     @pytest.mark.parametrize("kind", list(ScalarizationKind))
@@ -524,6 +574,38 @@ class TestRun:
             assert_same_bits(archive.decisions, expected.decisions)
             assert_same_bits(archive.front, expected.front)
             assert made[0].bit_generator.state == rng.bit_generator.state
+
+    @pytest.mark.parametrize(
+        "preset, seeds, moves",
+        [
+            ("pfops-convex-under", range(200), False),
+            ("pfops-convex-sufficient", range(10), False),
+            ("pfops-convex-under", range(20), True),
+            ("pfops-convex-sufficient", range(2), True),
+        ],
+    )
+    def test_equals_two_pass_weight_step(self, monkeypatch, preset, seeds, moves):
+        # run draws from the CDF of its raw weights; the seeded archives and
+        # the stream must match the normalize-then-renormalize chain bit for bit
+        default_rng = np.random.default_rng
+        made = []
+
+        def recording_rng(seed):
+            made.append(default_rng(seed))
+            return made[-1]
+
+        monkeypatch.setattr(np.random, "default_rng", recording_rng)
+        preset = PRESETS[preset]
+        for seed in seeds:
+            cfg = replace(preset.config, seed=seed, metropolis_enabled=moves)
+            made.clear()
+            expected = reference_run(cfg, lookup_problem(preset.problem))
+            archive, evals = run(cfg, lookup_problem(preset.problem))
+            assert len(made) == 2
+            assert_same_bits(archive.decisions, expected.decisions)
+            assert_same_bits(archive.front, expected.front)
+            assert made[0].bit_generator.state == made[1].bit_generator.state
+            assert evals == 2 * cfg.n_targets * cfg.n_particles * (1 + 2 * moves)
 
     def test_examples_k3(self):
         cfg = PfopsConfig(

@@ -259,6 +259,18 @@ class TestHypervolume:
         padded = np.vstack([base, base, [[0.6, 0.6]]])
         assert hypervolume_2d(padded, (1.0, 1.0)) == pytest.approx(0.75)
 
+    @pytest.mark.parametrize(
+        "ref_point",
+        [[1.0], [np.nan, 1.0], (1.0, np.inf), (1.0, 1.0, 1.0), "ab", 1.0, [[1.0], [1.0]], (True, 1.0)],
+    )
+    def test_bad_reference_point_rejected(self, ref_point):
+        # [1] used to raise a raw IndexError and [nan, 1] to blame the front
+        with pytest.raises(InvalidInputError, match="ref_point must be two finite numbers"):
+            hypervolume_2d(np.array([[0.0, 0.0]]), ref_point)
+
+    def test_reference_point_as_array(self):
+        assert hypervolume_2d(np.array([[0.0, 0.0]]), np.array([2, 3])) == 6.0
+
     def test_monotone_under_new_nondominated_point(self):
         rng = np.random.default_rng(9)
         for _ in range(50):
@@ -326,6 +338,12 @@ class TestReferenceFronts:
     def test_unknown_name(self):
         with pytest.raises(NotFoundError):
             reference_front("zdt1", 10)
+
+    @pytest.mark.parametrize("name", [["convex"], {"convex": 1}, None, 3])
+    def test_name_not_a_string_is_not_found(self, name):
+        # a list used to escape the cache as a raw TypeError: unhashable type
+        with pytest.raises(NotFoundError, match="no reference front for"):
+            reference_front(name, 10)
 
     def test_resolution_validation(self):
         with pytest.raises(InvalidInputError):
