@@ -32,7 +32,6 @@ from .pareto import (
     dominates,
     hypervolume_2d,
     igd,
-    nondominated_filter,
     nondominated_mask,
     reference_front,
     write_front_csv,
@@ -66,7 +65,6 @@ __all__ = [
     "igd",
     "importance_weights",
     "lookup_problem",
-    "nondominated_filter",
     "nondominated_mask",
     "reference_front",
     "run",

@@ -69,19 +69,6 @@ def check_integer(name: str, value: object, minimum: int) -> None:
         raise InvalidConfigError(f"{name} must be an integer >= {minimum}, got {value!r}")
 
 
-def check_float(config: object, name: str, probability: bool = False) -> None:
-    """Store a frozen config's float field as a float; reject it unless it is
-    a finite number, in [0, 1] if ``probability`` and positive otherwise."""
-    value = getattr(config, name)
-    if not is_finite_number(value):
-        raise InvalidConfigError(f"{name} must be a finite number, got {value!r}")
-    if probability and not 0 <= value <= 1:
-        raise InvalidConfigError(f"{name} must lie in [0, 1], got {value!r}")
-    if not probability and value <= 0:
-        raise InvalidConfigError(f"{name} must be positive, got {value!r}")
-    object.__setattr__(config, name, float(value))
-
-
 @dataclass(frozen=True)
 class PfopsConfig:
     """Run settings, checked when built: a wrongly typed, out-of-range or
@@ -111,7 +98,11 @@ class PfopsConfig:
     def __post_init__(self) -> None:
         check_integer("n_targets", self.n_targets, 2)
         check_integer("n_particles", self.n_particles, 1)
-        check_float(self, "sigma")
+        if not is_finite_number(self.sigma):
+            raise InvalidConfigError(f"sigma must be a finite number, got {self.sigma!r}")
+        if self.sigma <= 0:
+            raise InvalidConfigError(f"sigma must be positive, got {self.sigma!r}")
+        object.__setattr__(self, "sigma", float(self.sigma))
         for name in ("metropolis_enabled", "final_filter_enabled"):
             if not isinstance(value := getattr(self, name), bool):
                 raise InvalidConfigError(f"{name} must be true or false, got {value!r}")

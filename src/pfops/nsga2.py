@@ -2,7 +2,10 @@
 
 Real-coded: binary tournament on (rank, crowding), simulated-binary
 crossover, polynomial mutation, elitist environmental selection. Children
-are clamped to the box after variation. Ranks come from
+are clamped to the box after variation. The variation operators run at the
+fixed settings of Deb et al. 2002 (IEEE TEC 6(2)): SBX with probability 0.9
+and distribution index 20, polynomial mutation with probability 1/d and
+distribution index 20. Ranks come from
 :func:`~pfops.pareto.peel_fronts`, which also filters PFOPS archives: it
 sorts the points once and sweeps each front out of that order. Selection
 takes fronts of parents and children only until the new population is full,
@@ -17,25 +20,29 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ParetoArchive, check_float, check_integer
+from .core import ParetoArchive, check_integer
 from .errors import InvalidConfigError
 from .pareto import as_front, peel_fronts
 from .problems import BiObjectiveProblem
 
+CROSSOVER_PROB = 0.9
+CROSSOVER_INDEX = 20.0
+MUTATION_INDEX = 20.0
+
 
 @dataclass(frozen=True)
 class Nsga2Config:
-    """Baseline settings, checked when built: a wrongly typed, out-of-range or
-    non-finite field raises InvalidConfigError naming it, as in a config file.
-    pop_size is an even integer >= 2; probabilities lie in [0, 1] and a
-    ``mutation_prob`` of None means 1/d; distribution indices are positive."""
+    """Baseline settings, checked when built: a wrongly typed or out-of-range
+    field raises InvalidConfigError naming it, as in a config file. pop_size
+    is an even integer >= 2, generations an integer >= 1, seed >= 0.
+
+    The variation operators are fixed at Deb et al. 2002's settings (IEEE TEC
+    6(2)): SBX with probability 0.9 and distribution index 20, polynomial
+    mutation with probability 1/d and distribution index 20.
+    """
 
     pop_size: int
     generations: int
-    crossover_prob: float = 0.9
-    crossover_index: float = 20.0
-    mutation_prob: float | None = None
-    mutation_index: float = 20.0
     seed: int = 0
 
     def __post_init__(self) -> None:
@@ -43,11 +50,6 @@ class Nsga2Config:
         if self.pop_size % 2 != 0:
             raise InvalidConfigError(f"pop_size must be even, got {self.pop_size}")
         check_integer("generations", self.generations, 1)
-        check_float(self, "crossover_prob", probability=True)
-        check_float(self, "crossover_index")
-        if self.mutation_prob is not None:
-            check_float(self, "mutation_prob", probability=True)
-        check_float(self, "mutation_index")
         check_integer("seed", self.seed, 0)
 
 
@@ -106,20 +108,18 @@ def _tournament(
     return np.where(b_wins, b, a)
 
 
-def _sbx(
-    parents: np.ndarray, prob: float, index: float, rng: np.random.Generator
-) -> np.ndarray:
+def _sbx(parents: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     half = len(parents) // 2
     d = parents.shape[1]
     p1 = parents[0::2]
     p2 = parents[1::2]
-    do_pair = rng.random(half) < prob
+    do_pair = rng.random(half) < CROSSOVER_PROB
     do_var = rng.random((half, d)) < 0.5
     u = rng.random((half, d))
     beta = np.where(
         u <= 0.5,
-        (2.0 * u) ** (1.0 / (index + 1.0)),
-        (1.0 / (2.0 * (1.0 - u))) ** (1.0 / (index + 1.0)),
+        (2.0 * u) ** (1.0 / (CROSSOVER_INDEX + 1.0)),
+        (1.0 / (2.0 * (1.0 - u))) ** (1.0 / (CROSSOVER_INDEX + 1.0)),
     )
     active = do_pair[:, None] & do_var
     beta = np.where(active, beta, 1.0)  # beta 1 leaves both children at parents
@@ -136,7 +136,6 @@ def _polynomial_mutation(
     lower: np.ndarray,
     upper: np.ndarray,
     prob: float,
-    index: float,
     rng: np.random.Generator,
 ) -> np.ndarray:
     shape = children.shape
@@ -144,8 +143,8 @@ def _polynomial_mutation(
     u = rng.random(shape)
     delta = np.where(
         u < 0.5,
-        (2.0 * u) ** (1.0 / (index + 1.0)) - 1.0,
-        1.0 - (2.0 * (1.0 - u)) ** (1.0 / (index + 1.0)),
+        (2.0 * u) ** (1.0 / (MUTATION_INDEX + 1.0)) - 1.0,
+        1.0 - (2.0 * (1.0 - u)) ** (1.0 / (MUTATION_INDEX + 1.0)),
     )
     return np.where(do_mut, children + delta * (upper - lower), children)
 
@@ -186,9 +185,6 @@ def evolve(config: Nsga2Config, problem: BiObjectiveProblem) -> tuple[ParetoArch
     evaluation count, 2 * pop_size * (generations + 1): the initial
     population and one offspring batch per generation."""
     rng = np.random.default_rng(config.seed)
-    mutation_prob = (
-        config.mutation_prob if config.mutation_prob is not None else 1.0 / problem.dim
-    )
     start_count = problem.counter.count
 
     span = problem.upper - problem.lower
@@ -198,9 +194,9 @@ def evolve(config: Nsga2Config, problem: BiObjectiveProblem) -> tuple[ParetoArch
 
     for _ in range(config.generations):
         parents = pop[_tournament(ranks, crowd, rng)]
-        children = _sbx(parents, config.crossover_prob, config.crossover_index, rng)
+        children = _sbx(parents, rng)
         children = _polynomial_mutation(
-            children, problem.lower, problem.upper, mutation_prob, config.mutation_index, rng
+            children, problem.lower, problem.upper, 1.0 / problem.dim, rng
         )
         children = np.clip(children, problem.lower, problem.upper)
         child_obj = problem.evaluate_batch(children)

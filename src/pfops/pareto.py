@@ -2,9 +2,10 @@
 
 All fronts are (n, 2) float arrays of objective vectors under minimization;
 :func:`as_front` is the one shape check. Ranking is one sort and one sweep
-per front (:func:`peel_fronts`); the non-dominated filter is its first
-front, and NSGA-II ranks with it too. Filtering retains duplicates
-(identical vectors do not dominate each other) and preserves input order.
+per front (:func:`peel_fronts`); :func:`nondominated_mask` is its first
+front, and NSGA-II ranks with it too. The mask keeps duplicates (identical
+vectors do not dominate each other) and has one entry per input row, so
+``points[mask]`` keeps the input order.
 """
 
 from __future__ import annotations
@@ -104,14 +105,6 @@ def nondominated_mask(points: np.ndarray) -> np.ndarray:
     mask = np.zeros(len(points), dtype=bool)
     mask[next(peel_fronts(points), [])] = True
     return mask
-
-
-def nondominated_filter(points: np.ndarray) -> np.ndarray:
-    """The rows of ``points`` not dominated by any other row, input order kept."""
-    points = np.asarray(points, dtype=float)
-    if len(points) == 0:
-        return points.reshape(0, 2)
-    return points[nondominated_mask(points)]
 
 
 def igd(estimate: np.ndarray, reference: np.ndarray) -> float:

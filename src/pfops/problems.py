@@ -14,6 +14,7 @@ batch objective that does not return one value per row raises it too.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -50,9 +51,13 @@ class BiObjectiveProblem:
         upper: (d,) inclusive upper bounds.
         f1: vectorized first objective, (n, d) -> (n,). Uncounted raw map.
         f2: vectorized second objective, (n, d) -> (n,). Uncounted raw map.
-        counter: evaluation tally fed by the ``evaluate*`` methods.
         ideal: (min f1, min f2) over the box, if known; a Tchebycheff run
             on the problem needs its Utopian point strictly below it.
+        counter: evaluation tally fed by the ``evaluate*`` methods; not an argument.
+
+    A dim that is not an integer >= 1, bounds of another shape or not
+    strictly ordered, and an ideal that is not two finite numbers raise
+    InvalidInputError naming the field.
     """
 
     name: str
@@ -61,29 +66,34 @@ class BiObjectiveProblem:
     upper: np.ndarray
     f1: ObjectiveFn
     f2: ObjectiveFn
-    counter: EvalCounter = field(default_factory=EvalCounter)
     ideal: tuple[float, float] | None = None
+    counter: EvalCounter = field(default_factory=EvalCounter, init=False)
 
     def __post_init__(self) -> None:
-        self.lower = np.asarray(self.lower, dtype=float)
-        self.upper = np.asarray(self.upper, dtype=float)
-        if self.lower.shape != (self.dim,) or self.upper.shape != (self.dim,):
-            raise ValueError(f"bounds must have shape ({self.dim},)")
+        dim = self.dim
+        if isinstance(dim, bool) or not isinstance(dim, numbers.Integral) or dim < 1:
+            raise InvalidInputError(f"dim must be an integer >= 1, got {dim!r}")
+        self.lower = _float_array("lower", self.lower)
+        self.upper = _float_array("upper", self.upper)
+        shapes = (self.lower.shape, self.upper.shape)
+        if shapes != ((dim,), (dim,)):
+            raise InvalidInputError(f"lower and upper must have shape ({dim},), got {shapes}")
         if not np.all(self.lower < self.upper):
-            raise ValueError("each lower bound must be strictly below its upper bound")
+            raise InvalidInputError("each lower bound must be strictly below its upper bound")
         if self.ideal is not None:
-            ideal = np.asarray(self.ideal, dtype=float)
+            ideal = _float_array("ideal", self.ideal)
             if ideal.shape != (2,) or not np.isfinite(ideal).all():
-                raise ValueError(f"ideal must be two finite numbers, got {self.ideal!r}")
+                raise InvalidInputError(f"ideal must be two finite numbers, got {self.ideal!r}")
             self.ideal = (float(ideal[0]), float(ideal[1]))
 
     def _check_batch(self, points: np.ndarray) -> np.ndarray:
         points = np.asarray(points, dtype=float)
         if points.ndim != 2:
             points = np.atleast_2d(points)
-        if points.shape[1] != self.dim:
-            raise ValueError(
-                f"expected decision vectors of dimension {self.dim}, got {points.shape[1]}"
+        if points.shape[1:] != (self.dim,):  # a wrong width, or more than two axes
+            raise InvalidInputError(
+                f"expected an (n, {self.dim}) batch of decision vectors for problem "
+                f"'{self.name}', got shape {points.shape}"
             )
         # one reduction over the whole batch; the per-row mask is built only
         # to name the first bad row (a NaN coordinate fails both comparisons)
@@ -140,6 +150,13 @@ class BiObjectiveProblem:
         values[:, 0] = f1
         values[:, 1] = f2
         return self._counted(p, values)
+
+
+def _float_array(name: str, value: object) -> np.ndarray:
+    try:
+        return np.asarray(value, dtype=float)
+    except (TypeError, ValueError):
+        raise InvalidInputError(f"{name} must be numbers, got {value!r}") from None
 
 
 def _convex_f1(x: np.ndarray) -> np.ndarray:

@@ -2,11 +2,13 @@ import json
 import xml.etree.ElementTree as ET
 from dataclasses import asdict, fields, replace
 from functools import partial
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import pfops.experiments as experiments
+import pfops.nsga2 as nsga2
 from pfops.core import ParetoArchive, PfopsConfig
 from pfops.errors import InvalidConfigError, InvalidInputError, NotFoundError
 from pfops.experiments import (
@@ -70,11 +72,13 @@ class TestGoldenConfig:
         assert (n.pop_size, n.generations) == (200, 500)
 
     def test_nsga2_operator_defaults(self):
+        # every NSGA-II preset runs Deb et al. 2002's operators; the
+        # mutation probability is 1/d, worked out from the problem
+        assert (nsga2.CROSSOVER_PROB, nsga2.CROSSOVER_INDEX, nsga2.MUTATION_INDEX) == (
+            0.9, 20.0, 20.0
+        )
         cfg = PRESETS["nsga2-convex-sufficient"].config
-        assert cfg.crossover_prob == 0.9
-        assert cfg.crossover_index == 20.0
-        assert cfg.mutation_prob is None  # resolved to 1/d at run time
-        assert cfg.mutation_index == 20.0
+        assert cfg == Nsga2Config(pop_size=100, generations=100)
 
     def test_utopian_points_below_objective_minima(self):
         for preset in PRESETS.values():
@@ -485,6 +489,25 @@ class TestConfigFile:
         assert str(info.value) == f"{path}: seed must be an integer >= 0, got {seed!r}"
 
 
+    def test_removed_nsga2_operator_key_rejected(self, tmp_path):
+        # the operator settings are fixed; a file that still sets one is stale
+        section = {"pop_size": 4, "generations": 1, "crossover_prob": 0.9}
+        path = _config_file(tmp_path, "convex", "nsga2", section)
+        with pytest.raises(InvalidConfigError) as info:
+            load_config_file(path)
+        assert str(info.value) == f"{path}: nsga2: unrecognized keys ['crossover_prob']"
+
+    def test_readme_schema_lists_the_accepted_keys(self):
+        readme = (Path(__file__).parent.parent / "README.md").read_text()
+        block = readme.split("Custom-run JSON schema:", 1)[1]
+        schema = json.loads(block.split("```json", 1)[1].split("```", 1)[0])
+        assert set(schema) == experiments._TOP_LEVEL_KEYS
+        for algorithm, cls in experiments._CONFIG_CLASSES.items():
+            accepted = {
+                experiments._FILE_KEYS.get(f.name, f.name) for f in fields(cls) if f.name != "seed"
+            }
+            assert set(schema[algorithm]) == accepted, algorithm
+
     def test_unknown_problem_names_the_file(self, tmp_path):
         # the problem used to be checked only at run time, without the path
         path = _config_file(tmp_path, "nope", "nsga2", {"pop_size": 4, "generations": 1})
@@ -542,9 +565,9 @@ class TestPfopsConfigDefaults:
         assert cfg.final_filter_enabled is True
 
     def test_nsga2_defaults(self):
-        cfg = Nsga2Config(pop_size=4, generations=1)
-        assert cfg.crossover_prob == 0.9
-        assert cfg.mutation_index == 20.0
+        assert Nsga2Config(pop_size=4, generations=1).seed == 0
+        assert nsga2.CROSSOVER_PROB == 0.9
+        assert nsga2.CROSSOVER_INDEX == nsga2.MUTATION_INDEX == 20.0
 
 
 @pytest.mark.parametrize(

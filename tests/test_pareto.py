@@ -8,7 +8,6 @@ from pfops.pareto import (
     dominates,
     hypervolume_2d,
     igd,
-    nondominated_filter,
     nondominated_mask,
     peel_fronts,
     read_front_csv,
@@ -68,28 +67,28 @@ class TestDominates:
 
 
 class TestNondominatedFilter:
+    """The non-dominated filter is ``points[nondominated_mask(points)]``."""
+
     def test_hand_example(self):
         pts = np.array([[0.0, 2.0], [2.0, 0.0], [1.0, 1.0], [2.0, 2.0]])
-        np.testing.assert_array_equal(
-            nondominated_filter(pts), [[0.0, 2.0], [2.0, 0.0], [1.0, 1.0]]
-        )
+        np.testing.assert_array_equal(nondominated_mask(pts), [True, True, True, False])
 
     def test_empty(self):
-        assert nondominated_filter(np.zeros((0, 2))).shape == (0, 2)
+        assert nondominated_mask(np.zeros((0, 2))).shape == (0,)
 
     def test_identical_points_all_retained(self):
-        pts = np.ones((5, 2))
-        assert len(nondominated_filter(pts)) == 5
+        assert nondominated_mask(np.ones((5, 2))).all()
 
     def test_idempotent(self):
         rng = np.random.default_rng(5)
         pts = rng.normal(size=(200, 2))
-        once = nondominated_filter(pts)
-        np.testing.assert_array_equal(nondominated_filter(once), once)
+        once = pts[nondominated_mask(pts)]
+        assert nondominated_mask(once).all()
 
     def test_order_preserved(self):
-        pts = np.array([[3.0, 0.0], [0.0, 3.0], [1.0, 1.0]])
-        np.testing.assert_array_equal(nondominated_filter(pts), pts)
+        # one entry per input row, whatever the sort order inside
+        pts = np.array([[3.0, 0.0], [0.0, 3.0], [1.0, 1.0], [4.0, 4.0], [0.5, 2.0]])
+        np.testing.assert_array_equal(nondominated_mask(pts), [True, True, True, False, True])
 
     def test_matches_brute_force_on_random_sets(self):
         rng = np.random.default_rng(12)

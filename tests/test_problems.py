@@ -4,6 +4,7 @@ import pytest
 from pfops.errors import BoundsError, InvalidInputError, NotFoundError
 from pfops.problems import (
     BiObjectiveProblem,
+    EvalCounter,
     available_problems,
     convex_problem,
     fonseca_fleming_problem,
@@ -103,10 +104,40 @@ def _zero(x):
     return np.zeros(len(x))
 
 
-@pytest.mark.parametrize("ideal", [(0.0,), (0.0, np.nan), (0.0, 1.0, 2.0)])
+@pytest.mark.parametrize("ideal", [(0.0,), (0.0, np.nan), (0.0, 1.0, 2.0), ("a", 0.0)])
 def test_ideal_must_be_two_finite_numbers(ideal):
-    with pytest.raises(ValueError, match="ideal"):
+    with pytest.raises(InvalidInputError, match="ideal"):
         BiObjectiveProblem("p", 1, [0.0], [1.0], _zero, _zero, ideal=ideal)
+
+
+@pytest.mark.parametrize("dim", [0, -1, 1.5, 2.0, True, "2", None])
+def test_dim_must_be_a_positive_integer(dim):
+    # dim=0 used to build, and dim=1.5 to fail with "bounds must have shape (1.5,)"
+    with pytest.raises(InvalidInputError, match=r"dim must be an integer >= 1"):
+        BiObjectiveProblem("p", dim, [0.0], [1.0], _zero, _zero)
+
+
+@pytest.mark.parametrize(
+    "lower, upper",
+    [([0.0, 0.0], [1.0]), ([0.0], [[1.0]]), ([], []), (["a"], [1.0])],
+)
+def test_bounds_of_the_wrong_shape_rejected(lower, upper):
+    with pytest.raises(InvalidInputError, match="lower"):
+        BiObjectiveProblem("p", 1, lower, upper, _zero, _zero)
+
+
+@pytest.mark.parametrize("lower, upper", [([1.0], [0.0]), ([0.0], [0.0]), ([np.nan], [1.0])])
+def test_bounds_out_of_order_rejected(lower, upper):
+    with pytest.raises(InvalidInputError, match="strictly below its upper bound"):
+        BiObjectiveProblem("p", 1, lower, upper, _zero, _zero)
+
+
+def test_counter_is_not_an_argument():
+    with pytest.raises(TypeError, match="counter"):
+        BiObjectiveProblem("p", 1, [0.0], [1.0], _zero, _zero, counter=EvalCounter())
+    p = BiObjectiveProblem("p", 1, [0.0], [1.0], _zero, _zero)
+    p.evaluate_batch([[0.5]])
+    assert p.counter.count == 2
 
 
 def test_evaluation_counting():
@@ -224,6 +255,22 @@ def test_dimension_mismatch():
     p = convex_problem()
     with pytest.raises(ValueError, match="dimension"):
         p.evaluate((0.0, 0.0, 0.0))
+
+
+@pytest.mark.parametrize(
+    "batch, shape",
+    [
+        # a 3-D batch used to pass the check, and the objectives got the blame
+        (np.zeros((2, 2, 2)), r"\(2, 2, 2\)"),
+        (np.zeros((3, 3)), r"\(3, 3\)"),  # used to be a bare ValueError
+        ([0.0, 0.0, 0.0], r"\(1, 3\)"),
+    ],
+)
+def test_batch_of_the_wrong_shape_names_it_and_is_uncounted(batch, shape):
+    p = convex_problem()
+    with pytest.raises(InvalidInputError, match=rf"\(n, 2\) batch .*'convex', got shape {shape}"):
+        p.evaluate_batch(batch)
+    assert p.counter.count == 0
 
 
 def test_convex_symmetry():
