@@ -53,5 +53,5 @@ pfops.emit_front_svg(
     OUT / "convex_under.svg",
 )
 for name, report in reports.items():
-    pfops.emit_front_csv(report, OUT / f"{name}_front.csv")
+    pfops.write_front_csv(report.archive.front, OUT / f"{name}_front.csv")
 print(f"wrote plots and fronts to {OUT}")

@@ -22,7 +22,6 @@ from .experiments import (
     PRESETS,
     RunReport,
     compare,
-    emit_front_csv,
     emit_front_svg,
     run_config_file,
     run_preset,
@@ -57,7 +56,6 @@ __all__ = [
     "convex_problem",
     "crowding_distance",
     "dominates",
-    "emit_front_csv",
     "emit_front_svg",
     "evolve",
     "fast_nondominated_sort",

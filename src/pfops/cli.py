@@ -66,7 +66,7 @@ def _write_run_artifacts(report: experiments.RunReport, out_dir: str) -> list[Pa
     written = []
 
     front_csv = out / f"{stem}_front.csv"
-    experiments.emit_front_csv(report, front_csv)
+    pareto.write_front_csv(report.archive.front, front_csv)
     written.append(front_csv)
 
     report_json = out / f"{stem}_report.json"

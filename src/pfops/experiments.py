@@ -293,14 +293,6 @@ def write_comparison_csv(result: ComparisonResult, path: str | Path) -> None:
     Path(path).write_text("\n".join(lines) + "\n")
 
 
-def emit_front_csv(report: RunReport, path: str | Path) -> None:
-    """Write the report's front as `f1,f2` CSV, sorted ascending by f1."""
-    try:
-        pareto.write_front_csv(report.archive.front, path)
-    except OSError as exc:
-        raise OSError(f"writing front CSV to {path}: {exc}") from exc
-
-
 _SVG_COLORS = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b")
 
 

@@ -10,8 +10,9 @@ distribution index 20. Ranks come from
 sorts the points once and sweeps each front out of that order. Selection
 takes fronts of parents and children only until the new population is full,
 and the survivors keep the rank and crowding it found, so each generation
-ranks once. Not a general EC framework; it exists to give runs a comparison
-point.
+ranks once. The first population goes through the same selection at full
+size, which cuts nothing and so ranks and crowds every member. Not a
+general EC framework; it exists to give runs a comparison point.
 """
 
 from __future__ import annotations
@@ -89,16 +90,6 @@ def crowding_distance(front_points: np.ndarray) -> np.ndarray:
     return distance
 
 
-def _rank_and_crowding(objectives: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    fronts = fast_nondominated_sort(objectives)
-    ranks = np.empty(len(objectives), dtype=int)
-    crowd = np.empty(len(objectives))
-    for r, front in enumerate(fronts):
-        ranks[front] = r
-        crowd[front] = crowding_distance(objectives[front])
-    return ranks, crowd
-
-
 def _tournament(
     ranks: np.ndarray, crowd: np.ndarray, rng: np.random.Generator
 ) -> np.ndarray:
@@ -135,11 +126,10 @@ def _polynomial_mutation(
     children: np.ndarray,
     lower: np.ndarray,
     upper: np.ndarray,
-    prob: float,
     rng: np.random.Generator,
 ) -> np.ndarray:
     shape = children.shape
-    do_mut = rng.random(shape) < prob
+    do_mut = rng.random(shape) < 1.0 / shape[1]  # probability 1/d
     u = rng.random(shape)
     delta = np.where(
         u < 0.5,
@@ -150,16 +140,17 @@ def _polynomial_mutation(
 
 
 def _environmental_selection(
-    decisions: np.ndarray, objectives: np.ndarray, pop_size: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    objectives: np.ndarray, pop_size: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Keep ``pop_size`` rows front by front; the last front that does not
-    fit keeps its most isolated members. Returns the survivors' decisions,
-    objectives, ranks and crowding.
+    fit keeps its most isolated members. Returns the kept row indices with
+    their ranks and crowding.
 
     Everything that dominates a survivor sits in an earlier, whole front, so
-    its rank among the survivors is its rank here. Survivors are stored
+    its rank among the survivors is its rank here. Survivors are listed
     front by front in the order kept, the order in which a re-sort of them
-    would pass each front to :func:`crowding_distance`.
+    would pass each front to :func:`crowding_distance`. At full size nothing
+    is cut, so the result ranks and crowds every row.
     """
     chosen: list[np.ndarray] = []
     ranks: list[np.ndarray] = []
@@ -176,8 +167,7 @@ def _environmental_selection(
         need -= len(front)
         if need == 0:
             break
-    idx = np.concatenate(chosen)
-    return decisions[idx], objectives[idx], np.concatenate(ranks), np.concatenate(crowds)
+    return np.concatenate(chosen), np.concatenate(ranks), np.concatenate(crowds)
 
 
 def evolve(config: Nsga2Config, problem: BiObjectiveProblem) -> tuple[ParetoArchive, int]:
@@ -190,19 +180,21 @@ def evolve(config: Nsga2Config, problem: BiObjectiveProblem) -> tuple[ParetoArch
     span = problem.upper - problem.lower
     pop = problem.lower + span * rng.random((config.pop_size, problem.dim))
     obj = problem.evaluate_batch(pop)
-    ranks, crowd = _rank_and_crowding(obj)
+    idx, kept_ranks, kept_crowd = _environmental_selection(obj, config.pop_size)
+    ranks = np.empty(config.pop_size, dtype=int)
+    crowd = np.empty(config.pop_size)
+    ranks[idx] = kept_ranks  # tournaments draw rows of pop: back to row order
+    crowd[idx] = kept_crowd
 
     for _ in range(config.generations):
         parents = pop[_tournament(ranks, crowd, rng)]
         children = _sbx(parents, rng)
-        children = _polynomial_mutation(
-            children, problem.lower, problem.upper, 1.0 / problem.dim, rng
-        )
+        children = _polynomial_mutation(children, problem.lower, problem.upper, rng)
         children = np.clip(children, problem.lower, problem.upper)
-        child_obj = problem.evaluate_batch(children)
-        pop, obj, ranks, crowd = _environmental_selection(
-            np.vstack([pop, children]), np.vstack([obj, child_obj]), config.pop_size
-        )
+        pop = np.vstack([pop, children])
+        obj = np.vstack([obj, problem.evaluate_batch(children)])
+        idx, ranks, crowd = _environmental_selection(obj, config.pop_size)
+        pop, obj = pop[idx], obj[idx]
 
     rank0 = np.flatnonzero(ranks == 0)
     archive = ParetoArchive(decisions=pop[rank0], front=obj[rank0])

@@ -2,9 +2,10 @@
 
 Decision vectors are plain numpy arrays of shape (d,); batches are (n, d).
 Each problem exposes its raw objective maps ``f1`` and ``f2`` (vectorized,
-uncounted) plus counted ``evaluate*`` methods. Every call that goes through
-``evaluate*`` adds one tally per single-objective evaluation to the problem's
-:class:`EvalCounter`, so experiment budgets are measured, never estimated.
+uncounted) plus the counted ``evaluate_batch``, which takes an (n, d) batch
+or one (d,) point. Every call adds one tally per single-objective evaluation
+to the problem's :class:`EvalCounter`, so experiment budgets are measured,
+never estimated.
 Out-of-bounds evaluation requests raise :class:`~pfops.errors.BoundsError`
 instead of being clamped; silent clamping would corrupt the tally. An
 objective that returns NaN raises :class:`~pfops.errors.InvalidInputError`,
@@ -53,11 +54,11 @@ class BiObjectiveProblem:
         f2: vectorized second objective, (n, d) -> (n,). Uncounted raw map.
         ideal: (min f1, min f2) over the box, if known; a Tchebycheff run
             on the problem needs its Utopian point strictly below it.
-        counter: evaluation tally fed by the ``evaluate*`` methods; not an argument.
+        counter: evaluation tally fed by ``evaluate_batch``; not an argument.
 
-    A dim that is not an integer >= 1, bounds of another shape or not
-    strictly ordered, and an ideal that is not two finite numbers raise
-    InvalidInputError naming the field.
+    A dim that is not an integer >= 1, bounds of another shape, not finite
+    or not strictly ordered, and an ideal that is not two finite numbers
+    raise InvalidInputError naming the field.
     """
 
     name: str
@@ -78,6 +79,9 @@ class BiObjectiveProblem:
         shapes = (self.lower.shape, self.upper.shape)
         if shapes != ((dim,), (dim,)):
             raise InvalidInputError(f"lower and upper must have shape ({dim},), got {shapes}")
+        for name, bound in (("lower", self.lower), ("upper", self.upper)):
+            if np.isinf(bound).any():  # no box to sample; NaN fails the order test
+                raise InvalidInputError(f"{name} must be finite, got {bound.tolist()}")
         if not np.all(self.lower < self.upper):
             raise InvalidInputError("each lower bound must be strictly below its upper bound")
         if self.ideal is not None:
@@ -117,23 +121,9 @@ class BiObjectiveProblem:
         self.counter.add(2 * len(values))
         return values
 
-    def evaluate(self, x: np.ndarray) -> np.ndarray:
-        """Evaluate both objectives at one point of shape (d,), returning (2,).
-
-        Counts 2 evaluations and raises as :meth:`evaluate_batch` does; any
-        other shape raises InvalidInputError and counts nothing.
-        """
-        x = np.asarray(x, dtype=float)
-        if x.shape != (self.dim,):
-            raise InvalidInputError(
-                f"evaluate takes one decision vector of dimension {self.dim}, shape "
-                f"({self.dim},), for problem '{self.name}', got shape {x.shape}; "
-                "use evaluate_batch for a batch"
-            )
-        return self.evaluate_batch(x[None])[0]
-
     def evaluate_batch(self, points: np.ndarray) -> np.ndarray:
-        """Evaluate both objectives at an (n, d) batch, returning (n, 2).
+        """Evaluate both objectives at an (n, d) batch, returning (n, 2); one
+        (d,) point is a one-row batch.
 
         Counts 2n evaluations. Raises BoundsError if any row is outside
         the box, and InvalidInputError if an objective does not return one

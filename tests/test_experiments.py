@@ -18,7 +18,6 @@ from pfops.experiments import (
     REFERENCE_RESOLUTION,
     RunReport,
     compare,
-    emit_front_csv,
     emit_front_svg,
     load_config_file,
     run_config_file,
@@ -26,7 +25,7 @@ from pfops.experiments import (
     write_comparison_csv,
 )
 from pfops.nsga2 import Nsga2Config
-from pfops.pareto import hypervolume_2d, igd, read_front_csv, reference_front
+from pfops.pareto import hypervolume_2d, igd, read_front_csv, reference_front, write_front_csv
 from pfops.problems import lookup_problem
 from pfops.scalarize import ScalarizationKind
 
@@ -264,18 +263,18 @@ class TestEmitters:
     def test_front_csv_format(self, tmp_path):
         report = _tiny_report([[0.0, 50.0], [50.0, 0.0]])
         path = tmp_path / "front.csv"
-        emit_front_csv(report, path)
+        write_front_csv(report.archive.front, path)
         assert path.read_text() == "f1,f2\n0,50\n50,0\n"
 
     def test_front_csv_empty_archive(self, tmp_path):
         path = tmp_path / "front.csv"
-        emit_front_csv(_tiny_report(np.zeros((0, 2))), path)
+        write_front_csv(_tiny_report(np.zeros((0, 2))).archive.front, path)
         assert path.read_text() == "f1,f2\n"
 
     def test_front_csv_round_trip(self, tmp_path):
         report = run_preset("pfops-convex-under", 2)
         path = tmp_path / "front.csv"
-        emit_front_csv(report, path)
+        write_front_csv(report.archive.front, path)
         back = read_front_csv(path)
         expected = report.archive.front[np.argsort(report.archive.front[:, 0], kind="stable")]
         np.testing.assert_array_equal(back, expected)

@@ -60,7 +60,6 @@ API = {
     "convex_problem",
     "crowding_distance",
     "dominates",
-    "emit_front_csv",
     "emit_front_svg",
     "evolve",
     "fast_nondominated_sort",
@@ -78,7 +77,7 @@ API = {
 
 
 def test_public_api_is_pinned():
-    assert len(API) == 31
+    assert len(API) == 30
     assert set(pfops.__all__) == API
     assert len(pfops.__all__) == len(API)  # no name listed twice
 

@@ -10,7 +10,6 @@ from pfops.errors import InvalidConfigError, InvalidInputError
 from pfops.nsga2 import (
     Nsga2Config,
     _environmental_selection,
-    _rank_and_crowding,
     crowding_distance,
     evolve,
     fast_nondominated_sort,
@@ -35,6 +34,26 @@ def dense_peel_fronts(points):
         assigned[current] = True
         dom_count = dom_count - dom[current].sum(axis=0)
     return fronts
+
+
+def rank_and_crowding(objectives):
+    """Per-front oracle: each row's front index, and its crowding within that
+    front, in row order."""
+    ranks = np.empty(len(objectives), dtype=int)
+    crowd = np.empty(len(objectives))
+    for r, front in enumerate(fast_nondominated_sort(objectives)):
+        ranks[front] = r
+        crowd[front] = crowding_distance(objectives[front])
+    return ranks, crowd
+
+
+def tie_heavy_objectives(grid, rng):
+    """2 to 60 points drawn from ``grid`` in both objectives: many exact duplicates."""
+    n = int(rng.integers(2, 61))
+    return grid[rng.integers(0, len(grid), size=(n, 2))]
+
+
+GRIDS = [(np.arange(5.0), 30), (np.array([-np.inf, 0.0, 1.0, 2.0, np.inf]), 31)]
 
 
 class TestConfig:
@@ -159,17 +178,14 @@ class TestCrowdingDistance:
 
 
 class TestEnvironmentalSelection:
-    @pytest.mark.parametrize(
-        "grid, seed",
-        [(np.arange(5.0), 30), (np.array([-np.inf, 0.0, 1.0, 2.0, np.inf]), 31)],
-    )
+    @pytest.mark.parametrize("grid, seed", GRIDS)
     def test_survivors_keep_rank_and_crowding(self, grid, seed):
         # survivors' ranks and crowding must equal a fresh ranking of them
         rng = np.random.default_rng(seed)
         cases = {"fill": 0, "cut front 0": 0, "cut later front": 0}
         for _ in range(300):
-            n = int(rng.integers(2, 61))
-            obj = grid[rng.integers(0, len(grid), size=(n, 2))]  # many exact duplicates
+            obj = tie_heavy_objectives(grid, rng)
+            n = len(obj)
             fronts = dense_peel_fronts(obj)
             assert fast_nondominated_sort(obj) == fronts
             ends = np.cumsum([len(f) for f in fronts])
@@ -182,16 +198,33 @@ class TestEnvironmentalSelection:
                 sizes["cut later front"] = int(ends[r - 1] + rng.integers(1, len(fronts[r])))
             for case, pop_size in sizes.items():
                 cases[case] += 1
-                labels = np.arange(n, dtype=float)[:, None]
-                kept, kept_obj, ranks, crowd = _environmental_selection(labels, obj, pop_size)
-                assert len(kept) == pop_size
-                np.testing.assert_array_equal(kept_obj, obj[kept[:, 0].astype(int)])
-                fresh_ranks, fresh_crowd = _rank_and_crowding(kept_obj)
+                idx, ranks, crowd = _environmental_selection(obj, pop_size)
+                assert len(idx) == pop_size
+                assert len(np.unique(idx)) == pop_size and idx.min() >= 0 and idx.max() < n
+                kept_obj = obj[idx]
+                fresh_ranks, fresh_crowd = rank_and_crowding(kept_obj)
                 np.testing.assert_array_equal(ranks, fresh_ranks)
                 np.testing.assert_array_equal(crowd, fresh_crowd)
                 assert not np.isnan(crowd).any()
                 assert np.flatnonzero(ranks == 0).tolist() == dense_peel_fronts(kept_obj)[0]
         assert min(cases.values()) >= 50, cases
+
+    @pytest.mark.parametrize("grid, seed", GRIDS)
+    def test_full_size_ranks_every_row(self, grid, seed):
+        # evolve ranks its first population this way: nothing is cut, and the
+        # ranks and crowding scattered back to row order are the per-front ones
+        rng = np.random.default_rng(seed)
+        for _ in range(300):
+            obj = tie_heavy_objectives(grid, rng)
+            idx, kept_ranks, kept_crowd = _environmental_selection(obj, len(obj))
+            assert sorted(idx.tolist()) == list(range(len(obj)))
+            ranks = np.empty(len(obj), dtype=int)
+            crowd = np.empty(len(obj))
+            ranks[idx] = kept_ranks
+            crowd[idx] = kept_crowd
+            expected_ranks, expected_crowd = rank_and_crowding(obj)
+            np.testing.assert_array_equal(ranks, expected_ranks)
+            np.testing.assert_array_equal(crowd, expected_crowd)
 
     def test_stops_peeling_when_front_0_fills(self, monkeypatch):
         taken = []
@@ -205,10 +238,9 @@ class TestEnvironmentalSelection:
         monkeypatch.setattr(nsga2, "peel_fronts", counting_peel)
         # six mutually non-dominated points on front 0, two dominated behind them
         obj = np.array([[float(i), 5.0 - i] for i in range(6)] + [[9.0, 9.0], [8.0, 8.0]])
-        labels = np.arange(len(obj), dtype=float)[:, None]
         for pop_size in (4, 6):
             taken.clear()
-            _, _, ranks, _ = _environmental_selection(labels, obj, pop_size)
+            _, ranks, _ = _environmental_selection(obj, pop_size)
             assert taken == [6]
             assert (ranks == 0).all()
 

@@ -15,9 +15,10 @@ from pfops.problems import (
 
 def test_convex_values():
     p = convex_problem()
-    assert p.evaluate((0.0, 0.0)) == pytest.approx([0.0, 50.0])
-    assert p.evaluate((5.0, 5.0)) == pytest.approx([50.0, 0.0])
-    assert p.evaluate((2.5, 2.5)) == pytest.approx([12.5, 12.5])
+    assert p.evaluate_batch((0.0, 0.0))[0] == pytest.approx([0.0, 50.0])
+    assert p.evaluate_batch((5.0, 5.0))[0] == pytest.approx([50.0, 0.0])
+    assert p.evaluate_batch((2.5, 2.5))[0] == pytest.approx([12.5, 12.5])
+    assert p.evaluate_batch((2.5, 2.5)).shape == (1, 2)  # one point is a one-row batch
     assert p.dim == 2
     assert p.lower.tolist() == [-5.0, -5.0]
     assert p.upper.tolist() == [10.0, 10.0]
@@ -26,19 +27,19 @@ def test_convex_values():
 def test_fonseca_values():
     p = fonseca_fleming_problem()
     a = 1.0 / np.sqrt(2.0)
-    assert p.evaluate((a, a))[0] == pytest.approx(0.0, abs=1e-12)
-    assert p.evaluate((-a, -a))[1] == pytest.approx(0.0, abs=1e-12)
+    assert p.evaluate_batch((a, a))[0, 0] == pytest.approx(0.0, abs=1e-12)
+    assert p.evaluate_batch((-a, -a))[0, 1] == pytest.approx(0.0, abs=1e-12)
     # sum of squared deviations from (1/sqrt2, 1/sqrt2) at the origin is 1
-    assert p.evaluate((0.0, 0.0))[0] == pytest.approx(1.0 - np.exp(-1.0))
+    assert p.evaluate_batch((0.0, 0.0))[0, 0] == pytest.approx(1.0 - np.exp(-1.0))
     assert p.lower.tolist() == [-4.0, -4.0]
     assert p.upper.tolist() == [4.0, 4.0]
 
 
 def test_kursawe_values():
     p = kursawe_problem()
-    assert p.evaluate((0.0, 0.0, 0.0)) == pytest.approx([-20.0, 0.0])
+    assert p.evaluate_batch((0.0, 0.0, 0.0))[0] == pytest.approx([-20.0, 0.0])
     expected_f1 = -20.0 * np.exp(-0.2 * np.sqrt(2.0))
-    assert p.evaluate((1.0, 1.0, 1.0))[0] == pytest.approx(expected_f1)
+    assert p.evaluate_batch((1.0, 1.0, 1.0))[0, 0] == pytest.approx(expected_f1)
     assert p.dim == 3
     assert p.lower.tolist() == [-5.0] * 3
     assert p.upper.tolist() == [5.0] * 3
@@ -65,7 +66,7 @@ def test_not_found_message_is_plain():
 def test_fresh_instances_have_independent_counters():
     a = lookup_problem("convex")
     b = lookup_problem("convex")
-    a.evaluate((0.0, 0.0))
+    a.evaluate_batch((0.0, 0.0))
     assert a.counter.count == 2
     assert b.counter.count == 0
 
@@ -132,6 +133,23 @@ def test_bounds_out_of_order_rejected(lower, upper):
         BiObjectiveProblem("p", 1, lower, upper, _zero, _zero)
 
 
+@pytest.mark.parametrize(
+    "lower, upper, field",
+    [
+        ([-np.inf], [1.0], "lower"),
+        ([0.0], [np.inf], "upper"),
+        ([-np.inf], [np.inf], "lower"),
+        ([0.0, -np.inf], [1.0, 1.0], "lower"),
+        ([np.inf], [np.inf], "lower"),
+    ],
+)
+def test_infinite_bounds_rejected(lower, upper, field):
+    # no box to sample: both algorithms would draw NaN points and blame them
+    # with a BoundsError
+    with pytest.raises(InvalidInputError, match=rf"^{field} must be finite"):
+        BiObjectiveProblem("p", len(lower), lower, upper, _zero, _zero)
+
+
 def test_counter_is_not_an_argument():
     with pytest.raises(TypeError, match="counter"):
         BiObjectiveProblem("p", 1, [0.0], [1.0], _zero, _zero, counter=EvalCounter())
@@ -142,9 +160,9 @@ def test_counter_is_not_an_argument():
 
 def test_evaluation_counting():
     p = convex_problem()
-    p.evaluate((0.0, 0.0))
+    p.evaluate_batch((0.0, 0.0))
     assert p.counter.count == 2
-    p.evaluate((1.0, 1.0))
+    p.evaluate_batch((1.0, 1.0))
     assert p.counter.count == 4
     pts = np.zeros((25, 2))
     p.evaluate_batch(pts)
@@ -154,7 +172,7 @@ def test_evaluation_counting():
 def test_out_of_bounds_rejected_and_uncounted():
     p = convex_problem()
     with pytest.raises(BoundsError, match="convex"):
-        p.evaluate((11.0, 0.0))
+        p.evaluate_batch((11.0, 0.0))
     with pytest.raises(BoundsError):
         p.evaluate_batch([[0.0, 0.0], [0.0, -5.0001]])
     # several bad rows, the first below the box and a later one above it:
@@ -167,14 +185,14 @@ def test_out_of_bounds_rejected_and_uncounted():
     with pytest.raises(BoundsError, match=r"point \[nan, 1\.0\] is outside"):
         p.evaluate_batch([[0.0, 0.0], [np.nan, 1.0], [1.0, 1.0]])
     with pytest.raises(BoundsError, match=r"point \[0\.0, nan\] is outside"):
-        p.evaluate((0.0, np.nan))
+        p.evaluate_batch((0.0, np.nan))
     # so is an infinite one, of either sign
     with pytest.raises(BoundsError, match=r"point \[inf, 0\.0\] is outside"):
         p.evaluate_batch([[0.0, 0.0], [np.inf, 0.0], [0.0, -np.inf]])
     with pytest.raises(BoundsError, match=r"point \[0\.0, -inf\] is outside"):
         p.evaluate_batch([[1.0, 1.0], [0.0, -np.inf], [np.inf, 0.0]])
     with pytest.raises(BoundsError, match=r"point \[-inf, 1\.0\] is outside"):
-        p.evaluate((-np.inf, 1.0))
+        p.evaluate_batch((-np.inf, 1.0))
     assert p.counter.count == 0
 
 
@@ -196,18 +214,6 @@ def test_objective_of_wrong_shape_rejected_and_uncounted(f1, f2):
 
 
 @pytest.mark.parametrize(
-    "x", [[[0.0, 0.0], [5.0, 5.0]], [[0.0, 0.0]], 0.0, [0.0, 0.0, 0.0], [[[0.0, 0.0]]]]
-)
-def test_evaluate_takes_exactly_one_point(x):
-    # a batch used to be evaluated whole, answered with its first row and
-    # counted as one point
-    p = convex_problem()
-    with pytest.raises(InvalidInputError, match=r"shape \(2,\).*'convex', got shape"):
-        p.evaluate(x)
-    assert p.counter.count == 0
-
-
-@pytest.mark.parametrize(
     "f1",
     [lambda x: 1.0, lambda x: x.copy()],  # a scalar; a column, not a vector
 )
@@ -220,8 +226,9 @@ def test_evaluate_shares_the_objective_shape_check(f1):
         f1=f1,
         f2=lambda x: x[:, 0].copy(),
     )
+    # one (d,) point is a one-row batch and meets the same check
     with pytest.raises(InvalidInputError, match=r"'shape' must return shape \(1,\)"):
-        p.evaluate((0.25,))
+        p.evaluate_batch((0.25,))
     assert p.counter.count == 0
 
 
@@ -235,7 +242,7 @@ def test_nan_objective_rejected_and_uncounted():
         f2=lambda x: x[:, 0].copy(),
     )
     with pytest.raises(InvalidInputError, match=r"'nan-right' are NaN at point \[0\.75\]"):
-        p.evaluate((0.75,))
+        p.evaluate_batch((0.75,))
     with pytest.raises(InvalidInputError, match=r"point \[0\.75\]"):
         p.evaluate_batch([[0.25], [0.75], [1.0]])
     assert p.counter.count == 0
@@ -245,16 +252,16 @@ def test_nan_objective_rejected_and_uncounted():
 
 def test_bounds_are_inclusive():
     p = convex_problem()
-    p.evaluate((-5.0, 10.0))  # corners are valid
-    p.evaluate((10.0, 10.0))
+    p.evaluate_batch((-5.0, 10.0))  # corners are valid
+    p.evaluate_batch((10.0, 10.0))
     with pytest.raises(BoundsError):
-        p.evaluate((10.0001, 0.0))
+        p.evaluate_batch((10.0001, 0.0))
 
 
 def test_dimension_mismatch():
     p = convex_problem()
-    with pytest.raises(ValueError, match="dimension"):
-        p.evaluate((0.0, 0.0, 0.0))
+    with pytest.raises(ValueError, match=r"\(n, 2\) batch"):
+        p.evaluate_batch((0.0, 0.0, 0.0))
 
 
 @pytest.mark.parametrize(

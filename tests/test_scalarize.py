@@ -64,12 +64,12 @@ class TestScalarizationConstruction:
 
 class TestLogDensity:
     def test_weighted_sum_at_f1_minimum(self):
-        f = convex_problem().evaluate((0.0, 0.0))
+        f = convex_problem().evaluate_batch((0.0, 0.0))[0]
         assert weighted_sum(0.0).log_density_values(f) == 0.0
 
     def test_weighted_sum_midpoint(self):
         # -[0.5 * 0 + 0.5 * 50]
-        f = convex_problem().evaluate((0.0, 0.0))
+        f = convex_problem().evaluate_batch((0.0, 0.0))[0]
         assert weighted_sum(0.5).log_density_values(f) == pytest.approx(-25.0)
 
     def test_tchebycheff_hand_value(self):
