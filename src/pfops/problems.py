@@ -10,7 +10,15 @@ Out-of-bounds evaluation requests raise :class:`~pfops.errors.BoundsError`
 instead of being clamped; silent clamping would corrupt the tally. An
 objective that returns NaN raises :class:`~pfops.errors.InvalidInputError`,
 since no dominance order or density holds for it; infinite values pass. A
-batch objective that does not return one value per row raises it too.
+batch objective that does not return one value per row, or returns complex
+or non-numeric values, raises it too.
+
+The built-in objectives add their two or three per-coordinate columns
+(``t[:, 0] + t[:, 1] + t[:, 2]``) instead of calling ``np.sum(t, axis=1)``:
+numpy's reduction over a 2- or 3-wide axis is slow for its size (on a
+500 x 3 batch, 19 us against 4.4 us for the two additions, on one Xeon core
+with numpy 2.4), and both forms run the same float operations in the same
+order, ``(t0 + t1) + t2``, so the values are bit-identical.
 """
 
 from __future__ import annotations
@@ -56,9 +64,10 @@ class BiObjectiveProblem:
             on the problem needs its Utopian point strictly below it.
         counter: evaluation tally fed by ``evaluate_batch``; not an argument.
 
-    A dim that is not an integer >= 1, bounds of another shape, not finite
-    or not strictly ordered, and an ideal that is not two finite numbers
-    raise InvalidInputError naming the field.
+    A dim that is not an integer >= 1, bounds of another shape, not finite,
+    not strictly ordered or with a span ``upper - lower`` that overflows,
+    and an ideal that is not two finite numbers raise InvalidInputError
+    naming the field.
     """
 
     name: str
@@ -84,6 +93,13 @@ class BiObjectiveProblem:
                 raise InvalidInputError(f"{name} must be finite, got {bound.tolist()}")
         if not np.all(self.lower < self.upper):
             raise InvalidInputError("each lower bound must be strictly below its upper bound")
+        with np.errstate(over="ignore"):
+            span = self.upper - self.lower
+        if not np.isfinite(span).all():  # e.g. [-1e308, 1e308]: no box to sample either
+            raise InvalidInputError(
+                f"upper - lower must be finite, got lower={self.lower.tolist()} "
+                f"and upper={self.upper.tolist()}"
+            )
         if self.ideal is not None:
             ideal = _float_array("ideal", self.ideal)
             if ideal.shape != (2,) or not np.isfinite(ideal).all():
@@ -127,15 +143,22 @@ class BiObjectiveProblem:
 
         Counts 2n evaluations. Raises BoundsError if any row is outside
         the box, and InvalidInputError if an objective does not return one
-        value per row or is NaN at any row (nothing is counted in any case).
+        real (bool, integer or float) value per row or is NaN at any row
+        (nothing is counted in any case).
         """
         p = self._check_batch(points)
-        f1, f2 = self.f1(p), self.f2(p)
-        if np.shape(f1) != (len(p),) or np.shape(f2) != (len(p),):
+        f1, f2 = np.asarray(self.f1(p)), np.asarray(self.f2(p))
+        if f1.shape != (len(p),) or f2.shape != (len(p),):
             raise InvalidInputError(
                 f"objectives of problem '{self.name}' must return shape ({len(p)},) "
-                f"for {len(p)} points, got {np.shape(f1)} and {np.shape(f2)}"
+                f"for {len(p)} points, got {f1.shape} and {f2.shape}"
             )
+        for which, f in (("f1", f1), ("f2", f2)):
+            if f.dtype.kind not in "biuf":  # a cast would drop an imaginary part
+                raise InvalidInputError(
+                    f"objective {which} of problem '{self.name}' must return real "
+                    f"numbers, got dtype {f.dtype}"
+                )
         values = np.empty((len(p), 2))
         values[:, 0] = f1
         values[:, 1] = f2
@@ -179,11 +202,15 @@ _INV_SQRT2 = 1.0 / np.sqrt(2.0)
 
 
 def _fonseca_f1(x: np.ndarray) -> np.ndarray:
-    return 1.0 - np.exp(-np.sum((x - _INV_SQRT2) ** 2, axis=1))
+    dev = x - _INV_SQRT2
+    sq = dev * dev
+    return 1.0 - np.exp(-(sq[:, 0] + sq[:, 1]))
 
 
 def _fonseca_f2(x: np.ndarray) -> np.ndarray:
-    return 1.0 - np.exp(-np.sum((x + _INV_SQRT2) ** 2, axis=1))
+    dev = x + _INV_SQRT2
+    sq = dev * dev
+    return 1.0 - np.exp(-(sq[:, 0] + sq[:, 1]))
 
 
 def fonseca_fleming_problem() -> BiObjectiveProblem:
@@ -206,13 +233,19 @@ def fonseca_fleming_problem() -> BiObjectiveProblem:
 
 
 def _kursawe_f1(x: np.ndarray) -> np.ndarray:
-    return np.sum(
-        -10.0 * np.exp(-0.2 * np.sqrt(x[:, :-1] ** 2 + x[:, 1:] ** 2)), axis=1
-    )
+    sq = x * x
+    t = -10.0 * np.exp(-0.2 * np.sqrt(sq[:, :-1] + sq[:, 1:]))
+    return t[:, 0] + t[:, 1]
 
 
 def _kursawe_f2(x: np.ndarray) -> np.ndarray:
-    return np.sum(np.abs(x) ** 0.8 + 5.0 * np.sin(x**3), axis=1)
+    # x**3 stays, although numpy sends negative bases down its per-element
+    # pow (134 of the 156 us of a 500-row call, one Xeon core, numpy 2.4):
+    # x * x * x changes the last bit of about 26 % of cubes, and
+    # copysign(abs(x)**3, x) of about 5 % of negative ones, so either would
+    # move every seeded Kursawe result.
+    t = np.abs(x) ** 0.8 + 5.0 * np.sin(x**3)
+    return t[:, 0] + t[:, 1] + t[:, 2]
 
 
 def kursawe_problem() -> BiObjectiveProblem:

@@ -150,6 +150,24 @@ def test_infinite_bounds_rejected(lower, upper, field):
         BiObjectiveProblem("p", len(lower), lower, upper, _zero, _zero)
 
 
+@pytest.mark.parametrize(
+    "lower, upper",
+    [([-1e308], [1e308]), ([0.0, -1e308], [1.0, 1e308]), ([-1.5e308], [0.3e308])],
+)
+def test_overflowing_span_rejected(lower, upper):
+    # upper - lower is inf: both algorithms would draw inf or NaN points and
+    # blame them with a BoundsError; no RuntimeWarning on the way
+    with pytest.raises(InvalidInputError, match=r"^upper - lower must be finite") as excinfo:
+        BiObjectiveProblem("wide", len(lower), lower, upper, _zero, _zero)
+    assert f"lower={np.array(lower).tolist()}" in str(excinfo.value)
+    assert f"upper={np.array(upper).tolist()}" in str(excinfo.value)
+
+
+def test_widest_finite_span_accepted():
+    p = BiObjectiveProblem("wide", 1, [-8e307], [8e307], _zero, _zero)
+    assert p.evaluate_batch([[-8e307], [8e307]]).shape == (2, 2)
+
+
 def test_counter_is_not_an_argument():
     with pytest.raises(TypeError, match="counter"):
         BiObjectiveProblem("p", 1, [0.0], [1.0], _zero, _zero, counter=EvalCounter())
@@ -250,6 +268,46 @@ def test_nan_objective_rejected_and_uncounted():
     assert p.counter.count == 2
 
 
+@pytest.mark.parametrize(
+    "f2, dtype",
+    [
+        (lambda x: x[:, 0] + 0j, "complex128"),  # imaginary part 0: still not real
+        (lambda x: x[:, 0] * (1 + 1j), "complex128"),
+        (lambda x: np.full(len(x), "1.5"), "<U3"),
+        (lambda x: [str(v) for v in x[:, 0]], "<U4"),
+        (lambda x: np.full(len(x), None), "object"),
+    ],
+)
+def test_non_real_objective_rejected_and_uncounted(f2, dtype):
+    p = BiObjectiveProblem("odd", 1, [0.0], [1.0], lambda x: x[:, 0].copy(), f2)
+    message = rf"^objective f2 of problem 'odd' must return real numbers, got dtype {dtype}$"
+    with pytest.raises(InvalidInputError, match=message):
+        p.evaluate_batch([[0.25], [0.75]])
+    # the first objective is named too
+    q = BiObjectiveProblem("odd", 1, [0.0], [1.0], f2, lambda x: x[:, 0].copy())
+    with pytest.raises(InvalidInputError, match=r"objective f1 of problem 'odd'"):
+        q.evaluate_batch([[0.25], [0.75]])
+    assert p.counter.count == q.counter.count == 0
+
+
+@pytest.mark.parametrize(
+    "f2, expected",
+    [
+        (lambda x: x[:, 0] > 0.5, [0.0, 1.0]),
+        (lambda x: np.arange(len(x)), [0.0, 1.0]),
+        (lambda x: np.arange(len(x), dtype=np.uint8), [0.0, 1.0]),
+        (lambda x: x[:, 0].astype(np.float32), [0.25, 0.75]),
+        (lambda x: list(x[:, 0]), [0.25, 0.75]),
+    ],
+)
+def test_real_objective_dtypes_accepted(f2, expected):
+    p = BiObjectiveProblem("real", 1, [0.0], [1.0], lambda x: x[:, 0].copy(), f2)
+    values = p.evaluate_batch([[0.25], [0.75]])
+    assert values.dtype == np.float64
+    assert values[:, 1].tolist() == expected
+    assert p.counter.count == 4
+
+
 def test_bounds_are_inclusive():
     p = convex_problem()
     p.evaluate_batch((-5.0, 10.0))  # corners are valid
@@ -288,3 +346,41 @@ def test_convex_symmetry():
     mirrored = 5.0 - pts
     np.testing.assert_allclose(p.f1(pts), p.f2(mirrored), rtol=1e-12)
 
+
+_C = 1.0 / np.sqrt(2.0)
+
+# The objectives as reductions over axis 1: the built-in kernels add their
+# columns instead and must stay bit-identical to these.
+REFERENCE_OBJECTIVES = {
+    "fonseca": (
+        lambda x: 1.0 - np.exp(-np.sum((x - _C) ** 2, axis=1)),
+        lambda x: 1.0 - np.exp(-np.sum((x + _C) ** 2, axis=1)),
+    ),
+    "kursawe": (
+        lambda x: np.sum(-10.0 * np.exp(-0.2 * np.sqrt(x[:, :-1] ** 2 + x[:, 1:] ** 2)), axis=1),
+        lambda x: np.sum(np.abs(x) ** 0.8 + 5.0 * np.sin(x**3), axis=1),
+    ),
+}
+
+
+def _kernel_batch(p, rows):
+    """Uniform rows in the box, with corners, signed zeros and tiny values."""
+    rng = np.random.default_rng(14)
+    x = p.lower + (p.upper - p.lower) * rng.random((rows, p.dim))
+    special = np.concatenate(
+        [p.lower, p.upper, [0.0, -0.0, 1e-300, -1e-300, 5e-324, -2.5e-301, 1e-150, -1e-100]]
+    )
+    x[: rows // 10] = rng.choice(special, size=(rows // 10, p.dim))
+    return x
+
+
+@pytest.mark.parametrize("name", sorted(REFERENCE_OBJECTIVES))
+def test_kernels_bit_identical_to_axis_reductions(name):
+    p = lookup_problem(name)
+    x = _kernel_batch(p, 120_000)
+    for rows in (x, x[:1], x[:0]):
+        for kernel, reference in zip((p.f1, p.f2), REFERENCE_OBJECTIVES[name]):
+            got, want = kernel(rows), reference(rows)
+            assert got.shape == want.shape == (len(rows),)
+            assert got.dtype == want.dtype == np.float64
+            assert got.tobytes() == want.tobytes()
