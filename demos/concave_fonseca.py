@@ -10,8 +10,6 @@ weighted-sum archive collapsing to the endpoints.
 from dataclasses import replace
 from pathlib import Path
 
-import numpy as np
-
 import pfops
 from pfops.scalarize import ScalarizationKind
 
@@ -46,14 +44,9 @@ for label, front in (
     )
 print(f"tchebycheff IGD vs reference: {tch_report.igd:.4f}")
 
-ws_report = pfops.RunReport(
-    archive=pfops.ParetoArchive(decisions=np.zeros((len(ws_archive.front), 2)), front=ws_archive.front),
-    igd=pfops.igd(ws_archive.front, reference),
-    hypervolume=0.0,
-    eval_count=0,
-    wall_time=0.0,
-    seed=0,
-    metadata={"label": "weighted-sum (collapses to endpoints)"},
-)
-pfops.emit_front_svg([tch_report, ws_report], reference, OUT / "fonseca_scalarizations.svg")
+fronts = {
+    "pfops-fonseca": tch_report.archive.front,
+    "weighted-sum (collapses to endpoints)": ws_archive.front,
+}
+pfops.emit_front_svg(fronts, reference, OUT / "fonseca_scalarizations.svg")
 print(f"wrote {OUT / 'fonseca_scalarizations.svg'}")

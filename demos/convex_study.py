@@ -42,16 +42,10 @@ print(
     f"{'':>12} {evals:7d}"
 )
 
-pfops.emit_front_svg(
-    [reports["pfops-convex-sufficient"], reports["nsga2-convex-sufficient"]],
-    reference,
-    OUT / "convex_sufficient.svg",
-)
-pfops.emit_front_svg(
-    [reports["pfops-convex-under"], reports["nsga2-convex-under"]],
-    reference,
-    OUT / "convex_under.svg",
-)
+for budget in ("sufficient", "under"):
+    names = (f"pfops-convex-{budget}", f"nsga2-convex-{budget}")
+    fronts = {name: reports[name].archive.front for name in names}
+    pfops.emit_front_svg(fronts, reference, OUT / f"convex_{budget}.svg")
 for name, report in reports.items():
     pfops.write_front_csv(report.archive.front, OUT / f"{name}_front.csv")
 print(f"wrote plots and fronts to {OUT}")

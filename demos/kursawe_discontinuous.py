@@ -38,6 +38,7 @@ print(
 baseline = pfops.run_preset("nsga2-kursawe", seed=0)
 print(f"nsga2 baseline: igd {baseline.igd:.4f}, evals {baseline.eval_count}")
 
-pfops.emit_front_svg([report, baseline], reference, OUT / "kursawe_fronts.svg")
+fronts = {"pfops-kursawe": report.archive.front, "nsga2-kursawe": baseline.archive.front}
+pfops.emit_front_svg(fronts, reference, OUT / "kursawe_fronts.svg")
 pfops.write_front_csv(report.archive.front, OUT / "pfops_kursawe_front.csv")
 print(f"wrote plots to {OUT}")

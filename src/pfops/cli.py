@@ -9,6 +9,7 @@ nonzero with a diagnostic on stderr otherwise.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from pathlib import Path
@@ -71,14 +72,11 @@ def _write_run_artifacts(report: experiments.RunReport, out_dir: str) -> list[Pa
 
     report_json = out / f"{stem}_report.json"
     payload = {
-        "igd": report.igd,
-        "hypervolume": report.hypervolume,
-        "eval_count": report.eval_count,
-        "wall_time": report.wall_time,
-        "seed": report.seed,
-        "metadata": report.metadata,
+        field.name: getattr(report, field.name)
+        for field in dataclasses.fields(report)
+        if field.name != "archive"  # written as the front CSV and SVG
     }
-    report_json.write_text(json.dumps(payload, indent=2, default=str) + "\n")
+    report_json.write_text(json.dumps(payload, indent=2) + "\n")
     written.append(report_json)
 
     problem = report.metadata["problem"]
@@ -86,7 +84,7 @@ def _write_run_artifacts(report: experiments.RunReport, out_dir: str) -> list[Pa
         problem, experiments.REFERENCE_RESOLUTION[problem]
     )
     svg = out / f"{stem}_front.svg"
-    experiments.emit_front_svg([report], reference, svg)
+    experiments.emit_front_svg({report.metadata["label"]: report.archive.front}, reference, svg)
     written.append(svg)
     return written
 
@@ -167,10 +165,7 @@ def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
-    except PfopsError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (PfopsError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

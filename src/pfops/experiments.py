@@ -4,15 +4,15 @@ Shipped presets pin the reference benchmark settings for the three studies
 (convex sufficient-sampling and undersampling, Fonseca-Fleming, Kursawe)
 for both the particle-filter optimizer and the NSGA-II baseline. Every run
 returns a :class:`RunReport` carrying the archive, IGD against the problem's
-reference front, a 2-D hypervolume, the measured evaluation count, and audit
-metadata (seed, switch states, resampling scheme).
+reference front, a 2-D hypervolume, the measured evaluation count, the seed
+and audit metadata (the config as run, with its seed and switch states).
 """
 
 from __future__ import annotations
 
 import json
 import time
-from collections.abc import Iterable
+from collections.abc import Iterable, Mapping
 from dataclasses import MISSING, asdict, dataclass, fields, replace
 from html import escape
 from pathlib import Path
@@ -151,8 +151,6 @@ def _execute(preset: ExperimentPreset, seed: int) -> RunReport:
         config["scalarization_kind"] = cfg.scalarization_kind.value
         extra = {
             "resampling_scheme": "multinomial",
-            "metropolis_enabled": cfg.metropolis_enabled,
-            "final_filter_enabled": cfg.final_filter_enabled,
             "out_of_box_proposals": "rejected, still counted",
             "nominal_eval_count": 2 * cfg.n_targets * cfg.n_particles,
         }
@@ -175,12 +173,10 @@ def _execute(preset: ExperimentPreset, seed: int) -> RunReport:
         "label": preset.name,
         "problem": problem_name,
         "algorithm": preset.algorithm,
-        "seed": seed,
         "config": config,
         "reference_resolution": REFERENCE_RESOLUTION[problem_name],
         "hypervolume_ref_point": tuple(ref_point.tolist()),
         "hypervolume_points_used": int(len(dominating)),
-        "measured_eval_count": int(evals),
         **extra,
     }
     return RunReport(
@@ -212,7 +208,6 @@ def run_preset(name: str, seed: int) -> RunReport:
 class ComparisonResult:
     preset_a: str
     preset_b: str
-    seeds: list[int]
     rows: list[dict]
     medians: dict
     summary: str
@@ -265,7 +260,6 @@ def compare(preset_a: str, preset_b: str, seeds: Iterable[int]) -> ComparisonRes
     return ComparisonResult(
         preset_a=preset_a,
         preset_b=preset_b,
-        seeds=seeds,
         rows=rows,
         medians=medians,
         summary=summary,
@@ -297,18 +291,27 @@ _SVG_COLORS = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b")
 
 
 def emit_front_svg(
-    reports: list[RunReport], reference: np.ndarray, path: str | Path
+    fronts: Mapping[str, np.ndarray], reference: np.ndarray, path: str | Path
 ) -> None:
-    """Scatter of each report's front over the reference front as a polyline.
+    """Scatter of each labelled front over the reference front as a polyline.
 
-    Self-contained SVG: one marker group per report (distinct color),
-    axis labels, and a legend built from the report labels.
+    ``fronts`` maps a legend label to an (n, 2) front, in plotting order.
+    Each front and the reference are read by :func:`pareto.as_front`; a
+    front of another shape raises InvalidInputError naming its label.
+    Self-contained SVG: one marker group per front (distinct color), axis
+    labels, and a legend of the labels.
     """
-    if not reports:
-        raise InvalidInputError("need at least one report to plot")
+    if not fronts:
+        raise InvalidInputError("need at least one front to plot")
     reference = pareto.as_front(reference)
+    checked = {}
+    for label, front in fronts.items():
+        try:
+            checked[label] = pareto.as_front(front)
+        except InvalidInputError as exc:
+            raise InvalidInputError(f"front {label!r}: {exc}") from None
 
-    stacks = [r.archive.front for r in reports if len(r.archive.front)]
+    stacks = [front for front in checked.values() if len(front)]
     if len(reference):
         stacks.append(reference)
     data = np.vstack(stacks) if stacks else np.zeros((0, 2))
@@ -351,13 +354,13 @@ def emit_front_svg(
             f'<polyline points="{point_text}" fill="none" stroke="#444444" '
             'stroke-width="1.5"/>'
         )
-    for i, report in enumerate(reports):
+    for i, (label, front) in enumerate(checked.items()):
         color = _SVG_COLORS[i % len(_SVG_COLORS)]
-        label = escape(str(report.metadata.get("label", f"run-{i}")))
+        label = escape(str(label))
         circles = "".join(
             f'<circle cx="{sx(p[0]):.2f}" cy="{sy(p[1]):.2f}" r="3" '
             f'fill="{color}" fill-opacity="0.75"/>'
-            for p in report.archive.front
+            for p in front
         )
         parts.append(f'<g class="front" data-label="{label}">{circles}</g>')
         ly = margin + 18.0 * i
@@ -367,10 +370,7 @@ def emit_front_svg(
             f'font-size="12">{label}</text>'
         )
     parts.append("</svg>")
-    try:
-        Path(path).write_text("\n".join(parts) + "\n")
-    except OSError as exc:
-        raise OSError(f"writing SVG to {path}: {exc}") from exc
+    Path(path).write_text("\n".join(parts) + "\n")
 
 
 _TOP_LEVEL_KEYS = {"problem", "algorithm", "seed", "pfops", "nsga2"}

@@ -249,9 +249,21 @@ def write_front_csv(points: np.ndarray, path: str | Path) -> None:
 
 
 def read_front_csv(path: str | Path) -> np.ndarray:
-    """Read a front written by :func:`write_front_csv`."""
-    text = Path(path).read_text().strip().splitlines()
-    if not text or text[0].strip() != "f1,f2":
+    """Read a front written by :func:`write_front_csv`: the header ``f1,f2``,
+    then one row of two numbers per point; blank lines are skipped. A row
+    that is not two numbers raises InvalidInputError naming the file and
+    its line number."""
+    lines = [(i, line) for i, line in enumerate(Path(path).read_text().splitlines(), 1)
+             if line.strip()]
+    if not lines or lines[0][1].strip() != "f1,f2":
         raise InvalidInputError(f"{path}: expected header 'f1,f2'")
-    rows = [tuple(float(v) for v in line.split(",")) for line in text[1:] if line.strip()]
+    rows = []
+    for number, line in lines[1:]:
+        try:
+            f1, f2 = map(float, line.split(","))
+        except ValueError:
+            raise InvalidInputError(
+                f"{path}, line {number}: expected two numbers, got {line!r}"
+            ) from None
+        rows.append((f1, f2))
     return np.array(rows, dtype=float).reshape(-1, 2)

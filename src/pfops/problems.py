@@ -64,10 +64,10 @@ class BiObjectiveProblem:
             on the problem needs its Utopian point strictly below it.
         counter: evaluation tally fed by ``evaluate_batch``; not an argument.
 
-    A dim that is not an integer >= 1, bounds of another shape, not finite,
-    not strictly ordered or with a span ``upper - lower`` that overflows,
-    and an ideal that is not two finite numbers raise InvalidInputError
-    naming the field.
+    A dim that is not an integer >= 1, bounds that are not integers or
+    floats, of another shape, not finite, not strictly ordered or with a
+    span ``upper - lower`` that overflows, and an ideal that is not two
+    finite integers or floats raise InvalidInputError naming the field.
     """
 
     name: str
@@ -166,10 +166,17 @@ class BiObjectiveProblem:
 
 
 def _float_array(name: str, value: object) -> np.ndarray:
+    """``value`` as a float array. Each item must be an integer or a float
+    (numpy's included): a cast would read "-5" as -5.0 and True as 1.0."""
     try:
-        return np.asarray(value, dtype=float)
-    except (TypeError, ValueError):
-        raise InvalidInputError(f"{name} must be numbers, got {value!r}") from None
+        items = np.asarray(value, dtype=object).flat
+    except ValueError:  # a nesting that numpy cannot stack
+        items = [None]
+    if not all(
+        isinstance(v, numbers.Real) and not isinstance(v, (bool, np.bool_)) for v in items
+    ):
+        raise InvalidInputError(f"{name} must be integers or floats, got {value!r}")
+    return np.asarray(value, dtype=float)
 
 
 def _convex_f1(x: np.ndarray) -> np.ndarray:

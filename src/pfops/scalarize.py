@@ -52,7 +52,7 @@ class Scalarization:
 
     Attributes:
         kind: weighted-sum or Tchebycheff.
-        lam: balance parameter in [0, 1].
+        lam: balance parameter, a number in [0, 1] (a bool is not one).
         utopian: (z1, z2), two finite numbers, required iff kind is
             Tchebycheff; stored as a float tuple.
     """
@@ -62,8 +62,8 @@ class Scalarization:
     utopian: tuple[float, float] | None = None
 
     def __post_init__(self) -> None:
-        if not 0.0 <= self.lam <= 1.0:
-            raise InvalidConfigError(f"lambda must lie in [0, 1], got {self.lam}")
+        if not (is_finite_number(self.lam) and 0.0 <= self.lam <= 1.0):
+            raise InvalidConfigError(f"lambda must be a number in [0, 1], got {self.lam!r}")
         z = self.utopian
         if self.kind is ScalarizationKind.TCHEBYCHEFF:
             if z is None:
@@ -109,11 +109,13 @@ def equal_interval_schedule(k_targets: int) -> np.ndarray:
     """Balance parameters lambda_k = (k-1)/(K-1) for k = 1..K.
 
     Raises:
-        InvalidConfigError: if K < 2; a single lambda cannot be both the
-            required first value 0 and last value 1.
+        InvalidConfigError: if K is not an integer (numpy integers pass) or
+            is below 2; a single lambda cannot be both the required first
+            value 0 and last value 1.
     """
-    if k_targets < 2:
+    if isinstance(k_targets, bool) or not isinstance(k_targets, numbers.Integral) or k_targets < 2:
         raise InvalidConfigError(
-            f"need at least 2 targets to span lambda from 0 to 1, got {k_targets}"
+            f"need an integer of at least 2 targets to span lambda from 0 to 1, "
+            f"got {k_targets!r}"
         )
     return np.linspace(0.0, 1.0, int(k_targets))

@@ -1,9 +1,11 @@
+import dataclasses
 import json
 
 import numpy as np
 import pytest
 
-from pfops.cli import main
+from pfops import experiments
+from pfops.cli import _write_run_artifacts, main
 from pfops.pareto import read_front_csv
 
 
@@ -31,9 +33,36 @@ def test_run_preset_with_artifacts(tmp_path, capsys):
     front = read_front_csv(front_csv)
     assert front.shape[1] == 2 and len(front) >= 1
     payload = json.loads(report_json.read_text())
+    assert list(payload) == ["igd", "hypervolume", "eval_count", "wall_time", "seed", "metadata"]
     assert payload["eval_count"] == 200
     assert payload["metadata"]["resampling_scheme"] == "multinomial"
+    assert payload["metadata"]["config"]["seed"] == payload["seed"] == 3
     assert svg.read_text().startswith("<svg")
+
+
+def test_report_json_holds_every_report_field_but_the_archive(tmp_path):
+    # a field added to RunReport reaches the JSON with no edit to the CLI
+    @dataclasses.dataclass
+    class Extended(experiments.RunReport):
+        min_ess: float = 0.25
+
+    report = experiments.run_preset("nsga2-convex-under", 4)
+    extended = Extended(**{f.name: getattr(report, f.name) for f in dataclasses.fields(report)})
+    _write_run_artifacts(extended, str(tmp_path))
+    payload = json.loads((tmp_path / "nsga2-convex-under_seed4_report.json").read_text())
+    names = [f.name for f in dataclasses.fields(experiments.RunReport) if f.name != "archive"]
+    assert list(payload) == names + ["min_ess"]
+    assert payload["min_ess"] == 0.25
+    assert payload["igd"] == report.igd and payload["seed"] == 4
+    assert payload["metadata"] == json.loads(json.dumps(report.metadata))
+
+
+def test_run_unwritable_out_reported(tmp_path, capsys):
+    blocker = tmp_path / "a-file"
+    blocker.write_text("")
+    assert main(["run", "--preset", "pfops-convex-under", "--out", str(blocker)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(blocker) in err
 
 
 def test_run_default_seed_zero(capsys):

@@ -9,7 +9,7 @@ import pytest
 
 import pfops.experiments as experiments
 import pfops.nsga2 as nsga2
-from pfops.core import ParetoArchive, PfopsConfig
+from pfops.core import PfopsConfig
 from pfops.errors import InvalidConfigError, InvalidInputError, NotFoundError
 from pfops.experiments import (
     HYPERVOLUME_REF,
@@ -165,12 +165,23 @@ class TestRunPreset:
         report = run_preset("pfops-convex-under", 1)
         md = report.metadata
         assert md["resampling_scheme"] == "multinomial"
-        assert md["metropolis_enabled"] is False
-        assert md["final_filter_enabled"] is True
-        assert md["seed"] == 1
-        assert md["measured_eval_count"] == report.eval_count
-        assert md["nominal_eval_count"] == 200
+        assert md["config"]["metropolis_enabled"] is False
+        assert md["config"]["final_filter_enabled"] is True
+        assert md["config"]["seed"] == 1 and report.seed == 1
+        assert report.eval_count == md["nominal_eval_count"] == 200
         json.dumps(md)  # must be serializable for report artifacts
+
+    @pytest.mark.parametrize("name", ["pfops-convex-under", "nsga2-convex-under"])
+    def test_metadata_states_each_fact_once(self, name):
+        # the seed, the measured count and the PFOPS switches used to be
+        # stored in the metadata beside the report field or config entry
+        report = run_preset(name, 1)
+        top_level = {f.name for f in fields(RunReport)}
+        assert not set(report.metadata) & (top_level | set(report.metadata["config"]))
+        config = asdict(replace(PRESETS[name].config, seed=1))
+        if "scalarization_kind" in config:
+            config["scalarization_kind"] = config["scalarization_kind"].value
+        assert report.metadata["config"] == config  # the config as run
 
     def test_bad_utopian_rejected(self):
         preset = PRESETS["pfops-fonseca"]
@@ -189,7 +200,8 @@ class TestSeedTypes:
     def test_numpy_integer_seed_runs(self):
         report = run_preset("pfops-convex-under", np.int64(3))
         assert report.seed == 3 and type(report.seed) is int
-        assert report.metadata["seed"] == 3 and type(report.metadata["seed"]) is int
+        seed = report.metadata["config"]["seed"]
+        assert seed == 3 and type(seed) is int
 
 
 class TestCompare:
@@ -214,8 +226,8 @@ class TestCompare:
     def test_seed_generator_read_once(self):
         # the check loop used to use the generator up: "seed list must not be empty"
         result = compare("pfops-convex-under", "nsga2-convex-under", (s for s in [0, 1]))
-        assert result.seeds == [0, 1]
         assert [row["seed"] for row in result.rows] == [0, 1]
+        assert all(type(row["seed"]) is int for row in result.rows)
 
     def test_performs_exactly_2n_runs(self, monkeypatch):
         calls = []
@@ -246,29 +258,15 @@ class TestCompare:
         assert lines[-1].startswith("median,")
 
 
-def _tiny_report(front, label="tiny"):
-    front = np.asarray(front, dtype=float).reshape(-1, 2)
-    return RunReport(
-        archive=ParetoArchive(decisions=np.zeros((len(front), 2)), front=front),
-        igd=0.0,
-        hypervolume=0.0,
-        eval_count=0,
-        wall_time=0.0,
-        seed=0,
-        metadata={"label": label, "problem": "convex"},
-    )
-
-
 class TestEmitters:
     def test_front_csv_format(self, tmp_path):
-        report = _tiny_report([[0.0, 50.0], [50.0, 0.0]])
         path = tmp_path / "front.csv"
-        write_front_csv(report.archive.front, path)
+        write_front_csv(np.array([[0.0, 50.0], [50.0, 0.0]]), path)
         assert path.read_text() == "f1,f2\n0,50\n50,0\n"
 
     def test_front_csv_empty_archive(self, tmp_path):
         path = tmp_path / "front.csv"
-        write_front_csv(_tiny_report(np.zeros((0, 2))).archive.front, path)
+        write_front_csv(np.zeros((0, 2)), path)
         assert path.read_text() == "f1,f2\n"
 
     def test_front_csv_round_trip(self, tmp_path):
@@ -282,7 +280,7 @@ class TestEmitters:
     def test_svg_structure(self, tmp_path):
         path = tmp_path / "plot.svg"
         reference = reference_front("convex", 30)
-        emit_front_svg([_tiny_report([[0.0, 50.0], [50.0, 0.0]])], reference, path)
+        emit_front_svg({"tiny": np.array([[0.0, 50.0], [50.0, 0.0]])}, reference, path)
         root = ET.parse(path).getroot()  # well-formed markup
         ns = "{http://www.w3.org/2000/svg}"
         groups = root.findall(f"{ns}g")
@@ -292,20 +290,18 @@ class TestEmitters:
         texts = [t.text for t in root.iter(f"{ns}text")]
         assert "f1" in texts and "f2" in texts
 
-    def test_svg_two_reports_two_groups(self, tmp_path):
+    def test_svg_two_fronts_two_groups(self, tmp_path):
         path = tmp_path / "plot.svg"
-        reports = [
-            _tiny_report([[0.0, 50.0]], label="one"),
-            _tiny_report([[50.0, 0.0]], label="two"),
-        ]
-        emit_front_svg(reports, reference_front("convex", 10), path)
+        fronts = {"one": [[0.0, 50.0]], "two": np.array([50.0, 0.0])}
+        emit_front_svg(fronts, reference_front("convex", 10), path)
         root = ET.parse(path).getroot()
-        assert len(root.findall("{http://www.w3.org/2000/svg}g")) == 2
+        groups = root.findall("{http://www.w3.org/2000/svg}g")
+        assert [g.get("data-label") for g in groups] == ["one", "two"]  # mapping order
 
     def test_svg_label_with_quotes_round_trips(self, tmp_path):
         path = tmp_path / "plot.svg"
         label = """say "hi" & it's"""
-        emit_front_svg([_tiny_report([[1.0, 2.0]], label=label)], np.zeros((0, 2)), path)
+        emit_front_svg({label: np.array([[1.0, 2.0]])}, np.zeros((0, 2)), path)
         root = ET.parse(path).getroot()
         ns = "{http://www.w3.org/2000/svg}"
         assert root.find(f"{ns}g").get("data-label") == label
@@ -313,21 +309,34 @@ class TestEmitters:
 
     def test_svg_empty_reference_no_polyline(self, tmp_path):
         path = tmp_path / "plot.svg"
-        emit_front_svg([_tiny_report([[1.0, 2.0]])], np.zeros((0, 2)), path)
+        emit_front_svg({"tiny": np.array([[1.0, 2.0]])}, np.zeros((0, 2)), path)
         root = ET.parse(path).getroot()
         assert root.findall("{http://www.w3.org/2000/svg}polyline") == []
 
-    def test_svg_requires_a_report(self, tmp_path):
-        with pytest.raises(InvalidInputError):
-            emit_front_svg([], np.zeros((0, 2)), tmp_path / "x.svg")
+    def test_svg_requires_a_front(self, tmp_path):
+        with pytest.raises(InvalidInputError, match="at least one front"):
+            emit_front_svg({}, np.zeros((0, 2)), tmp_path / "x.svg")
 
     def test_svg_three_column_reference_rejected(self, tmp_path):
         # reshape(-1, 2) used to plot [[1, 2, 3], [4, 5, 6]] as three points
         with pytest.raises(InvalidInputError, match=r"shape \(2, 3\)"):
             emit_front_svg(
-                [_tiny_report([[1.0, 2.0]])], np.array([[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]]),
+                {"tiny": np.array([[1.0, 2.0]])},
+                np.array([[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]]),
                 tmp_path / "x.svg",
             )
+
+    def test_svg_three_column_front_names_its_label(self, tmp_path):
+        fronts = {"good": np.array([[1.0, 2.0]]), "wide": np.ones((2, 3))}
+        with pytest.raises(InvalidInputError, match=r"^front 'wide': .*shape \(2, 3\)"):
+            emit_front_svg(fronts, np.zeros((0, 2)), tmp_path / "x.svg")
+        assert not (tmp_path / "x.svg").exists()
+
+    def test_svg_write_error_names_the_path(self, tmp_path):
+        # the error is the one open() raised, not a re-wrapped OSError
+        path = tmp_path / "missing" / "plot.svg"
+        with pytest.raises(FileNotFoundError, match="plot.svg"):
+            emit_front_svg({"tiny": np.array([[1.0, 2.0]])}, np.zeros((0, 2)), path)
 
 
 class TestConfigFile:

@@ -15,7 +15,6 @@ def test_library_runs_without_scipy(tmp_path):
     script = textwrap.dedent(
         f"""
         import sys
-        from dataclasses import replace
         from pathlib import Path
 
         sys.modules["scipy"] = None
@@ -23,9 +22,9 @@ def test_library_runs_without_scipy(tmp_path):
         import pfops
 
         report = pfops.run_preset("pfops-convex-under", 0)
-        report = replace(report, metadata={{**report.metadata, "label": "a&<>b"}})
         out = Path({str(tmp_path / "plot.svg")!r})
-        pfops.emit_front_svg([report], pfops.reference_front("convex", 10), out)
+        fronts = {{"a&<>b": report.archive.front}}
+        pfops.emit_front_svg(fronts, pfops.reference_front("convex", 10), out)
         assert "a&amp;&lt;&gt;b" in out.read_text(), out.read_text()
         sax = sorted(m for m in sys.modules if m == "xml.sax" or m.startswith("xml.sax."))
         assert not sax, sax

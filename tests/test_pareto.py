@@ -1,7 +1,10 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 from scipy.spatial.distance import cdist
 
+import pfops.pareto as pareto
 from pfops.errors import InvalidInputError, NotFoundError
 from pfops.pareto import (
     as_front,
@@ -384,3 +387,32 @@ class TestFrontCsv:
         path.write_text("a,b\n1,2\n")
         with pytest.raises(InvalidInputError):
             read_front_csv(path)
+
+    @pytest.mark.parametrize(
+        "body, line, row",
+        [
+            ("1,2,3\n4,5,6\n", 2, "1,2,3"),  # used to read back as [[1, 2], [3, 4], [5, 6]]
+            ("0,1\n1,x\n", 3, "1,x"),
+            ("0,1\n\n1\n", 4, "1"),
+            ("0,1\n1,2,\n", 3, "1,2,"),
+        ],
+    )
+    def test_row_that_is_not_two_numbers_rejected(self, tmp_path, body, line, row):
+        path = tmp_path / "bad.csv"
+        path.write_text("f1,f2\n" + body)
+        with pytest.raises(InvalidInputError) as info:
+            read_front_csv(path)
+        assert str(info.value) == f"{path}, line {line}: expected two numbers, got {row!r}"
+
+    def test_blank_lines_skipped(self, tmp_path):
+        path = tmp_path / "front.csv"
+        path.write_text("\nf1,f2\n\n1,2\n \n3,4\n\n")
+        np.testing.assert_array_equal(read_front_csv(path), [[1.0, 2.0], [3.0, 4.0]])
+
+    def test_shipped_kursawe_front_read_exactly(self):
+        path = Path(pareto.__file__).parent / "data" / "kursawe_front_201.csv"
+        expected = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+        front = read_front_csv(path)
+        assert front.shape == expected.shape == (151, 2)
+        np.testing.assert_array_equal(front, expected)
+        np.testing.assert_array_equal(reference_front("kursawe", 201), expected)

@@ -127,6 +127,42 @@ def test_bounds_of_the_wrong_shape_rejected(lower, upper):
         BiObjectiveProblem("p", 1, lower, upper, _zero, _zero)
 
 
+@pytest.mark.parametrize(
+    "field, kwargs",
+    [
+        ("lower", {"lower": ["-5"], "upper": [5.0]}),
+        ("upper", {"lower": [-5.0], "upper": ["5"]}),
+        ("lower", {"lower": [True], "upper": [5.0]}),
+        ("upper", {"lower": [-5.0], "upper": np.array([True])}),
+        ("ideal", {"lower": [-5.0], "upper": [5.0], "ideal": ("0", "0")}),
+        ("ideal", {"lower": [-5.0], "upper": [5.0], "ideal": (True, 0)}),
+        ("ideal", {"lower": [-5.0], "upper": [5.0], "ideal": (0.0, np.True_)}),
+        ("lower", {"lower": [1j], "upper": [5.0]}),
+        ("lower", {"lower": [None], "upper": [5.0]}),
+    ],
+)
+def test_bounds_and_ideal_that_are_not_numbers_rejected(field, kwargs):
+    # "-5" used to be parsed into -5.0, and True read as 1.0
+    with pytest.raises(InvalidInputError, match=rf"^{field} must be integers or floats"):
+        BiObjectiveProblem("s", 1, f1=_zero, f2=_zero, **kwargs)
+
+
+@pytest.mark.parametrize(
+    "lower, upper, ideal",
+    [
+        ([-5], [5], (0, 0)),
+        (np.array([-5], dtype=np.int32), np.array([5.0], dtype=np.float32), np.array([0, 1])),
+        ([np.int64(-5)], [np.float32(5.0)], (np.float64(0.5), 2**70)),
+    ],
+)
+def test_integer_and_float_bounds_accepted(lower, upper, ideal):
+    p = BiObjectiveProblem("s", 1, lower, upper, _zero, _zero, ideal=ideal)
+    assert p.lower.dtype == p.upper.dtype == np.float64
+    assert (p.lower.tolist(), p.upper.tolist()) == ([-5.0], [5.0])
+    assert p.ideal == (float(ideal[0]), float(ideal[1]))
+    assert all(type(v) is float for v in p.ideal)
+
+
 @pytest.mark.parametrize("lower, upper", [([1.0], [0.0]), ([0.0], [0.0]), ([np.nan], [1.0])])
 def test_bounds_out_of_order_rejected(lower, upper):
     with pytest.raises(InvalidInputError, match="strictly below its upper bound"):

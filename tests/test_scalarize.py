@@ -38,6 +38,15 @@ class TestSchedule:
         with pytest.raises(InvalidConfigError):
             equal_interval_schedule(1)
 
+    @pytest.mark.parametrize("k", [2.7, 3.0, True, "3", None])
+    def test_k_not_an_integer_rejected(self, k):
+        # 2.7 used to give two targets
+        with pytest.raises(InvalidConfigError, match="integer of at least 2 targets"):
+            equal_interval_schedule(k)
+
+    def test_numpy_integer_k_accepted(self):
+        assert equal_interval_schedule(np.int64(3)).tolist() == [0.0, 0.5, 1.0]
+
 
 class TestScalarizationConstruction:
     def test_lambda_range(self):
@@ -45,6 +54,18 @@ class TestScalarizationConstruction:
             weighted_sum(-0.01)
         with pytest.raises(InvalidConfigError):
             weighted_sum(1.01)
+
+    @pytest.mark.parametrize("lam", [True, False, "0.5", None, float("nan"), [0.5]])
+    def test_lambda_not_a_number_rejected(self, lam):
+        # True used to build, and "0.5" to raise a raw TypeError
+        with pytest.raises(InvalidConfigError, match="lambda must be a number in"):
+            Scalarization(ScalarizationKind.WEIGHTED_SUM, lam)
+        with pytest.raises(InvalidConfigError, match="lambda must be a number in"):
+            tchebycheff(lam, (0.0, 0.0))
+
+    @pytest.mark.parametrize("lam", [0, 1, 0.5, np.float64(0.25), np.float32(0.75), np.int64(1)])
+    def test_lambda_numbers_accepted(self, lam):
+        assert weighted_sum(lam).lam == lam
 
     def test_tchebycheff_needs_utopian(self):
         with pytest.raises(InvalidConfigError):
