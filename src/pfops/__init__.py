@@ -26,7 +26,7 @@ from .experiments import (
     run_config_file,
     run_preset,
 )
-from .nsga2 import Nsga2Config, crowding_distance, evolve, fast_nondominated_sort
+from .nsga2 import Nsga2Config, crowding_distance, evolve
 from .pareto import (
     dominates,
     hypervolume_2d,
@@ -58,7 +58,6 @@ __all__ = [
     "dominates",
     "emit_front_svg",
     "evolve",
-    "fast_nondominated_sort",
     "hypervolume_2d",
     "igd",
     "importance_weights",

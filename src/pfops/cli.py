@@ -27,7 +27,10 @@ def _build_parser() -> argparse.ArgumentParser:
     source = run.add_mutually_exclusive_group(required=True)
     source.add_argument("--preset", help="preset name (see `pfops list`)")
     source.add_argument("--config", help="path to a custom-run JSON file")
-    run.add_argument("--seed", type=int, default=None, help="run seed (u64)")
+    run.add_argument(
+        "--seed", type=int, default=None,
+        help="run seed, an integer >= 0 (default: 0, or the config file's seed)",
+    )
     run.add_argument("--out", help="directory for CSV/SVG/JSON artifacts")
 
     cmp_ = sub.add_parser("compare", help="run two presets over paired seeds")
@@ -105,7 +108,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 def _cmd_compare(args: argparse.Namespace) -> int:
     try:
-        seeds = [int(s) for s in args.seeds.split(",") if s.strip() != ""]
+        seeds = [int(s) for s in args.seeds.split(",")]
     except ValueError:
         print(f"error: could not parse seed list '{args.seeds}'", file=sys.stderr)
         return 2

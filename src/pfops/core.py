@@ -208,19 +208,6 @@ def _score(
     return objectives, s.log_density_values(objectives)
 
 
-def update_incumbent(
-    pop: Population, s: Scalarization, problem: BiObjectiveProblem
-) -> Population:
-    """Set the incumbent to the particle maximizing log pi; first index wins ties.
-
-    Scores the population afresh: 2N evaluations.
-    """
-    if len(pop) == 0:
-        raise InvalidInputError("population is empty")
-    objectives, log_pi = _score(pop.particles, s, problem)
-    return replace(pop, incumbent=_incumbent(pop.particles, log_pi, objectives))
-
-
 def importance_weights(
     pop: Population,
     k: int,

@@ -14,6 +14,7 @@ import json
 import time
 from collections.abc import Iterable, Mapping
 from dataclasses import MISSING, asdict, dataclass, fields, replace
+from functools import partial
 from html import escape
 from pathlib import Path
 
@@ -378,6 +379,17 @@ _TOP_LEVEL_KEYS = {"problem", "algorithm", "seed", "pfops", "nsga2"}
 _FILE_KEYS = {"scalarization_kind": "scalarization"}
 
 
+def _unique_keys(path: str | Path, pairs: list[tuple[str, object]]) -> dict:
+    """One JSON object of a config file; a key given twice raises
+    InvalidConfigError naming it, where ``json`` would keep the last value."""
+    obj: dict = {}
+    for key, value in pairs:
+        if key in obj:
+            raise InvalidConfigError(f"{path}: duplicated key '{key}'")
+        obj[key] = value
+    return obj
+
+
 def load_config_file(path: str | Path) -> ExperimentPreset:
     """Parse a custom-run JSON file into a preset named ``custom:<file name>``.
 
@@ -385,12 +397,13 @@ def load_config_file(path: str | Path) -> ExperimentPreset:
     optional ``seed``, and a section named after the algorithm whose keys
     are its config's fields, ``scalarization`` for ``scalarization_kind``
     (see README). Values are passed on as written for the config to check:
-    a missing required key, an unknown key, an invalid value or a file that
-    is not JSON raises InvalidConfigError naming the file and the key; an
-    unregistered problem raises NotFoundError naming the file.
+    a missing required key, an unknown or duplicated key, a section for the
+    algorithm that is not run, an invalid value or a file that is not JSON
+    raises InvalidConfigError naming the file and the key; an unregistered
+    problem raises NotFoundError naming the file.
     """
     try:
-        raw = json.loads(Path(path).read_text())
+        raw = json.loads(Path(path).read_text(), object_pairs_hook=partial(_unique_keys, path))
     except json.JSONDecodeError as exc:
         raise InvalidConfigError(f"{path}: not valid JSON: {exc}") from None
     if not isinstance(raw, dict):
@@ -412,6 +425,11 @@ def load_config_file(path: str | Path) -> ExperimentPreset:
     cls = _CONFIG_CLASSES.get(algorithm)
     if cls is None:
         raise InvalidConfigError(f"{path}: unknown algorithm '{algorithm}'")
+    for other in _CONFIG_CLASSES:
+        if other != algorithm and other in raw:
+            raise InvalidConfigError(
+                f"{path}: '{other}' section given, but algorithm is '{algorithm}'"
+            )
     section = raw.get(algorithm, {})
     if not isinstance(section, dict):
         raise InvalidConfigError(f"{path}: '{algorithm}' must be a JSON object")

@@ -54,15 +54,6 @@ class Nsga2Config:
         check_integer("seed", self.seed, 0)
 
 
-def fast_nondominated_sort(points: np.ndarray) -> list[list[int]]:
-    """Partition indices into ranked fronts; front 0 is the non-dominated set.
-
-    Sorts once and peels every front from that order with
-    :func:`~pfops.pareto.peel_fronts`, each front in ascending index order.
-    """
-    return [front.tolist() for front in peel_fronts(points)]
-
-
 def crowding_distance(front_points: np.ndarray) -> np.ndarray:
     """Crowding of each member of one front; boundaries get +inf.
 

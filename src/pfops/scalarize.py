@@ -94,15 +94,11 @@ class Scalarization:
             out = -np.maximum(
                 (1.0 - self.lam) * np.abs(f1 - z1), self.lam * np.abs(f2 - z2)
             )
-        return float(out) if out.ndim == 0 else out
+        return out
 
 
 def weighted_sum(lam: float) -> Scalarization:
     return Scalarization(ScalarizationKind.WEIGHTED_SUM, lam)
-
-
-def tchebycheff(lam: float, utopian: tuple[float, float]) -> Scalarization:
-    return Scalarization(ScalarizationKind.TCHEBYCHEFF, lam, utopian)
 
 
 def equal_interval_schedule(k_targets: int) -> np.ndarray:

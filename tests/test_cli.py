@@ -132,6 +132,13 @@ def test_compare_bad_seed_list(capsys):
     assert "seed list" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("seeds", ["0,,1", "0,1,", ",0", " "])
+def test_compare_blank_seed_rejected(capsys, seeds):
+    # blank items used to be dropped, so "0,,1," ran seeds 0 and 1
+    assert main(["compare", "--a", "x", "--b", "y", "--seeds", seeds]) == 2
+    assert capsys.readouterr().err == f"error: could not parse seed list '{seeds}'\n"
+
+
 def test_compare_problem_mismatch(capsys):
     code = main([
         "compare", "--a", "pfops-convex-under", "--b", "pfops-fonseca", "--seeds", "0",

@@ -10,21 +10,22 @@ from pfops.core import (
     ParetoArchive,
     PfopsConfig,
     Population,
+    _incumbent,
+    _score,
     importance_weights,
     initialize,
     metropolis_sweep,
     resample,
     run,
-    update_incumbent,
 )
 from pfops.errors import DegenerateWeightsError, InvalidConfigError, InvalidInputError
 from pfops.experiments import PRESETS
 from pfops.pareto import nondominated_mask
 from pfops.problems import BiObjectiveProblem, convex_problem, kursawe_problem, lookup_problem
 from pfops.scalarize import (
+    Scalarization,
     ScalarizationKind,
     equal_interval_schedule,
-    tchebycheff,
     weighted_sum,
 )
 
@@ -69,6 +70,14 @@ def make_population(particles):
     particles = np.atleast_2d(np.asarray(particles, dtype=float))
     n = len(particles)
     return Population(particles=particles, log_weights=np.full(n, -np.log(n)))
+
+
+def set_incumbent(pop, s, problem):
+    """``pop`` with the incumbent ``run`` takes at a step: the particle that
+    maximizes log pi under ``s``, the first index winning ties. Scoring the
+    particles costs 2N evaluations."""
+    objectives, log_pi = _score(pop.particles, s, problem)
+    return replace(pop, incumbent=_incumbent(pop.particles, log_pi, objectives))
 
 
 class TestConfig:
@@ -157,31 +166,33 @@ class TestInitialize:
 
 
 class TestUpdateIncumbent:
+    """The incumbent ``run`` records at a step, through :func:`set_incumbent`."""
+
     def test_lambda0_prefers_f1_minimum(self):
         pop = make_population([[0.0, 0.0], [5.0, 5.0]])
-        pop = update_incumbent(pop, weighted_sum(0.0), convex_problem())
+        pop = set_incumbent(pop, weighted_sum(0.0), convex_problem())
         np.testing.assert_array_equal(pop.incumbent.decision, [0.0, 0.0])
         assert pop.incumbent.log_density == 0.0
 
     def test_lambda1_prefers_f2_minimum(self):
         pop = make_population([[0.0, 0.0], [5.0, 5.0]])
-        pop = update_incumbent(pop, weighted_sum(1.0), convex_problem())
+        pop = set_incumbent(pop, weighted_sum(1.0), convex_problem())
         np.testing.assert_array_equal(pop.incumbent.decision, [5.0, 5.0])
 
     def test_single_particle(self):
         pop = make_population([[1.0, 2.0]])
-        pop = update_incumbent(pop, weighted_sum(0.5), convex_problem())
+        pop = set_incumbent(pop, weighted_sum(0.5), convex_problem())
         np.testing.assert_array_equal(pop.incumbent.decision, [1.0, 2.0])
 
     def test_tie_breaks_to_lowest_index(self):
         # f2(3,4) == f2(4,3) == 5, a tie; the earlier particle must win
         pop = make_population([[3.0, 4.0], [4.0, 3.0]])
-        pop = update_incumbent(pop, weighted_sum(1.0), convex_problem())
+        pop = set_incumbent(pop, weighted_sum(1.0), convex_problem())
         np.testing.assert_array_equal(pop.incumbent.decision, [3.0, 4.0])
 
     def test_incumbent_objectives_cached(self):
         pop = make_population([[2.5, 2.5]])
-        pop = update_incumbent(pop, weighted_sum(0.5), convex_problem())
+        pop = set_incumbent(pop, weighted_sum(0.5), convex_problem())
         np.testing.assert_allclose(pop.incumbent.objectives, [12.5, 12.5])
 
 
@@ -346,13 +357,16 @@ class TestMetropolisSweep:
             setup = np.random.default_rng(seed)
             n = int(setup.integers(1, 120))
             lam = setup.random()
-            s = weighted_sum(lam) if seed % 2 else tchebycheff(lam, (-30.0, -30.0))
+            if seed % 2:
+                s = weighted_sum(lam)
+            else:
+                s = Scalarization(ScalarizationKind.TCHEBYCHEFF, lam, (-30.0, -30.0))
             sides = []
             for sweep in (metropolis_sweep, reference_metropolis_sweep):
                 prob = make_problem()
                 pop = initialize(PfopsConfig(2, n, seed=seed), prob, np.random.default_rng(seed))
                 if with_incumbent:
-                    pop = update_incumbent(pop, s, prob)
+                    pop = set_incumbent(pop, s, prob)
                 before = pop.particles.copy()
                 start = prob.counter.count
                 rng = np.random.default_rng(1000 + seed)
@@ -374,7 +388,7 @@ class TestMetropolisSweep:
         for sweep in (metropolis_sweep, reference_metropolis_sweep):
             prob = convex_problem()
             pop = initialize(PfopsConfig(2, 40), prob, np.random.default_rng(3))
-            pop = update_incumbent(pop, weighted_sum(0.5), prob)
+            pop = set_incumbent(pop, weighted_sum(0.5), prob)
             batches = []
 
             def counting(points, evaluate_batch=prob.evaluate_batch):
@@ -419,7 +433,7 @@ class TestMetropolisSweep:
         prob = convex_problem()
         rng = np.random.default_rng(14)
         pop = make_population(rng.uniform(-5, 10, size=(300, 2)))
-        pop = update_incumbent(pop, weighted_sum(0.5), prob)
+        pop = set_incumbent(pop, weighted_sum(0.5), prob)
         before = prob.counter.count
         out = metropolis_sweep(pop, weighted_sum(0.5), prob, sigma=100.0, rng=rng)
         # huge sigma: nearly all proposals leave the box yet each costs 2 calls,
@@ -436,7 +450,7 @@ class TestMetropolisSweep:
             f1=lambda x: np.where(x[:, 0] > 0.0, 0.0, 1.0),
             f2=lambda x: np.zeros(len(x)),
         )
-        pop = update_incumbent(make_population(np.full((20, 1), -0.5)), weighted_sum(0.0), prob)
+        pop = set_incumbent(make_population(np.full((20, 1), -0.5)), weighted_sum(0.0), prob)
         assert pop.incumbent.log_density == -1.0
         seed = 4
         out = metropolis_sweep(pop, weighted_sum(0.0), prob, 1.0, np.random.default_rng(seed))
@@ -452,7 +466,7 @@ class TestMetropolisSweep:
         rng = np.random.default_rng(15)
         pop = make_population(rng.uniform(-5, 10, size=(50, 2)))
         s = weighted_sum(0.3)
-        pop = update_incumbent(pop, s, prob)
+        pop = set_incumbent(pop, s, prob)
         history = [pop.incumbent.log_density]
         for _ in range(20):
             pop = metropolis_sweep(pop, s, prob, 1.0, rng)
@@ -478,12 +492,12 @@ class TestMetropolisSweep:
 
 
 def chain_run(config, problem, rng):
-    """``run`` spelled as the chain of public step functions."""
+    """``run`` spelled as the chain of step functions, each scoring afresh."""
     targets = [config.scalarization(lam) for lam in equal_interval_schedule(config.n_targets)]
     pop = initialize(config, problem, rng)
     decisions, front = [], []
     for k, s_k in enumerate(targets, start=1):
-        pop = update_incumbent(pop, s_k, problem)
+        pop = set_incumbent(pop, s_k, problem)
         pop = importance_weights(pop, k, s_k, targets[k - 2] if k > 1 else None, problem)
         pop = resample(pop, rng)
         if config.metropolis_enabled:

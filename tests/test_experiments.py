@@ -414,16 +414,46 @@ class TestConfigFile:
         with pytest.raises(InvalidConfigError, match="sead"):
             run_config_file(path)
 
-    def test_other_algorithm_section_allowed(self, tmp_path):
-        payload = {
-            "problem": "convex",
-            "algorithm": "nsga2",
-            "pfops": {"n_targets": "unread"},
-            "nsga2": {"pop_size": 4, "generations": 1},
-        }
+    @pytest.mark.parametrize(
+        "algorithm, other",
+        [
+            ("nsga2", {"pfops": {"n_targets": "unread"}}),
+            ("pfops", {"nsga2": {"pop_size": 7, "generations": "lots"}}),
+        ],
+        ids=["nsga2-run", "pfops-run"],
+    )
+    def test_other_algorithm_section_rejected(self, tmp_path, algorithm, other):
+        # the section of the algorithm not run used to be skipped unchecked
+        sections = {"pfops": {"n_targets": 3, "n_particles": 2},
+                    "nsga2": {"pop_size": 4, "generations": 1}}
+        payload = {"problem": "convex", "algorithm": algorithm,
+                   algorithm: sections[algorithm], **other}
         path = tmp_path / "run.json"
         path.write_text(json.dumps(payload))
-        assert run_config_file(path).eval_count == 2 * 4 * 2
+        with pytest.raises(InvalidConfigError) as info:
+            run_config_file(path)
+        (key,) = other
+        assert str(info.value) == (
+            f"{path}: '{key}' section given, but algorithm is '{algorithm}'"
+        )
+
+    @pytest.mark.parametrize(
+        "text, key",
+        [
+            ('{"problem": "convex", "algorithm": "nsga2", "seed": 1, "seed": 3,'
+             ' "nsga2": {"pop_size": 8, "generations": 2}}', "seed"),
+            ('{"problem": "convex", "algorithm": "nsga2",'
+             ' "nsga2": {"pop_size": 8, "generations": 2, "generations": 1}}', "generations"),
+        ],
+        ids=["top-level", "in-section"],
+    )
+    def test_duplicated_key_rejected(self, tmp_path, text, key):
+        # json keeps the last of two equal keys, so this ran seed 3, generations 1
+        path = tmp_path / "run.json"
+        path.write_text(text)
+        with pytest.raises(InvalidConfigError) as info:
+            run_config_file(path)
+        assert str(info.value) == f"{path}: duplicated key '{key}'"
 
     def test_non_integral_seed_override_rejected(self, tmp_path):
         path = tmp_path / "run.json"

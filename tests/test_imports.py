@@ -61,7 +61,6 @@ API = {
     "dominates",
     "emit_front_svg",
     "evolve",
-    "fast_nondominated_sort",
     "hypervolume_2d",
     "igd",
     "importance_weights",
@@ -76,7 +75,7 @@ API = {
 
 
 def test_public_api_is_pinned():
-    assert len(API) == 30
+    assert len(API) == 29
     assert set(pfops.__all__) == API
     assert len(pfops.__all__) == len(API)  # no name listed twice
 

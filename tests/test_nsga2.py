@@ -12,9 +12,8 @@ from pfops.nsga2 import (
     _environmental_selection,
     crowding_distance,
     evolve,
-    fast_nondominated_sort,
 )
-from pfops.pareto import hypervolume_2d, igd, nondominated_mask, reference_front
+from pfops.pareto import hypervolume_2d, igd, nondominated_mask, peel_fronts, reference_front
 from pfops.problems import BiObjectiveProblem, convex_problem
 
 
@@ -36,12 +35,17 @@ def dense_peel_fronts(points):
     return fronts
 
 
+def ranked_fronts(points):
+    """NSGA-II's ranking: the fronts ``peel_fronts`` yields, as index lists."""
+    return [front.tolist() for front in peel_fronts(points)]
+
+
 def rank_and_crowding(objectives):
     """Per-front oracle: each row's front index, and its crowding within that
     front, in row order."""
     ranks = np.empty(len(objectives), dtype=int)
     crowd = np.empty(len(objectives))
-    for r, front in enumerate(fast_nondominated_sort(objectives)):
+    for r, front in enumerate(peel_fronts(objectives)):
         ranks[front] = r
         crowd[front] = crowding_distance(objectives[front])
     return ranks, crowd
@@ -83,16 +87,18 @@ class TestConfig:
 
 
 class TestFastNondominatedSort:
+    """Ranking through :func:`ranked_fronts`: each front in ascending index order."""
+
     def test_hand_example(self):
-        fronts = fast_nondominated_sort(np.array([[0.0, 2.0], [2.0, 0.0], [2.0, 2.0]]))
+        fronts = ranked_fronts(np.array([[0.0, 2.0], [2.0, 0.0], [2.0, 2.0]]))
         assert fronts == [[0, 1], [2]]
 
     def test_all_nondominated(self):
-        fronts = fast_nondominated_sort(np.array([[0.0, 3.0], [1.0, 2.0], [3.0, 0.0]]))
+        fronts = ranked_fronts(np.array([[0.0, 3.0], [1.0, 2.0], [3.0, 0.0]]))
         assert fronts == [[0, 1, 2]]
 
     def test_total_order_chain(self):
-        fronts = fast_nondominated_sort(np.array([[0.0, 0.0], [1.0, 1.0], [2.0, 2.0]]))
+        fronts = ranked_fronts(np.array([[0.0, 0.0], [1.0, 1.0], [2.0, 2.0]]))
         assert fronts == [[0], [1], [2]]
 
     def test_matches_dense_peel_on_tie_heavy_sets(self):
@@ -107,7 +113,7 @@ class TestFastNondominatedSort:
         for _ in range(500):
             n = int(rng.integers(1, 61))
             pts = grid[rng.integers(0, len(grid), size=(n, 2))]  # many exact duplicates
-            fronts = fast_nondominated_sort(pts)
+            fronts = ranked_fronts(pts)
             assert fronts == dense_peel_fronts(pts)
             assert all(front == sorted(front) for front in fronts)
 
@@ -120,21 +126,21 @@ class TestFastNondominatedSort:
         ],
     )
     def test_infinite_f2_terminates(self, pts, expected):
-        assert fast_nondominated_sort(np.array(pts)) == expected
+        assert ranked_fronts(np.array(pts)) == expected
 
     def test_three_column_points_rejected(self):
         # reshape(-1, 2) used to re-pair [[1, 2, 3], [4, 5, 6]] as three points
         with pytest.raises(InvalidInputError, match=r"shape \(2, 3\)"):
-            fast_nondominated_sort(np.array([[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]]))
+            ranked_fronts(np.array([[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]]))
 
     def test_empty_and_single_vector(self):
-        assert fast_nondominated_sort(np.zeros((0, 2))) == []
-        assert fast_nondominated_sort(np.array([1.0, 2.0])) == [[0]]
+        assert ranked_fronts(np.zeros((0, 2))) == []
+        assert ranked_fronts(np.array([1.0, 2.0])) == [[0]]
 
     def test_partition_is_complete(self):
         rng = np.random.default_rng(21)
         pts = rng.normal(size=(40, 2))
-        fronts = fast_nondominated_sort(pts)
+        fronts = ranked_fronts(pts)
         flat = sorted(i for front in fronts for i in front)
         assert flat == list(range(40))
 
@@ -187,7 +193,7 @@ class TestEnvironmentalSelection:
             obj = tie_heavy_objectives(grid, rng)
             n = len(obj)
             fronts = dense_peel_fronts(obj)
-            assert fast_nondominated_sort(obj) == fronts
+            assert ranked_fronts(obj) == fronts
             ends = np.cumsum([len(f) for f in fronts])
             sizes = {"fill": int(ends[rng.integers(len(ends))])}
             if len(fronts[0]) > 1:

@@ -7,7 +7,6 @@ from pfops.scalarize import (
     Scalarization,
     ScalarizationKind,
     equal_interval_schedule,
-    tchebycheff,
     weighted_sum,
 )
 
@@ -61,7 +60,7 @@ class TestScalarizationConstruction:
         with pytest.raises(InvalidConfigError, match="lambda must be a number in"):
             Scalarization(ScalarizationKind.WEIGHTED_SUM, lam)
         with pytest.raises(InvalidConfigError, match="lambda must be a number in"):
-            tchebycheff(lam, (0.0, 0.0))
+            Scalarization(ScalarizationKind.TCHEBYCHEFF, lam, (0.0, 0.0))
 
     @pytest.mark.parametrize("lam", [0, 1, 0.5, np.float64(0.25), np.float32(0.75), np.int64(1)])
     def test_lambda_numbers_accepted(self, lam):
@@ -80,7 +79,7 @@ class TestScalarizationConstruction:
     )
     def test_utopian_must_be_two_finite_numbers(self, utopian):
         with pytest.raises(InvalidConfigError, match="utopian"):
-            tchebycheff(0.5, utopian)
+            Scalarization(ScalarizationKind.TCHEBYCHEFF, 0.5, utopian)
 
 
 class TestLogDensity:
@@ -94,12 +93,12 @@ class TestLogDensity:
         assert weighted_sum(0.5).log_density_values(f) == pytest.approx(-25.0)
 
     def test_tchebycheff_hand_value(self):
-        s = tchebycheff(0.5, utopian=(0.0, 0.0))
+        s = Scalarization(ScalarizationKind.TCHEBYCHEFF, 0.5, utopian=(0.0, 0.0))
         # -max{0.5 * |1 - 0|, 0.5 * |3 - 0|}
         assert s.log_density_values(np.array([1.0, 3.0])) == pytest.approx(-1.5)
 
     def test_vectorized_matches_scalar(self):
-        s = tchebycheff(0.25, utopian=(-1.0, -2.0))
+        s = Scalarization(ScalarizationKind.TCHEBYCHEFF, 0.25, utopian=(-1.0, -2.0))
         batch = np.array([[0.0, 1.0], [3.0, 2.0], [0.5, 0.25]])
         singles = [s.log_density_values(row) for row in batch]
         np.testing.assert_allclose(s.log_density_values(batch), singles)
@@ -138,7 +137,7 @@ class TestDensityProperties:
             assert np.max(np.abs(best - 5.0 * lam)) <= step + 1e-12
 
     def test_tchebycheff_nonpositive_above_utopian(self):
-        s = tchebycheff(0.7, utopian=(-1.0, -0.5))
+        s = Scalarization(ScalarizationKind.TCHEBYCHEFF, 0.7, utopian=(-1.0, -0.5))
         rng = np.random.default_rng(2)
         f = np.stack([rng.uniform(-1.0, 10.0, 500), rng.uniform(-0.5, 10.0, 500)], axis=1)
         assert np.all(s.log_density_values(f) <= 0.0)
