@@ -9,7 +9,7 @@ and the other internals live in the submodules (``pfops.core``,
 ``pfops.scalarize``, ``pfops.problems``, ``pfops.experiments``, ...).
 """
 
-from .core import ParetoArchive, PfopsConfig, importance_weights, run
+from .core import PfopsConfig, importance_weights, run
 from .errors import (
     BoundsError,
     DegenerateWeightsError,
@@ -28,6 +28,7 @@ from .experiments import (
 )
 from .nsga2 import Nsga2Config, crowding_distance, evolve
 from .pareto import (
+    ParetoArchive,
     dominates,
     hypervolume_2d,
     igd,

@@ -31,15 +31,16 @@ before the shared lookup, so it keeps ``rng.choice``'s stream; the CDF
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import DegenerateWeightsError, InvalidConfigError, InvalidInputError
-from .pareto import nondominated_mask
+from .errors import (
+    DegenerateWeightsError, InvalidConfigError, InvalidInputError, check_integer, is_finite_number
+)
+from .pareto import ParetoArchive, nondominated_mask
 from .problems import BiObjectiveProblem
-from .scalarize import Scalarization, ScalarizationKind, equal_interval_schedule, is_finite_number
+from .scalarize import Scalarization, ScalarizationKind, equal_interval_schedule
 
 
 @dataclass(frozen=True)
@@ -61,12 +62,6 @@ class Population:
 
     def __len__(self) -> int:
         return len(self.particles)
-
-
-def check_integer(name: str, value: object, minimum: int) -> None:
-    """Reject a config count or seed that is not an integer >= ``minimum``."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < minimum:
-        raise InvalidConfigError(f"{name} must be an integer >= {minimum}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -107,27 +102,12 @@ class PfopsConfig:
             if not isinstance(value := getattr(self, name), bool):
                 raise InvalidConfigError(f"{name} must be true or false, got {value!r}")
         check_integer("seed", self.seed, 0)
-        if not isinstance(self.scalarization_kind, ScalarizationKind):
-            raise InvalidConfigError(
-                f"scalarization_kind must be a ScalarizationKind, got {self.scalarization_kind!r}"
-            )
-        # the Utopian rules live in Scalarization; keep its float copy of z
+        # the kind and Utopian rules live in Scalarization; keep its float copy of z
         z = Scalarization(self.scalarization_kind, 0.0, self.utopian).utopian
         object.__setattr__(self, "utopian", z)
 
     def scalarization(self, lam: float) -> Scalarization:
         return Scalarization(self.scalarization_kind, float(lam), self.utopian)
-
-
-@dataclass(frozen=True)
-class ParetoArchive:
-    """Index-aligned estimated Pareto set and front: front[i] = F(decisions[i])."""
-
-    decisions: np.ndarray
-    front: np.ndarray
-
-    def __len__(self) -> int:
-        return len(self.decisions)
 
 
 def initialize(

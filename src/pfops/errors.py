@@ -1,4 +1,13 @@
-"""Exception types shared across the package."""
+"""Exception types and the input rules shared across the package.
+
+Each rule is a predicate that its callers wrap in their own error class and
+message; :func:`check_integer` is the config form of :func:`is_integer`.
+"""
+
+import math
+import numbers
+
+import numpy as np
 
 
 class PfopsError(Exception):
@@ -27,3 +36,28 @@ class BoundsError(PfopsError, ValueError):
 
 class DegenerateWeightsError(PfopsError, RuntimeError):
     """Every particle has zero density under the current target."""
+
+
+def is_integer(value: object, minimum: int) -> bool:
+    """An integer >= ``minimum``; numpy integers count, a bool does not."""
+    return not isinstance(value, bool) and isinstance(value, numbers.Integral) and value >= minimum
+
+
+def check_integer(name: str, value: object, minimum: int) -> None:
+    """Reject a config count or seed that is not an integer >= ``minimum``."""
+    if not is_integer(value, minimum):
+        raise InvalidConfigError(f"{name} must be an integer >= {minimum}, got {value!r}")
+
+
+def is_finite_number(value: object) -> bool:
+    """A finite real number; an int counts, a bool does not."""
+    return not isinstance(value, bool) and isinstance(value, numbers.Real) and math.isfinite(value)
+
+
+def is_finite_pair(value: object) -> bool:
+    """A tuple or list of two finite real numbers, or a (2,) array of them."""
+    if isinstance(value, np.ndarray):
+        is_pair = value.shape == (2,)  # len() of a 0-d array raises TypeError
+    else:
+        is_pair = isinstance(value, (tuple, list)) and len(value) == 2
+    return is_pair and all(map(is_finite_number, value))

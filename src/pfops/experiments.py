@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from . import core, nsga2, pareto
-from .errors import InvalidConfigError, InvalidInputError, NotFoundError
+from .errors import InvalidConfigError, InvalidInputError, NotFoundError, check_integer
 from .problems import lookup_problem
 from .scalarize import ScalarizationKind
 
@@ -130,7 +130,7 @@ PRESETS = _preset_table()
 
 @dataclass
 class RunReport:
-    archive: core.ParetoArchive
+    archive: pareto.ParetoArchive
     igd: float
     hypervolume: float
     eval_count: int
@@ -140,7 +140,7 @@ class RunReport:
 
 
 def _execute(preset: ExperimentPreset, seed: int) -> RunReport:
-    core.check_integer("seed", seed, 0)
+    check_integer("seed", seed, 0)
     seed = int(seed)  # a numpy integer seed is reported as a plain int
     problem_name = preset.problem
     problem = lookup_problem(problem_name)
@@ -231,7 +231,7 @@ def compare(preset_a: str, preset_b: str, seeds: Iterable[int]) -> ComparisonRes
         )
     seeds = list(seeds)
     for s in seeds:
-        core.check_integer("seed", s, 0)
+        check_integer("seed", s, 0)
     seeds = [int(s) for s in seeds]
     if not seeds:
         raise InvalidInputError("seed list must not be empty")
@@ -288,6 +288,21 @@ def write_comparison_csv(result: ComparisonResult, path: str | Path) -> None:
     Path(path).write_text("\n".join(lines) + "\n")
 
 
+def _plot_points(name: str, points: np.ndarray) -> np.ndarray:
+    """``points`` read by :func:`pareto.as_front`, every value finite; a bad
+    shape or the first row holding a NaN or an infinity raises
+    InvalidInputError naming ``name``."""
+    try:
+        points = pareto.as_front(points)
+    except InvalidInputError as exc:
+        raise InvalidInputError(f"{name}: {exc}") from None
+    bad = np.flatnonzero(~np.isfinite(points).all(axis=1))
+    if len(bad):
+        i = int(bad[0])
+        raise InvalidInputError(f"{name}: row {i} is not finite: {points[i].tolist()}")
+    return points
+
+
 _SVG_COLORS = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b")
 
 
@@ -298,19 +313,15 @@ def emit_front_svg(
 
     ``fronts`` maps a legend label to an (n, 2) front, in plotting order.
     Each front and the reference are read by :func:`pareto.as_front`; a
-    front of another shape raises InvalidInputError naming its label.
+    front of another shape, or with a NaN or infinite value, raises
+    InvalidInputError naming its label.
     Self-contained SVG: one marker group per front (distinct color), axis
     labels, and a legend of the labels.
     """
     if not fronts:
         raise InvalidInputError("need at least one front to plot")
-    reference = pareto.as_front(reference)
-    checked = {}
-    for label, front in fronts.items():
-        try:
-            checked[label] = pareto.as_front(front)
-        except InvalidInputError as exc:
-            raise InvalidInputError(f"front {label!r}: {exc}") from None
+    reference = _plot_points("reference", reference)
+    checked = {label: _plot_points(f"front {label!r}", front) for label, front in fronts.items()}
 
     stacks = [front for front in checked.values() if len(front)]
     if len(reference):
@@ -398,12 +409,15 @@ def load_config_file(path: str | Path) -> ExperimentPreset:
     are its config's fields, ``scalarization`` for ``scalarization_kind``
     (see README). Values are passed on as written for the config to check:
     a missing required key, an unknown or duplicated key, a section for the
-    algorithm that is not run, an invalid value or a file that is not JSON
-    raises InvalidConfigError naming the file and the key; an unregistered
-    problem raises NotFoundError naming the file.
+    algorithm that is not run, an invalid value or a file that is not UTF-8
+    JSON raises InvalidConfigError naming the file and the key; an
+    unregistered problem raises NotFoundError naming the file.
     """
     try:
-        raw = json.loads(Path(path).read_text(), object_pairs_hook=partial(_unique_keys, path))
+        text = Path(path).read_text(encoding="utf-8")  # JSON is UTF-8 (RFC 8259)
+        raw = json.loads(text, object_pairs_hook=partial(_unique_keys, path))
+    except UnicodeDecodeError as exc:
+        raise InvalidConfigError(f"{path}: not UTF-8 text: {exc}") from None
     except json.JSONDecodeError as exc:
         raise InvalidConfigError(f"{path}: not valid JSON: {exc}") from None
     if not isinstance(raw, dict):
@@ -418,7 +432,7 @@ def load_config_file(path: str | Path) -> ExperimentPreset:
             raise InvalidConfigError(f"{path}: '{key}' must be a string, got {raw[key]!r}")
     if "seed" in raw:
         try:
-            core.check_integer("seed", raw["seed"], 0)
+            check_integer("seed", raw["seed"], 0)
         except InvalidConfigError as exc:
             raise InvalidConfigError(f"{path}: {exc}") from None
     problem, algorithm = raw["problem"], raw["algorithm"]

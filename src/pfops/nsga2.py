@@ -21,9 +21,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ParetoArchive, check_integer
-from .errors import InvalidConfigError
-from .pareto import as_front, peel_fronts
+from .errors import InvalidConfigError, check_integer
+from .pareto import ParetoArchive, as_front, peel_fronts
 from .problems import BiObjectiveProblem
 
 CROSSOVER_PROB = 0.9

@@ -5,25 +5,37 @@ All fronts are (n, 2) float arrays of objective vectors under minimization;
 per front (:func:`peel_fronts`); :func:`nondominated_mask` is its first
 front, and NSGA-II ranks with it too. The mask keeps duplicates (identical
 vectors do not dominate each other) and has one entry per input row, so
-``points[mask]`` keeps the input order.
+``points[mask]`` keeps the input order. :class:`ParetoArchive`, the
+decisions and front that both optimizers return, lives here too; numeric
+arguments are checked by the shared rules of :mod:`pfops.errors`.
 """
 
 from __future__ import annotations
 
 import functools
-import numbers
 from collections.abc import Iterator
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .errors import InvalidInputError, NotFoundError
+from .errors import InvalidInputError, NotFoundError, is_finite_pair, is_integer
 from .problems import fonseca_fleming_problem, kursawe_problem
-from .scalarize import is_finite_pair
 
 _DATA_DIR = Path(__file__).parent / "data"
 _INV_SQRT2 = 1.0 / np.sqrt(2.0)
 _REFERENCE_NAMES = ("convex", "fonseca", "kursawe")
+
+
+@dataclass(frozen=True)
+class ParetoArchive:
+    """Index-aligned estimated Pareto set and front: front[i] = F(decisions[i])."""
+
+    decisions: np.ndarray
+    front: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.decisions)
 
 
 def dominates(a: np.ndarray, b: np.ndarray) -> bool:
@@ -111,19 +123,14 @@ def igd(estimate: np.ndarray, reference: np.ndarray) -> float:
     """Inverted generational distance: mean Euclidean distance from each
     reference point to its nearest estimate point. Lower is better, 0 is exact.
 
-    Both fronts must be non-empty and have shape (n, 2) after
-    ``np.atleast_2d``, so a single point may be given as a (2,) vector; a
-    front of any other shape raises InvalidInputError naming both shapes.
+    Both fronts are read by :func:`as_front`, so a single point may be given
+    as a (2,) vector and any shape other than (n, 2) raises InvalidInputError;
+    an empty front raises it too.
     """
-    estimate = np.atleast_2d(np.asarray(estimate, dtype=float))
-    reference = np.atleast_2d(np.asarray(reference, dtype=float))
-    if estimate.size == 0 or reference.size == 0:
+    estimate = as_front(estimate)
+    reference = as_front(reference)
+    if len(estimate) == 0 or len(reference) == 0:
         raise InvalidInputError("igd requires non-empty estimate and reference fronts")
-    if not (estimate.ndim == reference.ndim == 2 and estimate.shape[1] == reference.shape[1] == 2):
-        raise InvalidInputError(
-            f"igd requires (n, 2) fronts, got estimate shape {estimate.shape} "
-            f"and reference shape {reference.shape}"
-        )
     d1 = reference[:, 0, None] - estimate[:, 0]
     d2 = reference[:, 1, None] - estimate[:, 1]
     d1 *= d1
@@ -203,11 +210,7 @@ def reference_front(name: str, resolution: int) -> np.ndarray:
         raise NotFoundError(
             f"no reference front for {name!r}; available: {', '.join(_REFERENCE_NAMES)}"
         )
-    if (
-        isinstance(resolution, bool)
-        or not isinstance(resolution, numbers.Integral)
-        or resolution < 2
-    ):
+    if not is_integer(resolution, 2):
         raise InvalidInputError(f"resolution must be an integer >= 2, got {resolution!r}")
     front = _build_reference_front(name, int(resolution))
     front.setflags(write=False)
@@ -251,10 +254,13 @@ def write_front_csv(points: np.ndarray, path: str | Path) -> None:
 def read_front_csv(path: str | Path) -> np.ndarray:
     """Read a front written by :func:`write_front_csv`: the header ``f1,f2``,
     then one row of two numbers per point; blank lines are skipped. A row
-    that is not two numbers raises InvalidInputError naming the file and
-    its line number."""
-    lines = [(i, line) for i, line in enumerate(Path(path).read_text().splitlines(), 1)
-             if line.strip()]
+    that is not two numbers, or a file that is not UTF-8 text, raises
+    InvalidInputError naming the file (and the row's line number)."""
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise InvalidInputError(f"{path}: not UTF-8 text: {exc}") from None
+    lines = [(i, line) for i, line in enumerate(text.splitlines(), 1) if line.strip()]
     if not lines or lines[0][1].strip() != "f1,f2":
         raise InvalidInputError(f"{path}: expected header 'f1,f2'")
     rows = []

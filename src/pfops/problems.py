@@ -11,7 +11,9 @@ instead of being clamped; silent clamping would corrupt the tally. An
 objective that returns NaN raises :class:`~pfops.errors.InvalidInputError`,
 since no dominance order or density holds for it; infinite values pass. A
 batch objective that does not return one value per row, or returns complex
-or non-numeric values, raises it too.
+or non-numeric values, raises it too. The problem's own fields are checked
+by the shared rules of :mod:`pfops.errors` (``is_integer`` for ``dim``,
+``is_finite_pair`` for ``ideal``).
 
 The built-in objectives add their two or three per-coordinate columns
 (``t[:, 0] + t[:, 1] + t[:, 2]``) instead of calling ``np.sum(t, axis=1)``:
@@ -29,7 +31,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import BoundsError, InvalidInputError, NotFoundError
+from .errors import BoundsError, InvalidInputError, NotFoundError, is_finite_pair, is_integer
 
 # Vectorized objective: maps an (n, d) batch to an (n,) value array.
 ObjectiveFn = Callable[[np.ndarray], np.ndarray]
@@ -66,8 +68,9 @@ class BiObjectiveProblem:
 
     A dim that is not an integer >= 1, bounds that are not integers or
     floats, of another shape, not finite, not strictly ordered or with a
-    span ``upper - lower`` that overflows, and an ideal that is not two
-    finite integers or floats raise InvalidInputError naming the field.
+    span ``upper - lower`` that overflows, and an ideal that is not a tuple,
+    list or (2,) array of two finite numbers (a bool is not one) raise
+    InvalidInputError naming the field.
     """
 
     name: str
@@ -81,7 +84,7 @@ class BiObjectiveProblem:
 
     def __post_init__(self) -> None:
         dim = self.dim
-        if isinstance(dim, bool) or not isinstance(dim, numbers.Integral) or dim < 1:
+        if not is_integer(dim, 1):
             raise InvalidInputError(f"dim must be an integer >= 1, got {dim!r}")
         self.lower = _float_array("lower", self.lower)
         self.upper = _float_array("upper", self.upper)
@@ -101,10 +104,9 @@ class BiObjectiveProblem:
                 f"and upper={self.upper.tolist()}"
             )
         if self.ideal is not None:
-            ideal = _float_array("ideal", self.ideal)
-            if ideal.shape != (2,) or not np.isfinite(ideal).all():
+            if not is_finite_pair(self.ideal):
                 raise InvalidInputError(f"ideal must be two finite numbers, got {self.ideal!r}")
-            self.ideal = (float(ideal[0]), float(ideal[1]))
+            self.ideal = (float(self.ideal[0]), float(self.ideal[1]))
 
     def _check_batch(self, points: np.ndarray) -> np.ndarray:
         points = np.asarray(points, dtype=float)

@@ -12,33 +12,19 @@ where z = (z1, z2) is a Utopian point strictly below each objective's
 minimum. Normalizing constants are never computed: every consumer works
 with ratios of pi_k, where they cancel, and all arithmetic stays in log
 space (raw densities underflow: the convex benchmark reaches exp(-225)
-at the far corner of its box).
+at the far corner of its box). Lambda, the Utopian point and the target
+count are checked by the shared rules of :mod:`pfops.errors`; a kind must be
+a ScalarizationKind member, not its string value.
 """
 
 from __future__ import annotations
 
 import enum
-import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidConfigError
-
-
-def is_finite_number(value: object) -> bool:
-    """A finite real number; an int counts, a bool does not."""
-    return not isinstance(value, bool) and isinstance(value, numbers.Real) and math.isfinite(value)
-
-
-def is_finite_pair(value: object) -> bool:
-    """A tuple, list or 1-D array of two finite real numbers."""
-    return (
-        isinstance(value, (tuple, list, np.ndarray))
-        and len(value) == 2
-        and all(map(is_finite_number, value))
-    )
+from .errors import InvalidConfigError, is_finite_number, is_finite_pair, is_integer
 
 
 class ScalarizationKind(enum.Enum):
@@ -51,7 +37,8 @@ class Scalarization:
     """One member of the target-density family.
 
     Attributes:
-        kind: weighted-sum or Tchebycheff.
+        kind: a ScalarizationKind, weighted-sum or Tchebycheff (its string
+            value is not one).
         lam: balance parameter, a number in [0, 1] (a bool is not one).
         utopian: (z1, z2), two finite numbers, required iff kind is
             Tchebycheff; stored as a float tuple.
@@ -62,6 +49,10 @@ class Scalarization:
     utopian: tuple[float, float] | None = None
 
     def __post_init__(self) -> None:
+        if not isinstance(self.kind, ScalarizationKind):
+            raise InvalidConfigError(
+                f"scalarization_kind must be a ScalarizationKind, got {self.kind!r}"
+            )
         if not (is_finite_number(self.lam) and 0.0 <= self.lam <= 1.0):
             raise InvalidConfigError(f"lambda must be a number in [0, 1], got {self.lam!r}")
         z = self.utopian
@@ -109,7 +100,7 @@ def equal_interval_schedule(k_targets: int) -> np.ndarray:
             is below 2; a single lambda cannot be both the required first
             value 0 and last value 1.
     """
-    if isinstance(k_targets, bool) or not isinstance(k_targets, numbers.Integral) or k_targets < 2:
+    if not is_integer(k_targets, 2):
         raise InvalidConfigError(
             f"need an integer of at least 2 targets to span lambda from 0 to 1, "
             f"got {k_targets!r}"

@@ -90,6 +90,16 @@ def test_run_config_file_malformed_json(tmp_path, capsys):
     assert "broken.json" in capsys.readouterr().err
 
 
+def test_run_config_file_not_utf8(tmp_path, capsys):
+    # a file starting FF FE used to end in a UnicodeDecodeError traceback
+    path = tmp_path / "utf16.json"
+    path.write_bytes('{"problem": "convex"}'.encode("utf-16"))
+    assert main(["run", "--config", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}: not UTF-8 text")
+    assert "Traceback" not in err
+
+
 def test_run_negative_seed(capsys):
     assert main(["run", "--preset", "pfops-convex-under", "--seed", "-1"]) == 1
     assert "seed must be an integer >= 0" in capsys.readouterr().err

@@ -7,7 +7,6 @@ from scipy.stats import chisquare, norm
 
 from pfops.core import (
     Incumbent,
-    ParetoArchive,
     PfopsConfig,
     Population,
     _incumbent,
@@ -20,7 +19,7 @@ from pfops.core import (
 )
 from pfops.errors import DegenerateWeightsError, InvalidConfigError, InvalidInputError
 from pfops.experiments import PRESETS
-from pfops.pareto import nondominated_mask
+from pfops.pareto import ParetoArchive, nondominated_mask
 from pfops.problems import BiObjectiveProblem, convex_problem, kursawe_problem, lookup_problem
 from pfops.scalarize import (
     Scalarization,

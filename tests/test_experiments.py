@@ -1,4 +1,5 @@
 import json
+import re
 import xml.etree.ElementTree as ET
 from dataclasses import asdict, fields, replace
 from functools import partial
@@ -332,6 +333,17 @@ class TestEmitters:
             emit_front_svg(fronts, np.zeros((0, 2)), tmp_path / "x.svg")
         assert not (tmp_path / "x.svg").exists()
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_svg_non_finite_point_names_label_and_row(self, tmp_path, bad):
+        # used to write nan into the coordinates, with a RuntimeWarning
+        front = np.array([[1.0, 2.0], [bad, 3.0]])
+        path = tmp_path / "x.svg"
+        with pytest.raises(InvalidInputError, match=r"^front 'run': row 1 is not finite"):
+            emit_front_svg({"good": np.array([[1.0, 2.0]]), "run": front}, np.zeros((0, 2)), path)
+        with pytest.raises(InvalidInputError, match=r"^reference: row 1 is not finite"):
+            emit_front_svg({"good": np.array([[1.0, 2.0]])}, front, path)
+        assert not path.exists()
+
     def test_svg_write_error_names_the_path(self, tmp_path):
         # the error is the one open() raised, not a re-wrapped OSError
         path = tmp_path / "missing" / "plot.svg"
@@ -454,6 +466,13 @@ class TestConfigFile:
         with pytest.raises(InvalidConfigError) as info:
             run_config_file(path)
         assert str(info.value) == f"{path}: duplicated key '{key}'"
+
+    def test_file_that_is_not_utf8_rejected(self, tmp_path):
+        # the locale's codec used to read it, here raising a raw UnicodeDecodeError
+        path = tmp_path / "run.json"
+        path.write_bytes('{"problem": "convex"}'.encode("utf-16"))
+        with pytest.raises(InvalidConfigError, match=rf"^{re.escape(str(path))}: not UTF-8 text"):
+            run_config_file(path)
 
     def test_non_integral_seed_override_rejected(self, tmp_path):
         path = tmp_path / "run.json"

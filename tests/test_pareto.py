@@ -1,3 +1,4 @@
+import re
 from pathlib import Path
 
 import numpy as np
@@ -229,7 +230,7 @@ class TestIgd:
         ],
     )
     def test_fronts_must_be_n_by_2(self, estimate, reference):
-        with pytest.raises(InvalidInputError, match=r"estimate shape \(.*\) and reference shape"):
+        with pytest.raises(InvalidInputError, match=r"^expected an \(n, 2\) array, got shape"):
             igd(estimate, reference)
 
 
@@ -263,10 +264,12 @@ class TestHypervolume:
 
     @pytest.mark.parametrize(
         "ref_point",
-        [[1.0], [np.nan, 1.0], (1.0, np.inf), (1.0, 1.0, 1.0), "ab", 1.0, [[1.0], [1.0]], (True, 1.0)],
+        [[1.0], [np.nan, 1.0], (1.0, np.inf), (1.0, 1.0, 1.0), "ab", 1.0, [[1.0], [1.0]], (True, 1.0),
+         np.array(1.0)],
     )
     def test_bad_reference_point_rejected(self, ref_point):
-        # [1] used to raise a raw IndexError and [nan, 1] to blame the front
+        # [1] used to raise a raw IndexError, [nan, 1] to blame the front and a
+        # 0-d array a raw TypeError
         with pytest.raises(InvalidInputError, match="ref_point must be two finite numbers"):
             hypervolume_2d(np.array([[0.0, 0.0]]), ref_point)
 
@@ -403,6 +406,13 @@ class TestFrontCsv:
         with pytest.raises(InvalidInputError) as info:
             read_front_csv(path)
         assert str(info.value) == f"{path}, line {line}: expected two numbers, got {row!r}"
+
+    def test_file_that_is_not_utf8_rejected(self, tmp_path):
+        # used to raise a raw UnicodeDecodeError
+        path = tmp_path / "front.csv"
+        path.write_bytes(b"\xff\xfef\x001\x00,\x00f\x002\x00\n\x00")
+        with pytest.raises(InvalidInputError, match=rf"^{re.escape(str(path))}: not UTF-8 text"):
+            read_front_csv(path)
 
     def test_blank_lines_skipped(self, tmp_path):
         path = tmp_path / "front.csv"

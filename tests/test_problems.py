@@ -105,9 +105,12 @@ def _zero(x):
     return np.zeros(len(x))
 
 
-@pytest.mark.parametrize("ideal", [(0.0,), (0.0, np.nan), (0.0, 1.0, 2.0), ("a", 0.0)])
+@pytest.mark.parametrize(
+    "ideal",
+    [(0.0,), (0.0, np.nan), (0.0, 1.0, 2.0), ("a", 0.0), range(2), np.array(0.0), np.zeros((2, 1))],
+)
 def test_ideal_must_be_two_finite_numbers(ideal):
-    with pytest.raises(InvalidInputError, match="ideal"):
+    with pytest.raises(InvalidInputError, match="^ideal must be two finite numbers"):
         BiObjectiveProblem("p", 1, [0.0], [1.0], _zero, _zero, ideal=ideal)
 
 
@@ -143,7 +146,8 @@ def test_bounds_of_the_wrong_shape_rejected(lower, upper):
 )
 def test_bounds_and_ideal_that_are_not_numbers_rejected(field, kwargs):
     # "-5" used to be parsed into -5.0, and True read as 1.0
-    with pytest.raises(InvalidInputError, match=rf"^{field} must be integers or floats"):
+    rule = "two finite numbers" if field == "ideal" else "integers or floats"
+    with pytest.raises(InvalidInputError, match=rf"^{field} must be {rule}"):
         BiObjectiveProblem("s", 1, f1=_zero, f2=_zero, **kwargs)
 
 

@@ -75,7 +75,20 @@ class TestScalarizationConstruction:
             Scalarization(ScalarizationKind.WEIGHTED_SUM, 0.5, utopian=(0.0, 0.0))
 
     @pytest.mark.parametrize(
-        "utopian", [(float("nan"), 0.0), (0.0, float("-inf")), ("-1", 0.0), (True, 0.0), (0.0,)]
+        "args", [("weighted-sum", 0.5), ("tchebycheff", 0.5, (0, 0))], ids=["ws", "tch"]
+    )
+    def test_kind_string_rejected(self, args):
+        # the first used to build and then raise a raw TypeError when scored; the
+        # second failed with "the weighted-sum scalarization takes no utopian"
+        with pytest.raises(
+            InvalidConfigError,
+            match=rf"^scalarization_kind must be a ScalarizationKind, got '{args[0]}'$",
+        ):
+            Scalarization(*args)
+
+    @pytest.mark.parametrize(
+        "utopian",
+        [(float("nan"), 0.0), (0.0, float("-inf")), ("-1", 0.0), (True, 0.0), (0.0,), np.array(0.0)],
     )
     def test_utopian_must_be_two_finite_numbers(self, utopian):
         with pytest.raises(InvalidConfigError, match="utopian"):
