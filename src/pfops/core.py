@@ -7,7 +7,9 @@ importance-reweighted by the density ratio pi_k / pi_{k-1}, multinomially
 resampled, and optionally rejuvenated by a componentwise Metropolis sweep
 (which may also improve the incumbent, including through rejected proposals).
 Resampling draws by inverse CDF: N uniforms from ``rng.random`` looked up in
-the cumulative weights, the lookup ``rng.choice(N, size=N, p=w)`` makes.
+the cumulative weights, the lookup ``rng.choice(N, size=N, p=w)`` makes. The
+lookup sorts the uniforms first and scatters the indices back to their
+draws: the same indices from the same stream, with shorter searches.
 The K recorded incumbents form the estimated Pareto set; their objective
 vectors, kept from the evaluations already paid for, form the estimated front.
 
@@ -36,7 +38,12 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import (
-    DegenerateWeightsError, InvalidConfigError, InvalidInputError, check_integer, is_finite_number
+    DegenerateWeightsError,
+    InvalidConfigError,
+    InvalidInputError,
+    check_integer,
+    check_sizable,
+    is_finite_number,
 )
 from .pareto import ParetoArchive, nondominated_mask
 from .problems import BiObjectiveProblem
@@ -141,10 +148,18 @@ def _raw_log_weights(
 
 def _inverse_cdf(weights: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     """N ancestor indices drawn by inverse CDF from N non-negative weights
-    (any scale, largest > 0): ``rng.choice``'s lookup, one uniform per draw."""
+    (any scale, largest > 0): ``rng.choice``'s lookup, one uniform per draw.
+
+    The uniforms are looked up in ascending order and the indices scattered
+    back to their draws: the same indices as an unsorted lookup, faster,
+    since each search starts where the last one ended."""
     cdf = weights.cumsum()
     cdf /= cdf[-1]
-    return cdf.searchsorted(rng.random(len(weights)), side="right")
+    u = rng.random(len(weights))
+    order = u.argsort()
+    idx = np.empty(len(u), dtype=np.intp)
+    idx[order] = cdf.searchsorted(u.take(order), side="right")
+    return idx
 
 
 def _sweep(
@@ -155,14 +170,18 @@ def _sweep(
     ``s``) in step; return the incumbent after the sweep."""
     n = len(particles)
     for dim in range(problem.dim):
-        proposed_col = particles[:, dim] + sigma * rng.standard_normal(n)
-        inside = (proposed_col >= problem.lower[dim]) & (proposed_col <= problem.upper[dim])
-        rows = np.flatnonzero(inside)
+        col = particles[:, dim]
+        proposed_col = rng.standard_normal(n)
+        proposed_col *= sigma
+        proposed_col += col
+        inside = proposed_col >= problem.lower[dim]
+        inside &= proposed_col <= problem.upper[dim]
+        rows = inside.nonzero()[0]
 
         prop_log_pi = np.full(n, -np.inf)
         if rows.size:
-            batch = particles[rows]
-            batch[:, dim] = proposed_col[rows]
+            batch = particles.take(rows, axis=0)
+            batch[:, dim] = proposed_col.take(rows)
             values = problem.evaluate_batch(batch)
             batch_log_pi = s.log_density_values(values)
             prop_log_pi[rows] = batch_log_pi
@@ -175,8 +194,12 @@ def _sweep(
         # out-of-box proposals still consumed two objective calls each
         problem.counter.add(2 * (n - rows.size))
 
-        accept = rng.random(n) < np.exp(np.minimum(prop_log_pi - log_pi, 0.0))
-        np.copyto(particles[:, dim], proposed_col, where=accept)
+        # the acceptance probability min{1, pi(x') / pi(x)}, in one buffer
+        ratio = prop_log_pi - log_pi
+        np.minimum(ratio, 0.0, out=ratio)
+        np.exp(ratio, out=ratio)
+        accept = rng.random(n) < ratio
+        np.copyto(col, proposed_col, where=accept)
         np.copyto(log_pi, prop_log_pi, where=accept)
     return inc
 
@@ -280,8 +303,12 @@ def run(config: PfopsConfig, problem: BiObjectiveProblem) -> tuple[ParetoArchive
 
     Raises:
         InvalidConfigError: if a Tchebycheff Utopian point is not strictly
-            below the problem's ideal point, when the problem states one.
+            below the problem's ideal point, when the problem states one, or
+            if K or N is too large for numpy to size the schedule or the
+            (N, d) particle array.
     """
+    check_sizable("n_targets", config.n_targets, 1)
+    check_sizable("n_particles", config.n_particles, problem.dim)
     z, ideal = config.utopian, problem.ideal
     if z is not None and ideal is not None and not (z[0] < ideal[0] and z[1] < ideal[1]):
         raise InvalidConfigError(
@@ -301,10 +328,11 @@ def run(config: PfopsConfig, problem: BiObjectiveProblem) -> tuple[ParetoArchive
     for s_k in targets:
         objectives, log_pi = _score(particles, s_k, problem)
         inc = _incumbent(particles, log_pi, objectives)
-        idx = _inverse_cdf(np.exp(_raw_log_weights(log_pi, objectives, s_prev)), rng)
-        particles = particles[idx]
+        weights = _raw_log_weights(log_pi, objectives, s_prev)
+        idx = _inverse_cdf(np.exp(weights, out=weights), rng)
+        particles = particles.take(idx, axis=0)
         if config.metropolis_enabled:
-            inc = _sweep(particles, log_pi[idx], inc, s_k, problem, config.sigma, rng)
+            inc = _sweep(particles, log_pi.take(idx), inc, s_k, problem, config.sigma, rng)
         decisions.append(inc.decision)
         front.append(inc.objectives)
         s_prev = s_k

@@ -1,7 +1,8 @@
 """Exception types and the input rules shared across the package.
 
 Each rule is a predicate that its callers wrap in their own error class and
-message; :func:`check_integer` is the config form of :func:`is_integer`.
+message; :func:`check_integer` is the config form of :func:`is_integer`, and
+:func:`check_sizable` bounds a config count by the arrays it sizes.
 """
 
 import math
@@ -47,6 +48,16 @@ def check_integer(name: str, value: object, minimum: int) -> None:
     """Reject a config count or seed that is not an integer >= ``minimum``."""
     if not is_integer(value, minimum):
         raise InvalidConfigError(f"{name} must be an integer >= {minimum}, got {value!r}")
+
+
+def check_sizable(name: str, count: int, row_items: int) -> None:
+    """Reject a config count whose array of ``count`` rows of ``row_items``
+    float64 values numpy cannot size: numpy refuses such a shape with a bare
+    ValueError before it allocates anything."""
+    if int(count) * int(row_items) * 8 > np.iinfo(np.intp).max:  # no numpy int overflow
+        raise InvalidConfigError(
+            f"{name} is too large: numpy cannot size {count} x {row_items} float64 values"
+        )
 
 
 def is_finite_number(value: object) -> bool:

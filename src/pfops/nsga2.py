@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidConfigError, check_integer
+from .errors import InvalidConfigError, check_integer, check_sizable
 from .pareto import ParetoArchive, as_front, peel_fronts
 from .problems import BiObjectiveProblem
 
@@ -163,7 +163,13 @@ def _environmental_selection(
 def evolve(config: Nsga2Config, problem: BiObjectiveProblem) -> tuple[ParetoArchive, int]:
     """Run NSGA-II and return the final rank-0 front plus the measured
     evaluation count, 2 * pop_size * (generations + 1): the initial
-    population and one offspring batch per generation."""
+    population and one offspring batch per generation.
+
+    Raises:
+        InvalidConfigError: if pop_size is too large for numpy to size the
+            (2 pop_size, d) array of parents and offspring.
+    """
+    check_sizable("pop_size", config.pop_size, 2 * problem.dim)
     rng = np.random.default_rng(config.seed)
     start_count = problem.counter.count
 

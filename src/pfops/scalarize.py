@@ -76,16 +76,29 @@ class Scalarization:
             single (2,) input.
         """
         obj = np.asarray(objectives, dtype=float)
+        single = obj.ndim == 1
+        if single:  # a (2,) vector is a one-row batch, so that the steps below
+            obj = obj[np.newaxis]  # have arrays to work in, not 0-d scalars
         f1 = obj[..., 0]
         f2 = obj[..., 1]
+        # each step below runs on a fresh temporary, never on ``objectives``;
+        # the float operations and their order are those of
+        # -((1 - lam) f1 + lam f2) and -max{(1 - lam) |f1 - z1|, lam |f2 - z2|}
+        # (a product's operands commute exactly), so the values are the same
         if self.kind is ScalarizationKind.WEIGHTED_SUM:
-            out = -((1.0 - self.lam) * f1 + self.lam * f2)
+            out = f1 * (1.0 - self.lam)
+            out += f2 * self.lam
         else:
             z1, z2 = self.utopian  # type: ignore[misc]
-            out = -np.maximum(
-                (1.0 - self.lam) * np.abs(f1 - z1), self.lam * np.abs(f2 - z2)
-            )
-        return out
+            out = f1 - z1
+            np.abs(out, out=out)
+            out *= 1.0 - self.lam
+            dev2 = f2 - z2
+            np.abs(dev2, out=dev2)
+            dev2 *= self.lam
+            np.maximum(out, dev2, out=out)
+        np.negative(out, out=out)
+        return out[0] if single else out
 
 
 def weighted_sum(lam: float) -> Scalarization:

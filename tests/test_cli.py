@@ -100,6 +100,26 @@ def test_run_config_file_not_utf8(tmp_path, capsys):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "algorithm, section, field",
+    [
+        ("pfops", {"n_targets": 2, "n_particles": 10**20}, "n_particles"),
+        ("pfops", {"n_targets": 10**20, "n_particles": 4}, "n_targets"),
+        ("nsga2", {"pop_size": 10**20, "generations": 2}, "pop_size"),
+    ],
+    ids=["n_particles", "n_targets", "pop_size"],
+)
+def test_run_config_count_numpy_cannot_size(tmp_path, capsys, algorithm, section, field):
+    # numpy refuses a 10**20 dimension with a bare ValueError before it
+    # allocates anything; the count is named instead
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps({"problem": "kursawe", "algorithm": algorithm, algorithm: section}))
+    assert main(["run", "--config", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {field} is too large: numpy cannot size {10**20} x ")
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
 def test_run_negative_seed(capsys):
     assert main(["run", "--preset", "pfops-convex-under", "--seed", "-1"]) == 1
     assert "seed must be an integer >= 0" in capsys.readouterr().err

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from pfops.core import PfopsConfig
-from pfops.errors import InvalidConfigError, InvalidInputError
+from pfops.errors import InvalidConfigError, InvalidInputError, check_sizable
 from pfops.pareto import reference_front
 from pfops.problems import BiObjectiveProblem
 from pfops.scalarize import equal_interval_schedule
@@ -50,3 +50,13 @@ def test_integer_rule_accepts_plain_and_numpy_integers(entry):
     build(minimum)
     build(np.int64(minimum))
 
+
+def test_sizable_rule_is_numpys_limit():
+    # numpy sizes a shape iff its byte count fits in an intp
+    rows = np.iinfo(np.intp).max // (3 * 8)
+    check_sizable("n_particles", rows, 3)
+    with pytest.raises(InvalidConfigError, match=rf"^n_particles is too large: .* {rows + 1} x 3 "):
+        check_sizable("n_particles", rows + 1, 3)
+    # a numpy integer count is not multiplied in (wrapping) int64
+    with pytest.raises(InvalidConfigError, match="pop_size"):
+        check_sizable("pop_size", np.int64(2**62), np.int64(6))

@@ -254,6 +254,26 @@ def test_out_of_bounds_rejected_and_uncounted():
     assert p.counter.count == 0
 
 
+def test_box_per_coordinate_and_empty_batch():
+    # bounds that differ by coordinate: a row outside the cube every
+    # coordinate admits, [0, 1]^2, may still be in the box, and a row inside
+    # the cube spanned by all the bounds, [-10, 10]^2, may be outside it
+    p = BiObjectiveProblem("box", 2, [0.0, -10.0], [1.0, 10.0], _first, _first)
+    assert p.evaluate_batch([[0.5, 0.5], [1.0, -10.0], [0.0, 10.0]]).shape == (3, 2)
+    with pytest.raises(BoundsError, match=r"point \[5\.0, 0\.0\] is outside"):
+        p.evaluate_batch([[0.5, 0.5], [5.0, 0.0]])
+    with pytest.raises(BoundsError, match=r"point \[0\.5, -10\.5\] is outside"):
+        p.evaluate_batch((0.5, -10.5))
+    assert p.counter.count == 6
+    # an empty batch is in the box and holds no NaN: no values, nothing counted
+    assert p.evaluate_batch(np.empty((0, 2))).shape == (0, 2)
+    assert p.counter.count == 6
+
+
+def _first(x):
+    return x[:, 0].copy()
+
+
 @pytest.mark.parametrize(
     "f1, f2",
     [
@@ -305,6 +325,17 @@ def test_nan_objective_rejected_and_uncounted():
         p.evaluate_batch([[0.25], [0.75], [1.0]])
     assert p.counter.count == 0
     assert np.isinf(p.evaluate_batch([[0.25]])).any()  # infinite values pass
+    assert p.counter.count == 2
+
+
+def test_opposite_infinities_are_not_nan():
+    # +inf and -inf in one row: a NaN test that summed the values would
+    # see inf + -inf = NaN; the row passes and is counted
+    p = BiObjectiveProblem(
+        name="inf", dim=1, lower=[0.0], upper=[1.0],
+        f1=lambda x: np.full(len(x), np.inf), f2=lambda x: np.full(len(x), -np.inf),
+    )
+    assert p.evaluate_batch((0.5,)).tolist() == [[np.inf, -np.inf]]
     assert p.counter.count == 2
 
 

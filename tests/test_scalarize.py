@@ -116,6 +116,23 @@ class TestLogDensity:
         singles = [s.log_density_values(row) for row in batch]
         np.testing.assert_allclose(s.log_density_values(batch), singles)
 
+    @pytest.mark.parametrize(
+        "s",
+        [weighted_sum(0.3), Scalarization(ScalarizationKind.TCHEBYCHEFF, 0.3, (-1.0, -2.0))],
+        ids=["weighted-sum", "tchebycheff"],
+    )
+    @pytest.mark.parametrize("shape", [(7, 2), (2,)])
+    def test_input_never_written(self, s, shape):
+        # the arithmetic runs in place, but only on its own temporaries
+        objectives = np.random.default_rng(4).normal(size=shape)
+        before = objectives.copy()
+        out = s.log_density_values(objectives)
+        assert objectives.tobytes() == before.tobytes()
+        if shape == (2,):
+            assert isinstance(out, float)
+        else:
+            assert out.shape == (7,)
+
 
 class TestDensityProperties:
     def test_lambda0_ignores_f2(self):
