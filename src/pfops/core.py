@@ -15,13 +15,18 @@ vectors, kept from the evaluations already paid for, form the estimated front.
 
 ``run`` keeps the step on plain arrays: the particles are evaluated once per
 step and scored once under pi_k, and that one score picks the incumbent, is
-pi_k's side of the weight ratio (pi_{k-1} is scored at the same objective
-values) and, gathered by the resampling index, starts the sweep. A run thus
-consumes exactly 2*K*N single-objective evaluations, plus 2*K*N*d more when
-the Metropolis sweep is on (one (f1, f2) pair per componentwise proposal,
-out-of-box proposals included). The weights take one pass per step: the raw
-log weights' maximum is checked once, and the CDF is built from
-exp(log w - max) and divided by its last entry, with no log-sum in between.
+pi_k's side of the weight ratio and, gathered by the resampling index,
+starts the sweep, which keeps it in step with every accepted move. The
+gathered array is then the next step's pi_{k-1} side, so the population is
+scored once under each target. This carry gives the same bits as scoring
+pi_{k-1} afresh on one condition: each objective's value is a function of
+the decision row alone, whatever batch the row is evaluated in (the
+built-in problems' kernels work row by row). A run thus consumes exactly 2*K*N
+single-objective evaluations, plus 2*K*N*d more when the Metropolis sweep is
+on (one (f1, f2) pair per componentwise proposal, out-of-box proposals
+included). The weights take one pass per step: the raw log weights' maximum
+is checked once, and the CDF is built from exp(log w - max) and divided by
+its last entry, with no log-sum in between.
 
 The public step functions run the same kernels on a ``Population``, each
 scoring its particles afresh. ``importance_weights`` returns normalized log
@@ -132,18 +137,22 @@ def _incumbent(particles: np.ndarray, log_pi: np.ndarray, objectives: np.ndarray
     return Incumbent(particles[j].copy(), float(log_pi[j]), objectives[j].copy())
 
 
-def _raw_log_weights(
-    log_pi: np.ndarray, objectives: np.ndarray, s_prev: Scalarization | None
-) -> np.ndarray:
+def _raw_log_weights(log_pi: np.ndarray, log_pi_prev: np.ndarray | None) -> np.ndarray:
     """The step's unnormalized log weights, log pi_k - log pi_{k-1} (log pi_k
-    alone at the first step), shifted by their maximum, which must be finite."""
-    log_w = log_pi if s_prev is None else log_pi - s_prev.log_density_values(objectives)
+    alone at the first step, when ``log_pi_prev`` is None), shifted by their
+    maximum, which must be finite, in a new array: ``run`` carries
+    ``log_pi`` forward, so neither input is written. There ``log_pi_prev``
+    is each particle's pi_{k-1} score carried from the last step, the same
+    bits as scoring it afresh when every objective is a function of the
+    decision row alone."""
+    log_w = log_pi.copy() if log_pi_prev is None else log_pi - log_pi_prev
     m = log_w.max()
     if not math.isfinite(m):
         raise DegenerateWeightsError(
             "every particle has zero density under the current target"
         )
-    return log_w - m
+    log_w -= m
+    return log_w
 
 
 def _inverse_cdf(weights: np.ndarray, rng: np.random.Generator) -> np.ndarray:
@@ -234,7 +243,8 @@ def importance_weights(
     if (k == 1) != (s_prev is None):
         raise InvalidInputError("s_prev is required exactly when k > 1")
     objectives, log_pi = _score(pop.particles, s_k, problem)
-    log_w = _raw_log_weights(log_pi, objectives, s_prev)
+    log_pi_prev = None if s_prev is None else s_prev.log_density_values(objectives)
+    log_w = _raw_log_weights(log_pi, log_pi_prev)
     log_w -= np.log(np.exp(log_w).sum())
     return replace(pop, log_weights=log_w)
 
@@ -298,6 +308,8 @@ def run(config: PfopsConfig, problem: BiObjectiveProblem) -> tuple[ParetoArchive
     Per step, s_k is scored once, at the objective values of that step's
     single evaluation, and that score drives the incumbent, pi_k's side of
     the weight ratio and the sweep; the step's incumbent is then recorded.
+    The score, resampled and kept in step by the sweep, is the next step's
+    pi_{k-1} side, so the particles are not scored under pi_{k-1} again.
     The front entries are the objective values paid for when each incumbent
     was scored, and the final dominated-member filter, when enabled, is free.
 
@@ -324,18 +336,18 @@ def run(config: PfopsConfig, problem: BiObjectiveProblem) -> tuple[ParetoArchive
 
     decisions = []
     front = []
-    s_prev = None
+    log_pi_prev = None  # each particle's log pi_{k-1}, carried from the last step
     for s_k in targets:
         objectives, log_pi = _score(particles, s_k, problem)
         inc = _incumbent(particles, log_pi, objectives)
-        weights = _raw_log_weights(log_pi, objectives, s_prev)
+        weights = _raw_log_weights(log_pi, log_pi_prev)
         idx = _inverse_cdf(np.exp(weights, out=weights), rng)
         particles = particles.take(idx, axis=0)
+        log_pi_prev = log_pi.take(idx)
         if config.metropolis_enabled:
-            inc = _sweep(particles, log_pi.take(idx), inc, s_k, problem, config.sigma, rng)
+            inc = _sweep(particles, log_pi_prev, inc, s_k, problem, config.sigma, rng)
         decisions.append(inc.decision)
         front.append(inc.objectives)
-        s_prev = s_k
 
     decisions_arr = np.stack(decisions)
     front_arr = np.stack(front)

@@ -23,12 +23,18 @@ The problem's own fields are checked when it is built, by the shared rules
 of :mod:`pfops.errors` (``is_integer`` for ``dim``, ``is_finite_pair`` for
 ``ideal``).
 
-The built-in objectives add their two or three per-coordinate columns
-(``t[:, 0] + t[:, 1] + t[:, 2]``) instead of calling ``np.sum(t, axis=1)``:
-numpy's reduction over a 2- or 3-wide axis is slow for its size (on a
-500 x 3 batch, 19 us against 4.4 us for the two additions, on one Xeon core
-with numpy 2.4), and both forms run the same float operations in the same
-order, ``(t0 + t1) + t2``, so the values are bit-identical.
+The built-in objectives work row by row: each runs elementwise operations on
+the whole batch and then adds its two or three per-coordinate columns
+(``t[:, 0] + t[:, 1] + t[:, 2]``), so a decision row gets the same objective
+bits in any batch, which ``core.run`` relies on to carry each particle's
+density from one step to the next. The columns are added instead of calling
+``np.sum(t, axis=1)``: numpy's reduction over a 2- or 3-wide axis is slow for
+its size (on a 500 x 3 batch, 19 us against 4.4 us for the two additions, on
+one Xeon core with numpy 2.4), and both forms run the same float operations
+in the same order, ``(t0 + t1) + t2``, so the values are bit-identical. A
+square is one product on one temporary for the whole batch (``sq = x * x``,
+or ``dev = x - c; sq = dev * dev``), not a power per column: numpy computes
+``x ** 2`` as ``x * x``, so the values are bit-identical there too.
 """
 
 from __future__ import annotations
@@ -192,11 +198,14 @@ def _float_array(name: str, value: object) -> np.ndarray:
 
 
 def _convex_f1(x: np.ndarray) -> np.ndarray:
-    return x[:, 0] ** 2 + x[:, 1] ** 2
+    sq = x * x
+    return sq[:, 0] + sq[:, 1]
 
 
 def _convex_f2(x: np.ndarray) -> np.ndarray:
-    return (x[:, 0] - 5.0) ** 2 + (x[:, 1] - 5.0) ** 2
+    dev = x - 5.0
+    sq = dev * dev
+    return sq[:, 0] + sq[:, 1]
 
 
 def convex_problem() -> BiObjectiveProblem:

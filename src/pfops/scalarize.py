@@ -68,6 +68,10 @@ class Scalarization:
     def log_density_values(self, objectives: np.ndarray) -> np.ndarray | float:
         """log pi at pre-computed objective values.
 
+        A zero weight drops its term: at lambda = 0 the value ignores f2, and
+        at lambda = 1 it ignores f1, even where that objective is infinite
+        (``0 * inf`` would be NaN). Elsewhere the value is that of the formula.
+
         Args:
             objectives: (..., 2) array of (f1, f2) values.
 
@@ -81,22 +85,29 @@ class Scalarization:
             obj = obj[np.newaxis]  # have arrays to work in, not 0-d scalars
         f1 = obj[..., 0]
         f2 = obj[..., 1]
+        w1, w2 = 1.0 - self.lam, self.lam
         # each step below runs on a fresh temporary, never on ``objectives``;
         # the float operations and their order are those of
-        # -((1 - lam) f1 + lam f2) and -max{(1 - lam) |f1 - z1|, lam |f2 - z2|}
-        # (a product's operands commute exactly), so the values are the same
+        # -(w1 f1 + w2 f2) and -max{w1 |f1 - z1|, w2 |f2 - z2|} (a product's
+        # operands commute exactly), so for finite objectives the values are
+        # the same, but for the sign of a zero where a term is dropped
         if self.kind is ScalarizationKind.WEIGHTED_SUM:
-            out = f1 * (1.0 - self.lam)
-            out += f2 * self.lam
+            if w1:
+                out = f1 * w1
+                if w2:
+                    out += f2 * w2
+            else:
+                out = f2 * w2
         else:
             z1, z2 = self.utopian  # type: ignore[misc]
-            out = f1 - z1
+            out = f1 - z1 if w1 else f2 - z2
             np.abs(out, out=out)
-            out *= 1.0 - self.lam
-            dev2 = f2 - z2
-            np.abs(dev2, out=dev2)
-            dev2 *= self.lam
-            np.maximum(out, dev2, out=out)
+            out *= w1 if w1 else w2
+            if w1 and w2:
+                dev2 = f2 - z2
+                np.abs(dev2, out=dev2)
+                dev2 *= w2
+                np.maximum(out, dev2, out=out)
         np.negative(out, out=out)
         return out[0] if single else out
 

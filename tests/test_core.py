@@ -20,7 +20,13 @@ from pfops.core import (
 from pfops.errors import DegenerateWeightsError, InvalidConfigError, InvalidInputError
 from pfops.experiments import PRESETS
 from pfops.pareto import ParetoArchive, nondominated_mask
-from pfops.problems import BiObjectiveProblem, convex_problem, kursawe_problem, lookup_problem
+from pfops.problems import (
+    BiObjectiveProblem,
+    convex_problem,
+    fonseca_fleming_problem,
+    kursawe_problem,
+    lookup_problem,
+)
 from pfops.scalarize import (
     Scalarization,
     ScalarizationKind,
@@ -558,7 +564,9 @@ def reference_run(config, problem):
 
 
 class TestRun:
-    @pytest.mark.parametrize("make_problem", [convex_problem, kursawe_problem])
+    @pytest.mark.parametrize(
+        "make_problem", [convex_problem, fonseca_fleming_problem, kursawe_problem]
+    )
     @pytest.mark.parametrize("kind", list(ScalarizationKind))
     @pytest.mark.parametrize("moves", [False, True])
     def test_equals_chain_of_step_functions(self, monkeypatch, make_problem, kind, moves):
@@ -587,6 +595,21 @@ class TestRun:
             assert_same_bits(archive.decisions, expected.decisions)
             assert_same_bits(archive.front, expected.front)
             assert made[0].bit_generator.state == rng.bit_generator.state
+
+    def test_scores_each_target_once(self, monkeypatch):
+        # each step's pi_{k-1} side is the score carried from the last step,
+        # so with moves off the population is scored once per target, in order
+        scored = []
+        log_density_values = Scalarization.log_density_values
+
+        def recording(self, objectives):
+            scored.append(self.lam)
+            return log_density_values(self, objectives)
+
+        monkeypatch.setattr(Scalarization, "log_density_values", recording)
+        cfg = PfopsConfig(n_targets=5, n_particles=12, metropolis_enabled=False, seed=0)
+        run(cfg, convex_problem())
+        assert scored == equal_interval_schedule(5).tolist()
 
     @pytest.mark.parametrize(
         "preset, seeds, moves",

@@ -134,26 +134,48 @@ class TestLogDensity:
             assert out.shape == (7,)
 
 
+def assert_ignores_objective(s, ignored, seed):
+    """log pi under ``s`` does not move when objective ``ignored`` is bumped
+    or made infinite (either sign): the result is never NaN, and no
+    RuntimeWarning (an error under pytest) comes from ``0 * inf``."""
+    rng = np.random.default_rng(seed)
+    f = rng.normal(size=(100, 2))
+    expected = s.log_density_values(f)
+    bumped = f.copy()
+    bumped[:, ignored] += rng.exponential(size=100)
+    np.testing.assert_array_equal(s.log_density_values(bumped), expected)
+    infinite = f.copy()
+    infinite[::2, ignored] = np.inf
+    infinite[1::2, ignored] = -np.inf
+    np.testing.assert_array_equal(s.log_density_values(infinite), expected)
+    # the other objective still counts: +inf there is -inf, never NaN
+    both = np.zeros((2, 2))
+    both[:, 1 - ignored] = np.inf
+    both[:, ignored] = [np.inf, -np.inf]
+    assert s.log_density_values(both).tolist() == [-np.inf, -np.inf]
+
+
+TCHEBYCHEFF_Z = (-1.0, -0.5)
+
+
 class TestDensityProperties:
     def test_lambda0_ignores_f2(self):
-        s = weighted_sum(0.0)
-        rng = np.random.default_rng(0)
-        f = rng.normal(size=(100, 2))
-        bumped = f.copy()
-        bumped[:, 1] += rng.exponential(size=100)
-        np.testing.assert_array_equal(
-            s.log_density_values(f), s.log_density_values(bumped)
-        )
+        assert_ignores_objective(weighted_sum(0.0), 1, seed=0)
 
     def test_lambda1_ignores_f1(self):
-        s = weighted_sum(1.0)
-        rng = np.random.default_rng(1)
-        f = rng.normal(size=(100, 2))
-        bumped = f.copy()
-        bumped[:, 0] += rng.exponential(size=100)
-        np.testing.assert_array_equal(
-            s.log_density_values(f), s.log_density_values(bumped)
-        )
+        assert_ignores_objective(weighted_sum(1.0), 0, seed=1)
+
+    def test_tchebycheff_lambda0_ignores_f2(self):
+        s = Scalarization(ScalarizationKind.TCHEBYCHEFF, 0.0, utopian=TCHEBYCHEFF_Z)
+        assert_ignores_objective(s, 1, seed=4)
+
+    def test_tchebycheff_lambda1_ignores_f1(self):
+        s = Scalarization(ScalarizationKind.TCHEBYCHEFF, 1.0, utopian=TCHEBYCHEFF_Z)
+        assert_ignores_objective(s, 0, seed=5)
+
+    def test_single_vector_with_ignored_infinity(self):
+        assert weighted_sum(0.0).log_density_values([3.0, np.inf]) == -3.0
+        assert weighted_sum(1.0).log_density_values([-np.inf, 2.0]) == -2.0
 
     def test_argmax_tracks_analytic_minimizer(self):
         problem = convex_problem()
