@@ -28,6 +28,19 @@ included). The weights take one pass per step: the raw log weights' maximum
 is checked once, and the CDF is built from exp(log w - max) and divided by
 its last entry, with no log-sum in between.
 
+Each Metropolis proposal moves one coordinate, so an objective that is a
+``problems.CoordinateSum`` (a sum of one elementwise term per coordinate,
+as Kursawe's f2) need not be recomputed in full. ``run`` keeps each such
+objective's (N, d) term matrix from the step's full evaluation and carries
+it as it carries log pi_{k-1}: gathered by the resampling index, and
+rewritten at the accepted rows after each dimension. A proposal gets that
+objective from its row's terms with the moved column's term computed afresh,
+added in the same order, which gives the bits of a full evaluation when the
+term is elementwise. Any other objective sees the full batch, the step's own
+evaluation stays a full one of both objectives, and the counts above do not
+change. The path is picked by ``isinstance`` at each evaluation, since
+``f1`` and ``f2`` are public, mutable fields.
+
 The public step functions run the same kernels on a ``Population``, each
 scoring its particles afresh. ``importance_weights`` returns normalized log
 weights, and ``resample`` turns its log weights into ``rng.choice``'s ``p``
@@ -172,11 +185,12 @@ def _inverse_cdf(weights: np.ndarray, rng: np.random.Generator) -> np.ndarray:
 
 
 def _sweep(
-    particles: np.ndarray, log_pi: np.ndarray, inc: Incumbent, s: Scalarization,
-    problem: BiObjectiveProblem, sigma: float, rng: np.random.Generator,
+    particles: np.ndarray, log_pi: np.ndarray, terms: list, inc: Incumbent,
+    s: Scalarization, problem: BiObjectiveProblem, sigma: float, rng: np.random.Generator,
 ) -> Incumbent:
     """Sweep ``particles`` in place, keeping ``log_pi`` (their log pi under
-    ``s``) in step; return the incumbent after the sweep."""
+    ``s``) and ``terms`` (each CoordinateSum objective's term matrix, or
+    None) in step; return the incumbent after the sweep."""
     n = len(particles)
     for dim in range(problem.dim):
         col = particles[:, dim]
@@ -191,7 +205,8 @@ def _sweep(
         if rows.size:
             batch = particles.take(rows, axis=0)
             batch[:, dim] = proposed_col.take(rows)
-            values = problem.evaluate_batch(batch)
+            batch_terms = [t if t is None else t.take(rows, axis=0) for t in terms]
+            values, batch_terms = problem._evaluate_terms(batch, dim, batch_terms)
             batch_log_pi = s.log_density_values(values)
             prop_log_pi[rows] = batch_log_pi
             # out-of-box rows score -inf, so the batch's first maximum is the
@@ -210,14 +225,19 @@ def _sweep(
         accept = rng.random(n) < ratio
         np.copyto(col, proposed_col, where=accept)
         np.copyto(log_pi, prop_log_pi, where=accept)
+        if rows.size:  # an out-of-box proposal is never accepted
+            for t, batch_t in zip(terms, batch_terms):
+                if t is not None:
+                    took = accept.take(rows)
+                    t[rows[took], dim] = batch_t[took, dim]
     return inc
 
 
 def _score(
     particles: np.ndarray, s: Scalarization, problem: BiObjectiveProblem
-) -> tuple[np.ndarray, np.ndarray]:
-    objectives = problem.evaluate_batch(particles)
-    return objectives, s.log_density_values(objectives)
+) -> tuple[np.ndarray, np.ndarray, list]:
+    objectives, terms = problem._evaluate_terms(particles)
+    return objectives, s.log_density_values(objectives), terms
 
 
 def importance_weights(
@@ -242,7 +262,7 @@ def importance_weights(
         raise InvalidInputError(f"step index must be >= 1, got {k}")
     if (k == 1) != (s_prev is None):
         raise InvalidInputError("s_prev is required exactly when k > 1")
-    objectives, log_pi = _score(pop.particles, s_k, problem)
+    objectives, log_pi, _ = _score(pop.particles, s_k, problem)
     log_pi_prev = None if s_prev is None else s_prev.log_density_values(objectives)
     log_w = _raw_log_weights(log_pi, log_pi_prev)
     log_w -= np.log(np.exp(log_w).sum())
@@ -296,9 +316,9 @@ def metropolis_sweep(
     particle cost 2N(1+d) evaluations.
     """
     particles = pop.particles.copy()
-    objectives, log_pi = _score(particles, s, problem)
+    objectives, log_pi, terms = _score(particles, s, problem)
     inc = pop.incumbent if pop.incumbent is not None else _incumbent(particles, log_pi, objectives)
-    inc = _sweep(particles, log_pi, inc, s, problem, sigma, rng)
+    inc = _sweep(particles, log_pi, terms, inc, s, problem, sigma, rng)
     return replace(pop, particles=particles, incumbent=inc)
 
 
@@ -338,14 +358,17 @@ def run(config: PfopsConfig, problem: BiObjectiveProblem) -> tuple[ParetoArchive
     front = []
     log_pi_prev = None  # each particle's log pi_{k-1}, carried from the last step
     for s_k in targets:
-        objectives, log_pi = _score(particles, s_k, problem)
+        objectives, log_pi, terms = _score(particles, s_k, problem)
         inc = _incumbent(particles, log_pi, objectives)
         weights = _raw_log_weights(log_pi, log_pi_prev)
         idx = _inverse_cdf(np.exp(weights, out=weights), rng)
         particles = particles.take(idx, axis=0)
         log_pi_prev = log_pi.take(idx)
         if config.metropolis_enabled:
-            inc = _sweep(particles, log_pi_prev, inc, s_k, problem, config.sigma, rng)
+            terms = [t if t is None else t.take(idx, axis=0) for t in terms]
+            inc = _sweep(
+                particles, log_pi_prev, terms, inc, s_k, problem, config.sigma, rng
+            )
         decisions.append(inc.decision)
         front.append(inc.objectives)
 

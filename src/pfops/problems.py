@@ -35,6 +35,14 @@ in the same order, ``(t0 + t1) + t2``, so the values are bit-identical. A
 square is one product on one temporary for the whole batch (``sq = x * x``,
 or ``dev = x - c; sq = dev * dev``), not a power per column: numpy computes
 ``x ** 2`` as ``x * x``, so the values are bit-identical there too.
+
+An objective that is a sum of one term per coordinate can be given as a
+:class:`CoordinateSum` of its elementwise term, as Kursawe's f2 is. Called on
+a batch, it adds the term's columns as above. ``core``'s Metropolis sweep
+moves one coordinate per proposal, and for a CoordinateSum objective it
+passes the proposals' carried terms to ``_evaluate_terms``, which computes
+only the moved column's term: the same bits when the term is elementwise,
+through ``evaluate_batch``'s own checks, and the same count, 2 per row.
 """
 
 from __future__ import annotations
@@ -42,7 +50,7 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -133,6 +141,60 @@ class BiObjectiveProblem:
         integer or float) value per row or is NaN at any row (nothing is
         counted in any case).
         """
+        p = self._batch(points)
+        return self._values(p, self.f1(p), self.f2(p))
+
+    def _evaluate_terms(
+        self,
+        points: np.ndarray,
+        dim: int | None = None,
+        terms: Sequence[np.ndarray | None] = (None, None),
+    ) -> tuple[np.ndarray, list[np.ndarray | None]]:
+        """``evaluate_batch(points)``, and the (n, d) term matrix of each
+        objective that is a :class:`CoordinateSum` (None for any other).
+
+        With ``dim``, each row of ``points`` differs only in column ``dim``
+        from the row at which ``terms`` (a matrix or None per objective, one
+        row per point) were computed. A CoordinateSum objective then computes
+        that column's terms alone, adds them to the other columns in the
+        same order, and its matrix is returned with that column rewritten
+        in place.
+        An elementwise term gives the bits of a full evaluation, and the
+        count is the same. The path is picked per objective at each call, so
+        a problem with no CoordinateSum objective is evaluated by
+        ``evaluate_batch`` itself; the checks are ``evaluate_batch``'s, plus
+        the term's own (:func:`_term_values`), all before anything is counted.
+        """
+        f1, f2 = self.f1, self.f2
+        if not (isinstance(f1, CoordinateSum) or isinstance(f2, CoordinateSum)):
+            return self.evaluate_batch(points), [None, None]
+        p = self._batch(points)
+        outputs, matrices, moved = [], [], []
+        for which, f, t in zip(("f1", "f2"), (f1, f2), terms):
+            if not isinstance(f, CoordinateSum):
+                outputs.append(f(p))
+                matrices.append(None)
+                continue
+            owner = f"objective {which} of problem '{self.name}'"
+            if dim is None or t is None:
+                t = _term_values(f.term, p, owner)
+                columns = t.T
+            else:
+                # a contiguous column, as a full evaluation's term sees its values
+                col = _term_values(f.term, np.ascontiguousarray(p[:, dim]), owner)
+                columns = list(t.T)
+                columns[dim] = col
+                moved.append((t, col))
+            outputs.append(_add_columns(columns))
+            matrices.append(t)
+        values = self._values(p, *outputs)
+        for t, col in moved:  # written only once the values passed their checks
+            t[:, dim] = col
+        return values, matrices
+
+    def _batch(self, points: np.ndarray) -> np.ndarray:
+        """``points`` as a float (n, d) batch inside the box, or the error
+        ``evaluate_batch`` documents."""
         p = np.asarray(points, dtype=float)
         if p.ndim != 2:
             p = np.atleast_2d(p)
@@ -157,7 +219,14 @@ class BiObjectiveProblem:
                     f"point {p[bad].tolist()} is outside the box of problem "
                     f"'{self.name}' (lower={self.lower.tolist()}, upper={self.upper.tolist()})"
                 )
-        f1, f2 = np.asarray(self.f1(p)), np.asarray(self.f2(p))
+        return p
+
+    def _values(self, p: np.ndarray, f1: object, f2: object) -> np.ndarray:
+        """The (n, 2) values of the objectives' outputs ``f1`` and ``f2`` at
+        the checked batch ``p``, counted as 2n evaluations, or the error
+        ``evaluate_batch`` documents, with nothing counted."""
+        n = len(p)
+        f1, f2 = np.asarray(f1), np.asarray(f2)
         if f1.shape != (n,) or f2.shape != (n,):
             raise InvalidInputError(
                 f"objectives of problem '{self.name}' must return shape ({n},) "
@@ -181,6 +250,47 @@ class BiObjectiveProblem:
             )
         self.counter.add(2 * n)
         return values
+
+
+class CoordinateSum:
+    """A coordinate-additive objective, f(x) = sum_i term(x_i).
+
+    Called on an (n, d) batch, it computes ``t = term(x)`` and returns
+    ``t[:, 0] + t[:, 1] + ... + t[:, d-1]``, added left to right. ``term``
+    must be elementwise: each output value depends on its own input value
+    alone, whatever the array's shape, and the output has the input's
+    shape. Then a row whose coordinate i alone changed needs only that
+    coordinate's new term, and the sum of the row's other terms and the new
+    one, added in the same order, has the bits of a full evaluation. The
+    Metropolis sweep of ``core.run`` proposes such rows, and
+    ``BiObjectiveProblem`` evaluates them so when an objective is a
+    CoordinateSum; each proposal still counts as one evaluation.
+    """
+
+    def __init__(self, term: Callable[[np.ndarray], np.ndarray]) -> None:
+        self.term = term
+
+    def __call__(self, x: np.ndarray) -> np.ndarray:
+        return _add_columns(_term_values(self.term, x, "a CoordinateSum").T)
+
+
+def _term_values(term: Callable[[np.ndarray], np.ndarray], x: np.ndarray, owner: str) -> np.ndarray:
+    """``term(x)``; InvalidInputError naming ``owner`` unless it has x's shape."""
+    t = np.asarray(term(x))
+    if t.shape != x.shape:
+        raise InvalidInputError(
+            f"the term of {owner} must return one value per coordinate, shape "
+            f"{x.shape}, got {t.shape}"
+        )
+    return t
+
+
+def _add_columns(columns: Sequence[np.ndarray]) -> np.ndarray:
+    """The columns' sum, added left to right (a (d, n) array is d columns)."""
+    total = columns[0]
+    for col in columns[1:]:
+        total = total + col
+    return total
 
 
 def _float_array(name: str, value: object) -> np.ndarray:
@@ -266,16 +376,18 @@ def _kursawe_f1(x: np.ndarray) -> np.ndarray:
     return t[:, 0] + t[:, 1]
 
 
-def _kursawe_f2(x: np.ndarray) -> np.ndarray:
+def _kursawe_f2_term(x: np.ndarray) -> np.ndarray:
     # x**3 stays, although numpy sends negative bases down its per-element
-    # pow (134 of the 156 us of a 500-row call, one Xeon core, numpy 2.4).
-    # No faster cube gives the same bits, so each would move every seeded
-    # Kursawe result: x * x * x changes the last bit of about 26 % of cubes,
-    # and of 400 000 uniform negative bases, copysign(abs(x)**3, x) changes
-    # 5.3 %, np.float_power(x, 3) 0.14 %, a long-double cube 0.10 % and the
+    # pow: 143 ns a negative element against 4 ns a positive one, on one
+    # AVX-512 Xeon core with numpy 2.4. With AVX-512 dispatch off, every
+    # cube costs about 17 ns, so the Metropolis sweep's saving from computing
+    # only the moved coordinate's term is smaller on such CPUs. No faster cube
+    # gives the same bits, so each would move every seeded Kursawe result:
+    # x * x * x changes the last bit of about 26 % of cubes, and of 400 000
+    # uniform negative bases, copysign(abs(x)**3, x) changes 5.3 %,
+    # np.float_power(x, 3) 0.14 %, a long-double cube 0.10 % and the
     # correctly rounded cube 0.11 %.
-    t = np.abs(x) ** 0.8 + 5.0 * np.sin(x**3)
-    return t[:, 0] + t[:, 1] + t[:, 2]
+    return np.abs(x) ** 0.8 + 5.0 * np.sin(x**3)
 
 
 def kursawe_problem() -> BiObjectiveProblem:
@@ -294,7 +406,7 @@ def kursawe_problem() -> BiObjectiveProblem:
         lower=np.full(3, -5.0),
         upper=np.full(3, 5.0),
         f1=_kursawe_f1,
-        f2=_kursawe_f2,
+        f2=CoordinateSum(_kursawe_f2_term),
         ideal=(-20.0, -11.627287),
     )
 

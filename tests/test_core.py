@@ -1,6 +1,9 @@
 from dataclasses import replace
 from functools import partial
 
+import ast
+import re
+
 import numpy as np
 import pytest
 from scipy.stats import chisquare, norm
@@ -22,6 +25,8 @@ from pfops.experiments import PRESETS
 from pfops.pareto import ParetoArchive, nondominated_mask
 from pfops.problems import (
     BiObjectiveProblem,
+    CoordinateSum,
+    _kursawe_f2_term,
     convex_problem,
     fonseca_fleming_problem,
     kursawe_problem,
@@ -81,7 +86,7 @@ def set_incumbent(pop, s, problem):
     """``pop`` with the incumbent ``run`` takes at a step: the particle that
     maximizes log pi under ``s``, the first index winning ties. Scoring the
     particles costs 2N evaluations."""
-    objectives, log_pi = _score(pop.particles, s, problem)
+    objectives, log_pi, _ = _score(pop.particles, s, problem)
     return replace(pop, incumbent=_incumbent(pop.particles, log_pi, objectives))
 
 
@@ -742,3 +747,106 @@ class TestRun:
     def test_archive_is_dataclass_with_len(self):
         archive = ParetoArchive(decisions=np.zeros((2, 2)), front=np.zeros((2, 2)))
         assert len(archive) == 2
+
+
+def sum_problem_1d():
+    """Both objectives CoordinateSums in one variable: each move replaces the
+    only term."""
+    return BiObjectiveProblem(
+        name="sum-1d", dim=1, lower=[-3.0], upper=[3.0],
+        f1=CoordinateSum(lambda x: x * x + np.sin(3.0 * x)),
+        f2=CoordinateSum(lambda x: np.abs(x - 1.0) ** 0.8),
+    )
+
+
+def sum_problem_5d():
+    """Both objectives CoordinateSums in five variables, f2 Kursawe's."""
+    return BiObjectiveProblem(
+        name="sum-5d", dim=5, lower=np.full(5, -5.0), upper=np.full(5, 5.0),
+        f1=CoordinateSum(lambda x: np.abs(x) ** 0.5 + np.cos(2.0 * x)),
+        f2=CoordinateSum(_kursawe_f2_term),
+    )
+
+
+def generic_copy(problem):
+    """``problem`` with each objective behind a plain function computing the
+    same values, so that every evaluation takes the full, generic path."""
+    return replace(
+        problem, f1=lambda x, f=problem.f1: f(x), f2=lambda x, f=problem.f2: f(x)
+    )
+
+
+class TestCoordinateSumPath:
+    @pytest.mark.parametrize("make_problem", [kursawe_problem, sum_problem_1d, sum_problem_5d])
+    @pytest.mark.parametrize("kind", list(ScalarizationKind))
+    def test_equals_generic_path(self, monkeypatch, make_problem, kind):
+        # a proposal's CoordinateSum value from its row's carried terms and one
+        # new term must have the bits of a full evaluation of the row
+        assert isinstance(make_problem().f2, CoordinateSum)
+        utopian = (-30.0, -30.0) if kind is ScalarizationKind.TCHEBYCHEFF else None
+        default_rng = np.random.default_rng
+        made = []
+
+        def recording_rng(seed):
+            made.append(default_rng(seed))
+            return made[-1]
+
+        monkeypatch.setattr(np.random, "default_rng", recording_rng)
+        for seed in range(20):
+            cfg = PfopsConfig(
+                n_targets=4, n_particles=10, sigma=1.5, seed=seed,
+                final_filter_enabled=seed % 2 == 0, scalarization_kind=kind, utopian=utopian,
+            )
+            sides = []
+            for problem in (make_problem(), generic_copy(make_problem())):
+                made.clear()
+                archive, evals = run(cfg, problem)
+                assert len(made) == 1
+                sides.append((archive, evals, made[0].bit_generator.state))
+            (new, new_evals, new_state), (ref, ref_evals, ref_state) = sides
+            assert_same_bits(new.decisions, ref.decisions)
+            assert_same_bits(new.front, ref.front)
+            assert new_evals == ref_evals == 2 * 4 * 10 * (1 + problem.dim)
+            assert new_state == ref_state
+
+    @staticmethod
+    def _moves_problem(term):
+        return BiObjectiveProblem(
+            name="moves", dim=2, lower=[0.0, 0.0], upper=[1.0, 1.0],
+            f1=lambda x: x[:, 0].copy(), f2=CoordinateSum(term),
+        )
+
+    def _sweep_raises(self, term, message):
+        # the particles lie in [0, 0.5]^2, so their own evaluation passes and
+        # only a proposal can meet the term's fault
+        problem = self._moves_problem(term)
+        pop = make_population(np.random.default_rng(2).uniform(0.0, 0.5, size=(30, 2)))
+        with pytest.raises(InvalidInputError, match=message) as err:
+            metropolis_sweep(pop, weighted_sum(0.5), problem, 0.5, np.random.default_rng(3))
+        assert problem.counter.count == 2 * 30  # the population's evaluation alone
+        return problem, str(err.value)
+
+    def test_nan_at_a_proposal_names_the_point(self):
+        problem, message = self._sweep_raises(
+            lambda x: np.where(x > 0.5, np.nan, x), r"^objectives of problem 'moves' are NaN at point "
+        )
+        point = ast.literal_eval(re.search(r"at point (\[[^]]*\])", message).group(1))
+        assert max(point) > 0.5
+        # the same message as a full evaluation of that point, which counts nothing either
+        with pytest.raises(InvalidInputError) as fresh:
+            problem.evaluate_batch(point)
+        assert str(fresh.value) == message
+        assert problem.counter.count == 2 * 30
+
+    def test_complex_term_at_proposals_refused(self):
+        self._sweep_raises(
+            lambda x: x + 0j if x.ndim == 1 else x,
+            r"^objective f2 of problem 'moves' must return real numbers, got dtype complex128$",
+        )
+
+    def test_wrong_shape_term_at_proposals_refused(self):
+        self._sweep_raises(
+            lambda x: x[:, None] if x.ndim == 1 else x,
+            r"^the term of objective f2 of problem 'moves' must return one value per "
+            r"coordinate, shape \(\d+,\), got \(\d+, 1\)$",
+        )

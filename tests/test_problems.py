@@ -4,6 +4,7 @@ import pytest
 from pfops.errors import BoundsError, InvalidInputError, NotFoundError
 from pfops.problems import (
     BiObjectiveProblem,
+    CoordinateSum,
     EvalCounter,
     available_problems,
     convex_problem,
@@ -455,3 +456,29 @@ def test_kernels_bit_identical_to_axis_reductions(name):
             assert got.shape == want.shape == (len(rows),)
             assert got.dtype == want.dtype == np.float64
             assert got.tobytes() == want.tobytes()
+
+
+def test_kursawe_term_is_elementwise():
+    # a Metropolis proposal's f2 adds one column's new term to the row's
+    # carried terms; that holds bit for bit only if each column of the term
+    # matrix equals the term of that column alone
+    p = kursawe_problem()
+    assert isinstance(p.f2, CoordinateSum)
+    x = _kernel_batch(p, 120_000)
+    t = p.f2.term(x)
+    assert t.shape == x.shape
+    for j in range(p.dim):
+        assert t[:, j].tobytes() == p.f2.term(np.ascontiguousarray(x[:, j])).tobytes()
+
+
+def test_coordinate_sum_term_of_the_wrong_shape_rejected_and_uncounted():
+    # a term that reduces each row is not elementwise; both evaluation paths refuse it
+    p = BiObjectiveProblem(
+        "rowwise", 2, [0.0, 0.0], [1.0, 1.0],
+        lambda x: x[:, 0].copy(), CoordinateSum(lambda x: x.sum(axis=1)),
+    )
+    with pytest.raises(InvalidInputError, match=r"^the term of a CoordinateSum .* \(1, 2\), got \(1,\)$"):
+        p.evaluate_batch((0.25, 0.75))
+    with pytest.raises(InvalidInputError, match=r"^the term of objective f2 of problem 'rowwise'"):
+        p._evaluate_terms([[0.25, 0.75]])
+    assert p.counter.count == 0
