@@ -168,8 +168,9 @@ def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
-    except (PfopsError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (PfopsError, OSError, MemoryError) as exc:
+        # numpy's MemoryError names the size it could not allocate; a bare one is empty
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 1
 
 

@@ -189,8 +189,8 @@ def _sweep(
     s: Scalarization, problem: BiObjectiveProblem, sigma: float, rng: np.random.Generator,
 ) -> Incumbent:
     """Sweep ``particles`` in place, keeping ``log_pi`` (their log pi under
-    ``s``) and ``terms`` (each CoordinateSum objective's term matrix, or
-    None) in step; return the incumbent after the sweep."""
+    ``s``) and ``terms`` (each CoordinateSum objective's term matrix) in
+    step; return the incumbent after the sweep."""
     n = len(particles)
     for dim in range(problem.dim):
         col = particles[:, dim]
@@ -205,8 +205,8 @@ def _sweep(
         if rows.size:
             batch = particles.take(rows, axis=0)
             batch[:, dim] = proposed_col.take(rows)
-            batch_terms = [t if t is None else t.take(rows, axis=0) for t in terms]
-            values, batch_terms = problem._evaluate_terms(batch, dim, batch_terms)
+            batch_terms = [t.take(rows, axis=0) for t in terms]
+            values, new_terms = problem._evaluate_terms(batch, dim, batch_terms)
             batch_log_pi = s.log_density_values(values)
             prop_log_pi[rows] = batch_log_pi
             # out-of-box rows score -inf, so the batch's first maximum is the
@@ -225,11 +225,10 @@ def _sweep(
         accept = rng.random(n) < ratio
         np.copyto(col, proposed_col, where=accept)
         np.copyto(log_pi, prop_log_pi, where=accept)
-        if rows.size:  # an out-of-box proposal is never accepted
-            for t, batch_t in zip(terms, batch_terms):
-                if t is not None:
-                    took = accept.take(rows)
-                    t[rows[took], dim] = batch_t[took, dim]
+        if terms and rows.size:  # an out-of-box proposal is never accepted
+            took = accept.take(rows)
+            for t, new in zip(terms, new_terms):
+                t[rows[took], dim] = new[took]
     return inc
 
 
@@ -365,7 +364,7 @@ def run(config: PfopsConfig, problem: BiObjectiveProblem) -> tuple[ParetoArchive
         particles = particles.take(idx, axis=0)
         log_pi_prev = log_pi.take(idx)
         if config.metropolis_enabled:
-            terms = [t if t is None else t.take(idx, axis=0) for t in terms]
+            terms = [t.take(idx, axis=0) for t in terms]
             inc = _sweep(
                 particles, log_pi_prev, terms, inc, s_k, problem, config.sigma, rng
             )

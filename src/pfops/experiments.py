@@ -150,18 +150,8 @@ def _execute(preset: ExperimentPreset, seed: int) -> RunReport:
     if isinstance(cfg, core.PfopsConfig):
         archive, evals = core.run(cfg, problem)
         config["scalarization_kind"] = cfg.scalarization_kind.value
-        extra = {
-            "resampling_scheme": "multinomial",
-            "out_of_box_proposals": "rejected, still counted",
-            "nominal_eval_count": 2 * cfg.n_targets * cfg.n_particles,
-        }
     else:
         archive, evals = nsga2.evolve(cfg, problem)
-        extra = {
-            "bounds_handling": "clip",
-            # the conventional budget formula skips the initial population
-            "nominal_eval_count": 2 * cfg.pop_size * cfg.generations,
-        }
     wall = time.perf_counter() - started
 
     reference = pareto.reference_front(problem_name, REFERENCE_RESOLUTION[problem_name])
@@ -178,7 +168,6 @@ def _execute(preset: ExperimentPreset, seed: int) -> RunReport:
         "reference_resolution": REFERENCE_RESOLUTION[problem_name],
         "hypervolume_ref_point": tuple(ref_point.tolist()),
         "hypervolume_points_used": int(len(dominating)),
-        **extra,
     }
     return RunReport(
         archive=archive,

@@ -17,12 +17,13 @@ general EC framework; it exists to give runs a comparison point.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import InvalidConfigError, check_integer, check_sizable
-from .pareto import ParetoArchive, as_front, peel_fronts
+from .pareto import ParetoArchive, _reject_nan_rows, as_front, peel_fronts
 from .problems import BiObjectiveProblem
 
 CROSSOVER_PROB = 0.9
@@ -59,17 +60,20 @@ def crowding_distance(front_points: np.ndarray) -> np.ndarray:
     Interior members sum, over objectives, the gap between their sorted
     neighbors normalized by the objective's range; an objective whose range
     is zero or infinite is skipped. The front is read by
-    :func:`~pfops.pareto.as_front`, which rejects a shape other than (n, 2).
+    :func:`~pfops.pareto.as_front`, which rejects a shape other than (n, 2);
+    a NaN row raises InvalidInputError, as in ranking.
     """
     front_points = as_front(front_points)
     n = len(front_points)
-    if n <= 2:
-        return np.full(n, np.inf)
     distance = np.zeros(n)
+    if n == 0:
+        return distance
     for m in range(front_points.shape[1]):
         values = front_points[:, m]
         order = np.argsort(values, kind="stable")
         lo, hi = values[order[0]], values[order[-1]]
+        if math.isnan(hi):  # argsort puts NaN last: the sort found it, no reduction needed
+            _reject_nan_rows(front_points)
         distance[order[0]] = np.inf
         distance[order[-1]] = np.inf
         if lo == hi or hi - lo == np.inf:  # zero or infinite range

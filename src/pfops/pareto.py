@@ -13,6 +13,7 @@ arguments are checked by the shared rules of :mod:`pfops.errors`.
 from __future__ import annotations
 
 import functools
+import math
 from collections.abc import Iterator
 from dataclasses import dataclass
 from pathlib import Path
@@ -59,6 +60,14 @@ def as_front(points: np.ndarray) -> np.ndarray:
     raise InvalidInputError(f"expected an (n, 2) array, got shape {points.shape}")
 
 
+def _reject_nan_rows(points: np.ndarray) -> None:
+    """InvalidInputError naming the first NaN row of an (n, 2) front, which
+    no dominance order holds for; one reduction, the NaN-propagating min."""
+    if len(points) and math.isnan(points.min()):
+        i = int(np.flatnonzero(np.isnan(points).any(axis=1))[0])
+        raise InvalidInputError(f"row {i} contains NaN: {points[i].tolist()}")
+
+
 def _first_front(f1: np.ndarray, f2: np.ndarray) -> np.ndarray:
     """Mask of the non-dominated points of a non-empty set sorted by (f1, f2).
 
@@ -93,9 +102,7 @@ def peel_fronts(points: np.ndarray) -> Iterator[np.ndarray]:
     is lazy: a caller that stops early pays only for the fronts it took.
     """
     points = as_front(points)
-    if np.isnan(points).any():
-        i = int(np.flatnonzero(np.isnan(points).any(axis=1))[0])
-        raise InvalidInputError(f"row {i} contains NaN: {points[i].tolist()}")
+    _reject_nan_rows(points)
     left = np.lexsort((np.arange(len(points)), points[:, 1], points[:, 0]))
     f1 = points[left, 0]
     f2 = points[left, 1]
@@ -147,8 +154,9 @@ def hypervolume_2d(front: np.ndarray, ref_point: np.ndarray) -> float:
     Every front point must be strictly below the reference point in both
     objectives. Sorts on f1 and sums rectangular strips; dominated or
     duplicate members contribute nothing extra. The front is read by
-    :func:`as_front`, which rejects a shape other than (n, 2); a
-    ``ref_point`` that is not two finite numbers raises InvalidInputError.
+    :func:`as_front`, which rejects a shape other than (n, 2); a NaN row,
+    and a ``ref_point`` that is not two finite numbers, raise
+    InvalidInputError.
     """
     if not is_finite_pair(ref_point):
         raise InvalidInputError(f"ref_point must be two finite numbers, got {ref_point!r}")
@@ -156,6 +164,7 @@ def hypervolume_2d(front: np.ndarray, ref_point: np.ndarray) -> float:
     r1, r2 = float(ref_point[0]), float(ref_point[1])
     if len(front) == 0:
         return 0.0
+    _reject_nan_rows(front)
     offenders = np.flatnonzero(~((front[:, 0] < r1) & (front[:, 1] < r2)))
     if len(offenders) > 0:
         i = int(offenders[0])

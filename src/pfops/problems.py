@@ -38,10 +38,12 @@ or ``dev = x - c; sq = dev * dev``), not a power per column: numpy computes
 
 An objective that is a sum of one term per coordinate can be given as a
 :class:`CoordinateSum` of its elementwise term, as Kursawe's f2 is. Called on
-a batch, it adds the term's columns as above. ``core``'s Metropolis sweep
-moves one coordinate per proposal, and for a CoordinateSum objective it
-passes the proposals' carried terms to ``_evaluate_terms``, which computes
-only the moved column's term: the same bits when the term is elementwise,
+a batch, it adds the term's columns as above. Every batch evaluation of a
+problem with a CoordinateSum objective runs ``_evaluate_terms``, so a bad
+term gets one error text, naming the problem and the objective. It returns
+the term matrices that ``core`` carries; for the Metropolis sweep's
+proposals, which move one coordinate, it computes only the moved column's
+terms and returns them: the same bits when the term is elementwise,
 through ``evaluate_batch``'s own checks, and the same count, 2 per row.
 """
 
@@ -138,59 +140,52 @@ class BiObjectiveProblem:
         Counts 2n evaluations. Raises InvalidInputError if the batch is not
         (n, d), BoundsError if any row is outside the box, and
         InvalidInputError if an objective does not return one real (bool,
-        integer or float) value per row or is NaN at any row (nothing is
-        counted in any case).
+        integer or float) value per row or is NaN at any row, or if a
+        CoordinateSum's term does not return one value per coordinate
+        (nothing is counted in any case).
         """
+        if isinstance(self.f1, CoordinateSum) or isinstance(self.f2, CoordinateSum):
+            return self._evaluate_terms(points)[0]
         p = self._batch(points)
         return self._values(p, self.f1(p), self.f2(p))
 
     def _evaluate_terms(
-        self,
-        points: np.ndarray,
-        dim: int | None = None,
-        terms: Sequence[np.ndarray | None] = (None, None),
-    ) -> tuple[np.ndarray, list[np.ndarray | None]]:
-        """``evaluate_batch(points)``, and the (n, d) term matrix of each
-        objective that is a :class:`CoordinateSum` (None for any other).
-
-        With ``dim``, each row of ``points`` differs only in column ``dim``
-        from the row at which ``terms`` (a matrix or None per objective, one
-        row per point) were computed. A CoordinateSum objective then computes
-        that column's terms alone, adds them to the other columns in the
-        same order, and its matrix is returned with that column rewritten
-        in place.
-        An elementwise term gives the bits of a full evaluation, and the
-        count is the same. The path is picked per objective at each call, so
-        a problem with no CoordinateSum objective is evaluated by
-        ``evaluate_batch`` itself; the checks are ``evaluate_batch``'s, plus
-        the term's own (:func:`_term_values`), all before anything is counted.
+        self, points: np.ndarray, dim: int | None = None, terms: Sequence[np.ndarray] = ()
+    ) -> tuple[np.ndarray, list[np.ndarray]]:
+        """``evaluate_batch(points)``, and one array per :class:`CoordinateSum`
+        objective: its (n, d) term matrix or, with ``dim``, that column's (n,)
+        new terms. There each row of ``points`` differs only in column ``dim``
+        from the row at which ``terms`` (one (n, d) matrix per CoordinateSum
+        objective) were computed, and each CoordinateSum computes that column
+        alone and adds it to the other columns in the same order: the bits of
+        a full evaluation for an elementwise term, and the same count. Nothing
+        given is written. The path is picked at each call: a problem with no
+        CoordinateSum objective is evaluated by ``evaluate_batch`` itself and
+        returns no arrays. The checks are ``evaluate_batch``'s, plus the
+        term's own (:func:`_term_values`), all before anything is counted.
         """
         f1, f2 = self.f1, self.f2
         if not (isinstance(f1, CoordinateSum) or isinstance(f2, CoordinateSum)):
-            return self.evaluate_batch(points), [None, None]
+            return self.evaluate_batch(points), []
         p = self._batch(points)
-        outputs, matrices, moved = [], [], []
-        for which, f, t in zip(("f1", "f2"), (f1, f2), terms):
+        carried = iter(terms)
+        outputs, computed = [], []
+        for which, f in (("f1", f1), ("f2", f2)):
             if not isinstance(f, CoordinateSum):
                 outputs.append(f(p))
-                matrices.append(None)
                 continue
             owner = f"objective {which} of problem '{self.name}'"
-            if dim is None or t is None:
+            if dim is None:
                 t = _term_values(f.term, p, owner)
                 columns = t.T
             else:
                 # a contiguous column, as a full evaluation's term sees its values
-                col = _term_values(f.term, np.ascontiguousarray(p[:, dim]), owner)
-                columns = list(t.T)
-                columns[dim] = col
-                moved.append((t, col))
+                t = _term_values(f.term, np.ascontiguousarray(p[:, dim]), owner)
+                columns = list(next(carried).T)
+                columns[dim] = t
             outputs.append(_add_columns(columns))
-            matrices.append(t)
-        values = self._values(p, *outputs)
-        for t, col in moved:  # written only once the values passed their checks
-            t[:, dim] = col
-        return values, matrices
+            computed.append(t)
+        return self._values(p, *outputs), computed
 
     def _batch(self, points: np.ndarray) -> np.ndarray:
         """``points`` as a float (n, d) batch inside the box, or the error

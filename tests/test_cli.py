@@ -4,7 +4,7 @@ import json
 import numpy as np
 import pytest
 
-from pfops import experiments
+from pfops import experiments, pareto
 from pfops.cli import _write_run_artifacts, main
 from pfops.pareto import read_front_csv
 
@@ -35,7 +35,6 @@ def test_run_preset_with_artifacts(tmp_path, capsys):
     payload = json.loads(report_json.read_text())
     assert list(payload) == ["igd", "hypervolume", "eval_count", "wall_time", "seed", "metadata"]
     assert payload["eval_count"] == 200
-    assert payload["metadata"]["resampling_scheme"] == "multinomial"
     assert payload["metadata"]["config"]["seed"] == payload["seed"] == 3
     assert svg.read_text().startswith("<svg")
 
@@ -118,6 +117,27 @@ def test_run_config_count_numpy_cannot_size(tmp_path, capsys, algorithm, section
     err = capsys.readouterr().err
     assert err.startswith(f"error: {field} is too large: numpy cannot size {10**20} x ")
     assert err.count("\n") == 1 and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "owner, name, argv",
+    [
+        (experiments, "run_preset", ["run", "--preset", "pfops-convex-under"]),
+        (pareto, "reference_front", ["reference", "--problem", "kursawe", "--resolution", "9"]),
+    ],
+    ids=["run", "reference"],
+)
+@pytest.mark.parametrize("message", ["Unable to allocate 74.5 GiB for an array", ""])
+def test_memory_error_reported(monkeypatch, capsys, owner, name, argv, message):
+    # the allocation is faked: on a host that overcommits memory, asking for
+    # it could succeed and get the process killed
+    def out_of_memory(*args, **kwargs):
+        raise MemoryError(message)
+
+    monkeypatch.setattr(owner, name, out_of_memory)
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: {message or 'out of memory'}\n"
 
 
 def test_run_negative_seed(capsys):

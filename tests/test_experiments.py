@@ -165,11 +165,10 @@ class TestRunPreset:
     def test_metadata_audit_fields(self):
         report = run_preset("pfops-convex-under", 1)
         md = report.metadata
-        assert md["resampling_scheme"] == "multinomial"
         assert md["config"]["metropolis_enabled"] is False
         assert md["config"]["final_filter_enabled"] is True
         assert md["config"]["seed"] == 1 and report.seed == 1
-        assert report.eval_count == md["nominal_eval_count"] == 200
+        assert report.eval_count == 200
         json.dumps(md)  # must be serializable for report artifacts
 
     @pytest.mark.parametrize("name", ["pfops-convex-under", "nsga2-convex-under"])

@@ -162,6 +162,19 @@ class TestCrowdingDistance:
         assert crowding_distance(np.zeros((0, 2))).shape == (0,)
         np.testing.assert_array_equal(crowding_distance(np.array([1.0, 2.0])), [np.inf])
 
+    @pytest.mark.parametrize(
+        "pts, row",
+        [
+            ([[np.nan, 1.0], [0.0, 0.0], [1.0, 1.0]], 0),
+            ([[0.0, 0.0], [1.0, 1.0], [2.0, np.nan], [3.0, 3.0]], 2),
+            ([[0.0, np.nan]], 0),
+        ],
+    )
+    def test_nan_row_rejected(self, pts, row):
+        # a NaN used to give every member infinite crowding
+        with pytest.raises(InvalidInputError, match=rf"^row {row} contains NaN: "):
+            crowding_distance(np.array(pts))
+
     def test_degenerate_objective_range(self):
         pts = np.array([[1.0, 0.0], [1.0, 1.0], [1.0, 2.0], [1.0, 3.0]])
         d = crowding_distance(pts)

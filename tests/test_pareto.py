@@ -249,6 +249,11 @@ class TestHypervolume:
         with pytest.raises(InvalidInputError, match=r"\[2.0, 0.5\]"):
             hypervolume_2d(np.array([[0.0, 0.0], [2.0, 0.5]]), (1.0, 1.0))
 
+    def test_nan_row_rejected(self):
+        # a NaN point used to be blamed for not dominating the reference point
+        with pytest.raises(InvalidInputError, match=r"^row 1 contains NaN: \[0.5, nan\]$"):
+            hypervolume_2d(np.array([[0.0, 0.5], [0.5, np.nan]]), (2.0, 2.0))
+
     def test_three_column_front_rejected(self):
         # reshape(-1, 2) used to re-pair [[1, 2, 3], [4, 5, 6]] as three points
         with pytest.raises(InvalidInputError, match=r"shape \(2, 3\)"):

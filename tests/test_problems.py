@@ -1,11 +1,14 @@
 import numpy as np
 import pytest
 
+from pfops.core import PfopsConfig, run
 from pfops.errors import BoundsError, InvalidInputError, NotFoundError
+from pfops.nsga2 import Nsga2Config, evolve
 from pfops.problems import (
     BiObjectiveProblem,
     CoordinateSum,
     EvalCounter,
+    _kursawe_f2_term,
     available_problems,
     convex_problem,
     fonseca_fleming_problem,
@@ -472,13 +475,60 @@ def test_kursawe_term_is_elementwise():
 
 
 def test_coordinate_sum_term_of_the_wrong_shape_rejected_and_uncounted():
-    # a term that reduces each row is not elementwise; both evaluation paths refuse it
+    # a term that reduces each row is not elementwise; both calls refuse it
     p = BiObjectiveProblem(
         "rowwise", 2, [0.0, 0.0], [1.0, 1.0],
         lambda x: x[:, 0].copy(), CoordinateSum(lambda x: x.sum(axis=1)),
     )
-    with pytest.raises(InvalidInputError, match=r"^the term of a CoordinateSum .* \(1, 2\), got \(1,\)$"):
+    message = r"^the term of objective f2 of problem 'rowwise' .* \(1, 2\), got \(1,\)$"
+    with pytest.raises(InvalidInputError, match=message):
         p.evaluate_batch((0.25, 0.75))
-    with pytest.raises(InvalidInputError, match=r"^the term of objective f2 of problem 'rowwise'"):
+    with pytest.raises(InvalidInputError, match=message):
         p._evaluate_terms([[0.25, 0.75]])
     assert p.counter.count == 0
+
+
+def test_wrong_shape_term_gets_one_message_from_every_caller():
+    # evaluate_batch, NSGA-II and PFOPS all evaluate a CoordinateSum on one path
+    def make():
+        return BiObjectiveProblem(
+            "moves", 2, [0.0, 0.0], [1.0, 1.0],
+            lambda x: x[:, 0].copy(), CoordinateSum(lambda x: x.sum(axis=1)),
+        )
+
+    calls = [
+        lambda p: p.evaluate_batch(np.full((8, 2), 0.5)),
+        lambda p: evolve(Nsga2Config(pop_size=8, generations=1), p),
+        lambda p: run(PfopsConfig(n_targets=2, n_particles=8), p),
+    ]
+    messages = set()
+    for call in calls:
+        p = make()
+        with pytest.raises(InvalidInputError) as err:
+            call(p)
+        assert p.counter.count == 0
+        messages.add(str(err.value))
+    assert messages == {
+        "the term of objective f2 of problem 'moves' must return one value per "
+        "coordinate, shape (8, 2), got (8,)"
+    }
+
+
+def test_move_mode_writes_nothing_it_is_given():
+    # both objectives are CoordinateSums, so two term matrices are carried
+    p = BiObjectiveProblem(
+        "sums", 3, np.full(3, -5.0), np.full(3, 5.0),
+        CoordinateSum(lambda x: np.abs(x) ** 0.5), CoordinateSum(_kursawe_f2_term),
+    )
+    x = _kernel_batch(p, 50)
+    _, terms = p._evaluate_terms(x)
+    assert [t.shape for t in terms] == [(50, 3), (50, 3)]
+    moved = x.copy()
+    moved[:, 1] = np.random.default_rng(15).uniform(-5.0, 5.0, 50)
+    given = [t.copy() for t in terms]
+    values, columns = p._evaluate_terms(moved, 1, given)
+    for t, g in zip(terms, given):
+        assert g.tobytes() == t.tobytes()
+    assert values.tobytes() == p.evaluate_batch(moved).tobytes()
+    for f, col in zip((p.f1, p.f2), columns):
+        assert col.tobytes() == f.term(np.ascontiguousarray(moved[:, 1])).tobytes()
