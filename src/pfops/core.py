@@ -28,16 +28,17 @@ included). The weights take one pass per step: the raw log weights' maximum
 is checked once, and the CDF is built from exp(log w - max) and divided by
 its last entry, with no log-sum in between.
 
-Each Metropolis proposal moves one coordinate, so an objective that is a
-``problems.CoordinateSum`` (a sum of one elementwise term per coordinate,
-as Kursawe's f2) need not be recomputed in full. ``run`` keeps each such
-objective's (N, d) term matrix from the step's full evaluation and carries
-it as it carries log pi_{k-1}: gathered by the resampling index, and
-rewritten at the accepted rows after each dimension. A proposal gets that
-objective from its row's terms with the moved column's term computed afresh,
-added in the same order, which gives the bits of a full evaluation when the
-term is elementwise. Any other objective sees the full batch, the step's own
-evaluation stays a full one of both objectives, and the counts above do not
+An objective that is a ``problems.CoordinateSum`` (a sum of one elementwise
+term per coordinate, as Kursawe's f2) need not be recomputed in full. ``run``
+computes each such objective's (N, d) term matrix once, at the first step,
+and carries it as it carries log pi_{k-1}: gathered by the resampling index
+(with moves on or off), and rewritten at the accepted rows after each
+dimension of the sweep. Each later step's evaluation adds the carried
+columns, computing no term, and a proposal, which moves one coordinate, adds
+its row's terms with the moved column's term computed afresh. Both add in
+the same order as a full evaluation, so they give its bits when the term is
+elementwise, and a term is computed once per coordinate value a particle
+takes. Any other objective sees the full batch, and the counts above do not
 change. The path is picked by ``isinstance`` at each evaluation, since
 ``f1`` and ``f2`` are public, mutable fields.
 
@@ -52,6 +53,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from typing import Sequence
 
 import numpy as np
 
@@ -160,9 +162,13 @@ def _raw_log_weights(log_pi: np.ndarray, log_pi_prev: np.ndarray | None) -> np.n
     decision row alone."""
     log_w = log_pi.copy() if log_pi_prev is None else log_pi - log_pi_prev
     m = log_w.max()
-    if not math.isfinite(m):
+    if not math.isfinite(m):  # the maximum is NaN iff some weight is
         raise DegenerateWeightsError(
-            "every particle has zero density under the current target"
+            "a particle's weight is undefined (NaN): a ratio of two zero or two infinite "
+            "densities, or a density at objectives of +inf and -inf" if math.isnan(m)
+            else "a particle's weight is infinite: an infinite density under the current "
+            "target, from an objective at -inf, or zero density under the previous one"
+            if m > 0 else "every particle has zero density under the current target"
         )
     log_w -= m
     return log_w
@@ -233,9 +239,9 @@ def _sweep(
 
 
 def _score(
-    particles: np.ndarray, s: Scalarization, problem: BiObjectiveProblem
+    particles: np.ndarray, s: Scalarization, problem: BiObjectiveProblem, terms: Sequence = ()
 ) -> tuple[np.ndarray, np.ndarray, list]:
-    objectives, terms = problem._evaluate_terms(particles)
+    objectives, terms = problem._evaluate_terms(particles, None, terms)
     return objectives, s.log_density_values(objectives), terms
 
 
@@ -255,7 +261,8 @@ def importance_weights(
 
     Raises:
         DegenerateWeightsError: if the raw log weights' maximum is not
-            finite (every particle has zero density under pi_k, or a NaN).
+            finite; its text says which case: every particle has zero
+            density under pi_k, a weight is infinite, or one is NaN.
     """
     if k < 1:
         raise InvalidInputError(f"step index must be >= 1, got {k}")
@@ -329,6 +336,8 @@ def run(config: PfopsConfig, problem: BiObjectiveProblem) -> tuple[ParetoArchive
     the weight ratio and the sweep; the step's incumbent is then recorded.
     The score, resampled and kept in step by the sweep, is the next step's
     pi_{k-1} side, so the particles are not scored under pi_{k-1} again.
+    Each CoordinateSum objective's term matrix is carried with it, so after
+    the first step, the step's evaluation computes none of its terms.
     The front entries are the objective values paid for when each incumbent
     was scored, and the final dominated-member filter, when enabled, is free.
 
@@ -356,15 +365,16 @@ def run(config: PfopsConfig, problem: BiObjectiveProblem) -> tuple[ParetoArchive
     decisions = []
     front = []
     log_pi_prev = None  # each particle's log pi_{k-1}, carried from the last step
+    terms = []  # each CoordinateSum objective's term matrix, carried likewise
     for s_k in targets:
-        objectives, log_pi, terms = _score(particles, s_k, problem)
+        objectives, log_pi, terms = _score(particles, s_k, problem, terms)
         inc = _incumbent(particles, log_pi, objectives)
         weights = _raw_log_weights(log_pi, log_pi_prev)
         idx = _inverse_cdf(np.exp(weights, out=weights), rng)
         particles = particles.take(idx, axis=0)
         log_pi_prev = log_pi.take(idx)
+        terms = [t.take(idx, axis=0) for t in terms]
         if config.metropolis_enabled:
-            terms = [t.take(idx, axis=0) for t in terms]
             inc = _sweep(
                 particles, log_pi_prev, terms, inc, s_k, problem, config.sigma, rng
             )

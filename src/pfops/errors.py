@@ -36,7 +36,9 @@ class BoundsError(PfopsError, ValueError):
 
 
 class DegenerateWeightsError(PfopsError, RuntimeError):
-    """Every particle has zero density under the current target."""
+    """A step's importance weights have no finite maximum: every particle has
+    zero density under the current target, a weight is infinite, or one is
+    NaN; the message says which."""
 
 
 def is_integer(value: object, minimum: int) -> bool:

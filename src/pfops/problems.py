@@ -41,10 +41,13 @@ An objective that is a sum of one term per coordinate can be given as a
 a batch, it adds the term's columns as above. Every batch evaluation of a
 problem with a CoordinateSum objective runs ``_evaluate_terms``, so a bad
 term gets one error text, naming the problem and the objective. It returns
-the term matrices that ``core`` carries; for the Metropolis sweep's
-proposals, which move one coordinate, it computes only the moved column's
-terms and returns them: the same bits when the term is elementwise,
-through ``evaluate_batch``'s own checks, and the same count, 2 per row.
+the term matrices that ``core`` carries, and takes them back: at rows where
+they were computed it adds their columns and computes no term, and for the
+Metropolis sweep's proposals, which move one coordinate, it computes only
+the moved column's terms. So in a PFOPS run a term is computed once per
+coordinate value a particle takes, with the bits of a full evaluation when
+the term is elementwise, through ``evaluate_batch``'s own checks on every
+call, and with the same count, 2 per row.
 """
 
 from __future__ import annotations
@@ -154,15 +157,21 @@ class BiObjectiveProblem:
     ) -> tuple[np.ndarray, list[np.ndarray]]:
         """``evaluate_batch(points)``, and one array per :class:`CoordinateSum`
         objective: its (n, d) term matrix or, with ``dim``, that column's (n,)
-        new terms. There each row of ``points`` differs only in column ``dim``
-        from the row at which ``terms`` (one (n, d) matrix per CoordinateSum
-        objective) were computed, and each CoordinateSum computes that column
-        alone and adds it to the other columns in the same order: the bits of
-        a full evaluation for an elementwise term, and the same count. Nothing
-        given is written. The path is picked at each call: a problem with no
-        CoordinateSum objective is evaluated by ``evaluate_batch`` itself and
-        returns no arrays. The checks are ``evaluate_batch``'s, plus the
-        term's own (:func:`_term_values`), all before anything is counted.
+        new terms.
+
+        With no ``terms``, each CoordinateSum computes its full term matrix.
+        Given ``terms`` (one (n, d) matrix per CoordinateSum objective), each
+        row of ``points`` is the row at which they were computed, except in
+        column ``dim``: each CoordinateSum computes that column alone (with
+        ``dim=None``, nothing) and adds it to the other columns in the same
+        order, which gives the bits of a full evaluation for an elementwise
+        term. So a term is computed once per coordinate value a particle
+        takes, and every call counts 2 per row. Nothing given is written;
+        with ``dim=None`` the given matrices are returned. The path is picked
+        at each call: a problem with no CoordinateSum objective is evaluated
+        by ``evaluate_batch`` itself and returns no arrays. The checks are
+        ``evaluate_batch``'s, plus the shape check of each computed term
+        (:func:`_term_values`), all before anything is counted.
         """
         f1, f2 = self.f1, self.f2
         if not (isinstance(f1, CoordinateSum) or isinstance(f2, CoordinateSum)):
@@ -175,8 +184,11 @@ class BiObjectiveProblem:
                 outputs.append(f(p))
                 continue
             owner = f"objective {which} of problem '{self.name}'"
-            if dim is None:
+            if not terms:
                 t = _term_values(f.term, p, owner)
+                columns = t.T
+            elif dim is None:
+                t = next(carried)
                 columns = t.T
             else:
                 # a contiguous column, as a full evaluation's term sees its values
@@ -257,9 +269,11 @@ class CoordinateSum:
     shape. Then a row whose coordinate i alone changed needs only that
     coordinate's new term, and the sum of the row's other terms and the new
     one, added in the same order, has the bits of a full evaluation. The
-    Metropolis sweep of ``core.run`` proposes such rows, and
-    ``BiObjectiveProblem`` evaluates them so when an objective is a
-    CoordinateSum; each proposal still counts as one evaluation.
+    Metropolis sweep of ``core.run`` proposes such rows, and each step of
+    ``core.run`` evaluates resampled rows whose terms it already holds;
+    ``BiObjectiveProblem`` evaluates both so when an objective is a
+    CoordinateSum, computing the term once per coordinate value a particle
+    takes. Each row still counts as one evaluation of the objective.
     """
 
     def __init__(self, term: Callable[[np.ndarray], np.ndarray]) -> None:
@@ -375,9 +389,10 @@ def _kursawe_f2_term(x: np.ndarray) -> np.ndarray:
     # x**3 stays, although numpy sends negative bases down its per-element
     # pow: 143 ns a negative element against 4 ns a positive one, on one
     # AVX-512 Xeon core with numpy 2.4. With AVX-512 dispatch off, every
-    # cube costs about 17 ns, so the Metropolis sweep's saving from computing
-    # only the moved coordinate's term is smaller on such CPUs. No faster cube
-    # gives the same bits, so each would move every seeded Kursawe result:
+    # cube costs about 17 ns, so the saving of computing the term once per
+    # coordinate value (one column per Metropolis proposal, none when a step
+    # evaluates its resampled particles) is smaller on such CPUs. No faster
+    # cube gives the same bits, so each would move every seeded Kursawe result:
     # x * x * x changes the last bit of about 26 % of cubes, and of 400 000
     # uniform negative bases, copysign(abs(x)**3, x) changes 5.3 %,
     # np.float_power(x, 3) 0.14 %, a long-double cube 0.10 % and the

@@ -229,8 +229,32 @@ class TestImportanceWeights:
 
     def test_degenerate_weights_error(self):
         pop = make_population([[0.5], [0.6]])
-        with pytest.raises(DegenerateWeightsError):
+        with pytest.raises(
+            DegenerateWeightsError, match=r"^every particle has zero density under the current target$"
+        ):
             importance_weights(pop, 1, weighted_sum(0.0), None, flat_problem(np.inf))
+
+    def test_infinite_density_named(self):
+        # f1 = -inf on a strip: at lambda = 0 a particle there has log pi = +inf
+        problem = BiObjectiveProblem(
+            name="sink", dim=2, lower=[-1.0, -1.0], upper=[1.0, 1.0],
+            f1=lambda x: np.where(x[:, 0] > 0.9, -np.inf, x[:, 0]), f2=lambda x: x[:, 1].copy(),
+        )
+        with pytest.raises(
+            DegenerateWeightsError, match=r"^a particle's weight is infinite: an infinite density "
+            r"under the current target, from an objective at -inf, or zero density under the "
+            r"previous one$",
+        ):
+            run(PfopsConfig(n_targets=5, n_particles=50, seed=0), problem)
+
+    def test_undefined_ratio_named(self):
+        # f1 = +inf gives zero density under both targets, and 0/0 is NaN
+        pop = make_population([[0.5], [0.6]])
+        with np.errstate(invalid="ignore"), pytest.raises(
+            DegenerateWeightsError, match=r"^a particle's weight is undefined \(NaN\): a ratio of "
+            r"two zero or two infinite densities, or a density at objectives of \+inf and -inf$",
+        ):
+            importance_weights(pop, 2, weighted_sum(0.75), weighted_sum(0.5), flat_problem(np.inf))
 
     def test_step_contract(self):
         pop = make_population([[0.0, 0.0]])
@@ -782,6 +806,17 @@ class TestCoordinateSumPath:
     def test_equals_generic_path(self, monkeypatch, make_problem, kind):
         # a proposal's CoordinateSum value from its row's carried terms and one
         # new term must have the bits of a full evaluation of the row
+        self._compare_with_generic(monkeypatch, make_problem, kind, moves=True)
+
+    @pytest.mark.parametrize("make_problem", [kursawe_problem, sum_problem_1d, sum_problem_5d])
+    @pytest.mark.parametrize("kind", list(ScalarizationKind))
+    def test_equals_generic_path_moves_off(self, monkeypatch, make_problem, kind):
+        # with moves off the term matrices are still carried through resampling,
+        # and each step's values come from them alone
+        self._compare_with_generic(monkeypatch, make_problem, kind, moves=False)
+
+    @staticmethod
+    def _compare_with_generic(monkeypatch, make_problem, kind, moves):
         assert isinstance(make_problem().f2, CoordinateSum)
         utopian = (-30.0, -30.0) if kind is ScalarizationKind.TCHEBYCHEFF else None
         default_rng = np.random.default_rng
@@ -794,7 +829,7 @@ class TestCoordinateSumPath:
         monkeypatch.setattr(np.random, "default_rng", recording_rng)
         for seed in range(20):
             cfg = PfopsConfig(
-                n_targets=4, n_particles=10, sigma=1.5, seed=seed,
+                n_targets=4, n_particles=10, sigma=1.5, seed=seed, metropolis_enabled=moves,
                 final_filter_enabled=seed % 2 == 0, scalarization_kind=kind, utopian=utopian,
             )
             sides = []
@@ -806,7 +841,7 @@ class TestCoordinateSumPath:
             (new, new_evals, new_state), (ref, ref_evals, ref_state) = sides
             assert_same_bits(new.decisions, ref.decisions)
             assert_same_bits(new.front, ref.front)
-            assert new_evals == ref_evals == 2 * 4 * 10 * (1 + problem.dim)
+            assert new_evals == ref_evals == 2 * 4 * 10 * (1 + problem.dim if moves else 1)
             assert new_state == ref_state
 
     @staticmethod

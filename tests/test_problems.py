@@ -514,12 +514,16 @@ def test_wrong_shape_term_gets_one_message_from_every_caller():
     }
 
 
-def test_move_mode_writes_nothing_it_is_given():
-    # both objectives are CoordinateSums, so two term matrices are carried
-    p = BiObjectiveProblem(
+def _sums_problem():
+    """Both objectives CoordinateSums, so two term matrices are carried."""
+    return BiObjectiveProblem(
         "sums", 3, np.full(3, -5.0), np.full(3, 5.0),
         CoordinateSum(lambda x: np.abs(x) ** 0.5), CoordinateSum(_kursawe_f2_term),
     )
+
+
+def test_move_mode_writes_nothing_it_is_given():
+    p = _sums_problem()
     x = _kernel_batch(p, 50)
     _, terms = p._evaluate_terms(x)
     assert [t.shape for t in terms] == [(50, 3), (50, 3)]
@@ -532,3 +536,76 @@ def test_move_mode_writes_nothing_it_is_given():
     assert values.tobytes() == p.evaluate_batch(moved).tobytes()
     for f, col in zip((p.f1, p.f2), columns):
         assert col.tobytes() == f.term(np.ascontiguousarray(moved[:, 1])).tobytes()
+
+
+@pytest.mark.parametrize("make", [kursawe_problem, _sums_problem])
+def test_carried_terms_give_the_values_of_a_full_evaluation(make):
+    # given the term matrices computed at the very rows, the call computes no
+    # term and adds their columns: the bytes and the count of evaluate_batch
+    p = make()
+    x = _kernel_batch(p, 50)
+    expected, terms = p._evaluate_terms(x)
+    assert expected.tobytes() == p.evaluate_batch(x).tobytes()
+    for f in (p.f1, p.f2):
+        if isinstance(f, CoordinateSum):
+            f.term = None  # a call would fail
+    given = [t.copy() for t in terms]
+    start = p.counter.count
+    values, returned = p._evaluate_terms(x, None, given)
+    assert p.counter.count - start == 2 * 50
+    assert values.tobytes() == expected.tobytes()
+    for t, g, r in zip(terms, given, returned):
+        assert g.tobytes() == t.tobytes()
+        assert r.tobytes() == t.tobytes()
+
+
+def test_carried_terms_out_of_box_row_rejected_and_uncounted():
+    p = _sums_problem()
+    x = _kernel_batch(p, 20)
+    _, terms = p._evaluate_terms(x)
+    start = p.counter.count
+    x[7, 2] = 5.5
+    with pytest.raises(BoundsError, match=r"^point \[.*5\.5\] is outside the box of problem 'sums'"):
+        p._evaluate_terms(x, None, terms)
+    assert p.counter.count == start
+
+
+def test_carried_nan_term_names_the_point_and_is_uncounted():
+    def term(x):
+        return np.where(x > 0.5, np.nan, x)
+
+    p = BiObjectiveProblem("nan-term", 2, [0.0, 0.0], [1.0, 1.0], lambda x: x[:, 0].copy(),
+                           CoordinateSum(term))
+    x = np.array([[0.25, 0.25], [0.25, 0.75], [0.75, 0.25]])
+    with pytest.raises(InvalidInputError) as carried:
+        p._evaluate_terms(x, None, [term(x)])
+    assert str(carried.value).startswith(
+        "objectives of problem 'nan-term' are NaN at point [0.25, 0.75]"
+    )
+    with pytest.raises(InvalidInputError) as fresh:
+        p.evaluate_batch(x)
+    assert str(carried.value) == str(fresh.value)
+    assert p.counter.count == 0
+
+
+@pytest.mark.parametrize("moves", [True, False])
+def test_run_computes_each_term_once_per_coordinate_value(moves):
+    # the step's evaluation adds the carried term matrix, so the term runs on
+    # the whole population at step 1 only, and then only on the sweep's
+    # proposals: one (in-box) column per dimension per step
+    shapes = []
+
+    def counting_term(x):
+        shapes.append(x.shape)
+        return np.cos(3.0 * x)
+
+    p = BiObjectiveProblem("counted", 2, [0.0, 0.0], [1.0, 1.0],
+                           lambda x: x[:, 0] * x[:, 1], CoordinateSum(counting_term))
+    k, n = 5, 20
+    # sigma is so small that every sweep keeps some proposal in the box
+    cfg = PfopsConfig(n_targets=k, n_particles=n, sigma=1e-3, metropolis_enabled=moves, seed=3)
+    _, evals = run(cfg, p)
+    assert shapes[0] == (n, 2)
+    assert all(len(s) == 1 for s in shapes[1:])
+    assert len(shapes) == (1 + k * p.dim if moves else 1)
+    assert evals == 2 * k * n * (1 + p.dim if moves else 1)
