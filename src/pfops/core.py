@@ -39,7 +39,8 @@ its row's terms with the moved column's term computed afresh. Both add in
 the same order as a full evaluation, so they give its bits when the term is
 elementwise, and a term is computed once per coordinate value a particle
 takes. Any other objective sees the full batch, and the counts above do not
-change. The path is picked by ``isinstance`` at each evaluation, since
+change. Every evaluation runs the problem's one body, which ``evaluate_batch``
+wraps; it picks each objective's path by ``isinstance`` at each call, since
 ``f1`` and ``f2`` are public, mutable fields.
 
 The public step functions run the same kernels on a ``Population``, each
@@ -270,7 +271,9 @@ def importance_weights(
         raise InvalidInputError("s_prev is required exactly when k > 1")
     objectives, log_pi, _ = _score(pop.particles, s_k, problem)
     log_pi_prev = None if s_prev is None else s_prev.log_density_values(objectives)
-    log_w = _raw_log_weights(log_pi, log_pi_prev)
+    # zero density under both targets gives -inf - -inf, the NaN the error names
+    with np.errstate(invalid="ignore"):
+        log_w = _raw_log_weights(log_pi, log_pi_prev)
     log_w -= np.log(np.exp(log_w).sum())
     return replace(pop, log_weights=log_w)
 

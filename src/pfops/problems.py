@@ -7,8 +7,9 @@ or one (d,) point. Every call adds one tally per single-objective evaluation
 to the problem's :class:`EvalCounter`, so experiment budgets are measured,
 never estimated.
 
-``evaluate_batch`` makes every check of a call itself, in one method, and
-counts only once they have all passed:
+Every batch, of plain objectives or CoordinateSums, runs one body,
+``_evaluate_terms``, which ``evaluate_batch`` wraps and ``core`` calls
+directly. It makes every check of a call and counts only once they all pass:
 - a batch that is not (n, d) raises :class:`~pfops.errors.InvalidInputError`;
 - an out-of-bounds row raises :class:`~pfops.errors.BoundsError` instead of
   being clamped, since silent clamping would corrupt the tally. A batch
@@ -38,16 +39,16 @@ or ``dev = x - c; sq = dev * dev``), not a power per column: numpy computes
 
 An objective that is a sum of one term per coordinate can be given as a
 :class:`CoordinateSum` of its elementwise term, as Kursawe's f2 is. Called on
-a batch, it adds the term's columns as above. Every batch evaluation of a
-problem with a CoordinateSum objective runs ``_evaluate_terms``, so a bad
-term gets one error text, naming the problem and the objective. It returns
-the term matrices that ``core`` carries, and takes them back: at rows where
-they were computed it adds their columns and computes no term, and for the
-Metropolis sweep's proposals, which move one coordinate, it computes only
-the moved column's terms. So in a PFOPS run a term is computed once per
-coordinate value a particle takes, with the bits of a full evaluation when
-the term is elementwise, through ``evaluate_batch``'s own checks on every
-call, and with the same count, 2 per row.
+a batch, it adds the term's columns as above. Since every batch evaluation
+runs the one body, a bad term or objective value gets one error text from
+every caller, naming the problem and, for a term, the objective. The body
+returns the term matrices that ``core`` carries, and takes them back: at
+rows where they were computed it adds their columns and computes no term,
+and for the Metropolis sweep's proposals, which move one coordinate, it
+computes only the moved column's terms. So in a PFOPS run a term is
+computed once per coordinate value a particle takes, with the bits of a
+full evaluation when the term is elementwise, through the same checks on
+every call, and with the same count, 2 per row.
 """
 
 from __future__ import annotations
@@ -137,8 +138,8 @@ class BiObjectiveProblem:
             self.ideal = (float(self.ideal[0]), float(self.ideal[1]))
 
     def evaluate_batch(self, points: np.ndarray) -> np.ndarray:
-        """Evaluate both objectives at an (n, d) batch, returning (n, 2); one
-        (d,) point is a one-row batch.
+        """Evaluate both objectives at an (n, d) batch through
+        ``_evaluate_terms``, returning (n, 2); one (d,) point is a one-row batch.
 
         Counts 2n evaluations. Raises InvalidInputError if the batch is not
         (n, d), BoundsError if any row is outside the box, and
@@ -147,10 +148,7 @@ class BiObjectiveProblem:
         CoordinateSum's term does not return one value per coordinate
         (nothing is counted in any case).
         """
-        if isinstance(self.f1, CoordinateSum) or isinstance(self.f2, CoordinateSum):
-            return self._evaluate_terms(points)[0]
-        p = self._batch(points)
-        return self._values(p, self.f1(p), self.f2(p))
+        return self._evaluate_terms(points)[0]
 
     def _evaluate_terms(
         self, points: np.ndarray, dim: int | None = None, terms: Sequence[np.ndarray] = ()
@@ -167,19 +165,16 @@ class BiObjectiveProblem:
         order, which gives the bits of a full evaluation for an elementwise
         term. So a term is computed once per coordinate value a particle
         takes, and every call counts 2 per row. Nothing given is written;
-        with ``dim=None`` the given matrices are returned. The path is picked
-        at each call: a problem with no CoordinateSum objective is evaluated
-        by ``evaluate_batch`` itself and returns no arrays. The checks are
-        ``evaluate_batch``'s, plus the shape check of each computed term
-        (:func:`_term_values`), all before anything is counted.
+        with ``dim=None`` the given matrices are returned. This is the one
+        body that evaluates every batch: a plain objective is called on it and
+        adds no array. The checks are ``evaluate_batch``'s, plus the shape
+        check of each computed term (:func:`_term_values`), all before
+        anything is counted.
         """
-        f1, f2 = self.f1, self.f2
-        if not (isinstance(f1, CoordinateSum) or isinstance(f2, CoordinateSum)):
-            return self.evaluate_batch(points), []
         p = self._batch(points)
         carried = iter(terms)
         outputs, computed = [], []
-        for which, f in (("f1", f1), ("f2", f2)):
+        for which, f in (("f1", self.f1), ("f2", self.f2)):
             if not isinstance(f, CoordinateSum):
                 outputs.append(f(p))
                 continue

@@ -250,7 +250,7 @@ class TestImportanceWeights:
     def test_undefined_ratio_named(self):
         # f1 = +inf gives zero density under both targets, and 0/0 is NaN
         pop = make_population([[0.5], [0.6]])
-        with np.errstate(invalid="ignore"), pytest.raises(
+        with pytest.raises(
             DegenerateWeightsError, match=r"^a particle's weight is undefined \(NaN\): a ratio of "
             r"two zero or two infinite densities, or a density at objectives of \+inf and -inf$",
         ):
@@ -425,11 +425,11 @@ class TestMetropolisSweep:
             pop = set_incumbent(pop, weighted_sum(0.5), prob)
             batches = []
 
-            def counting(points, evaluate_batch=prob.evaluate_batch):
+            def counting(points, f1=prob.f1):
                 batches.append(len(points))
-                return evaluate_batch(points)
+                return f1(points)
 
-            prob.evaluate_batch = counting
+            prob.f1 = counting
             start = prob.counter.count
             rng = np.random.default_rng(4)
             out = sweep(pop, weighted_sum(0.5), prob, 1e9, rng)

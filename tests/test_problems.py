@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from pfops.core import PfopsConfig, run
+from pfops.core import PfopsConfig, initialize, metropolis_sweep, run
 from pfops.errors import BoundsError, InvalidInputError, NotFoundError
 from pfops.nsga2 import Nsga2Config, evolve
 from pfops.problems import (
@@ -15,6 +15,7 @@ from pfops.problems import (
     kursawe_problem,
     lookup_problem,
 )
+from pfops.scalarize import weighted_sum
 
 
 def test_convex_values():
@@ -488,18 +489,21 @@ def test_coordinate_sum_term_of_the_wrong_shape_rejected_and_uncounted():
     assert p.counter.count == 0
 
 
-def test_wrong_shape_term_gets_one_message_from_every_caller():
-    # evaluate_batch, NSGA-II and PFOPS all evaluate a CoordinateSum on one path
+def _one_message_from_every_caller(f1, f2):
+    """The one error text that evaluate_batch, NSGA-II, PFOPS's run and the
+    Metropolis sweep raise for problem 'moves' with objectives f1 and f2, each
+    with the counter unmoved, and the first point of their first batch: the 8
+    points that run and evolve draw at seed 0."""
     def make():
-        return BiObjectiveProblem(
-            "moves", 2, [0.0, 0.0], [1.0, 1.0],
-            lambda x: x[:, 0].copy(), CoordinateSum(lambda x: x.sum(axis=1)),
-        )
+        return BiObjectiveProblem("moves", 2, [0.0, 0.0], [1.0, 1.0], f1, f2)
 
+    config = PfopsConfig(n_targets=2, n_particles=8)
+    first = initialize(config, make(), np.random.default_rng(0))
     calls = [
-        lambda p: p.evaluate_batch(np.full((8, 2), 0.5)),
+        lambda p: p.evaluate_batch(first.particles),
         lambda p: evolve(Nsga2Config(pop_size=8, generations=1), p),
-        lambda p: run(PfopsConfig(n_targets=2, n_particles=8), p),
+        lambda p: run(config, p),
+        lambda p: metropolis_sweep(first, weighted_sum(0.5), p, 0.1, np.random.default_rng(1)),
     ]
     messages = set()
     for call in calls:
@@ -508,10 +512,43 @@ def test_wrong_shape_term_gets_one_message_from_every_caller():
             call(p)
         assert p.counter.count == 0
         messages.add(str(err.value))
-    assert messages == {
+    assert len(messages) == 1
+    return messages.pop(), first.particles[0]
+
+
+def test_wrong_shape_term_gets_one_message_from_every_caller():
+    message, _ = _one_message_from_every_caller(
+        lambda x: x[:, 0].copy(), CoordinateSum(lambda x: x.sum(axis=1))
+    )
+    assert message == (
         "the term of objective f2 of problem 'moves' must return one value per "
         "coordinate, shape (8, 2), got (8,)"
-    }
+    )
+
+
+@pytest.mark.parametrize(
+    "f1, expected",
+    [
+        (
+            lambda x: np.full(len(x), np.nan),
+            "objectives of problem 'moves' are NaN at point {point}: [nan, {value}]",
+        ),
+        (
+            lambda x: x[:, 0] + 1j,
+            "objective f1 of problem 'moves' must return real numbers, got dtype complex128",
+        ),
+        (
+            lambda x: x[1:, 0],
+            "objectives of problem 'moves' must return shape (8,) for 8 points, "
+            "got (7,) and (8,)",
+        ),
+    ],
+    ids=["nan", "complex", "output-shape"],
+)
+def test_plain_objective_fault_gets_one_message_from_every_caller(f1, expected):
+    # a plain objective takes the one evaluation path a CoordinateSum takes
+    message, point = _one_message_from_every_caller(f1, lambda x: x[:, 1].copy())
+    assert message == expected.format(point=point.tolist(), value=point[1])
 
 
 def _sums_problem():
