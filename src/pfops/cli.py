@@ -140,19 +140,12 @@ def _cmd_list(_: argparse.Namespace) -> int:
     print("problems:")
     for name in available_problems():
         print(f"  {name}")
+    # each preset as a config file without a seed: copied to a file, it runs as is
     print("presets:")
     for preset in experiments.PRESETS.values():
-        cfg = preset.config
-        if preset.algorithm == "pfops":
-            detail = (
-                f"K={cfg.n_targets} N={cfg.n_particles} "
-                f"{cfg.scalarization_kind.value} metropolis={'on' if cfg.metropolis_enabled else 'off'}"
-            )
-            if cfg.utopian is not None:
-                detail += f" utopian={cfg.utopian}"
-        else:
-            detail = f"pop={cfg.pop_size} gen={cfg.generations}"
-        print(f"  {preset.name:26} problem={preset.problem:8} {detail}")
+        section = {preset.algorithm: experiments.config_section(preset.config)}
+        file = {"problem": preset.problem, "algorithm": preset.algorithm, **section}
+        print(f"  {preset.name:26} {json.dumps(file)}")
     return 0
 
 

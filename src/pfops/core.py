@@ -98,13 +98,13 @@ class PfopsConfig:
     non-finite field raises InvalidConfigError naming it, as in a config file.
 
     Attributes:
-        n_targets: K, number of target densities (integer >= 2).
-        n_particles: N, particle count (integer >= 1).
-        sigma: Metropolis proposal standard deviation (finite, > 0), shared
-            by all coordinates.
+        n_targets: K, number of target densities (integer >= 2, kept as an int).
+        n_particles: N, particle count (integer >= 1, kept as an int).
+        sigma: Metropolis proposal standard deviation (finite, > 0, kept as a
+            float), shared by all coordinates.
         metropolis_enabled: run the componentwise rejuvenation sweep (bool).
         final_filter_enabled: drop dominated members from the archive (bool).
-        seed: seed for the run's random stream (integer >= 0).
+        seed: seed for the run's random stream (integer >= 0, kept as an int).
         scalarization_kind: a ScalarizationKind, weighted-sum or Tchebycheff.
         utopian: (z1, z2), finite, required iff Tchebycheff; kept as floats.
     """
@@ -119,8 +119,8 @@ class PfopsConfig:
     utopian: tuple[float, float] | None = None
 
     def __post_init__(self) -> None:
-        check_integer("n_targets", self.n_targets, 2)
-        check_integer("n_particles", self.n_particles, 1)
+        for name, minimum in (("n_targets", 2), ("n_particles", 1)):
+            object.__setattr__(self, name, check_integer(name, getattr(self, name), minimum))
         if not is_finite_number(self.sigma):
             raise InvalidConfigError(f"sigma must be a finite number, got {self.sigma!r}")
         if self.sigma <= 0:
@@ -129,7 +129,7 @@ class PfopsConfig:
         for name in ("metropolis_enabled", "final_filter_enabled"):
             if not isinstance(value := getattr(self, name), bool):
                 raise InvalidConfigError(f"{name} must be true or false, got {value!r}")
-        check_integer("seed", self.seed, 0)
+        object.__setattr__(self, "seed", check_integer("seed", self.seed, 0))
         # the kind and Utopian rules live in Scalarization; keep its float copy of z
         z = Scalarization(self.scalarization_kind, 0.0, self.utopian).utopian
         object.__setattr__(self, "utopian", z)

@@ -46,10 +46,11 @@ def is_integer(value: object, minimum: int) -> bool:
     return not isinstance(value, bool) and isinstance(value, numbers.Integral) and value >= minimum
 
 
-def check_integer(name: str, value: object, minimum: int) -> None:
-    """Reject a config count or seed that is not an integer >= ``minimum``."""
+def check_integer(name: str, value: object, minimum: int) -> int:
+    """A config count or seed as a plain int; one not an integer >= ``minimum`` is rejected."""
     if not is_integer(value, minimum):
         raise InvalidConfigError(f"{name} must be an integer >= {minimum}, got {value!r}")
+    return int(value)
 
 
 def check_sizable(name: str, count: int, row_items: int) -> None:

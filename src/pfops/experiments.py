@@ -5,7 +5,7 @@ Shipped presets pin the reference benchmark settings for the three studies
 for both the particle-filter optimizer and the NSGA-II baseline. Every run
 returns a :class:`RunReport` carrying the archive, IGD against the problem's
 reference front, a 2-D hypervolume, the measured evaluation count, the seed
-and audit metadata (the config as run, with its seed and switch states).
+and audit metadata (the config as run, written as a config file's section).
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ from __future__ import annotations
 import json
 import time
 from collections.abc import Iterable, Mapping
-from dataclasses import MISSING, asdict, dataclass, fields, replace
+from dataclasses import MISSING, dataclass, fields, replace
 from functools import partial
 from html import escape
 from pathlib import Path
@@ -130,6 +130,9 @@ PRESETS = _preset_table()
 
 @dataclass
 class RunReport:
+    """One seeded run; ``metadata["config"]`` is its config less the seed, as
+    :func:`config_section` writes it, so the report reruns as a config file."""
+
     archive: pareto.ParetoArchive
     igd: float
     hypervolume: float
@@ -140,32 +143,25 @@ class RunReport:
 
 
 def _execute(preset: ExperimentPreset, seed: int) -> RunReport:
-    check_integer("seed", seed, 0)
-    seed = int(seed)  # a numpy integer seed is reported as a plain int
-    problem_name = preset.problem
-    problem = lookup_problem(problem_name)
     cfg = replace(preset.config, seed=seed)
-    config = asdict(cfg)
+    problem = lookup_problem(preset.problem)
+    optimize = core.run if preset.algorithm == "pfops" else nsga2.evolve
     started = time.perf_counter()
-    if isinstance(cfg, core.PfopsConfig):
-        archive, evals = core.run(cfg, problem)
-        config["scalarization_kind"] = cfg.scalarization_kind.value
-    else:
-        archive, evals = nsga2.evolve(cfg, problem)
+    archive, evals = optimize(cfg, problem)
     wall = time.perf_counter() - started
 
-    reference = pareto.reference_front(problem_name, REFERENCE_RESOLUTION[problem_name])
+    reference = pareto.reference_front(preset.problem, REFERENCE_RESOLUTION[preset.problem])
     igd_value = pareto.igd(archive.front, reference)
-    ref_point = np.asarray(HYPERVOLUME_REF[problem_name])
+    ref_point = np.asarray(HYPERVOLUME_REF[preset.problem])
     dominating = archive.front[np.all(archive.front < ref_point, axis=1)]
     hv_value = pareto.hypervolume_2d(dominating, ref_point)
 
     metadata = {
         "label": preset.name,
-        "problem": problem_name,
+        "problem": preset.problem,
         "algorithm": preset.algorithm,
-        "config": config,
-        "reference_resolution": REFERENCE_RESOLUTION[problem_name],
+        "config": config_section(cfg),
+        "reference_resolution": REFERENCE_RESOLUTION[preset.problem],
         "hypervolume_ref_point": tuple(ref_point.tolist()),
         "hypervolume_points_used": int(len(dominating)),
     }
@@ -175,7 +171,7 @@ def _execute(preset: ExperimentPreset, seed: int) -> RunReport:
         hypervolume=hv_value,
         eval_count=int(evals),
         wall_time=wall,
-        seed=seed,
+        seed=cfg.seed,
         metadata=metadata,
     )
 
@@ -218,10 +214,7 @@ def compare(preset_a: str, preset_b: str, seeds: Iterable[int]) -> ComparisonRes
         raise InvalidInputError(
             f"presets target different problems: {a.problem} vs {b.problem}"
         )
-    seeds = list(seeds)
-    for s in seeds:
-        check_integer("seed", s, 0)
-    seeds = [int(s) for s in seeds]
+    seeds = [check_integer("seed", s, 0) for s in seeds]
     if not seeds:
         raise InvalidInputError("seed list must not be empty")
 
@@ -390,17 +383,30 @@ def _unique_keys(path: str | Path, pairs: list[tuple[str, object]]) -> dict:
     return obj
 
 
+def _section_fields(cls: type) -> dict:
+    """A config class's fields but the seed, by their key in a config file."""
+    return {_FILE_KEYS.get(f.name, f.name): f for f in fields(cls) if f.name != "seed"}
+
+
+def config_section(config: core.PfopsConfig | nsga2.Nsga2Config) -> dict:
+    """``config`` as a config file's algorithm section, the inverse of
+    :func:`load_config_file`: the file's key names, a ScalarizationKind as
+    its string value, and no seed (a file's seed is a top-level key)."""
+    values = {key: getattr(config, f.name) for key, f in _section_fields(type(config)).items()}
+    return {key: v.value if isinstance(v, ScalarizationKind) else v for key, v in values.items()}
+
+
 def load_config_file(path: str | Path) -> ExperimentPreset:
     """Parse a custom-run JSON file into a preset named ``custom:<file name>``.
 
-    Schema: top-level keys ``problem``, ``algorithm`` ("pfops" | "nsga2"),
-    optional ``seed``, and a section named after the algorithm whose keys
-    are its config's fields, ``scalarization`` for ``scalarization_kind``
-    (see README). Values are passed on as written for the config to check:
-    a missing required key, an unknown or duplicated key, a section for the
-    algorithm that is not run, an invalid value or a file that is not UTF-8
-    JSON raises InvalidConfigError naming the file and the key; an
-    unregistered problem raises NotFoundError naming the file.
+    Schema (see README): top-level keys ``problem``, ``algorithm`` ("pfops"
+    | "nsga2"), optional ``seed``, and a section named after the algorithm,
+    as :func:`config_section` and a RunReport's ``metadata["config"]`` write
+    it. Values are passed on as written for the config to check: a missing
+    required key, an unknown or duplicated key, a section for the algorithm
+    that is not run, an invalid value or a file that is not UTF-8 JSON
+    raises InvalidConfigError naming the file and the key; an unregistered
+    problem raises NotFoundError naming the file.
     """
     try:
         text = Path(path).read_text(encoding="utf-8")  # JSON is UTF-8 (RFC 8259)
@@ -437,7 +443,7 @@ def load_config_file(path: str | Path) -> ExperimentPreset:
     if not isinstance(section, dict):
         raise InvalidConfigError(f"{path}: '{algorithm}' must be a JSON object")
     where = f"{path}: {algorithm}"
-    by_key = {_FILE_KEYS.get(f.name, f.name): f for f in fields(cls) if f.name != "seed"}
+    by_key = _section_fields(cls)
     unknown = sorted(set(section) - set(by_key))
     if unknown:
         raise InvalidConfigError(f"{where}: unrecognized keys {unknown}")

@@ -35,7 +35,7 @@ MUTATION_INDEX = 20.0
 class Nsga2Config:
     """Baseline settings, checked when built: a wrongly typed or out-of-range
     field raises InvalidConfigError naming it, as in a config file. pop_size
-    is an even integer >= 2, generations an integer >= 1, seed >= 0.
+    is an even integer >= 2, generations an integer >= 1, seed >= 0, each an int.
 
     The variation operators are fixed at Deb et al. 2002's settings (IEEE TEC
     6(2)): SBX with probability 0.9 and distribution index 20, polynomial
@@ -47,11 +47,11 @@ class Nsga2Config:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        check_integer("pop_size", self.pop_size, 2)
+        object.__setattr__(self, "pop_size", check_integer("pop_size", self.pop_size, 2))
         if self.pop_size % 2 != 0:
             raise InvalidConfigError(f"pop_size must be even, got {self.pop_size}")
-        check_integer("generations", self.generations, 1)
-        check_integer("seed", self.seed, 0)
+        for name, minimum in (("generations", 1), ("seed", 0)):
+            object.__setattr__(self, name, check_integer(name, getattr(self, name), minimum))
 
 
 def crowding_distance(front_points: np.ndarray) -> np.ndarray:

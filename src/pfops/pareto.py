@@ -21,10 +21,9 @@ from pathlib import Path
 import numpy as np
 
 from .errors import InvalidInputError, NotFoundError, is_finite_pair, is_integer
-from .problems import fonseca_fleming_problem, kursawe_problem
+from .problems import _INV_SQRT2, fonseca_fleming_problem, kursawe_problem
 
 _DATA_DIR = Path(__file__).parent / "data"
-_INV_SQRT2 = 1.0 / np.sqrt(2.0)
 _REFERENCE_NAMES = ("convex", "fonseca", "kursawe")
 
 

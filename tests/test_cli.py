@@ -16,6 +16,22 @@ def test_list(capsys):
         assert name in out
 
 
+def test_list_lines_load_back_to_the_presets(tmp_path, capsys):
+    # each preset line ends in the preset as a config file without a seed
+    assert main(["list"]) == 0
+    lines = capsys.readouterr().out.split("presets:\n", 1)[1].splitlines()
+    assert [line.split()[0] for line in lines] == list(experiments.PRESETS)
+    for line in lines:
+        name, text = line.split(maxsplit=1)
+        path = tmp_path / f"{name}.json"
+        path.write_text(text)
+        loaded = experiments.load_config_file(path)
+        preset = experiments.PRESETS[name]
+        assert (loaded.problem, loaded.algorithm, loaded.config) == (
+            preset.problem, preset.algorithm, preset.config
+        )
+
+
 def test_run_preset_with_artifacts(tmp_path, capsys):
     out_dir = tmp_path / "artifacts"
     code = main([
@@ -35,7 +51,8 @@ def test_run_preset_with_artifacts(tmp_path, capsys):
     payload = json.loads(report_json.read_text())
     assert list(payload) == ["igd", "hypervolume", "eval_count", "wall_time", "seed", "metadata"]
     assert payload["eval_count"] == 200
-    assert payload["metadata"]["config"]["seed"] == payload["seed"] == 3
+    # the seed is stated once, at the top level; the config section holds none
+    assert payload["seed"] == 3 and "seed" not in payload["metadata"]["config"]
     assert svg.read_text().startswith("<svg")
 
 

@@ -1,7 +1,7 @@
 import json
 import re
 import xml.etree.ElementTree as ET
-from dataclasses import asdict, fields, replace
+from dataclasses import fields, replace
 from functools import partial
 from pathlib import Path
 
@@ -167,21 +167,31 @@ class TestRunPreset:
         md = report.metadata
         assert md["config"]["metropolis_enabled"] is False
         assert md["config"]["final_filter_enabled"] is True
-        assert md["config"]["seed"] == 1 and report.seed == 1
+        assert md["config"]["scalarization"] == "weighted-sum"
+        assert report.seed == 1 and "seed" not in md["config"]
         assert report.eval_count == 200
         json.dumps(md)  # must be serializable for report artifacts
 
-    @pytest.mark.parametrize("name", ["pfops-convex-under", "nsga2-convex-under"])
-    def test_metadata_states_each_fact_once(self, name):
+    @pytest.mark.parametrize(
+        "name, config",
+        [
+            ("pfops-convex-under", {
+                "n_targets": 20, "n_particles": 5, "sigma": 1.0, "metropolis_enabled": False,
+                "final_filter_enabled": True, "scalarization": "weighted-sum", "utopian": None,
+            }),
+            ("nsga2-convex-under", {"pop_size": 20, "generations": 5}),
+        ],
+        ids=["pfops-convex-under", "nsga2-convex-under"],
+    )
+    def test_metadata_states_each_fact_once(self, name, config):
         # the seed, the measured count and the PFOPS switches used to be
-        # stored in the metadata beside the report field or config entry
+        # stored in the metadata beside the report field or config entry,
+        # and the seed was in both the config and the report
         report = run_preset(name, 1)
         top_level = {f.name for f in fields(RunReport)}
         assert not set(report.metadata) & (top_level | set(report.metadata["config"]))
-        config = asdict(replace(PRESETS[name].config, seed=1))
-        if "scalarization_kind" in config:
-            config["scalarization_kind"] = config["scalarization_kind"].value
-        assert report.metadata["config"] == config  # the config as run
+        assert report.metadata["config"] == config  # the config as run, as a file's section
+        assert report.seed == 1
 
     def test_bad_utopian_rejected(self):
         preset = PRESETS["pfops-fonseca"]
@@ -200,8 +210,28 @@ class TestSeedTypes:
     def test_numpy_integer_seed_runs(self):
         report = run_preset("pfops-convex-under", np.int64(3))
         assert report.seed == 3 and type(report.seed) is int
-        seed = report.metadata["config"]["seed"]
-        assert seed == 3 and type(seed) is int
+        assert report.metadata == run_preset("pfops-convex-under", 3).metadata
+
+    @pytest.mark.parametrize(
+        "config, twin",
+        [
+            (PfopsConfig(np.int64(3), np.int32(4), sigma=np.float64(0.5), seed=np.int64(1)),
+             PfopsConfig(3, 4, sigma=0.5, seed=1)),
+            (Nsga2Config(np.int64(6), np.uint8(2), seed=np.int16(1)), Nsga2Config(6, 2, seed=1)),
+        ],
+        ids=["pfops", "nsga2"],
+    )
+    def test_numpy_integer_config_reports_as_its_plain_twin(self, monkeypatch, config, twin):
+        # a numpy count used to reach metadata["config"], and json.dumps of
+        # the report raised "Object of type int64 is not JSON serializable"
+        dumps = []
+        for cfg, seed in ((config, np.int64(2)), (twin, 2)):
+            monkeypatch.setitem(PRESETS, "numpy", ExperimentPreset("numpy", "convex", cfg))
+            report = run_preset("numpy", seed)
+            payload = {f.name: getattr(report, f.name) for f in fields(report)
+                       if f.name not in ("archive", "wall_time")}
+            dumps.append(json.dumps(payload))
+        assert dumps[0] == dumps[1]
 
 
 class TestCompare:
@@ -559,10 +589,7 @@ class TestConfigFile:
         schema = json.loads(block.split("```json", 1)[1].split("```", 1)[0])
         assert set(schema) == experiments._TOP_LEVEL_KEYS
         for algorithm, cls in experiments._CONFIG_CLASSES.items():
-            accepted = {
-                experiments._FILE_KEYS.get(f.name, f.name) for f in fields(cls) if f.name != "seed"
-            }
-            assert set(schema[algorithm]) == accepted, algorithm
+            assert set(schema[algorithm]) == set(experiments._section_fields(cls)), algorithm
 
     def test_unknown_problem_names_the_file(self, tmp_path):
         # the problem used to be checked only at run time, without the path
@@ -583,15 +610,39 @@ def _config_file(tmp_path, problem, algorithm, section, seed=None):
     return path
 
 
+# the long presets cut to a few steps or generations, their other settings kept
+_SHORTENED = {
+    "nsga2-fonseca": {"generations": 5},
+    "nsga2-kursawe": {"generations": 5},
+    "pfops-fonseca": {"n_targets": 10},
+    "pfops-kursawe": {"n_targets": 10},
+}
+
+
 class TestOneConfigPath:
+    @pytest.mark.parametrize("name", sorted(PRESETS))
+    def test_report_reruns_as_a_config_file(self, tmp_path, name):
+        # the report's config used to hold the seed and "scalarization_kind",
+        # which a config file's section refuses
+        preset = PRESETS[name]
+        preset = replace(preset, config=replace(preset.config, **_SHORTENED.get(name, {})))
+        report = experiments._execute(preset, 3)
+        md = json.loads(json.dumps(report.metadata))  # as the run --out JSON holds it
+        path = _config_file(tmp_path, md["problem"], md["algorithm"], md["config"], report.seed)
+        rerun = run_config_file(path)
+        for array in ("decisions", "front"):
+            a, b = getattr(report.archive, array), getattr(rerun.archive, array)
+            assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes()), array
+        assert (rerun.eval_count, rerun.seed) == (report.eval_count, report.seed)
+        assert json.dumps(rerun.metadata["config"]) == json.dumps(md["config"])
+
     @pytest.mark.parametrize("name", sorted(PRESETS))
     def test_preset_written_as_file_loads_back_equal(self, tmp_path, name):
         preset = PRESETS[name]
-        section = asdict(preset.config)
-        seed = section.pop("seed")
-        if preset.algorithm == "pfops":
-            section["scalarization"] = section.pop("scalarization_kind").value
-        path = _config_file(tmp_path, preset.problem, preset.algorithm, section, seed)
+        section = experiments.config_section(preset.config)
+        path = _config_file(
+            tmp_path, preset.problem, preset.algorithm, section, preset.config.seed
+        )
         loaded = load_config_file(path)
         assert loaded.name == f"custom:{path.name}"
         assert (loaded.problem, loaded.algorithm, loaded.config) == (
