@@ -2,10 +2,10 @@
 
 One run walks the balance parameter lambda through an equally spaced schedule
 from 0 to 1. At each step k the population is scored under the current target
-pi_k, the best particle becomes the step's incumbent, particles are
-importance-reweighted by the density ratio pi_k / pi_{k-1}, multinomially
-resampled, and optionally rejuvenated by a componentwise Metropolis sweep
-(which may also improve the incumbent, including through rejected proposals).
+pi_k, the best particle becomes the step's incumbent, particles are reweighted
+by pi_k / pi_{k-1} (pi_0 = 1, the uniform start), multinomially resampled,
+and optionally rejuvenated by a componentwise Metropolis sweep (which may also
+improve the incumbent, including through rejected proposals).
 Resampling draws by inverse CDF: N uniforms from ``rng.random`` looked up in
 the cumulative weights, the lookup ``rng.choice(N, size=N, p=w)`` makes. The
 lookup sorts the uniforms first and scatters the indices back to their
@@ -44,10 +44,11 @@ wraps; it picks each objective's path by ``isinstance`` at each call, since
 ``f1`` and ``f2`` are public, mutable fields.
 
 The public step functions run the same kernels on a ``Population``, each
-scoring its particles afresh. ``importance_weights`` returns normalized log
-weights, and ``resample`` turns its log weights into ``rng.choice``'s ``p``
-before the shared lookup, so it keeps ``rng.choice``'s stream; the CDF
-``run`` builds may differ from that one in its last bits.
+scoring its particles afresh; in them and in ``run``, ``_score`` scores every
+batch and ``_incumbent`` picks every incumbent. ``importance_weights`` returns
+normalized log weights, and ``resample`` turns its log weights into
+``rng.choice``'s ``p`` before the shared lookup, so it keeps ``rng.choice``'s
+stream; the CDF ``run`` builds may differ from that one in its last bits.
 """
 
 from __future__ import annotations
@@ -62,6 +63,7 @@ from .errors import (
     DegenerateWeightsError,
     InvalidConfigError,
     InvalidInputError,
+    check_instance,
     check_integer,
     check_sizable,
     is_finite_number,
@@ -148,20 +150,24 @@ def initialize(
     return Population(particles=particles, log_weights=log_weights)
 
 
-def _incumbent(particles: np.ndarray, log_pi: np.ndarray, objectives: np.ndarray) -> Incumbent:
+def _incumbent(
+    particles: np.ndarray, log_pi: np.ndarray, objectives: np.ndarray, inc: Incumbent | None = None
+) -> Incumbent:
+    """The batch's first best row, or ``inc`` if given and not strictly beaten."""
     j = int(log_pi.argmax())
+    if inc is not None and not log_pi[j] > inc.log_density:
+        return inc
     return Incumbent(particles[j].copy(), float(log_pi[j]), objectives[j].copy())
 
 
-def _raw_log_weights(log_pi: np.ndarray, log_pi_prev: np.ndarray | None) -> np.ndarray:
-    """The step's unnormalized log weights, log pi_k - log pi_{k-1} (log pi_k
-    alone at the first step, when ``log_pi_prev`` is None), shifted by their
-    maximum, which must be finite, in a new array: ``run`` carries
-    ``log_pi`` forward, so neither input is written. There ``log_pi_prev``
-    is each particle's pi_{k-1} score carried from the last step, the same
-    bits as scoring it afresh when every objective is a function of the
-    decision row alone."""
-    log_w = log_pi.copy() if log_pi_prev is None else log_pi - log_pi_prev
+def _raw_log_weights(log_pi: np.ndarray, log_pi_prev: np.ndarray | float) -> np.ndarray:
+    """The step's unnormalized log weights, log pi_k - log pi_{k-1}, shifted
+    by their maximum, which must be finite, in a new array: ``run`` carries
+    ``log_pi`` forward, so neither input is written. ``log_pi_prev`` is 0.0,
+    the uniform start's log pi_0, at the first step, and later, in ``run``,
+    each particle's pi_{k-1} score carried from the last step: the bits of
+    scoring it afresh when every objective is a function of its row alone."""
+    log_w = log_pi - log_pi_prev
     m = log_w.max()
     if not math.isfinite(m):  # the maximum is NaN iff some weight is
         raise DegenerateWeightsError(
@@ -213,15 +219,11 @@ def _sweep(
             batch = particles.take(rows, axis=0)
             batch[:, dim] = proposed_col.take(rows)
             batch_terms = [t.take(rows, axis=0) for t in terms]
-            values, new_terms = problem._evaluate_terms(batch, dim, batch_terms)
-            batch_log_pi = s.log_density_values(values)
+            values, batch_log_pi, new_terms = _score(batch, s, problem, batch_terms, dim)
             prop_log_pi[rows] = batch_log_pi
             # out-of-box rows score -inf, so the batch's first maximum is the
-            # first maximum over all proposals; it is kept only if it beats
-            # the incumbent
-            j = int(batch_log_pi.argmax())
-            if batch_log_pi[j] > inc.log_density:
-                inc = Incumbent(batch[j].copy(), float(batch_log_pi[j]), values[j].copy())
+            # first maximum over all proposals
+            inc = _incumbent(batch, batch_log_pi, values, inc)
         # out-of-box proposals still consumed two objective calls each
         problem.counter.add(2 * (n - rows.size))
 
@@ -240,9 +242,12 @@ def _sweep(
 
 
 def _score(
-    particles: np.ndarray, s: Scalarization, problem: BiObjectiveProblem, terms: Sequence = ()
+    particles: np.ndarray, s: Scalarization, problem: BiObjectiveProblem,
+    terms: Sequence = (), dim: int | None = None,
 ) -> tuple[np.ndarray, np.ndarray, list]:
-    objectives, terms = problem._evaluate_terms(particles, None, terms)
+    """The (n, 2) values of ``problem._evaluate_terms(particles, dim, terms)``,
+    their log pi under ``s`` and its term arrays: the one scoring of a batch."""
+    objectives, terms = problem._evaluate_terms(particles, dim, terms)
     return objectives, s.log_density_values(objectives), terms
 
 
@@ -255,8 +260,8 @@ def importance_weights(
 ) -> Population:
     """Incremental importance weighting, normalized in log space.
 
-    Raw weight: pi_k at the particle when k = 1, else the ratio
-    pi_k / pi_{k-1}; both targets are scored at the same objective values,
+    Raw weight: the ratio pi_k / pi_{k-1}, with pi_0 = 1 (the uniform
+    start) when k = 1; both targets are scored at the same objective values,
     so the step costs 2N evaluations. ``run`` skips the normalization and
     draws its ancestors from the CDF of the raw weights.
 
@@ -270,7 +275,7 @@ def importance_weights(
     if (k == 1) != (s_prev is None):
         raise InvalidInputError("s_prev is required exactly when k > 1")
     objectives, log_pi, _ = _score(pop.particles, s_k, problem)
-    log_pi_prev = None if s_prev is None else s_prev.log_density_values(objectives)
+    log_pi_prev = 0.0 if s_prev is None else s_prev.log_density_values(objectives)
     # zero density under both targets gives -inf - -inf, the NaN the error names
     with np.errstate(invalid="ignore"):
         log_w = _raw_log_weights(log_pi, log_pi_prev)
@@ -323,10 +328,16 @@ def metropolis_sweep(
     incumbent, accepted or not. With no incumbent yet, the best particle
     starts as one. Scoring the population afresh and the d proposals per
     particle cost 2N(1+d) evaluations.
+
+    Raises:
+        InvalidInputError: if ``sigma`` is not a finite number > 0 (a bool is
+            not one), PfopsConfig's rule; nothing is evaluated or counted.
     """
+    if not (is_finite_number(sigma) and sigma > 0):
+        raise InvalidInputError(f"sigma must be a finite number > 0, got {sigma!r}")
     particles = pop.particles.copy()
     objectives, log_pi, terms = _score(particles, s, problem)
-    inc = pop.incumbent if pop.incumbent is not None else _incumbent(particles, log_pi, objectives)
+    inc = pop.incumbent or _incumbent(particles, log_pi, objectives)
     inc = _sweep(particles, log_pi, terms, inc, s, problem, sigma, rng)
     return replace(pop, particles=particles, incumbent=inc)
 
@@ -345,11 +356,14 @@ def run(config: PfopsConfig, problem: BiObjectiveProblem) -> tuple[ParetoArchive
     was scored, and the final dominated-member filter, when enabled, is free.
 
     Raises:
-        InvalidConfigError: if a Tchebycheff Utopian point is not strictly
-            below the problem's ideal point, when the problem states one, or
-            if K or N is too large for numpy to size the schedule or the
-            (N, d) particle array.
+        InvalidConfigError: if ``config`` is not a PfopsConfig, if a
+            Tchebycheff Utopian point is not strictly below the problem's
+            ideal point, when the problem states one, or if K or N is too
+            large for numpy to size the schedule or the (N, d) particle array.
+        InvalidInputError: if ``problem`` is not a BiObjectiveProblem.
     """
+    check_instance(InvalidConfigError, "run's config", config, PfopsConfig)
+    check_instance(InvalidInputError, "run's problem", problem, BiObjectiveProblem)
     check_sizable("n_targets", config.n_targets, 1)
     check_sizable("n_particles", config.n_particles, problem.dim)
     z, ideal = config.utopian, problem.ideal
@@ -367,7 +381,7 @@ def run(config: PfopsConfig, problem: BiObjectiveProblem) -> tuple[ParetoArchive
 
     decisions = []
     front = []
-    log_pi_prev = None  # each particle's log pi_{k-1}, carried from the last step
+    log_pi_prev = 0.0  # each particle's log pi_{k-1}: the flat pi_0, then carried
     terms = []  # each CoordinateSum objective's term matrix, carried likewise
     for s_k in targets:
         objectives, log_pi, terms = _score(particles, s_k, problem, terms)

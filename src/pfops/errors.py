@@ -1,8 +1,9 @@
 """Exception types and the input rules shared across the package.
 
 Each rule is a predicate that its callers wrap in their own error class and
-message; :func:`check_integer` is the config form of :func:`is_integer`, and
-:func:`check_sizable` bounds a config count by the arrays it sizes.
+message; :func:`check_integer` is the config form of :func:`is_integer`,
+:func:`check_sizable` bounds a config count by the arrays it sizes, and
+:func:`check_instance` names the type an argument must have.
 """
 
 import math
@@ -61,6 +62,12 @@ def check_sizable(name: str, count: int, row_items: int) -> None:
         raise InvalidConfigError(
             f"{name} is too large: numpy cannot size {count} x {row_items} float64 values"
         )
+
+
+def check_instance(error: type[PfopsError], name: str, value: object, cls: type) -> None:
+    """Raise ``error`` naming ``name`` and ``cls`` unless ``value`` is a ``cls``."""
+    if not isinstance(value, cls):
+        raise error(f"{name} must be of type {cls.__name__}, got {type(value).__name__}")
 
 
 def is_finite_number(value: object) -> bool:

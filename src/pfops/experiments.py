@@ -14,7 +14,6 @@ import json
 import time
 from collections.abc import Iterable, Mapping
 from dataclasses import MISSING, dataclass, fields, replace
-from functools import partial
 from html import escape
 from pathlib import Path
 
@@ -372,13 +371,13 @@ _TOP_LEVEL_KEYS = {"problem", "algorithm", "seed", "pfops", "nsga2"}
 _FILE_KEYS = {"scalarization_kind": "scalarization"}
 
 
-def _unique_keys(path: str | Path, pairs: list[tuple[str, object]]) -> dict:
+def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
     """One JSON object of a config file; a key given twice raises
     InvalidConfigError naming it, where ``json`` would keep the last value."""
     obj: dict = {}
     for key, value in pairs:
         if key in obj:
-            raise InvalidConfigError(f"{path}: duplicated key '{key}'")
+            raise InvalidConfigError(f"duplicated key '{key}'")
         obj[key] = value
     return obj
 
@@ -409,64 +408,63 @@ def load_config_file(path: str | Path) -> ExperimentPreset:
     problem raises NotFoundError naming the file.
     """
     try:
+        return _parse_config_file(path)
+    except (InvalidConfigError, NotFoundError) as exc:
+        raise type(exc)(f"{path}: {exc}") from None
+
+
+def _parse_config_file(path: str | Path) -> ExperimentPreset:
+    """:func:`load_config_file` but for the file name its errors start with."""
+    try:
         text = Path(path).read_text(encoding="utf-8")  # JSON is UTF-8 (RFC 8259)
-        raw = json.loads(text, object_pairs_hook=partial(_unique_keys, path))
+        raw = json.loads(text, object_pairs_hook=_unique_keys)
     except UnicodeDecodeError as exc:
-        raise InvalidConfigError(f"{path}: not UTF-8 text: {exc}") from None
+        raise InvalidConfigError(f"not UTF-8 text: {exc}") from None
     except json.JSONDecodeError as exc:
-        raise InvalidConfigError(f"{path}: not valid JSON: {exc}") from None
+        raise InvalidConfigError(f"not valid JSON: {exc}") from None
     if not isinstance(raw, dict):
-        raise InvalidConfigError(f"{path}: expected a JSON object")
+        raise InvalidConfigError("expected a JSON object")
     unknown = sorted(set(raw) - _TOP_LEVEL_KEYS)
     if unknown:
-        raise InvalidConfigError(f"{path}: unrecognized top-level keys {unknown}")
+        raise InvalidConfigError(f"unrecognized top-level keys {unknown}")
     for key in ("problem", "algorithm"):
         if key not in raw:
-            raise InvalidConfigError(f"{path}: missing required key '{key}'")
+            raise InvalidConfigError(f"missing required key '{key}'")
         if not isinstance(raw[key], str):
-            raise InvalidConfigError(f"{path}: '{key}' must be a string, got {raw[key]!r}")
+            raise InvalidConfigError(f"'{key}' must be a string, got {raw[key]!r}")
     if "seed" in raw:
-        try:
-            check_integer("seed", raw["seed"], 0)
-        except InvalidConfigError as exc:
-            raise InvalidConfigError(f"{path}: {exc}") from None
+        check_integer("seed", raw["seed"], 0)
     problem, algorithm = raw["problem"], raw["algorithm"]
     cls = _CONFIG_CLASSES.get(algorithm)
     if cls is None:
-        raise InvalidConfigError(f"{path}: unknown algorithm '{algorithm}'")
+        raise InvalidConfigError(f"unknown algorithm '{algorithm}'")
     for other in _CONFIG_CLASSES:
         if other != algorithm and other in raw:
-            raise InvalidConfigError(
-                f"{path}: '{other}' section given, but algorithm is '{algorithm}'"
-            )
+            raise InvalidConfigError(f"'{other}' section given, but algorithm is '{algorithm}'")
     section = raw.get(algorithm, {})
     if not isinstance(section, dict):
-        raise InvalidConfigError(f"{path}: '{algorithm}' must be a JSON object")
-    where = f"{path}: {algorithm}"
+        raise InvalidConfigError(f"'{algorithm}' must be a JSON object")
     by_key = _section_fields(cls)
     unknown = sorted(set(section) - set(by_key))
     if unknown:
-        raise InvalidConfigError(f"{where}: unrecognized keys {unknown}")
+        raise InvalidConfigError(f"{algorithm}: unrecognized keys {unknown}")
     missing = [k for k, f in by_key.items() if f.default is MISSING and k not in section]
     if missing:
-        raise InvalidConfigError(f"{where}: missing required keys {missing}")
+        raise InvalidConfigError(f"{algorithm}: missing required keys {missing}")
     kwargs = {by_key[k].name: value for k, value in section.items()}
     if "scalarization_kind" in kwargs:
         try:
             kwargs["scalarization_kind"] = ScalarizationKind(kwargs["scalarization_kind"])
         except ValueError:
             kinds = [k.value for k in ScalarizationKind]
-            raise InvalidConfigError(f"{where}: 'scalarization' must be one of {kinds}") from None
+            raise InvalidConfigError(f"{algorithm}: 'scalarization' must be one of {kinds}") from None
     if "seed" in raw:
         kwargs["seed"] = raw["seed"]
     try:
         config = cls(**kwargs)
     except InvalidConfigError as exc:
-        raise InvalidConfigError(f"{where}: {exc}") from None
-    try:
-        return ExperimentPreset(f"custom:{Path(path).name}", problem, config)
-    except NotFoundError as exc:
-        raise NotFoundError(f"{path}: {exc}") from None
+        raise InvalidConfigError(f"{algorithm}: {exc}") from None
+    return ExperimentPreset(f"custom:{Path(path).name}", problem, config)
 
 
 def run_config_file(path: str | Path, seed: int | None = None) -> RunReport:

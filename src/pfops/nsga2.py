@@ -22,7 +22,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidConfigError, check_integer, check_sizable
+from .errors import (
+    InvalidConfigError,
+    InvalidInputError,
+    check_instance,
+    check_integer,
+    check_sizable,
+)
 from .pareto import ParetoArchive, _reject_nan_rows, as_front, peel_fronts
 from .problems import BiObjectiveProblem
 
@@ -170,9 +176,13 @@ def evolve(config: Nsga2Config, problem: BiObjectiveProblem) -> tuple[ParetoArch
     population and one offspring batch per generation.
 
     Raises:
-        InvalidConfigError: if pop_size is too large for numpy to size the
-            (2 pop_size, d) array of parents and offspring.
+        InvalidConfigError: if ``config`` is not an Nsga2Config, or if
+            pop_size is too large for numpy to size the (2 pop_size, d) array
+            of parents and offspring.
+        InvalidInputError: if ``problem`` is not a BiObjectiveProblem.
     """
+    check_instance(InvalidConfigError, "evolve's config", config, Nsga2Config)
+    check_instance(InvalidInputError, "evolve's problem", problem, BiObjectiveProblem)
     check_sizable("pop_size", config.pop_size, 2 * problem.dim)
     rng = np.random.default_rng(config.seed)
     start_count = problem.counter.count

@@ -131,12 +131,14 @@ def igd(estimate: np.ndarray, reference: np.ndarray) -> float:
 
     Both fronts are read by :func:`as_front`, so a single point may be given
     as a (2,) vector and any shape other than (n, 2) raises InvalidInputError;
-    an empty front raises it too.
+    an empty front or a NaN row in either raises it too.
     """
     estimate = as_front(estimate)
     reference = as_front(reference)
     if len(estimate) == 0 or len(reference) == 0:
         raise InvalidInputError("igd requires non-empty estimate and reference fronts")
+    _reject_nan_rows(estimate)
+    _reject_nan_rows(reference)
     d1 = reference[:, 0, None] - estimate[:, 0]
     d2 = reference[:, 1, None] - estimate[:, 1]
     d1 *= d1

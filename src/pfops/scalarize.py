@@ -24,7 +24,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidConfigError, is_finite_number, is_finite_pair, is_integer
+from .errors import InvalidConfigError, InvalidInputError
+from .errors import is_finite_number, is_finite_pair, is_integer
 
 
 class ScalarizationKind(enum.Enum):
@@ -65,26 +66,20 @@ class Scalarization:
         elif z is not None:
             raise InvalidConfigError(f"the weighted-sum scalarization takes no utopian, got {z!r}")
 
-    def log_density_values(self, objectives: np.ndarray) -> np.ndarray | float:
-        """log pi at pre-computed objective values.
+    def log_density_values(self, objectives: np.ndarray) -> np.ndarray:
+        """log pi, shape (n,), at the (n, 2) objective values of a batch, as
+        an evaluation returns them; any other shape, a single (2,) point
+        included, raises InvalidInputError naming it.
 
         A zero weight drops its term: at lambda = 0 the value ignores f2, and
         at lambda = 1 it ignores f1, even where that objective is infinite
         (``0 * inf`` would be NaN). Elsewhere the value is that of the formula.
-
-        Args:
-            objectives: (..., 2) array of (f1, f2) values.
-
-        Returns:
-            log pi with the leading shape of ``objectives``; a float for a
-            single (2,) input.
         """
         obj = np.asarray(objectives, dtype=float)
-        single = obj.ndim == 1
-        if single:  # a (2,) vector is a one-row batch, so that the steps below
-            obj = obj[np.newaxis]  # have arrays to work in, not 0-d scalars
-        f1 = obj[..., 0]
-        f2 = obj[..., 1]
+        if obj.ndim != 2 or obj.shape[1] != 2:
+            raise InvalidInputError(f"objective values must have shape (n, 2), got {obj.shape}")
+        f1 = obj[:, 0]
+        f2 = obj[:, 1]
         w1, w2 = 1.0 - self.lam, self.lam
         # each step below runs on a fresh temporary, never on ``objectives``;
         # the float operations and their order are those of
@@ -109,7 +104,7 @@ class Scalarization:
                 dev2 *= w2
                 np.maximum(out, dev2, out=out)
         np.negative(out, out=out)
-        return out[0] if single else out
+        return out
 
 
 def weighted_sum(lam: float) -> Scalarization:

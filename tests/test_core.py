@@ -22,6 +22,7 @@ from pfops.core import (
 )
 from pfops.errors import DegenerateWeightsError, InvalidConfigError, InvalidInputError
 from pfops.experiments import PRESETS
+from pfops.nsga2 import Nsga2Config
 from pfops.pareto import ParetoArchive, nondominated_mask
 from pfops.problems import (
     BiObjectiveProblem,
@@ -441,6 +442,20 @@ class TestMetropolisSweep:
         (new, new_state), (ref, ref_state) = sides
         assert new_state == ref_state
 
+    @pytest.mark.parametrize("sigma", [np.nan, np.inf, 0.0, -1.0, True, "1"])
+    def test_sigma_checked_before_anything_is_counted(self, sigma):
+        # NaN and inf used to charge 2N(1+d) evaluations and move nothing, 0
+        # accepted every proposal as the current point, -1 and True ran, and
+        # "1" raised numpy's UFuncTypeError
+        prob = convex_problem()
+        pop = initialize(PfopsConfig(2, 10), prob, np.random.default_rng(0))
+        rng = np.random.default_rng(1)
+        state = rng.bit_generator.state
+        with pytest.raises(InvalidInputError, match=r"^sigma must be a finite number > 0, got "):
+            metropolis_sweep(pop, weighted_sum(0.5), prob, sigma, rng)
+        assert prob.counter.count == 0
+        assert rng.bit_generator.state == state
+
     def test_vanishing_sigma_accepts_everything(self):
         prob = convex_problem()
         rng = np.random.default_rng(10)
@@ -747,6 +762,21 @@ class TestRun:
     def test_invalid_config_rejected(self):
         with pytest.raises(InvalidConfigError):
             run(PfopsConfig(n_targets=1, n_particles=4), convex_problem())
+
+    def test_nsga2_config_rejected(self):
+        # used to raise a raw AttributeError naming n_targets
+        problem = convex_problem()
+        message = r"^run's config must be of type PfopsConfig, got Nsga2Config$"
+        with pytest.raises(InvalidConfigError, match=message):
+            run(Nsga2Config(4, 1), problem)
+        assert problem.counter.count == 0
+
+    def test_problem_name_rejected(self):
+        # a problem's registry name is not a problem; it used to raise a raw
+        # AttributeError naming dim
+        message = r"^run's problem must be of type BiObjectiveProblem, got str$"
+        with pytest.raises(InvalidInputError, match=message):
+            run(PfopsConfig(n_targets=2, n_particles=4), "convex")
 
     @pytest.mark.parametrize("z", [(5.0, 5.0), (-1.0, 0.0), (0.0, -1.0)])
     def test_utopian_not_below_ideal_rejected(self, z):

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import pfops.nsga2 as nsga2
+from pfops.core import PfopsConfig
 from pfops.errors import InvalidConfigError, InvalidInputError
 from pfops.nsga2 import (
     Nsga2Config,
@@ -322,6 +323,19 @@ class TestEvolve:
             transitions += len(steps)
             good += int((steps >= -1e-9).sum())
         assert good / transitions >= 0.95
+
+    def test_pfops_config_rejected(self):
+        # used to raise a raw AttributeError naming pop_size
+        problem = convex_problem()
+        message = r"^evolve's config must be of type Nsga2Config, got PfopsConfig$"
+        with pytest.raises(InvalidConfigError, match=message):
+            evolve(PfopsConfig(n_targets=2, n_particles=4), problem)
+        assert problem.counter.count == 0
+
+    def test_problem_name_rejected(self):
+        message = r"^evolve's problem must be of type BiObjectiveProblem, got str$"
+        with pytest.raises(InvalidInputError, match=message):
+            evolve(Nsga2Config(pop_size=4, generations=1), "convex")
 
     def test_nan_objective_names_the_point(self):
         problem = BiObjectiveProblem(

@@ -193,6 +193,14 @@ class TestIgd:
         with pytest.raises(InvalidInputError):
             igd(np.array([[0.0, 0.0]]), np.zeros((0, 2)))
 
+    @pytest.mark.parametrize("side", ["estimate", "reference"])
+    def test_nan_row_rejected(self, side):
+        # igd([[nan, 0]], [[0, 0]]) used to return nan
+        fronts = {"estimate": np.array([[0.0, 0.0]]), "reference": np.array([[1.0, 1.0]])}
+        fronts[side] = np.array([[0.0, 1.0], [np.nan, 0.0]])
+        with pytest.raises(InvalidInputError, match=r"^row 1 contains NaN: \[nan, 0\.0\]$"):
+            igd(fronts["estimate"], fronts["reference"])
+
     def test_zero_iff_reference_covered(self):
         rng = np.random.default_rng(8)
         ref = rng.normal(size=(20, 2))
@@ -215,8 +223,10 @@ class TestIgd:
         est[0, 0] = np.inf
         est[1, 1] = -np.inf
         assert igd(est, ref) == float(cdist(ref, est).min(axis=1).mean())
+        # cdist gives NaN for a NaN row; igd rejects it, as the ranking does
         est[2, 0] = np.nan
-        assert np.isnan(igd(est, ref)) and np.isnan(cdist(ref, est).min(axis=1).mean())
+        with pytest.raises(InvalidInputError, match=r"^row 2 contains NaN"):
+            igd(est, ref)
 
     @pytest.mark.parametrize(
         "estimate, reference",

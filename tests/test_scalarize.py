@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -97,23 +99,23 @@ class TestScalarizationConstruction:
 
 class TestLogDensity:
     def test_weighted_sum_at_f1_minimum(self):
-        f = convex_problem().evaluate_batch((0.0, 0.0))[0]
-        assert weighted_sum(0.0).log_density_values(f) == 0.0
+        f = convex_problem().evaluate_batch((0.0, 0.0))
+        assert weighted_sum(0.0).log_density_values(f).tolist() == [0.0]
 
     def test_weighted_sum_midpoint(self):
         # -[0.5 * 0 + 0.5 * 50]
-        f = convex_problem().evaluate_batch((0.0, 0.0))[0]
-        assert weighted_sum(0.5).log_density_values(f) == pytest.approx(-25.0)
+        f = convex_problem().evaluate_batch((0.0, 0.0))
+        assert weighted_sum(0.5).log_density_values(f) == pytest.approx([-25.0])
 
     def test_tchebycheff_hand_value(self):
         s = Scalarization(ScalarizationKind.TCHEBYCHEFF, 0.5, utopian=(0.0, 0.0))
         # -max{0.5 * |1 - 0|, 0.5 * |3 - 0|}
-        assert s.log_density_values(np.array([1.0, 3.0])) == pytest.approx(-1.5)
+        assert s.log_density_values(np.array([[1.0, 3.0]])) == pytest.approx([-1.5])
 
     def test_vectorized_matches_scalar(self):
         s = Scalarization(ScalarizationKind.TCHEBYCHEFF, 0.25, utopian=(-1.0, -2.0))
         batch = np.array([[0.0, 1.0], [3.0, 2.0], [0.5, 0.25]])
-        singles = [s.log_density_values(row) for row in batch]
+        singles = [s.log_density_values(row[np.newaxis])[0] for row in batch]
         np.testing.assert_allclose(s.log_density_values(batch), singles)
 
     @pytest.mark.parametrize(
@@ -123,15 +125,28 @@ class TestLogDensity:
     )
     @pytest.mark.parametrize("shape", [(7, 2), (2,)])
     def test_input_never_written(self, s, shape):
-        # the arithmetic runs in place, but only on its own temporaries
+        # the arithmetic runs in place, but only on its own temporaries; a
+        # single (2,) point is not a batch, and is rejected untouched
         objectives = np.random.default_rng(4).normal(size=shape)
         before = objectives.copy()
-        out = s.log_density_values(objectives)
-        assert objectives.tobytes() == before.tobytes()
         if shape == (2,):
-            assert isinstance(out, float)
+            with pytest.raises(InvalidInputError, match=r"shape \(n, 2\), got \(2,\)"):
+                s.log_density_values(objectives)
         else:
-            assert out.shape == (7,)
+            assert s.log_density_values(objectives).shape == (7,)
+        assert objectives.tobytes() == before.tobytes()
+
+    @pytest.mark.parametrize(
+        "s",
+        [weighted_sum(0.3), Scalarization(ScalarizationKind.TCHEBYCHEFF, 0.3, (-1.0, -2.0))],
+        ids=["weighted-sum", "tchebycheff"],
+    )
+    @pytest.mark.parametrize("shape", [(2,), (3,), (5, 3), (2, 3, 2), (), (5, 1)])
+    def test_shape_other_than_n_by_2_rejected(self, s, shape):
+        # (3,) and (5, 3) used to be scored from their first two columns
+        objectives = np.ones(shape)
+        with pytest.raises(InvalidInputError, match=rf"got {re.escape(str(shape))}$"):
+            s.log_density_values(objectives)
 
 
 def assert_ignores_objective(s, ignored, seed):
@@ -174,8 +189,8 @@ class TestDensityProperties:
         assert_ignores_objective(s, 0, seed=5)
 
     def test_single_vector_with_ignored_infinity(self):
-        assert weighted_sum(0.0).log_density_values([3.0, np.inf]) == -3.0
-        assert weighted_sum(1.0).log_density_values([-np.inf, 2.0]) == -2.0
+        assert weighted_sum(0.0).log_density_values([[3.0, np.inf]]).tolist() == [-3.0]
+        assert weighted_sum(1.0).log_density_values([[-np.inf, 2.0]]).tolist() == [-2.0]
 
     def test_argmax_tracks_analytic_minimizer(self):
         problem = convex_problem()
