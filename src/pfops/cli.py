@@ -1,9 +1,9 @@
 """Command-line experiment runner.
 
 Subcommands: ``run`` (one preset or config-file run), ``compare`` (paired
-seeded sweep of two presets), ``reference`` (regenerate a cached reference
-front), ``list`` (registered presets and problems). Exit code 0 on success,
-nonzero with a diagnostic on stderr otherwise.
+seeded sweep of two presets), ``reference`` (regenerate a reference front
+from its benchmark's record), ``list`` (registered presets and problems).
+Exit code 0 on success, nonzero with a diagnostic on stderr otherwise.
 """
 
 from __future__ import annotations
@@ -82,12 +82,10 @@ def _write_run_artifacts(report: experiments.RunReport, out_dir: str) -> list[Pa
     report_json.write_text(json.dumps(payload, indent=2) + "\n")
     written.append(report_json)
 
-    problem = report.metadata["problem"]
-    reference = pareto.reference_front(
-        problem, experiments.REFERENCE_RESOLUTION[problem]
-    )
+    md = report.metadata
+    reference = pareto.reference_front(md["problem"], md["reference_resolution"])
     svg = out / f"{stem}_front.svg"
-    experiments.emit_front_svg({report.metadata["label"]: report.archive.front}, reference, svg)
+    experiments.emit_front_svg({md["label"]: report.archive.front}, reference, svg)
     written.append(svg)
     return written
 
@@ -129,7 +127,7 @@ def _cmd_compare(args: argparse.Namespace) -> int:
 
 
 def _cmd_reference(args: argparse.Namespace) -> int:
-    front = pareto.reference_front(args.problem, args.resolution)
+    front = pareto.reference_front(args.problem, args.resolution, rebuild=True)
     out = args.out or f"{args.problem}_front_{args.resolution}.csv"
     pareto.write_front_csv(front, out)
     print(f"wrote {out} ({len(front)} points)")

@@ -21,12 +21,15 @@ gathered array is then the next step's pi_{k-1} side, so the population is
 scored once under each target. This carry gives the same bits as scoring
 pi_{k-1} afresh on one condition: each objective's value is a function of
 the decision row alone, whatever batch the row is evaluated in (the
-built-in problems' kernels work row by row). A run thus consumes exactly 2*K*N
-single-objective evaluations, plus 2*K*N*d more when the Metropolis sweep is
-on (one (f1, f2) pair per componentwise proposal, out-of-box proposals
-included). The weights take one pass per step: the raw log weights' maximum
-is checked once, and the CDF is built from exp(log w - max) and divided by
-its last entry, with no log-sum in between.
+built-in problems' kernels work row by row). Elementwise numpy operations
+keep it; BLAS-backed ones (``@``, ``np.dot``) break it in the last bits,
+since BLAS may sum a row in another order in a batch of another size. A
+run thus consumes exactly 2*K*N single-objective evaluations, plus 2*K*N*d
+more when the Metropolis sweep is on (one (f1, f2) pair per componentwise
+proposal, out-of-box proposals included). The weights take one pass per
+step: the raw log weights' maximum is checked once, and the CDF is built
+from exp(log w - max) and divided by its last entry, with no log-sum in
+between.
 
 An objective that is a ``problems.CoordinateSum`` (a sum of one elementwise
 term per coordinate, as Kursawe's f2) need not be recomputed in full. ``run``
@@ -67,6 +70,7 @@ from .errors import (
     check_integer,
     check_sizable,
     is_finite_number,
+    is_integer,
 )
 from .pareto import ParetoArchive, nondominated_mask
 from .problems import BiObjectiveProblem
@@ -266,12 +270,15 @@ def importance_weights(
     draws its ancestors from the CDF of the raw weights.
 
     Raises:
+        InvalidInputError: if ``k`` is not an integer >= 1 (a bool or a
+            float is refused, a numpy integer passes), or ``s_prev`` is
+            given at k = 1 or missing at k > 1.
         DegenerateWeightsError: if the raw log weights' maximum is not
             finite; its text says which case: every particle has zero
             density under pi_k, a weight is infinite, or one is NaN.
     """
-    if k < 1:
-        raise InvalidInputError(f"step index must be >= 1, got {k}")
+    if not is_integer(k, 1):
+        raise InvalidInputError(f"step index k must be an integer >= 1, got {k!r}")
     if (k == 1) != (s_prev is None):
         raise InvalidInputError("s_prev is required exactly when k > 1")
     objectives, log_pi, _ = _score(pop.particles, s_k, problem)

@@ -24,16 +24,8 @@ from .errors import InvalidConfigError, InvalidInputError, NotFoundError, check_
 from .problems import lookup_problem
 from .scalarize import ScalarizationKind
 
-# reference-front resolutions used when scoring runs
-REFERENCE_RESOLUTION = {"convex": 100, "fonseca": 200, "kursawe": 201}
-
-# hypervolume reference points; archive members not strictly below a
-# reference point are excluded from the hypervolume (they bound no area)
-HYPERVOLUME_REF = {
-    "convex": (60.0, 60.0),
-    "fonseca": (1.1, 1.1),
-    "kursawe": (-14.0, 1.0),
-}
+# each benchmark's scoring resolution; a view of pareto.BENCHMARKS kept for bench/workloads.py
+REFERENCE_RESOLUTION = {name: b.resolution for name, b in pareto.BENCHMARKS.items()}
 
 _CONFIG_CLASSES = {"pfops": core.PfopsConfig, "nsga2": nsga2.Nsga2Config}
 
@@ -149,9 +141,10 @@ def _execute(preset: ExperimentPreset, seed: int) -> RunReport:
     archive, evals = optimize(cfg, problem)
     wall = time.perf_counter() - started
 
-    reference = pareto.reference_front(preset.problem, REFERENCE_RESOLUTION[preset.problem])
+    scoring = pareto.BENCHMARKS[preset.problem]
+    reference = pareto.reference_front(preset.problem, scoring.resolution)
     igd_value = pareto.igd(archive.front, reference)
-    ref_point = np.asarray(HYPERVOLUME_REF[preset.problem])
+    ref_point = np.asarray(scoring.hv_ref)
     dominating = archive.front[np.all(archive.front < ref_point, axis=1)]
     hv_value = pareto.hypervolume_2d(dominating, ref_point)
 
@@ -160,7 +153,7 @@ def _execute(preset: ExperimentPreset, seed: int) -> RunReport:
         "problem": preset.problem,
         "algorithm": preset.algorithm,
         "config": config_section(cfg),
-        "reference_resolution": REFERENCE_RESOLUTION[preset.problem],
+        "reference_resolution": scoring.resolution,
         "hypervolume_ref_point": tuple(ref_point.tolist()),
         "hypervolume_points_used": int(len(dominating)),
     }

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import functools
 import math
-from collections.abc import Iterator
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -24,7 +24,6 @@ from .errors import InvalidInputError, NotFoundError, is_finite_pair, is_integer
 from .problems import _INV_SQRT2, fonseca_fleming_problem, kursawe_problem
 
 _DATA_DIR = Path(__file__).parent / "data"
-_REFERENCE_NAMES = ("convex", "fonseca", "kursawe")
 
 
 @dataclass(frozen=True)
@@ -181,6 +180,19 @@ def hypervolume_2d(front: np.ndarray, ref_point: np.ndarray) -> float:
     return float(np.sum((right_edges - f1) * (r2 - best_f2)))
 
 
+def _convex_front(resolution: int) -> np.ndarray:
+    t = np.linspace(0.0, 1.0, resolution)
+    return np.stack([50.0 * t**2, 50.0 * (1.0 - t) ** 2], axis=1)
+
+
+def _fonseca_front(resolution: int) -> np.ndarray:
+    t = np.linspace(-_INV_SQRT2, _INV_SQRT2, resolution)
+    pts = np.stack([t, t], axis=1)
+    problem = fonseca_fleming_problem()
+    front = np.stack([problem.f1(pts), problem.f2(pts)], axis=1)
+    return front[np.argsort(front[:, 0], kind="stable")]
+
+
 def _kursawe_grid_front(resolution: int) -> np.ndarray:
     """Non-dominated front of a resolution^3 grid over the Kursawe box.
 
@@ -202,47 +214,59 @@ def _kursawe_grid_front(resolution: int) -> np.ndarray:
     return front[np.argsort(front[:, 0], kind="stable")]
 
 
-def reference_front(name: str, resolution: int) -> np.ndarray:
-    """Ground-truth front for a registered problem, sorted ascending by f1.
+@dataclass(frozen=True)
+class Benchmark:
+    """How a built-in benchmark's runs are scored: IGD against ``front(resolution)``,
+    its reference front sorted by f1, and the hypervolume bounded by ``hv_ref``
+    (archive members not strictly below it bound no area and are left out)."""
+
+    front: Callable[[int], np.ndarray]
+    resolution: int
+    hv_ref: tuple[float, float]
+
+
+# the scoring record of each problem in problems.PROBLEM_FACTORIES
+BENCHMARKS = {
+    "convex": Benchmark(_convex_front, 100, (60.0, 60.0)),
+    "fonseca": Benchmark(_fonseca_front, 200, (1.1, 1.1)),
+    "kursawe": Benchmark(_kursawe_grid_front, 201, (-14.0, 1.0)),
+}
+
+
+def reference_front(name: str, resolution: int, *, rebuild: bool = False) -> np.ndarray:
+    """Ground-truth front of a built-in benchmark, sorted ascending by f1.
 
     convex: the parametric curve (50 t^2, 50 (1-t)^2), t equally spaced on
     [0, 1] (image of the minimizer family (5t, 5t)). fonseca: image of
     x1 = x2 = t for t equally spaced on [-1/sqrt(2), 1/sqrt(2)]. kursawe:
-    non-dominated filter of a dense resolution^3 grid; the shipped CSV
-    covers resolution 201, other resolutions are computed from the grid.
+    non-dominated filter of a dense resolution^3 grid. A front shipped as
+    ``data/<name>_front_<resolution>.csv`` (kursawe at 201) is read from it.
 
     Each (name, resolution) is built once per process and cached; every call
-    returns that same read-only array, so copy it before changing it. A name
-    other than these three raises NotFoundError, and a resolution that is not
-    an integer >= 2 (numpy integers pass) raises InvalidInputError.
+    returns that same read-only array, so copy it before changing it.
+    ``rebuild=True`` builds a new, writable array from the benchmark's
+    :class:`Benchmark` record, reading neither a shipped CSV nor the cache.
+    A name not in :data:`BENCHMARKS` raises NotFoundError, and a resolution
+    that is not an integer >= 2 (numpy integers pass) raises
+    InvalidInputError.
     """
-    if not isinstance(name, str) or name not in _REFERENCE_NAMES:
+    if not isinstance(name, str) or name not in BENCHMARKS:
         raise NotFoundError(
-            f"no reference front for {name!r}; available: {', '.join(_REFERENCE_NAMES)}"
+            f"no reference front for {name!r}; available: {', '.join(BENCHMARKS)}"
         )
     if not is_integer(resolution, 2):
         raise InvalidInputError(f"resolution must be an integer >= 2, got {resolution!r}")
-    front = _build_reference_front(name, int(resolution))
-    front.setflags(write=False)
-    return front
+    if rebuild:
+        return BENCHMARKS[name].front(int(resolution))
+    return _cached_front(name, int(resolution))
 
 
 @functools.lru_cache(maxsize=None)
-def _build_reference_front(name: str, resolution: int) -> np.ndarray:
-    if name == "convex":
-        t = np.linspace(0.0, 1.0, resolution)
-        return np.stack([50.0 * t**2, 50.0 * (1.0 - t) ** 2], axis=1)
-    if name == "fonseca":
-        t = np.linspace(-_INV_SQRT2, _INV_SQRT2, resolution)
-        pts = np.stack([t, t], axis=1)
-        problem = fonseca_fleming_problem()
-        front = np.stack([problem.f1(pts), problem.f2(pts)], axis=1)
-        return front[np.argsort(front[:, 0], kind="stable")]
-    # kursawe, the one name left after reference_front's check
-    cache = _DATA_DIR / f"kursawe_front_{resolution}.csv"
-    if cache.is_file():
-        return read_front_csv(cache)
-    return _kursawe_grid_front(resolution)
+def _cached_front(name: str, resolution: int) -> np.ndarray:
+    shipped = _DATA_DIR / f"{name}_front_{resolution}.csv"
+    front = read_front_csv(shipped) if shipped.is_file() else BENCHMARKS[name].front(resolution)
+    front.setflags(write=False)
+    return front
 
 
 def _format_value(x: float) -> str:

@@ -28,10 +28,14 @@ The built-in objectives work row by row: each runs elementwise operations on
 the whole batch and then adds its two or three per-coordinate columns
 (``t[:, 0] + t[:, 1] + t[:, 2]``), so a decision row gets the same objective
 bits in any batch, which ``core.run`` relies on to carry each particle's
-density from one step to the next. The columns are added instead of calling
-``np.sum(t, axis=1)``: numpy's reduction over a 2- or 3-wide axis is slow for
-its size (on a 500 x 3 batch, 19 us against 4.4 us for the two additions, on
-one Xeon core with numpy 2.4), and both forms run the same float operations
+density from one step to the next. A user objective built on BLAS (``@``,
+``np.dot``) does not: BLAS may sum a row in another order in a batch of
+another size, so the row's last bits can change.
+
+The columns are added instead of calling ``np.sum(t, axis=1)``: numpy's
+reduction over a 2- or 3-wide axis is slow for its size (on a 500 x 3
+batch, 19 us against 4.4 us for the two additions, on one Xeon core with
+numpy 2.4), and both forms run the same float operations
 in the same order, ``(t0 + t1) + t2``, so the values are bit-identical. A
 square is one product on one temporary for the whole batch (``sq = x * x``,
 or ``dev = x - c; sq = dev * dev``), not a power per column: numpy computes

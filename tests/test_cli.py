@@ -223,6 +223,25 @@ def test_reference_regeneration(tmp_path, capsys):
     assert len(front) == 5
 
 
+def test_reference_builds_the_front_anew(tmp_path, monkeypatch, capsys):
+    # a shipped CSV is never copied: the command writes what the record's
+    # builder gives, here the grid front, not the wrong file in the data directory
+    data = tmp_path / "data"
+    data.mkdir()
+    pareto.write_front_csv([[0.0, 0.0]], data / "kursawe_front_21.csv")
+    monkeypatch.setattr(pareto, "_DATA_DIR", data)
+    out = tmp_path / "kursawe_front_21.csv"
+    assert main(["reference", "--problem", "kursawe", "--resolution", "21", "--out", str(out)]) == 0
+    front = read_front_csv(out)
+    np.testing.assert_array_equal(front, pareto.BENCHMARKS["kursawe"].front(21))
+    assert capsys.readouterr().out == f"wrote {out} ({len(front)} points)\n"
+
+
+def test_reference_rejects_resolution_below_two(capsys):
+    assert main(["reference", "--problem", "convex", "--resolution", "1"]) == 1
+    assert capsys.readouterr().err == "error: resolution must be an integer >= 2, got 1\n"
+
+
 def test_reference_rejects_unknown_problem():
     with pytest.raises(SystemExit) as excinfo:
         main(["reference", "--problem", "zdt1", "--resolution", "5"])

@@ -267,6 +267,20 @@ class TestImportanceWeights:
         with pytest.raises(InvalidInputError):
             importance_weights(pop, 1, s, s, convex_problem())
 
+    @pytest.mark.parametrize("k", [True, 1.0, np.float64(1.0)], ids=["bool", "float", "np-float"])
+    def test_step_index_not_an_integer_rejected(self, k):
+        # each of these used to run as step 1
+        pop = make_population([[0.0, 0.0], [1.0, 1.0]])
+        with pytest.raises(InvalidInputError, match=r"^step index k must be an integer >= 1, got "):
+            importance_weights(pop, k, weighted_sum(0.5), None, convex_problem())
+
+    def test_numpy_integer_step_index_accepted(self):
+        pop = make_population([[0.0, 0.0], [1.0, 1.0]])
+        s = weighted_sum(0.5)
+        expected = importance_weights(pop, 1, s, None, convex_problem())
+        out = importance_weights(pop, np.int64(1), s, None, convex_problem())
+        np.testing.assert_array_equal(out.log_weights, expected.log_weights)
+
     def test_normalization_over_random_populations(self):
         prob = convex_problem()
         rng = np.random.default_rng(3)

@@ -13,7 +13,6 @@ import pfops.nsga2 as nsga2
 from pfops.core import PfopsConfig
 from pfops.errors import InvalidConfigError, InvalidInputError, NotFoundError
 from pfops.experiments import (
-    HYPERVOLUME_REF,
     PRESETS,
     ExperimentPreset,
     REFERENCE_RESOLUTION,
@@ -26,7 +25,14 @@ from pfops.experiments import (
     write_comparison_csv,
 )
 from pfops.nsga2 import Nsga2Config
-from pfops.pareto import hypervolume_2d, igd, read_front_csv, reference_front, write_front_csv
+from pfops.pareto import (
+    BENCHMARKS,
+    hypervolume_2d,
+    igd,
+    read_front_csv,
+    reference_front,
+    write_front_csv,
+)
 from pfops.problems import lookup_problem
 from pfops.scalarize import ScalarizationKind
 
@@ -156,7 +162,7 @@ class TestRunPreset:
         report = run_preset("nsga2-convex-under", 3)
         ref = reference_front("convex", REFERENCE_RESOLUTION["convex"])
         assert report.igd == pytest.approx(igd(report.archive.front, ref), abs=1e-12)
-        ref_point = np.asarray(HYPERVOLUME_REF["convex"])
+        ref_point = np.asarray(BENCHMARKS["convex"].hv_ref)
         inside = report.archive.front[np.all(report.archive.front < ref_point, axis=1)]
         assert report.hypervolume == pytest.approx(
             hypervolume_2d(inside, ref_point), abs=1e-12

@@ -8,6 +8,7 @@ from scipy.spatial.distance import cdist
 import pfops.pareto as pareto
 from pfops.errors import InvalidInputError, NotFoundError
 from pfops.pareto import (
+    BENCHMARKS,
     as_front,
     dominates,
     hypervolume_2d,
@@ -18,7 +19,7 @@ from pfops.pareto import (
     reference_front,
     write_front_csv,
 )
-from pfops.problems import fonseca_fleming_problem
+from pfops.problems import available_problems, fonseca_fleming_problem
 
 
 def brute_force_mask(points):
@@ -380,6 +381,43 @@ class TestReferenceFronts:
 
     def test_numpy_integer_resolution_accepted(self):
         assert reference_front("convex", np.int64(50)) is reference_front("convex", 50)
+
+    @pytest.mark.parametrize("name, resolution", [("convex", 50), ("fonseca", 40), ("kursawe", 21)])
+    def test_rebuild_gives_a_new_writable_copy(self, name, resolution):
+        cached = reference_front(name, resolution)
+        rebuilt = reference_front(name, resolution, rebuild=True)
+        assert rebuilt is not cached and rebuilt.flags.writeable
+        np.testing.assert_array_equal(rebuilt, cached)
+
+    @pytest.mark.parametrize(
+        "name, resolution, error",
+        [("zdt1", 10, NotFoundError), ("convex", 1, InvalidInputError),
+         ("kursawe", 10.0, InvalidInputError)],
+    )
+    def test_rebuild_checks_like_the_cached_call(self, name, resolution, error):
+        with pytest.raises(error) as cached:
+            reference_front(name, resolution)
+        with pytest.raises(error, match=f"^{re.escape(str(cached.value))}$"):
+            reference_front(name, resolution, rebuild=True)
+
+
+class TestBenchmarks:
+    """The scoring record of each built-in benchmark."""
+
+    def test_one_record_per_registered_problem(self):
+        assert tuple(BENCHMARKS) == available_problems()
+
+    @pytest.mark.parametrize("name", available_problems())
+    def test_resolution_is_an_integer_of_at_least_two(self, name):
+        resolution = BENCHMARKS[name].resolution
+        assert type(resolution) is int and resolution >= 2
+
+    @pytest.mark.parametrize("name", available_problems())
+    def test_scored_front_lies_strictly_below_the_hv_reference(self, name):
+        # else the hypervolume would leave reference points out of the area
+        record = BENCHMARKS[name]
+        front = reference_front(name, record.resolution)
+        assert np.all(front < np.asarray(record.hv_ref, dtype=float))
 
 
 class TestFrontCsv:
