@@ -42,7 +42,7 @@ def _build_parser() -> argparse.ArgumentParser:
     cmp_.add_argument("--out", help="directory for the comparison CSV")
 
     ref = sub.add_parser("reference", help="regenerate a reference front CSV")
-    ref.add_argument("--problem", required=True, choices=available_problems())
+    ref.add_argument("--problem", required=True, choices=tuple(pareto.BENCHMARKS))
     ref.add_argument("--resolution", required=True, type=int)
     ref.add_argument("--out", help="output CSV path (default: ./<problem>_front_<n>.csv)")
 

@@ -77,6 +77,12 @@ from .problems import BiObjectiveProblem
 from .scalarize import Scalarization, ScalarizationKind, equal_interval_schedule
 
 
+def _check_sigma(error: type[ValueError], sigma: object) -> None:
+    """PfopsConfig's and metropolis_sweep's rule for ``sigma``, each raising its own ``error``."""
+    if not (is_finite_number(sigma) and sigma > 0):
+        raise error(f"sigma must be a finite number > 0, got {sigma!r}")
+
+
 @dataclass(frozen=True)
 class Incumbent:
     """Best decision seen under the current target density."""
@@ -127,10 +133,7 @@ class PfopsConfig:
     def __post_init__(self) -> None:
         for name, minimum in (("n_targets", 2), ("n_particles", 1)):
             object.__setattr__(self, name, check_integer(name, getattr(self, name), minimum))
-        if not is_finite_number(self.sigma):
-            raise InvalidConfigError(f"sigma must be a finite number, got {self.sigma!r}")
-        if self.sigma <= 0:
-            raise InvalidConfigError(f"sigma must be positive, got {self.sigma!r}")
+        _check_sigma(InvalidConfigError, self.sigma)
         object.__setattr__(self, "sigma", float(self.sigma))
         for name in ("metropolis_enabled", "final_filter_enabled"):
             if not isinstance(value := getattr(self, name), bool):
@@ -340,8 +343,7 @@ def metropolis_sweep(
         InvalidInputError: if ``sigma`` is not a finite number > 0 (a bool is
             not one), PfopsConfig's rule; nothing is evaluated or counted.
     """
-    if not (is_finite_number(sigma) and sigma > 0):
-        raise InvalidInputError(f"sigma must be a finite number > 0, got {sigma!r}")
+    _check_sigma(InvalidInputError, sigma)
     particles = pop.particles.copy()
     objectives, log_pi, terms = _score(particles, s, problem)
     inc = pop.incumbent or _incumbent(particles, log_pi, objectives)

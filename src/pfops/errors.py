@@ -2,14 +2,18 @@
 
 Each rule is a predicate that its callers wrap in their own error class and
 message; :func:`check_integer` is the config form of :func:`is_integer`,
-:func:`check_sizable` bounds a config count by the arrays it sizes, and
-:func:`check_instance` names the type an argument must have.
+:func:`check_sizable` bounds a config count by the arrays it sizes,
+:func:`check_instance` checks an argument's type and :func:`check_key` a registry name.
 """
 
 import math
 import numbers
+from collections.abc import Mapping
+from typing import TypeVar
 
 import numpy as np
+
+_V = TypeVar("_V")
 
 
 class PfopsError(Exception):
@@ -17,7 +21,7 @@ class PfopsError(Exception):
 
 
 class NotFoundError(PfopsError, KeyError):
-    """A name was not found in a registry (problems, presets)."""
+    """A name was not found in a registry (problems, presets, benchmarks)."""
 
     def __str__(self) -> str:
         # KeyError's str() is the repr of its key; this one is a message
@@ -68,6 +72,16 @@ def check_instance(error: type[PfopsError], name: str, value: object, cls: type)
     """Raise ``error`` naming ``name`` and ``cls`` unless ``value`` is a ``cls``."""
     if not isinstance(value, cls):
         raise error(f"{name} must be of type {cls.__name__}, got {type(value).__name__}")
+
+
+def check_key(
+    table: Mapping[str, _V], name: object, what: str, error: type[PfopsError] = NotFoundError
+) -> _V:
+    """``table[name]``; any other name, an unhashable one included, raises ``error`` naming it."""
+    try:
+        return table[name]
+    except (KeyError, TypeError):  # TypeError: an unhashable name
+        raise error(f"unknown {what} '{name}'; available: {', '.join(table)}") from None
 
 
 def is_finite_number(value: object) -> bool:

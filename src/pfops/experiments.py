@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from . import core, nsga2, pareto
-from .errors import InvalidConfigError, InvalidInputError, NotFoundError, check_integer
+from .errors import InvalidConfigError, InvalidInputError, NotFoundError, check_integer, check_key
 from .problems import lookup_problem
 from .scalarize import ScalarizationKind
 
@@ -34,10 +34,10 @@ _CONFIG_CLASSES = {"pfops": core.PfopsConfig, "nsga2": nsga2.Nsga2Config}
 class ExperimentPreset:
     """A named run: a registered problem and one algorithm's config.
 
-    Checked when built, also by ``dataclasses.replace``: an unregistered
-    problem raises NotFoundError, and a config that is neither a
-    PfopsConfig nor an Nsga2Config raises InvalidConfigError. The
-    algorithm is the config's type.
+    Checked when built, also by ``dataclasses.replace``: a problem without
+    a scoring record in ``pareto.BENCHMARKS`` raises NotFoundError, and a
+    config that is neither a PfopsConfig nor an Nsga2Config raises
+    InvalidConfigError. The algorithm is the config's type.
     """
 
     name: str
@@ -45,7 +45,7 @@ class ExperimentPreset:
     config: core.PfopsConfig | nsga2.Nsga2Config
 
     def __post_init__(self) -> None:
-        lookup_problem(self.problem)
+        check_key(pareto.BENCHMARKS, self.problem, "problem")
         if not isinstance(self.config, tuple(_CONFIG_CLASSES.values())):
             raise InvalidConfigError(
                 f"preset '{self.name}': config must be a PfopsConfig or an "
@@ -136,12 +136,12 @@ class RunReport:
 def _execute(preset: ExperimentPreset, seed: int) -> RunReport:
     cfg = replace(preset.config, seed=seed)
     problem = lookup_problem(preset.problem)
+    scoring = pareto.BENCHMARKS[preset.problem]
     optimize = core.run if preset.algorithm == "pfops" else nsga2.evolve
     started = time.perf_counter()
     archive, evals = optimize(cfg, problem)
     wall = time.perf_counter() - started
 
-    scoring = pareto.BENCHMARKS[preset.problem]
     reference = pareto.reference_front(preset.problem, scoring.resolution)
     igd_value = pareto.igd(archive.front, reference)
     ref_point = np.asarray(scoring.hv_ref)
@@ -169,12 +169,7 @@ def _execute(preset: ExperimentPreset, seed: int) -> RunReport:
 
 
 def get_preset(name: str) -> ExperimentPreset:
-    try:
-        return PRESETS[name]
-    except KeyError:
-        raise NotFoundError(
-            f"unknown preset '{name}'; available: {', '.join(PRESETS)}"
-        ) from None
+    return check_key(PRESETS, name, "preset")
 
 
 def run_preset(name: str, seed: int) -> RunReport:
@@ -397,8 +392,8 @@ def load_config_file(path: str | Path) -> ExperimentPreset:
     it. Values are passed on as written for the config to check: a missing
     required key, an unknown or duplicated key, a section for the algorithm
     that is not run, an invalid value or a file that is not UTF-8 JSON
-    raises InvalidConfigError naming the file and the key; an unregistered
-    problem raises NotFoundError naming the file.
+    raises InvalidConfigError naming the file and the key; a problem with
+    no scoring record raises NotFoundError naming the file.
     """
     try:
         return _parse_config_file(path)
@@ -428,9 +423,7 @@ def _parse_config_file(path: str | Path) -> ExperimentPreset:
     if "seed" in raw:
         check_integer("seed", raw["seed"], 0)
     problem, algorithm = raw["problem"], raw["algorithm"]
-    cls = _CONFIG_CLASSES.get(algorithm)
-    if cls is None:
-        raise InvalidConfigError(f"unknown algorithm '{algorithm}'")
+    cls = check_key(_CONFIG_CLASSES, algorithm, "algorithm", InvalidConfigError)
     for other in _CONFIG_CLASSES:
         if other != algorithm and other in raw:
             raise InvalidConfigError(f"'{other}' section given, but algorithm is '{algorithm}'")

@@ -20,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import InvalidInputError, NotFoundError, is_finite_pair, is_integer
+from .errors import InvalidInputError, check_key, is_finite_pair, is_integer
 from .problems import _INV_SQRT2, fonseca_fleming_problem, kursawe_problem
 
 _DATA_DIR = Path(__file__).parent / "data"
@@ -246,18 +246,15 @@ def reference_front(name: str, resolution: int, *, rebuild: bool = False) -> np.
     returns that same read-only array, so copy it before changing it.
     ``rebuild=True`` builds a new, writable array from the benchmark's
     :class:`Benchmark` record, reading neither a shipped CSV nor the cache.
-    A name not in :data:`BENCHMARKS` raises NotFoundError, and a resolution
-    that is not an integer >= 2 (numpy integers pass) raises
-    InvalidInputError.
+    A name not in :data:`BENCHMARKS`, an unhashable one included, raises
+    NotFoundError, and a resolution that is not an integer >= 2 (numpy
+    integers pass) raises InvalidInputError.
     """
-    if not isinstance(name, str) or name not in BENCHMARKS:
-        raise NotFoundError(
-            f"no reference front for {name!r}; available: {', '.join(BENCHMARKS)}"
-        )
+    benchmark = check_key(BENCHMARKS, name, "benchmark")
     if not is_integer(resolution, 2):
         raise InvalidInputError(f"resolution must be an integer >= 2, got {resolution!r}")
     if rebuild:
-        return BENCHMARKS[name].front(int(resolution))
+        return benchmark.front(int(resolution))
     return _cached_front(name, int(resolution))
 
 

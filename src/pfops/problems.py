@@ -64,7 +64,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import BoundsError, InvalidInputError, NotFoundError, is_finite_pair, is_integer
+from .errors import BoundsError, InvalidInputError, check_key, is_finite_pair, is_integer
 
 # Vectorized objective: maps an (n, d) batch to an (n,) value array.
 ObjectiveFn = Callable[[np.ndarray], np.ndarray]
@@ -433,10 +433,4 @@ def available_problems() -> tuple[str, ...]:
 
 def lookup_problem(name: str) -> BiObjectiveProblem:
     """Return a fresh instance (own counter) of a registered problem."""
-    try:
-        factory = PROBLEM_FACTORIES[name]
-    except (KeyError, TypeError):  # TypeError: an unhashable name
-        raise NotFoundError(
-            f"unknown problem '{name}'; available: {', '.join(PROBLEM_FACTORIES)}"
-        ) from None
-    return factory()
+    return check_key(PROBLEM_FACTORIES, name, "problem")()

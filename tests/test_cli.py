@@ -1,11 +1,12 @@
+import argparse
 import dataclasses
 import json
 
 import numpy as np
 import pytest
 
-from pfops import experiments, pareto
-from pfops.cli import _write_run_artifacts, main
+from pfops import experiments, pareto, problems
+from pfops.cli import _build_parser, _write_run_artifacts, main
 from pfops.pareto import read_front_csv
 
 
@@ -245,4 +246,15 @@ def test_reference_rejects_resolution_below_two(capsys):
 def test_reference_rejects_unknown_problem():
     with pytest.raises(SystemExit) as excinfo:
         main(["reference", "--problem", "zdt1", "--resolution", "5"])
+    assert excinfo.value.code == 2
+
+
+def test_reference_offers_the_scoring_table(monkeypatch):
+    # a factory without a scoring record has no front to build
+    monkeypatch.setitem(problems.PROBLEM_FACTORIES, "line", problems.convex_problem)
+    (commands,) = [a for a in _build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    (problem,) = [a for a in commands.choices["reference"]._actions if a.dest == "problem"]
+    assert tuple(problem.choices) == tuple(pareto.BENCHMARKS)
+    with pytest.raises(SystemExit) as excinfo:
+        main(["reference", "--problem", "line", "--resolution", "5"])
     assert excinfo.value.code == 2

@@ -142,6 +142,12 @@ class TestConfig:
         with pytest.raises(InvalidConfigError, match=field):
             build()
 
+    @pytest.mark.parametrize("sigma", [np.nan, np.inf, 0.0, -1.0, True, "1"])
+    def test_sigma_rule_is_the_sweeps(self, sigma):
+        with pytest.raises(InvalidConfigError) as info:
+            PfopsConfig(3, 2, sigma=sigma)
+        assert str(info.value) == f"sigma must be a finite number > 0, got {sigma!r}"
+
     def test_numbers_stored_as_floats(self):
         cfg = PfopsConfig(
             3, 2, sigma=2, scalarization_kind=ScalarizationKind.TCHEBYCHEFF,

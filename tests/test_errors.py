@@ -6,9 +6,10 @@ import numpy as np
 import pytest
 
 from pfops.core import PfopsConfig
-from pfops.errors import InvalidConfigError, InvalidInputError, check_sizable
-from pfops.pareto import reference_front
-from pfops.problems import BiObjectiveProblem
+from pfops.errors import InvalidConfigError, InvalidInputError, NotFoundError, check_sizable
+from pfops.experiments import PRESETS, compare, get_preset, run_preset
+from pfops.pareto import BENCHMARKS, reference_front
+from pfops.problems import PROBLEM_FACTORIES, BiObjectiveProblem, lookup_problem
 from pfops.scalarize import equal_interval_schedule
 
 
@@ -60,3 +61,25 @@ def test_sizable_rule_is_numpys_limit():
     # a numpy integer count is not multiplied in (wrapping) int64
     with pytest.raises(InvalidConfigError, match="pop_size"):
         check_sizable("pop_size", np.int64(2**62), np.int64(6))
+
+
+# (entry point, what it names in its message, the table it looks the name up in)
+KEY_ENTRY_POINTS = {
+    "problem": (lookup_problem, "problem", PROBLEM_FACTORIES),
+    "preset": (get_preset, "preset", PRESETS),
+    "run-preset": (lambda name: run_preset(name, 0), "preset", PRESETS),
+    "compare": (lambda name: compare(name, "pfops-convex-under", [0]), "preset", PRESETS),
+    "benchmark": (lambda name: reference_front(name, 10), "benchmark", BENCHMARKS),
+}
+
+
+@pytest.mark.parametrize("entry", KEY_ENTRY_POINTS)
+@pytest.mark.parametrize(
+    "name", ["nope", ["x"], {"a": 1}, None, 3], ids=["str", "list", "dict", "none", "int"]
+)
+def test_lookup_rule_refuses(entry, name):
+    # an unhashable preset name used to escape as a raw TypeError
+    lookup, what, table = KEY_ENTRY_POINTS[entry]
+    with pytest.raises(NotFoundError) as info:
+        lookup(name)
+    assert str(info.value) == f"unknown {what} '{name}'; available: {', '.join(table)}"

@@ -10,6 +10,7 @@ import pytest
 
 import pfops.experiments as experiments
 import pfops.nsga2 as nsga2
+import pfops.problems as problems
 from pfops.core import PfopsConfig
 from pfops.errors import InvalidConfigError, InvalidInputError, NotFoundError
 from pfops.experiments import (
@@ -33,7 +34,7 @@ from pfops.pareto import (
     reference_front,
     write_front_csv,
 )
-from pfops.problems import lookup_problem
+from pfops.problems import convex_problem, lookup_problem
 from pfops.scalarize import ScalarizationKind
 
 
@@ -137,6 +138,27 @@ class TestPresetCheck:
         assert str(info.value) == (
             f"unknown problem '{problem}'; available: convex, fonseca, kursawe"
         )
+
+    def test_problem_without_scoring_record_rejected(self, monkeypatch, tmp_path):
+        # a factory with no pareto.BENCHMARKS record used to pass, run in full
+        # and then fail with a raw KeyError when the run was scored
+        built = []
+
+        def line():
+            built.append(convex_problem())
+            return built[-1]
+
+        monkeypatch.setitem(problems.PROBLEM_FACTORIES, "line", line)
+        expected = "unknown problem 'line'; available: convex, fonseca, kursawe"
+        with pytest.raises(NotFoundError) as info:
+            ExperimentPreset("x", "line", PfopsConfig(2, 2))
+        assert str(info.value) == expected
+        path = _config_file(tmp_path, "line", "pfops", {"n_targets": 2, "n_particles": 2})
+        for load in (load_config_file, run_config_file):
+            with pytest.raises(NotFoundError) as info:
+                load(path)
+            assert str(info.value) == f"{path}: {expected}"
+        assert built == []  # no problem built, so nothing evaluated
 
 
 class TestRunPreset:
@@ -447,6 +469,13 @@ class TestConfigFile:
         path.write_text(json.dumps({"problem": "convex", "algorithm": "pso"}))
         with pytest.raises(InvalidConfigError, match="pso"):
             run_config_file(path)
+
+    def test_unknown_algorithm_names_the_known_ones(self, tmp_path):
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps({"problem": "convex", "algorithm": "pso"}))
+        with pytest.raises(InvalidConfigError) as info:
+            load_config_file(path)
+        assert str(info.value) == f"{path}: unknown algorithm 'pso'; available: pfops, nsga2"
 
     def test_unknown_top_level_key_rejected(self, tmp_path):
         # "sead" used to be ignored, so the run went ahead at seed 0
