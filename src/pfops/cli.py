@@ -16,7 +16,6 @@ from pathlib import Path
 
 from . import experiments, pareto
 from .errors import PfopsError
-from .problems import available_problems
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -135,8 +134,9 @@ def _cmd_reference(args: argparse.Namespace) -> int:
 
 
 def _cmd_list(_: argparse.Namespace) -> int:
+    # the problems a preset, a config file or ``reference`` accepts
     print("problems:")
-    for name in available_problems():
+    for name in pareto.BENCHMARKS:
         print(f"  {name}")
     # each preset as a config file without a seed: copied to a file, it runs as is
     print("presets:")

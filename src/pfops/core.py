@@ -13,8 +13,8 @@ draws: the same indices from the same stream, with shorter searches.
 The K recorded incumbents form the estimated Pareto set; their objective
 vectors, kept from the evaluations already paid for, form the estimated front.
 
-``run`` keeps the step on plain arrays: the particles are evaluated once per
-step and scored once under pi_k, and that one score picks the incumbent, is
+``run`` keeps the step on plain arrays: the particles are evaluated at most
+once per step and scored once under pi_k, and that one score picks the incumbent, is
 pi_k's side of the weight ratio and, gathered by the resampling index,
 starts the sweep, which keeps it in step with every accepted move. The
 gathered array is then the next step's pi_{k-1} side, so the population is
@@ -26,23 +26,30 @@ keep it; BLAS-backed ones (``@``, ``np.dot``) break it in the last bits,
 since BLAS may sum a row in another order in a batch of another size. A
 run thus consumes exactly 2*K*N single-objective evaluations, plus 2*K*N*d
 more when the Metropolis sweep is on (one (f1, f2) pair per componentwise
-proposal, out-of-box proposals included). The weights take one pass per
-step: the raw log weights' maximum is checked once, and the CDF is built
-from exp(log w - max) and divided by its last entry, with no log-sum in
-between.
+proposal, out-of-box proposals included). With the sweep off, only step 1
+computes objectives: each later particle is a resampled copy of a step-1
+one, so ``run`` carries each particle's (f1, f2) values through resampling,
+scores the carried values, and charges each later step's 2N evaluations to
+the counter without computing them, as it charges out-of-box proposals.
+The condition above covers this carry too: with the sweep off, a noisy or
+batch-dependent objective is sampled once per particle. The weights take
+one pass per step: the raw log weights' maximum is checked once, and the
+CDF is built from exp(log w - max) and divided by its last entry, with no
+log-sum in between.
 
 An objective that is a ``problems.CoordinateSum`` (a sum of one elementwise
 term per coordinate, as Kursawe's f2) need not be recomputed in full. ``run``
 computes each such objective's (N, d) term matrix once, at the first step,
-and carries it as it carries log pi_{k-1}: gathered by the resampling index
-(with moves on or off), and rewritten at the accepted rows after each
-dimension of the sweep. Each later step's evaluation adds the carried
-columns, computing no term, and a proposal, which moves one coordinate, adds
-its row's terms with the moved column's term computed afresh. Both add in
-the same order as a full evaluation, so they give its bits when the term is
-elementwise, and a term is computed once per coordinate value a particle
-takes. Any other objective sees the full batch, and the counts above do not
-change. Every evaluation runs the problem's one body, which ``evaluate_batch``
+and, with the sweep on, carries it as it carries log pi_{k-1}: gathered by
+the resampling index, and rewritten at the accepted rows after each
+dimension of the sweep (with the sweep off, the carried values need no
+terms). Each later step's evaluation adds the carried columns, computing no
+term, and a proposal, which moves one coordinate, adds its row's terms with
+the moved column's term computed afresh. Both add in the same order as a
+full evaluation, so they give its bits when the term is elementwise, and a
+term is computed once per coordinate value a particle takes. Any other
+objective sees the full batch, and the counts above do not change. Every
+evaluation runs the problem's one body, which ``evaluate_batch``
 wraps; it picks each objective's path by ``isinstance`` at each call, since
 ``f1`` and ``f2`` are public, mutable fields.
 
@@ -359,8 +366,13 @@ def run(config: PfopsConfig, problem: BiObjectiveProblem) -> tuple[ParetoArchive
     the weight ratio and the sweep; the step's incumbent is then recorded.
     The score, resampled and kept in step by the sweep, is the next step's
     pi_{k-1} side, so the particles are not scored under pi_{k-1} again.
-    Each CoordinateSum objective's term matrix is carried with it, so after
-    the first step, the step's evaluation computes none of its terms.
+    With the sweep on, each CoordinateSum objective's term matrix is carried
+    with it, so after the first step, the step's evaluation computes none of
+    its terms. With the sweep off, only step 1 computes objectives: each
+    particle's (f1, f2) values are carried through resampling instead, and
+    each later step scores them and charges its 2N evaluations to the
+    counter without computing them, so the count is still 2*K*N. A noisy or
+    batch-dependent objective is then sampled once per particle.
     The front entries are the objective values paid for when each incumbent
     was scored, and the final dominated-member filter, when enabled, is free.
 
@@ -391,19 +403,25 @@ def run(config: PfopsConfig, problem: BiObjectiveProblem) -> tuple[ParetoArchive
     decisions = []
     front = []
     log_pi_prev = 0.0  # each particle's log pi_{k-1}: the flat pi_0, then carried
-    terms = []  # each CoordinateSum objective's term matrix, carried likewise
-    for s_k in targets:
-        objectives, log_pi, terms = _score(particles, s_k, problem, terms)
+    terms = []  # each CoordinateSum objective's term matrix, carried likewise with moves on
+    for k, s_k in enumerate(targets):
+        if k == 0 or config.metropolis_enabled:
+            objectives, log_pi, terms = _score(particles, s_k, problem, terms)
+        else:  # every particle is a copy of a step-1 one: charged, not computed
+            problem.counter.add(2 * len(particles))
+            log_pi = s_k.log_density_values(objectives)
         inc = _incumbent(particles, log_pi, objectives)
         weights = _raw_log_weights(log_pi, log_pi_prev)
         idx = _inverse_cdf(np.exp(weights, out=weights), rng)
         particles = particles.take(idx, axis=0)
         log_pi_prev = log_pi.take(idx)
-        terms = [t.take(idx, axis=0) for t in terms]
         if config.metropolis_enabled:
+            terms = [t.take(idx, axis=0) for t in terms]
             inc = _sweep(
                 particles, log_pi_prev, terms, inc, s_k, problem, config.sigma, rng
             )
+        else:  # with no sweep, the values are carried instead of the terms
+            objectives = objectives.take(idx, axis=0)
         decisions.append(inc.decision)
         front.append(inc.objectives)
 

@@ -17,6 +17,17 @@ def test_list(capsys):
         assert name in out
 
 
+def test_list_offers_the_scoring_table(monkeypatch, capsys):
+    # a factory without a scoring record is refused by presets and config files,
+    # so it is not listed either
+    monkeypatch.setitem(problems.PROBLEM_FACTORIES, "line", problems.convex_problem)
+    assert main(["list"]) == 0
+    out = capsys.readouterr().out
+    listed = out.split("problems:\n", 1)[1].split("presets:\n", 1)[0].split()
+    assert listed == list(pareto.BENCHMARKS)
+    assert "line" not in listed
+
+
 def test_list_lines_load_back_to_the_presets(tmp_path, capsys):
     # each preset line ends in the preset as a config file without a seed
     assert main(["list"]) == 0

@@ -636,6 +636,24 @@ class TestRun:
     def test_equals_chain_of_step_functions(self, monkeypatch, make_problem, kind, moves):
         # run scores each target once where the chain scores it afresh in every
         # step function, so the counts differ; the archive and stream must not
+        self._compare_with_chain(monkeypatch, make_problem, kind, moves, 5, 12)
+
+    @pytest.mark.parametrize(
+        "make_problem", [convex_problem, fonseca_fleming_problem, kursawe_problem]
+    )
+    @pytest.mark.parametrize("kind", list(ScalarizationKind))
+    @pytest.mark.parametrize("n_targets, n_particles", [(2, 12), (5, 1), (2, 1)])
+    def test_moves_off_carry_equals_chain_at_the_edges(
+        self, monkeypatch, make_problem, kind, n_targets, n_particles
+    ):
+        # with moves off run carries step 1's values where the chain evaluates
+        # every step afresh: one later step (K = 2), one particle (N = 1)
+        self._compare_with_chain(
+            monkeypatch, make_problem, kind, False, n_targets, n_particles
+        )
+
+    @staticmethod
+    def _compare_with_chain(monkeypatch, make_problem, kind, moves, n_targets, n_particles):
         utopian = (-30.0, -30.0) if kind is ScalarizationKind.TCHEBYCHEFF else None
         default_rng = np.random.default_rng
         made = []  # the generators run builds
@@ -647,9 +665,9 @@ class TestRun:
         monkeypatch.setattr(np.random, "default_rng", recording_rng)
         for seed in (0, 1, 7):
             cfg = PfopsConfig(
-                n_targets=5, n_particles=12, sigma=0.5, metropolis_enabled=moves,
-                final_filter_enabled=seed != 1, seed=seed, scalarization_kind=kind,
-                utopian=utopian,
+                n_targets=n_targets, n_particles=n_particles, sigma=0.5,
+                metropolis_enabled=moves, final_filter_enabled=seed != 1, seed=seed,
+                scalarization_kind=kind, utopian=utopian,
             )
             made.clear()
             archive, _ = run(cfg, make_problem())
@@ -659,6 +677,66 @@ class TestRun:
             assert_same_bits(archive.decisions, expected.decisions)
             assert_same_bits(archive.front, expected.front)
             assert made[0].bit_generator.state == rng.bit_generator.state
+
+    @staticmethod
+    def _recorded(problem):
+        """``problem`` with each plain objective, and each CoordinateSum's term,
+        behind a recorder; return it and the row counts of each one's calls."""
+        rows = {}
+
+        def recorder(name, f):
+            rows[name] = []
+
+            def recording(x):
+                rows[name].append(len(x))
+                return f(x)
+
+            return recording
+
+        for which in ("f1", "f2"):
+            f = getattr(problem, which)
+            if isinstance(f, CoordinateSum):
+                f = CoordinateSum(recorder(f"{which}.term", f.term))
+            else:
+                f = recorder(which, f)
+            setattr(problem, which, f)
+        return problem, rows
+
+    @pytest.mark.parametrize(
+        "make_problem", [convex_problem, fonseca_fleming_problem, kursawe_problem]
+    )
+    def test_moves_off_computes_each_objective_once(self, make_problem):
+        # every particle after step 1 is a resampled copy of a step-1 one: its
+        # values are carried, and each later step's 2N is charged, not computed
+        problem, rows = self._recorded(make_problem())
+        cfg = PfopsConfig(n_targets=5, n_particles=12, metropolis_enabled=False, seed=3)
+        _, evals = run(cfg, problem)
+        assert list(rows.values()) == [[12], [12]]
+        assert evals == problem.counter.count == 2 * 5 * 12
+
+    @pytest.mark.parametrize(
+        "make_problem", [convex_problem, fonseca_fleming_problem, kursawe_problem]
+    )
+    def test_moves_on_evaluates_every_step(self, make_problem):
+        # at this sigma every proposal leaves the box, so each plain objective
+        # is called on the K population batches alone; a CoordinateSum's terms
+        # are computed at step 1 and carried, as before
+        problem, rows = self._recorded(make_problem())
+        cfg = PfopsConfig(n_targets=5, n_particles=12, sigma=1e6, seed=3)
+        _, evals = run(cfg, problem)
+        for name, calls in rows.items():
+            assert calls == ([12] if name.endswith(".term") else [12] * 5)
+        assert evals == problem.counter.count == 2 * 5 * 12 * (1 + problem.dim)
+
+    def test_later_step_degenerate_weights_moves_off(self):
+        # lambda = 0 ignores f2 = +inf, so step 1 passes and step 2 meets zero
+        # density everywhere; the carried step is charged before the raise
+        problem = replace(convex_problem(), f2=lambda x: np.full(len(x), np.inf))
+        cfg = PfopsConfig(n_targets=3, n_particles=6, metropolis_enabled=False, seed=0)
+        message = r"^every particle has zero density under the current target$"
+        with pytest.raises(DegenerateWeightsError, match=message):
+            run(cfg, problem)
+        assert problem.counter.count == 2 * 2 * 6
 
     def test_scores_each_target_once(self, monkeypatch):
         # each step's pi_{k-1} side is the score carried from the last step,
@@ -861,8 +939,8 @@ class TestCoordinateSumPath:
     @pytest.mark.parametrize("make_problem", [kursawe_problem, sum_problem_1d, sum_problem_5d])
     @pytest.mark.parametrize("kind", list(ScalarizationKind))
     def test_equals_generic_path_moves_off(self, monkeypatch, make_problem, kind):
-        # with moves off the term matrices are still carried through resampling,
-        # and each step's values come from them alone
+        # with moves off the terms are computed at step 1 alone, and each later
+        # step's values are step 1's, carried through resampling
         self._compare_with_generic(monkeypatch, make_problem, kind, moves=False)
 
     @staticmethod
