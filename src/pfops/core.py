@@ -26,23 +26,32 @@ keep it; BLAS-backed ones (``@``, ``np.dot``) break it in the last bits,
 since BLAS may sum a row in another order in a batch of another size. A
 run thus consumes exactly 2*K*N single-objective evaluations, plus 2*K*N*d
 more when the Metropolis sweep is on (one (f1, f2) pair per componentwise
-proposal, out-of-box proposals included). With the sweep off, only step 1
-computes objectives: each later particle is a resampled copy of a step-1
-one, so ``run`` carries each particle's (f1, f2) values through resampling,
-scores the carried values, and charges each later step's 2N evaluations to
-the counter without computing them, as it charges out-of-box proposals.
-The condition above covers this carry too: with the sweep off, a noisy or
-batch-dependent objective is sampled once per particle. The weights take
-one pass per step: the raw log weights' maximum is checked once, and the
-CDF is built from exp(log w - max) and divided by its last entry, with no
-log-sum in between.
+proposal, out-of-box proposals included). The weights take one pass per
+step: the raw log weights' maximum is checked once, and the CDF is built
+from exp(log w - max) and divided by its last entry, with no log-sum in
+between.
+
+With the sweep off, only step 1 computes objectives: every later particle
+is a resampled copy of a step-1 one, so the population is a vector of
+ancestor indices into step 1's, and ``run`` charges each later step's 2N
+evaluations to the counter without computing them, as it charges
+out-of-box proposals. A score table holds step 1's values' log pi under
+every target (a row per target, ``scalarize.log_density_table``, with the
+bits of each target's ``log_density_values``), and a step gathers its row
+by the ancestor indices. The table and the steps' uniforms, from one
+``rng.random((steps, N))`` call (the stream of that many ``rng.random(N)``
+calls), are built a block of steps at a time, about 2**16 entries and at
+least one step each, so memory stays O(N + K). The incumbents are recorded
+as step-1 indices and gathered once at the end. The condition above covers
+this path too: a noisy or batch-dependent objective is sampled once per
+particle.
 
 An objective that is a ``problems.CoordinateSum`` (a sum of one elementwise
 term per coordinate, as Kursawe's f2) need not be recomputed in full. ``run``
 computes each such objective's (N, d) term matrix once, at the first step,
 and, with the sweep on, carries it as it carries log pi_{k-1}: gathered by
 the resampling index, and rewritten at the accepted rows after each
-dimension of the sweep (with the sweep off, the carried values need no
+dimension of the sweep (with the sweep off, step 1's values need no
 terms). Each later step's evaluation adds the carried columns, computing no
 term, and a proposal, which moves one coordinate, adds its row's terms with
 the moved column's term computed afresh. Both add in the same order as a
@@ -54,8 +63,9 @@ wraps; it picks each objective's path by ``isinstance`` at each call, since
 ``f1`` and ``f2`` are public, mutable fields.
 
 The public step functions run the same kernels on a ``Population``, each
-scoring its particles afresh; in them and in ``run``, ``_score`` scores every
-batch and ``_incumbent`` picks every incumbent. ``importance_weights`` returns
+scoring its particles afresh; in them and in ``run`` with the sweep on,
+``_score`` scores every batch and ``_incumbent`` picks every incumbent.
+``importance_weights`` returns
 normalized log weights, and ``resample`` turns its log weights into
 ``rng.choice``'s ``p`` before the shared lookup, so it keeps ``rng.choice``'s
 stream; the CDF ``run`` builds may differ from that one in its last bits.
@@ -81,7 +91,12 @@ from .errors import (
 )
 from .pareto import ParetoArchive, nondominated_mask
 from .problems import BiObjectiveProblem
-from .scalarize import Scalarization, ScalarizationKind, equal_interval_schedule
+from .scalarize import (
+    Scalarization,
+    ScalarizationKind,
+    equal_interval_schedule,
+    log_density_table,
+)
 
 
 def _check_sigma(error: type[ValueError], sigma: object) -> None:
@@ -195,19 +210,30 @@ def _raw_log_weights(log_pi: np.ndarray, log_pi_prev: np.ndarray | float) -> np.
     return log_w
 
 
-def _inverse_cdf(weights: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+def _sorted_uniforms(
+    rng: np.random.Generator, shape: int | tuple[int, int]
+) -> tuple[np.ndarray, np.ndarray]:
+    """``rng.random(shape)`` with each row sorted ascending, and the order
+    that sorts it; a (steps, N) block draws the stream of ``steps`` calls of
+    ``rng.random(N)``, one row each."""
+    u = rng.random(shape)
+    order = u.argsort(axis=-1)
+    # one row's ``take`` costs a few microseconds less than ``take_along_axis``
+    return (u.take(order) if u.ndim == 1 else np.take_along_axis(u, order, axis=1)), order
+
+
+def _inverse_cdf(weights: np.ndarray, u: np.ndarray, order: np.ndarray) -> np.ndarray:
     """N ancestor indices drawn by inverse CDF from N non-negative weights
-    (any scale, largest > 0): ``rng.choice``'s lookup, one uniform per draw.
+    (any scale, largest > 0): ``rng.choice``'s lookup, one uniform per draw,
+    given as ``_sorted_uniforms`` returns a row.
 
     The uniforms are looked up in ascending order and the indices scattered
     back to their draws: the same indices as an unsorted lookup, faster,
     since each search starts where the last one ended."""
     cdf = weights.cumsum()
     cdf /= cdf[-1]
-    u = rng.random(len(weights))
-    order = u.argsort()
     idx = np.empty(len(u), dtype=np.intp)
-    idx[order] = cdf.searchsorted(u.take(order), side="right")
+    idx[order] = cdf.searchsorted(u, side="right")
     return idx
 
 
@@ -324,7 +350,7 @@ def resample(pop: Population, rng: np.random.Generator) -> Population:
         )
     p = np.exp(log_weights - m)
     p /= p.sum()
-    idx = _inverse_cdf(p, rng)
+    idx = _inverse_cdf(p, *_sorted_uniforms(rng, n))
     return Population(pop.particles[idx], np.full(n, -np.log(n)), pop.incumbent)
 
 
@@ -368,11 +394,13 @@ def run(config: PfopsConfig, problem: BiObjectiveProblem) -> tuple[ParetoArchive
     pi_{k-1} side, so the particles are not scored under pi_{k-1} again.
     With the sweep on, each CoordinateSum objective's term matrix is carried
     with it, so after the first step, the step's evaluation computes none of
-    its terms. With the sweep off, only step 1 computes objectives: each
-    particle's (f1, f2) values are carried through resampling instead, and
-    each later step scores them and charges its 2N evaluations to the
-    counter without computing them, so the count is still 2*K*N. A noisy or
-    batch-dependent objective is then sampled once per particle.
+    its terms. With the sweep off, only step 1 computes objectives: the
+    population is then each particle's ancestor index among step 1's, each
+    step's scores are a row of a score table of step 1's values gathered by
+    those indices (the table built a block of steps at a time), and each
+    later step charges its 2N evaluations to the counter without computing
+    them, so the count is still 2*K*N. A noisy or batch-dependent objective
+    is then sampled once per particle.
     The front entries are the objective values paid for when each incumbent
     was scored, and the final dominated-member filter, when enabled, is free.
 
@@ -395,41 +423,89 @@ def run(config: PfopsConfig, problem: BiObjectiveProblem) -> tuple[ParetoArchive
         )
     rng = np.random.default_rng(config.seed)
     schedule = equal_interval_schedule(config.n_targets)
-    targets = [config.scalarization(lam) for lam in schedule]
-
     start_count = problem.counter.count
     particles = initialize(config, problem, rng).particles
+    if config.metropolis_enabled:
+        decisions, front = _run_moves_on(config, schedule, particles, problem, rng)
+    else:
+        decisions, front = _run_moves_off(config, schedule, particles, problem, rng)
+    if config.final_filter_enabled:
+        keep = nondominated_mask(front)
+        decisions = decisions[keep]
+        front = front[keep]
+    archive = ParetoArchive(decisions=decisions, front=front)
+    return archive, problem.counter.count - start_count
 
+
+def _run_moves_on(
+    config: PfopsConfig, schedule: np.ndarray, particles: np.ndarray,
+    problem: BiObjectiveProblem, rng: np.random.Generator,
+) -> tuple[np.ndarray, np.ndarray]:
+    """``run``'s K steps with the sweep on: the (K, d) incumbents and their
+    (K, 2) objective values."""
     decisions = []
     front = []
     log_pi_prev = 0.0  # each particle's log pi_{k-1}: the flat pi_0, then carried
-    terms = []  # each CoordinateSum objective's term matrix, carried likewise with moves on
-    for k, s_k in enumerate(targets):
-        if k == 0 or config.metropolis_enabled:
-            objectives, log_pi, terms = _score(particles, s_k, problem, terms)
-        else:  # every particle is a copy of a step-1 one: charged, not computed
-            problem.counter.add(2 * len(particles))
-            log_pi = s_k.log_density_values(objectives)
+    terms = []  # each CoordinateSum objective's term matrix, carried likewise
+    for lam in schedule:
+        s_k = config.scalarization(lam)
+        objectives, log_pi, terms = _score(particles, s_k, problem, terms)
         inc = _incumbent(particles, log_pi, objectives)
         weights = _raw_log_weights(log_pi, log_pi_prev)
-        idx = _inverse_cdf(np.exp(weights, out=weights), rng)
+        idx = _inverse_cdf(
+            np.exp(weights, out=weights), *_sorted_uniforms(rng, len(particles))
+        )
         particles = particles.take(idx, axis=0)
         log_pi_prev = log_pi.take(idx)
-        if config.metropolis_enabled:
-            terms = [t.take(idx, axis=0) for t in terms]
-            inc = _sweep(
-                particles, log_pi_prev, terms, inc, s_k, problem, config.sigma, rng
-            )
-        else:  # with no sweep, the values are carried instead of the terms
-            objectives = objectives.take(idx, axis=0)
+        terms = [t.take(idx, axis=0) for t in terms]
+        inc = _sweep(particles, log_pi_prev, terms, inc, s_k, problem, config.sigma, rng)
         decisions.append(inc.decision)
         front.append(inc.objectives)
+    return np.stack(decisions), np.stack(front)
 
-    decisions_arr = np.stack(decisions)
-    front_arr = np.stack(front)
-    if config.final_filter_enabled:
-        keep = nondominated_mask(front_arr)
-        decisions_arr = decisions_arr[keep]
-        front_arr = front_arr[keep]
-    archive = ParetoArchive(decisions=decisions_arr, front=front_arr)
-    return archive, problem.counter.count - start_count
+
+# score-table entries (and uniforms) built at once by ``_run_moves_off``: a
+# block of steps holds about this many, and at least one step
+_BLOCK_ENTRIES = 1 << 16
+
+
+def _run_moves_off(
+    config: PfopsConfig, schedule: np.ndarray, particles: np.ndarray,
+    problem: BiObjectiveProblem, rng: np.random.Generator,
+) -> tuple[np.ndarray, np.ndarray]:
+    """``run``'s K steps with the sweep off, on ancestor indices.
+
+    Every particle after step 1 is a resampled copy of a step-1 one, so the
+    population is ``anc``, each particle's step-1 index, and a step's log pi
+    is a row of the step-1 values' score table gathered by ``anc``. The table
+    and the steps' sorted uniforms are built a block of steps at a time,
+    holding about ``_BLOCK_ENTRIES`` each. Each step after the first charges
+    its 2N evaluations before weighting, without computing them.
+    """
+    n = len(particles)
+    objectives, _ = problem._evaluate_terms(particles)
+    anc = np.arange(n)
+    picks = np.empty(len(schedule), dtype=np.intp)  # each step's incumbent, by step-1 index
+    log_pi_prev = 0.0
+    steps = max(1, _BLOCK_ENTRIES // n)
+    for start in range(0, len(schedule), steps):
+        lams = schedule[start:start + steps]
+        # the table also scores step-1 particles that resampling has dropped.
+        # Its one NaN, a weighted sum of +inf and -inf, is such a particle's:
+        # step 1 (lambda = 0) scores it -inf, so it is never drawn, or +inf,
+        # which stops the run there, so the NaN never reaches a weight
+        with np.errstate(invalid="ignore"):
+            table = log_density_table(
+                objectives, lams, config.scalarization_kind, config.utopian
+            )
+        uniforms, orders = _sorted_uniforms(rng, (len(lams), n))
+        for k in range(len(lams)):
+            if start + k:  # charged, not computed
+                problem.counter.add(2 * n)
+            log_pi = table[k].take(anc)
+            picks[start + k] = anc[log_pi.argmax()]
+            weights = _raw_log_weights(log_pi, log_pi_prev)
+            idx = _inverse_cdf(np.exp(weights, out=weights), uniforms[k], orders[k])
+            anc = anc.take(idx)
+            log_pi_prev = log_pi.take(idx)
+    return particles.take(picks, axis=0), objectives.take(picks, axis=0)

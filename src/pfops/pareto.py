@@ -124,6 +124,10 @@ def nondominated_mask(points: np.ndarray) -> np.ndarray:
     return mask
 
 
+# entries of each of igd's two temporaries, a block of reference rows long
+_IGD_BLOCK_ENTRIES = 1 << 13
+
+
 def igd(estimate: np.ndarray, reference: np.ndarray) -> float:
     """Inverted generational distance: mean Euclidean distance from each
     reference point to its nearest estimate point. Lower is better, 0 is exact.
@@ -138,14 +142,26 @@ def igd(estimate: np.ndarray, reference: np.ndarray) -> float:
         raise InvalidInputError("igd requires non-empty estimate and reference fronts")
     _reject_nan_rows(estimate)
     _reject_nan_rows(reference)
-    d1 = reference[:, 0, None] - estimate[:, 0]
-    d2 = reference[:, 1, None] - estimate[:, 1]
-    d1 *= d1
-    d2 *= d2
-    d1 += d2
+    # each block of reference rows against every estimate point, in two
+    # temporaries of about _IGD_BLOCK_ENTRIES entries that stay in cache,
+    # where two full (n_ref, n_est) arrays do not: at 151 x 200, in the
+    # traced nsga2-kursawe bench on a 2-core x86 host, 0.30 against 0.67 ms
+    # a call. Each entry takes the same float operations, so the distances'
+    # bits do not depend on the block size
+    e1, e2 = estimate[:, 0], estimate[:, 1]
+    nearest = np.empty(len(reference))  # squared distance to the nearest estimate
+    rows = max(1, _IGD_BLOCK_ENTRIES // len(estimate))
+    for start in range(0, len(reference), rows):
+        block = reference[start:start + rows]
+        d1 = block[:, 0, None] - e1
+        d2 = block[:, 1, None] - e2
+        d1 *= d1
+        d2 *= d2
+        d1 += d2
+        d1.min(axis=1, out=nearest[start:start + rows])
     # sqrt is correctly rounded and monotone, so taking it after the row
     # minimum gives the same bits as the minimum of the distances
-    return float(np.sqrt(d1.min(axis=1)).mean())
+    return float(np.sqrt(nearest).mean())
 
 
 def hypervolume_2d(front: np.ndarray, ref_point: np.ndarray) -> float:

@@ -107,6 +107,41 @@ class Scalarization:
         return out
 
 
+def log_density_table(
+    objectives: np.ndarray, lams: np.ndarray, kind: ScalarizationKind,
+    utopian: tuple[float, float] | None = None,
+) -> np.ndarray:
+    """log pi, shape (len(lams), n), of the (n, 2) objective values of a batch
+    under each balance parameter in ``lams``: row r has the bits of
+    ``Scalarization(kind, lams[r], utopian).log_density_values(objectives)``.
+
+    The float operations and their order are those of
+    ``log_density_values``, broadcast over the rows, and a zero weight drops
+    its term wherever lambda is exactly 0 or 1, whichever rows those are.
+    The caller gives valid arguments: a float array of lambdas in [0, 1] and
+    the kind's Utopian point; nothing is checked here.
+    """
+    f1 = objectives[:, 0]
+    f2 = objectives[:, 1]
+    w2 = np.asarray(lams, dtype=float)[:, None]
+    w1 = 1.0 - w2
+    has1 = w1 != 0.0
+    has2 = w2 != 0.0
+    shape = (len(w2), len(f1))
+    if kind is ScalarizationKind.WEIGHTED_SUM:
+        out = np.multiply(f1, w1, out=np.empty(shape), where=has1)
+        term2 = np.multiply(f2, w2, out=np.empty(shape), where=has2)
+        np.add(out, term2, out=out, where=has1 & has2)
+    else:
+        z1, z2 = utopian  # type: ignore[misc]
+        out = np.multiply(np.abs(f1 - z1), w1, out=np.empty(shape), where=has1)
+        term2 = np.multiply(np.abs(f2 - z2), w2, out=np.empty(shape), where=has2)
+        np.maximum(out, term2, out=out, where=has1 & has2)
+    np.copyto(out, term2, where=~has1)
+    np.negative(out, out=out)
+    return out
+
+
 def weighted_sum(lam: float) -> Scalarization:
     return Scalarization(ScalarizationKind.WEIGHTED_SUM, lam)
 

@@ -3,6 +3,7 @@ from functools import partial
 
 import ast
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -37,6 +38,7 @@ from pfops.scalarize import (
     Scalarization,
     ScalarizationKind,
     equal_interval_schedule,
+    log_density_table,
     weighted_sum,
 )
 
@@ -74,6 +76,24 @@ def flat_problem(f1_value):
         upper=np.array([1.0]),
         f1=lambda x: np.full(len(x), f1_value),
         f2=lambda x: np.zeros(len(x)),
+    )
+
+
+def edge_values_problem():
+    """2-D problem with objective values at -0.0 and at +inf: f1 is +inf
+    where x0 > 0.8, which only lambda = 1 drops, and f2 where x1 > 0.8,
+    which only lambda = 0 drops; f1 is -0.0 where |x1| < 0.2, f2 where
+    |x0| < 0.2."""
+
+    def objective(x, own, other):
+        out = x[:, own] * x[:, own] + 1.0
+        out[x[:, own] > 0.8] = np.inf
+        out[np.abs(x[:, other]) < 0.2] = -0.0
+        return out
+
+    return BiObjectiveProblem(
+        name="edge-values", dim=2, lower=np.array([-1.0, -1.0]), upper=np.array([1.0, 1.0]),
+        f1=partial(objective, own=0, other=1), f2=partial(objective, own=1, other=0),
     )
 
 
@@ -738,20 +758,39 @@ class TestRun:
             run(cfg, problem)
         assert problem.counter.count == 2 * 2 * 6
 
-    def test_scores_each_target_once(self, monkeypatch):
-        # each step's pi_{k-1} side is the score carried from the last step,
-        # so with moves off the population is scored once per target, in order
-        scored = []
-        log_density_values = Scalarization.log_density_values
+    @pytest.mark.parametrize("kind", list(ScalarizationKind))
+    @pytest.mark.parametrize("n_targets, n_particles", [(2, 12), (3, 12), (200, 1000)])
+    def test_scores_each_target_once(self, monkeypatch, kind, n_targets, n_particles):
+        # with moves off the population is scored once per target, in order:
+        # the rows of score tables of step 1's values, built a block of steps
+        # at a time (K = 200, N = 1000 spans four blocks), each row with the
+        # bits of log_density_values; no objective is called after step 1
+        tables = []
 
-        def recording(self, objectives):
-            scored.append(self.lam)
-            return log_density_values(self, objectives)
+        def recording(objectives, lams, *args):
+            tables.append((objectives.copy(), lams.copy(), log_density_table(objectives, lams, *args)))
+            return tables[-1][2]
 
-        monkeypatch.setattr(Scalarization, "log_density_values", recording)
-        cfg = PfopsConfig(n_targets=5, n_particles=12, metropolis_enabled=False, seed=0)
-        run(cfg, convex_problem())
-        assert scored == equal_interval_schedule(5).tolist()
+        monkeypatch.setattr("pfops.core.log_density_table", recording)
+        utopian = (-30.0, -30.0) if kind is ScalarizationKind.TCHEBYCHEFF else None
+        cfg = PfopsConfig(
+            n_targets=n_targets, n_particles=n_particles, metropolis_enabled=False, seed=4,
+            scalarization_kind=kind, utopian=utopian,
+        )
+        problem, rows = self._recorded(edge_values_problem())
+        run(cfg, problem)
+        assert list(rows.values()) == [[n_particles], [n_particles]]
+        first = initialize(cfg, problem, np.random.default_rng(cfg.seed)).particles
+        step1 = problem.evaluate_batch(first)
+        assert len(tables) == (1 if n_targets < 10 else 4)
+        lams = np.concatenate([lam for _, lam, _ in tables])
+        assert_same_bits(lams, equal_interval_schedule(n_targets))
+        for objectives, block, table in tables:
+            assert_same_bits(objectives, step1)
+            for lam, row in zip(block, table):
+                assert_same_bits(row, cfg.scalarization(lam).log_density_values(step1))
+        edges = np.concatenate([table[[0, -1]] for _, _, table in tables])
+        assert np.isinf(edges).any() and (np.signbit(step1) & (step1 == 0)).any()
 
     @pytest.mark.parametrize(
         "preset, seeds, moves",
@@ -784,6 +823,50 @@ class TestRun:
             assert_same_bits(archive.front, expected.front)
             assert made[0].bit_generator.state == made[1].bit_generator.state
             assert evals == 2 * cfg.n_targets * cfg.n_particles * (1 + 2 * moves)
+
+    @pytest.mark.parametrize("f1_value", [np.inf, -np.inf])
+    def test_moves_off_table_nan_is_never_drawn(self, f1_value):
+        # a particle at objectives of +inf and -inf has a NaN in its table
+        # column, but step 1 scores it -inf (never drawn) or +inf (the run
+        # stops there, as the parent's did); no RuntimeWarning, which is an
+        # error here, comes from building the table
+        def f1(x):
+            out = x[:, 0] * x[:, 0]
+            out[x[:, 0] > 5.0] = f1_value
+            return out
+
+        def f2(x):
+            out = x[:, 1] * x[:, 1]
+            out[x[:, 0] > 5.0] = -f1_value
+            return out
+
+        cfg = PfopsConfig(n_targets=4, n_particles=6, metropolis_enabled=False, seed=0)
+        problem = replace(convex_problem(), f1=f1, f2=f2)
+        first = initialize(cfg, problem, np.random.default_rng(0)).particles
+        assert 0 < (first[:, 0] > 5.0).sum() < 6
+        if f1_value > 0:
+            archive, evals = run(cfg, problem)
+            expected = reference_run(cfg, replace(convex_problem(), f1=f1, f2=f2))
+            assert_same_bits(archive.decisions, expected.decisions)
+            assert_same_bits(archive.front, expected.front)
+            assert evals == 2 * 4 * 6
+        else:
+            with pytest.raises(DegenerateWeightsError, match="weight is infinite"):
+                run(cfg, problem)
+            assert problem.counter.count == 2 * 6
+
+    def test_moves_off_memory_is_blocked(self):
+        # the score table and the uniforms are built a block of steps at a
+        # time: about 4 MiB at its peak here, where a full float64 table alone
+        # would take 15.3 MiB
+        cfg = PfopsConfig(n_targets=200, n_particles=10_000, metropolis_enabled=False, seed=0)
+        tracemalloc.start()
+        try:
+            run(cfg, convex_problem())
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20
 
     def test_examples_k3(self):
         cfg = PfopsConfig(
@@ -899,6 +982,75 @@ class TestRun:
     def test_archive_is_dataclass_with_len(self):
         archive = ParetoArchive(decisions=np.zeros((2, 2)), front=np.zeros((2, 2)))
         assert len(archive) == 2
+
+
+def generated_problem(seed, forms):
+    """A seeded problem in 1 to 5 dimensions on an asymmetric box, numpy
+    alone: each objective, by ``forms``, is a row-wise sum of columns
+    ("row") or a CoordinateSum of an elementwise term ("sum")."""
+    rng = np.random.default_rng(seed)
+    dim = 1 + seed % 5
+    lower = rng.uniform(-4.0, 0.0, dim)
+    upper = lower + rng.uniform(0.5, 6.0, dim)
+
+    def objective(form):
+        a, c = rng.uniform(0.5, 3.0), rng.uniform(-2.0, 2.0)
+        if form == "sum":
+            return CoordinateSum(lambda x: np.abs(x - c) ** 1.5 + np.cos(a * x))
+        scale = rng.uniform(0.5, 2.0, dim)
+
+        def row_wise(x):
+            dev = x - c
+            t = dev * dev * scale + np.sin(a * x)
+            total = t[:, 0]
+            for j in range(1, dim):
+                total = total + t[:, j]
+            return total
+
+        return row_wise
+
+    return BiObjectiveProblem(
+        name=f"generated-{seed}", dim=dim, lower=lower, upper=upper,
+        f1=objective(forms[0]), f2=objective(forms[1]),
+    )
+
+
+class TestMovesOffDifferential:
+    @pytest.mark.parametrize(
+        "forms", [("row", "row"), ("sum", "row"), ("row", "sum"), ("sum", "sum")], ids="-".join
+    )
+    @pytest.mark.parametrize("kind", list(ScalarizationKind))
+    def test_equals_fresh_evaluation(self, monkeypatch, forms, kind):
+        # the ancestor-index loop against reference_run, which evaluates every
+        # step afresh; with 21 table entries a block, K = 2 and 3 fit in one
+        # block at every N, and K = 23 crosses at least one boundary
+        monkeypatch.setattr("pfops.core._BLOCK_ENTRIES", 21)
+        default_rng = np.random.default_rng
+        made = []
+
+        def recording_rng(seed):
+            made.append(default_rng(seed))
+            return made[-1]
+
+        monkeypatch.setattr(np.random, "default_rng", recording_rng)
+        utopian = (-30.0, -30.0) if kind is ScalarizationKind.TCHEBYCHEFF else None
+        for seed in range(5):
+            for n_targets in (2, 3, 23):
+                for n_particles in (1, 2, 7):
+                    cfg = PfopsConfig(
+                        n_targets=n_targets, n_particles=n_particles,
+                        metropolis_enabled=False, final_filter_enabled=seed != 1, seed=seed,
+                        scalarization_kind=kind, utopian=utopian,
+                    )
+                    problem, fresh = (generated_problem(seed, forms) for _ in range(2))
+                    made.clear()
+                    archive, evals = run(cfg, problem)
+                    expected = reference_run(cfg, fresh)
+                    assert len(made) == 2
+                    assert_same_bits(archive.decisions, expected.decisions)
+                    assert_same_bits(archive.front, expected.front)
+                    assert made[0].bit_generator.state == made[1].bit_generator.state
+                    assert evals == problem.counter.count == 2 * n_targets * n_particles
 
 
 def sum_problem_1d():

@@ -202,6 +202,19 @@ class TestIgd:
         with pytest.raises(InvalidInputError, match=r"^row 1 contains NaN: \[nan, 0\.0\]$"):
             igd(fronts["estimate"], fronts["reference"])
 
+    @pytest.mark.parametrize("n_ref, n_est", [(1000, 37), (5, 9000), (8193, 1), (300, 300), (1, 1)])
+    def test_blocks_give_the_full_arrays_bits(self, n_ref, n_est):
+        # igd works a block of reference rows at a time (8193 x 1 spans two
+        # blocks, 1000 x 37 five, 5 x 9000 five of one row); each block runs
+        # the per-entry float operations of the full (n_ref, n_est) arrays, so
+        # the bits are theirs
+        rng = np.random.default_rng(n_ref + n_est)
+        est, ref = rng.normal(size=(n_est, 2)), rng.normal(size=(n_ref, 2))
+        d1 = ref[:, 0, None] - est[:, 0]
+        d2 = ref[:, 1, None] - est[:, 1]
+        full = float(np.sqrt((d1 * d1 + d2 * d2).min(axis=1)).mean())
+        assert igd(est, ref).hex() == full.hex()
+
     def test_zero_iff_reference_covered(self):
         rng = np.random.default_rng(8)
         ref = rng.normal(size=(20, 2))

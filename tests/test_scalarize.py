@@ -9,6 +9,7 @@ from pfops.scalarize import (
     Scalarization,
     ScalarizationKind,
     equal_interval_schedule,
+    log_density_table,
     weighted_sum,
 )
 
@@ -147,6 +148,32 @@ class TestLogDensity:
         objectives = np.ones(shape)
         with pytest.raises(InvalidInputError, match=rf"got {re.escape(str(shape))}$"):
             s.log_density_values(objectives)
+
+
+class TestLogDensityTable:
+    # rows of +-inf and of +-0.0 in each objective: a zero weight must drop
+    # its term (0 * inf is NaN; 0 * 2 + -0.0 is +0.0, the dropped value -0.0)
+    EDGES = np.array(
+        [[np.inf, 2.0], [-np.inf, 2.0], [2.0, np.inf], [2.0, -np.inf],
+         [-0.0, 3.0], [3.0, -0.0], [-0.0, -0.0], [0.0, -0.0], [1.5, -4.25]]
+    )
+
+    @pytest.mark.parametrize("kind", list(ScalarizationKind))
+    @pytest.mark.parametrize(
+        "lams",
+        [equal_interval_schedule(2), equal_interval_schedule(3), [0.75, 1.0, 0.0, 0.25, 1.0]],
+        ids=["K=2", "K=3", "edges-inside"],
+    )
+    def test_rows_are_log_density_values(self, kind, lams):
+        # each row has the bits of its scalarization's values, wherever a
+        # lambda of exactly 0 or 1 sits among the rows
+        utopian = (-0.5, -5.0) if kind is ScalarizationKind.TCHEBYCHEFF else None
+        lams = np.asarray(lams, dtype=float)
+        for objectives in (self.EDGES, np.random.default_rng(0).normal(size=(50, 2))):
+            for lam, row in zip(lams, log_density_table(objectives, lams, kind, utopian)):
+                expected = Scalarization(kind, lam, utopian).log_density_values(objectives)
+                assert row.tobytes() == expected.tobytes()
+                assert not np.isnan(row).any()
 
 
 def assert_ignores_objective(s, ignored, seed):
