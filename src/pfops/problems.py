@@ -427,10 +427,6 @@ PROBLEM_FACTORIES: dict[str, Callable[[], BiObjectiveProblem]] = {
 }
 
 
-def available_problems() -> tuple[str, ...]:
-    return tuple(PROBLEM_FACTORIES)
-
-
 def lookup_problem(name: str) -> BiObjectiveProblem:
     """Return a fresh instance (own counter) of a registered problem."""
     return check_key(PROBLEM_FACTORIES, name, "problem")()

@@ -12,7 +12,10 @@ where z = (z1, z2) is a Utopian point strictly below each objective's
 minimum. Normalizing constants are never computed: every consumer works
 with ratios of pi_k, where they cancel, and all arithmetic stays in log
 space (raw densities underflow: the convex benchmark reaches exp(-225)
-at the far corner of its box). Lambda, the Utopian point and the target
+at the far corner of its box). One private kernel, ``_log_density``,
+computes log pi for ``Scalarization.log_density_values`` (one target) and
+``log_density_table`` (many), and its docstring states the float
+operations and their order. Lambda, the Utopian point and the target
 count are checked by the shared rules of :mod:`pfops.errors`; a kind must be
 a ScalarizationKind member, not its string value.
 """
@@ -68,78 +71,78 @@ class Scalarization:
 
     def log_density_values(self, objectives: np.ndarray) -> np.ndarray:
         """log pi, shape (n,), at the (n, 2) objective values of a batch, as
-        an evaluation returns them; any other shape, a single (2,) point
-        included, raises InvalidInputError naming it.
-
-        A zero weight drops its term: at lambda = 0 the value ignores f2, and
-        at lambda = 1 it ignores f1, even where that objective is infinite
-        (``0 * inf`` would be NaN). Elsewhere the value is that of the formula.
+        an evaluation returns them; at lambda = 0 or 1 the zero-weighted
+        objective is ignored, even where infinite (``_log_density`` gives
+        the float operations). Bool and integer values are scored as floats;
+        any other dtype (complex, string, object, ...) raises
+        InvalidInputError naming it, and so does any shape other than
+        (n, 2), a single (2,) point included.
         """
-        obj = np.asarray(objectives, dtype=float)
+        obj = np.asarray(objectives)
+        if obj.dtype.kind not in "biuf":  # a cast would drop an imaginary part
+            raise InvalidInputError(
+                f"objective values must be real numbers, got dtype {obj.dtype}"
+            )
         if obj.ndim != 2 or obj.shape[1] != 2:
             raise InvalidInputError(f"objective values must have shape (n, 2), got {obj.shape}")
-        f1 = obj[:, 0]
-        f2 = obj[:, 1]
-        w1, w2 = 1.0 - self.lam, self.lam
-        # each step below runs on a fresh temporary, never on ``objectives``;
-        # the float operations and their order are those of
-        # -(w1 f1 + w2 f2) and -max{w1 |f1 - z1|, w2 |f2 - z2|} (a product's
-        # operands commute exactly), so for finite objectives the values are
-        # the same, but for the sign of a zero where a term is dropped
-        if self.kind is ScalarizationKind.WEIGHTED_SUM:
-            if w1:
-                out = f1 * w1
-                if w2:
-                    out += f2 * w2
-            else:
-                out = f2 * w2
-        else:
-            z1, z2 = self.utopian  # type: ignore[misc]
-            out = f1 - z1 if w1 else f2 - z2
-            np.abs(out, out=out)
-            out *= w1 if w1 else w2
-            if w1 and w2:
-                dev2 = f2 - z2
-                np.abs(dev2, out=dev2)
-                dev2 *= w2
-                np.maximum(out, dev2, out=out)
-        np.negative(out, out=out)
-        return out
+        return _log_density(obj.astype(float, copy=False), self.lam, self.kind, self.utopian)
+
+
+def _log_density(
+    objectives: np.ndarray, lam: float | np.ndarray, kind: ScalarizationKind,
+    utopian: tuple[float, float] | None,
+) -> np.ndarray:
+    """log pi at the (n, 2) float objective values of a batch, under one
+    lambda (a float: shape (n,)) or under each lambda of an (r, 1) column
+    (shape (r, n), a row per lambda).
+
+    With w1 = 1 - lambda and w2 = lambda, the float operations and their
+    order are those of -(w1 f1 + w2 f2) and -max{w1 |f1 - z1|, w2 |f2 - z2|}
+    (a product's operands commute exactly); each runs on a fresh temporary,
+    never on ``objectives``. Under a float, a weight of exactly 0 drops its
+    term: at lambda = 0 the value ignores f2, and at lambda = 1 it ignores
+    f1, even where that objective is infinite (``0 * inf`` would be NaN), so
+    for finite objectives the value is the formula's but for the sign of a
+    zero. A column keeps both terms in every row, so its lambdas must lie
+    strictly inside (0, 1).
+    """
+    column = isinstance(lam, np.ndarray)
+    terms = []
+    for i, w in enumerate((1.0 - lam, lam)):
+        if column or w:
+            f = objectives[:, i]
+            if kind is ScalarizationKind.TCHEBYCHEFF:
+                f = f - utopian[i]  # type: ignore[index]
+                np.abs(f, out=f)
+            terms.append(f * w)
+    out = terms[0]
+    if len(terms) == 2:
+        combine = np.add if kind is ScalarizationKind.WEIGHTED_SUM else np.maximum
+        combine(out, terms[1], out=out)
+    return np.negative(out, out=out)
 
 
 def log_density_table(
     objectives: np.ndarray, lams: np.ndarray, kind: ScalarizationKind,
     utopian: tuple[float, float] | None = None,
 ) -> np.ndarray:
-    """log pi, shape (len(lams), n), of the (n, 2) objective values of a batch
-    under each balance parameter in ``lams``: row r has the bits of
+    """log pi, shape (len(lams), n), of the (n, 2) float objective values of
+    a batch under each balance parameter in ``lams``: row r has the bits of
     ``Scalarization(kind, lams[r], utopian).log_density_values(objectives)``.
 
-    The float operations and their order are those of
-    ``log_density_values``, broadcast over the rows, and a zero weight drops
-    its term wherever lambda is exactly 0 or 1, whichever rows those are.
-    The caller gives valid arguments: a float array of lambdas in [0, 1] and
-    the kind's Utopian point; nothing is checked here.
+    The rows whose lambda lies strictly inside (0, 1) are scored in one
+    column call of ``_log_density``; each row whose lambda is exactly 0 or 1,
+    wherever it sits, is scored under that float, which drops a term. The
+    caller gives valid arguments: lambdas in [0, 1] and the kind's Utopian
+    point; nothing is checked here.
     """
-    f1 = objectives[:, 0]
-    f2 = objectives[:, 1]
-    w2 = np.asarray(lams, dtype=float)[:, None]
-    w1 = 1.0 - w2
-    has1 = w1 != 0.0
-    has2 = w2 != 0.0
-    shape = (len(w2), len(f1))
-    if kind is ScalarizationKind.WEIGHTED_SUM:
-        out = np.multiply(f1, w1, out=np.empty(shape), where=has1)
-        term2 = np.multiply(f2, w2, out=np.empty(shape), where=has2)
-        np.add(out, term2, out=out, where=has1 & has2)
-    else:
-        z1, z2 = utopian  # type: ignore[misc]
-        out = np.multiply(np.abs(f1 - z1), w1, out=np.empty(shape), where=has1)
-        term2 = np.multiply(np.abs(f2 - z2), w2, out=np.empty(shape), where=has2)
-        np.maximum(out, term2, out=out, where=has1 & has2)
-    np.copyto(out, term2, where=~has1)
-    np.negative(out, out=out)
-    return out
+    lams = np.asarray(lams, dtype=float)
+    inside = (0.0 < lams) & (lams < 1.0)
+    table = _log_density(objectives, lams[inside, None], kind, utopian)
+    for r in np.flatnonzero(~inside):  # in order, so each lands at its row
+        row = _log_density(objectives, lams[r], kind, utopian)
+        table = np.concatenate((table[:r], row[None], table[r:]))
+    return table
 
 
 def weighted_sum(lam: float) -> Scalarization:

@@ -620,9 +620,9 @@ def reference_resample_index(log_weights, n, rng):
     return cdf.searchsorted(rng.random(n), side="right")
 
 
-def reference_run(config, problem):
+def reference_run(config, problem, sweep=metropolis_sweep):
     """``run`` with the two-pass weight step above, kept as the oracle of its
-    one-pass inverse CDF."""
+    one-pass inverse CDF; ``sweep`` is its move step."""
     rng = np.random.default_rng(config.seed)
     particles = initialize(config, problem, rng).particles
     decisions, front = [], []
@@ -637,7 +637,7 @@ def reference_run(config, problem):
         pop = make_population(particles[reference_resample_index(log_w, len(particles), rng)])
         pop.incumbent = inc
         if config.metropolis_enabled:
-            pop = metropolis_sweep(pop, s_k, problem, config.sigma, rng)
+            pop = sweep(pop, s_k, problem, config.sigma, rng)
         particles = pop.particles
         decisions.append(pop.incumbent.decision)
         front.append(pop.incumbent.objectives)
@@ -1015,24 +1015,43 @@ def generated_problem(seed, forms):
     )
 
 
+def assert_run_equals_reference(cfg, make_problem, sweep=metropolis_sweep):
+    """``run(cfg)`` and ``reference_run(cfg, ..., sweep)``, each on its own
+    ``make_problem()``, give the same archive bits and leave their one
+    generator each in the same state; return run's evaluation count, and its
+    problem's."""
+    problem, fresh = make_problem(), make_problem()
+    default_rng = np.random.default_rng
+    made = []
+
+    def recording_rng(seed):
+        made.append(default_rng(seed))
+        return made[-1]
+
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(np.random, "default_rng", recording_rng)
+        archive, evals = run(cfg, problem)
+        expected = reference_run(cfg, fresh, sweep)
+    assert len(made) == 2
+    assert_same_bits(archive.decisions, expected.decisions)
+    assert_same_bits(archive.front, expected.front)
+    assert made[0].bit_generator.state == made[1].bit_generator.state
+    return evals, problem.counter.count
+
+
+GENERATED_FORMS = pytest.mark.parametrize(
+    "forms", [("row", "row"), ("sum", "row"), ("row", "sum"), ("sum", "sum")], ids="-".join
+)
+
+
 class TestMovesOffDifferential:
-    @pytest.mark.parametrize(
-        "forms", [("row", "row"), ("sum", "row"), ("row", "sum"), ("sum", "sum")], ids="-".join
-    )
+    @GENERATED_FORMS
     @pytest.mark.parametrize("kind", list(ScalarizationKind))
     def test_equals_fresh_evaluation(self, monkeypatch, forms, kind):
         # the ancestor-index loop against reference_run, which evaluates every
         # step afresh; with 21 table entries a block, K = 2 and 3 fit in one
         # block at every N, and K = 23 crosses at least one boundary
         monkeypatch.setattr("pfops.core._BLOCK_ENTRIES", 21)
-        default_rng = np.random.default_rng
-        made = []
-
-        def recording_rng(seed):
-            made.append(default_rng(seed))
-            return made[-1]
-
-        monkeypatch.setattr(np.random, "default_rng", recording_rng)
         utopian = (-30.0, -30.0) if kind is ScalarizationKind.TCHEBYCHEFF else None
         for seed in range(5):
             for n_targets in (2, 3, 23):
@@ -1042,15 +1061,37 @@ class TestMovesOffDifferential:
                         metropolis_enabled=False, final_filter_enabled=seed != 1, seed=seed,
                         scalarization_kind=kind, utopian=utopian,
                     )
-                    problem, fresh = (generated_problem(seed, forms) for _ in range(2))
-                    made.clear()
-                    archive, evals = run(cfg, problem)
-                    expected = reference_run(cfg, fresh)
-                    assert len(made) == 2
-                    assert_same_bits(archive.decisions, expected.decisions)
-                    assert_same_bits(archive.front, expected.front)
-                    assert made[0].bit_generator.state == made[1].bit_generator.state
-                    assert evals == problem.counter.count == 2 * n_targets * n_particles
+                    counts = assert_run_equals_reference(
+                        cfg, partial(generated_problem, seed, forms)
+                    )
+                    assert counts == (2 * n_targets * n_particles,) * 2
+
+
+class TestMovesOnDifferential:
+    @GENERATED_FORMS
+    @pytest.mark.parametrize("kind", list(ScalarizationKind))
+    def test_equals_reference_sweep(self, forms, kind):
+        # run against reference_run with the sweep as first written, so the
+        # two share neither core._score nor core._sweep; seed s gives
+        # d = 1 + s % 5, and each seed meets all nine sigmas from 1e-3
+        # (nearly every proposal accepted) to 10 (nearly every one leaves
+        # the box), in a rotated order over the (K, N) pairs
+        utopian = (-30.0, -30.0) if kind is ScalarizationKind.TCHEBYCHEFF else None
+        for seed in range(5):
+            sigmas = iter(np.roll(np.geomspace(1e-3, 10.0, 9), seed))
+            for n_targets in (2, 3, 7):
+                for n_particles in (1, 2, 7):
+                    cfg = PfopsConfig(
+                        n_targets=n_targets, n_particles=n_particles, sigma=next(sigmas),
+                        metropolis_enabled=True, final_filter_enabled=seed != 1, seed=seed,
+                        scalarization_kind=kind, utopian=utopian,
+                    )
+                    make_problem = partial(generated_problem, seed, forms)
+                    counts = assert_run_equals_reference(
+                        cfg, make_problem, reference_metropolis_sweep
+                    )
+                    dim = make_problem().dim
+                    assert counts == (2 * n_targets * n_particles * (1 + dim),) * 2
 
 
 def sum_problem_1d():

@@ -19,7 +19,7 @@ from pfops.pareto import (
     reference_front,
     write_front_csv,
 )
-from pfops.problems import available_problems, fonseca_fleming_problem
+from pfops.problems import PROBLEM_FACTORIES, fonseca_fleming_problem
 
 
 def brute_force_mask(points):
@@ -418,14 +418,14 @@ class TestBenchmarks:
     """The scoring record of each built-in benchmark."""
 
     def test_one_record_per_registered_problem(self):
-        assert tuple(BENCHMARKS) == available_problems()
+        assert tuple(BENCHMARKS) == tuple(PROBLEM_FACTORIES)
 
-    @pytest.mark.parametrize("name", available_problems())
+    @pytest.mark.parametrize("name", tuple(PROBLEM_FACTORIES))
     def test_resolution_is_an_integer_of_at_least_two(self, name):
         resolution = BENCHMARKS[name].resolution
         assert type(resolution) is int and resolution >= 2
 
-    @pytest.mark.parametrize("name", available_problems())
+    @pytest.mark.parametrize("name", tuple(PROBLEM_FACTORIES))
     def test_scored_front_lies_strictly_below_the_hv_reference(self, name):
         # else the hypervolume would leave reference points out of the area
         record = BENCHMARKS[name]

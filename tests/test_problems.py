@@ -5,11 +5,11 @@ from pfops.core import PfopsConfig, initialize, metropolis_sweep, run
 from pfops.errors import BoundsError, InvalidInputError, NotFoundError
 from pfops.nsga2 import Nsga2Config, evolve
 from pfops.problems import (
+    PROBLEM_FACTORIES,
     BiObjectiveProblem,
     CoordinateSum,
     EvalCounter,
     _kursawe_f2_term,
-    available_problems,
     convex_problem,
     fonseca_fleming_problem,
     kursawe_problem,
@@ -51,7 +51,7 @@ def test_kursawe_values():
 
 
 def test_lookup_registry():
-    assert available_problems() == ("convex", "fonseca", "kursawe")
+    assert tuple(PROBLEM_FACTORIES) == ("convex", "fonseca", "kursawe")
     assert lookup_problem("convex").name == "convex"
     assert lookup_problem("kursawe").dim == 3
     with pytest.raises(NotFoundError, match="convex, fonseca, kursawe"):

@@ -149,6 +149,29 @@ class TestLogDensity:
         with pytest.raises(InvalidInputError, match=rf"got {re.escape(str(shape))}$"):
             s.log_density_values(objectives)
 
+    @pytest.mark.parametrize(
+        "objectives, dtype",
+        [
+            (np.array([[1 + 2j, 3]]), "complex128"),
+            ([["1", "2"]], "<U1"),
+            ([[None, 1]], "object"),
+            ([[1 + 2j, 3]], "complex128"),
+        ],
+        ids=["complex-array", "strings", "none", "python-complex"],
+    )
+    def test_non_real_dtype_rejected(self, objectives, dtype):
+        # these used to score -2.0 (the imaginary part dropped), -1.5 (the
+        # strings parsed) and NaN, or to raise a raw TypeError
+        with pytest.raises(InvalidInputError, match=rf"real numbers, got dtype {re.escape(dtype)}$"):
+            weighted_sum(0.5).log_density_values(objectives)
+
+    def test_real_dtypes_scored_as_floats(self):
+        s = weighted_sum(0.5)
+        for objectives in ([[1, 2]], [[1.0, 2.0]], np.array([[1, 2]], dtype=np.uint8),
+                           np.array([[1, 2]], dtype=np.float32)):
+            assert s.log_density_values(objectives).tolist() == [-1.5]
+        assert s.log_density_values(np.array([[True, False]])).tolist() == [-0.5]
+
 
 class TestLogDensityTable:
     # rows of +-inf and of +-0.0 in each objective: a zero weight must drop
