@@ -4,6 +4,7 @@ Each rule is a predicate that its callers wrap in their own error class and
 message; :func:`check_integer` is the config form of :func:`is_integer`,
 :func:`check_sizable` bounds a config count by the arrays it sizes,
 :func:`check_instance` checks an argument's type and :func:`check_key` a registry name.
+:func:`as_real_array` is the one rule for array inputs at the public boundary.
 """
 
 import math
@@ -82,6 +83,20 @@ def check_key(
         return table[name]
     except (KeyError, TypeError):  # TypeError: an unhashable name
         raise error(f"unknown {what} '{name}'; available: {', '.join(table)}") from None
+
+
+def as_real_array(name: str, value: object) -> np.ndarray:
+    """``value`` as a float64 array, the same object if it is one already.
+    What numpy cannot stack (a ragged nesting, say) or of a dtype other than
+    bool, integer or float raises InvalidInputError naming ``name``: a cast
+    would parse strings and drop an imaginary part."""
+    try:
+        array = np.asarray(value)
+    except (ValueError, TypeError) as exc:
+        raise InvalidInputError(f"{name} cannot be read as an array: {exc}") from None
+    if array.dtype.kind not in "biuf":
+        raise InvalidInputError(f"{name} must be real numbers, got dtype {array.dtype}")
+    return array.astype(float, copy=False)
 
 
 def is_finite_number(value: object) -> bool:

@@ -20,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import InvalidInputError, check_key, is_finite_pair, is_integer
+from .errors import InvalidInputError, as_real_array, check_key, is_finite_pair, is_integer
 from .problems import _INV_SQRT2, fonseca_fleming_problem, kursawe_problem
 
 _DATA_DIR = Path(__file__).parent / "data"
@@ -38,19 +38,23 @@ class ParetoArchive:
 
 
 def dominates(a: np.ndarray, b: np.ndarray) -> bool:
-    """True iff ``a`` is no worse than ``b`` everywhere and better somewhere."""
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
+    """True iff ``a`` is no worse than ``b`` everywhere and better somewhere;
+    ``a`` and ``b`` must have one shape (a broadcast compares one with many)."""
+    a = as_real_array("a", a)
+    b = as_real_array("b", b)
+    if a.shape != b.shape:
+        raise InvalidInputError(f"a and b must have the same shape, got {a.shape} and {b.shape}")
     return bool(np.all(a <= b) and np.any(a < b))
 
 
 def as_front(points: np.ndarray) -> np.ndarray:
-    """``points`` as a float (n, 2) array of objective vectors.
+    """``points`` as a float (n, 2) array of objective vectors, read by
+    :func:`~pfops.errors.as_real_array` as ``front``.
 
     An empty input gives shape (0, 2) and a single (2,) vector one row; any
     other shape raises InvalidInputError naming it.
     """
-    points = np.asarray(points, dtype=float)
+    points = as_real_array("front", points)
     if points.ndim == 2 and points.shape[1] == 2:
         return points
     if points.size == 0 or points.shape == (2,):
@@ -116,7 +120,7 @@ def nondominated_mask(points: np.ndarray) -> np.ndarray:
     front of :func:`peel_fronts`, O(n log n). Exact duplicates survive; a
     NaN row raises InvalidInputError.
     """
-    points = np.asarray(points, dtype=float)
+    points = as_real_array("points", points)
     if points.ndim != 2 and points.size:  # one mask entry per row of the input
         raise InvalidInputError(f"expected an (n, 2) array, got shape {points.shape}")
     mask = np.zeros(len(points), dtype=bool)

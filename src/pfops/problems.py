@@ -10,13 +10,14 @@ never estimated.
 Every batch, of plain objectives or CoordinateSums, runs one body,
 ``_evaluate_terms``, which ``evaluate_batch`` wraps and ``core`` calls
 directly. It makes every check of a call and counts only once they all pass:
-- a batch that is not (n, d) raises :class:`~pfops.errors.InvalidInputError`;
+- the batch and each objective's output are read by the array rule (README,
+  "Array inputs"), and a batch that is not (n, d) raises
+  :class:`~pfops.errors.InvalidInputError`;
 - an out-of-bounds row raises :class:`~pfops.errors.BoundsError` instead of
   being clamped, since silent clamping would corrupt the tally. A batch
   inside the cube that every coordinate's bounds admit passes on two flat
   reductions; only other batches are compared coordinate by coordinate;
-- an objective that does not return one real value per row (a complex or
-  non-numeric one, say) raises InvalidInputError;
+- an objective that does not return one value per row raises InvalidInputError;
 - so does a NaN objective value, since no dominance order or density holds
   for it. The test is one reduction, the batch minimum, which is NaN iff
   some value is; infinite values of either sign pass.
@@ -64,7 +65,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import BoundsError, InvalidInputError, check_key, is_finite_pair, is_integer
+from .errors import BoundsError, InvalidInputError, as_real_array, check_key
+from .errors import is_finite_pair, is_integer
 
 # Vectorized objective: maps an (n, d) batch to an (n,) value array.
 ObjectiveFn = Callable[[np.ndarray], np.ndarray]
@@ -145,10 +147,11 @@ class BiObjectiveProblem:
         """Evaluate both objectives at an (n, d) batch through
         ``_evaluate_terms``, returning (n, 2); one (d,) point is a one-row batch.
 
-        Counts 2n evaluations. Raises InvalidInputError if the batch is not
-        (n, d), BoundsError if any row is outside the box, and
-        InvalidInputError if an objective does not return one real (bool,
-        integer or float) value per row or is NaN at any row, or if a
+        Counts 2n evaluations. The batch and each objective's output are
+        read by the array rule (README, "Array inputs"). Raises
+        InvalidInputError if the batch is not (n, d), BoundsError if any row
+        is outside the box, and InvalidInputError if an objective does not
+        return one value per row or is NaN at any row, or if a
         CoordinateSum's term does not return one value per coordinate
         (nothing is counted in any case).
         """
@@ -201,7 +204,7 @@ class BiObjectiveProblem:
     def _batch(self, points: np.ndarray) -> np.ndarray:
         """``points`` as a float (n, d) batch inside the box, or the error
         ``evaluate_batch`` documents."""
-        p = np.asarray(points, dtype=float)
+        p = as_real_array(f"points for problem '{self.name}'", points)
         if p.ndim != 2:
             p = np.atleast_2d(p)
         n = len(p)
@@ -232,18 +235,13 @@ class BiObjectiveProblem:
         the checked batch ``p``, counted as 2n evaluations, or the error
         ``evaluate_batch`` documents, with nothing counted."""
         n = len(p)
-        f1, f2 = np.asarray(f1), np.asarray(f2)
+        f1 = as_real_array(f"the output of objective f1 of problem '{self.name}'", f1)
+        f2 = as_real_array(f"the output of objective f2 of problem '{self.name}'", f2)
         if f1.shape != (n,) or f2.shape != (n,):
             raise InvalidInputError(
                 f"objectives of problem '{self.name}' must return shape ({n},) "
                 f"for {n} points, got {f1.shape} and {f2.shape}"
             )
-        for which, f in (("f1", f1), ("f2", f2)):
-            if f.dtype.kind not in "biuf":  # a cast would drop an imaginary part
-                raise InvalidInputError(
-                    f"objective {which} of problem '{self.name}' must return real "
-                    f"numbers, got dtype {f.dtype}"
-                )
         values = np.empty((n, 2))
         values[:, 0] = f1
         values[:, 1] = f2

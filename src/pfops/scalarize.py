@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidConfigError, InvalidInputError
+from .errors import InvalidConfigError, InvalidInputError, as_real_array
 from .errors import is_finite_number, is_finite_pair, is_integer
 
 
@@ -73,19 +73,14 @@ class Scalarization:
         """log pi, shape (n,), at the (n, 2) objective values of a batch, as
         an evaluation returns them; at lambda = 0 or 1 the zero-weighted
         objective is ignored, even where infinite (``_log_density`` gives
-        the float operations). Bool and integer values are scored as floats;
-        any other dtype (complex, string, object, ...) raises
-        InvalidInputError naming it, and so does any shape other than
-        (n, 2), a single (2,) point included.
+        the float operations). The values are read by the array rule
+        (README, "Array inputs"); any shape other than (n, 2), a single (2,)
+        point included, raises InvalidInputError naming it.
         """
-        obj = np.asarray(objectives)
-        if obj.dtype.kind not in "biuf":  # a cast would drop an imaginary part
-            raise InvalidInputError(
-                f"objective values must be real numbers, got dtype {obj.dtype}"
-            )
+        obj = as_real_array("objective values", objectives)
         if obj.ndim != 2 or obj.shape[1] != 2:
             raise InvalidInputError(f"objective values must have shape (n, 2), got {obj.shape}")
-        return _log_density(obj.astype(float, copy=False), self.lam, self.kind, self.utopian)
+        return _log_density(obj, self.lam, self.kind, self.utopian)
 
 
 def _log_density(

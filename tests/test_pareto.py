@@ -60,6 +60,19 @@ class TestDominates:
     def test_weak_one_coordinate(self):
         assert dominates((1.0, 2.0), (1.0, 3.0))
 
+    @pytest.mark.parametrize(
+        "a, b, shapes",
+        [([1, 2], [1, 2, 3], "(2,) and (3,)"), ([[0, 0]], [[1, 1], [2, 2]], "(1, 2) and (2, 2)")],
+        ids=["lengths", "broadcast"],
+    )
+    def test_shapes_must_match(self, a, b, shapes):
+        # the first used to raise numpy's raw broadcast ValueError, and the
+        # second to broadcast one vector against two and return True
+        message = rf"^a and b must have the same shape, got {re.escape(shapes)}$"
+        with pytest.raises(InvalidInputError, match=message):
+            dominates(a, b)
+        assert dominates([0, 0, 0], [1, 1, 1])  # vectors of any one length
+
     def test_axioms_on_random_triples(self):
         rng = np.random.default_rng(11)
         pts = rng.integers(0, 5, size=(1000, 3, 2)).astype(float)

@@ -352,16 +352,21 @@ def test_opposite_infinities_are_not_nan():
         (lambda x: np.full(len(x), "1.5"), "<U3"),
         (lambda x: [str(v) for v in x[:, 0]], "<U4"),
         (lambda x: np.full(len(x), None), "object"),
+        (lambda x: [[0.5, 1.0], [2.0]], None),  # ragged: used to raise numpy's raw ValueError
     ],
 )
 def test_non_real_objective_rejected_and_uncounted(f2, dtype):
     p = BiObjectiveProblem("odd", 1, [0.0], [1.0], lambda x: x[:, 0].copy(), f2)
-    message = rf"^objective f2 of problem 'odd' must return real numbers, got dtype {dtype}$"
+    fault = (
+        f"must be real numbers, got dtype {dtype}$" if dtype
+        else "cannot be read as an array: setting an array element with a sequence"
+    )
+    message = rf"^the output of objective f2 of problem 'odd' {fault}"
     with pytest.raises(InvalidInputError, match=message):
         p.evaluate_batch([[0.25], [0.75]])
     # the first objective is named too
     q = BiObjectiveProblem("odd", 1, [0.0], [1.0], f2, lambda x: x[:, 0].copy())
-    with pytest.raises(InvalidInputError, match=r"objective f1 of problem 'odd'"):
+    with pytest.raises(InvalidInputError, match=r"^the output of objective f1 of problem 'odd'"):
         q.evaluate_batch([[0.25], [0.75]])
     assert p.counter.count == q.counter.count == 0
 
@@ -535,7 +540,8 @@ def test_wrong_shape_term_gets_one_message_from_every_caller():
         ),
         (
             lambda x: x[:, 0] + 1j,
-            "objective f1 of problem 'moves' must return real numbers, got dtype complex128",
+            "the output of objective f1 of problem 'moves' must be real numbers, "
+            "got dtype complex128",
         ),
         (
             lambda x: x[1:, 0],

@@ -156,13 +156,19 @@ class TestLogDensity:
             ([["1", "2"]], "<U1"),
             ([[None, 1]], "object"),
             ([[1 + 2j, 3]], "complex128"),
+            ([[1, 2], [3]], None),
         ],
-        ids=["complex-array", "strings", "none", "python-complex"],
+        ids=["complex-array", "strings", "none", "python-complex", "ragged"],
     )
     def test_non_real_dtype_rejected(self, objectives, dtype):
         # these used to score -2.0 (the imaginary part dropped), -1.5 (the
-        # strings parsed) and NaN, or to raise a raw TypeError
-        with pytest.raises(InvalidInputError, match=rf"real numbers, got dtype {re.escape(dtype)}$"):
+        # strings parsed) and NaN, or to raise a raw TypeError, and a ragged
+        # nesting numpy's raw ValueError
+        fault = (
+            rf"must be real numbers, got dtype {re.escape(dtype)}$" if dtype
+            else "cannot be read as an array: setting an array element with a sequence"
+        )
+        with pytest.raises(InvalidInputError, match=f"^objective values {fault}"):
             weighted_sum(0.5).log_density_values(objectives)
 
     def test_real_dtypes_scored_as_floats(self):
