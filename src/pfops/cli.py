@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import re
 import sys
 from pathlib import Path
 
@@ -27,26 +28,45 @@ def _build_parser() -> argparse.ArgumentParser:
     source.add_argument("--preset", help="preset name (see `pfops list`)")
     source.add_argument("--config", help="path to a custom-run JSON file")
     run.add_argument(
-        "--seed", type=int, default=None,
-        help="run seed, an integer >= 0 (default: 0, or the config file's seed)",
+        "--seed", type=_seed, default=None,
+        help="run seed, ASCII decimal digits (default: 0, or the config file's seed)",
     )
     run.add_argument("--out", help="directory for CSV/SVG/JSON artifacts")
+    run.set_defaults(handler=_cmd_run)
 
     cmp_ = sub.add_parser("compare", help="run two presets over paired seeds")
     cmp_.add_argument("--a", required=True, help="first preset")
     cmp_.add_argument("--b", required=True, help="second preset")
     cmp_.add_argument(
-        "--seeds", required=True, help="comma-separated seed list, e.g. 0,1,2"
+        "--seeds", required=True, type=_seed_list, help="comma-separated seed list, e.g. 0,1,2"
     )
     cmp_.add_argument("--out", help="directory for the comparison CSV")
+    cmp_.set_defaults(handler=_cmd_compare)
 
     ref = sub.add_parser("reference", help="regenerate a reference front CSV")
     ref.add_argument("--problem", required=True, choices=tuple(pareto.BENCHMARKS))
     ref.add_argument("--resolution", required=True, type=int)
     ref.add_argument("--out", help="output CSV path (default: ./<problem>_front_<n>.csv)")
+    ref.set_defaults(handler=_cmd_reference)
 
-    sub.add_parser("list", help="list presets and problems")
+    sub.add_parser("list", help="list presets and problems").set_defaults(handler=_cmd_list)
     return parser
+
+
+def _seed(text: str) -> int:
+    """A seed as typed: ASCII decimal digits, where ``int`` would also read
+    "1_0" as 10, " 3" as 3 and the Arabic-Indic digit three as 3."""
+    if not re.fullmatch("[0-9]+", text):
+        raise argparse.ArgumentTypeError(f"'{text}' is not a seed (ASCII decimal digits)")
+    return int(text)
+
+
+def _seed_list(text: str) -> list[int]:
+    """A comma-separated list of :func:`_seed` items; a blank item is refused."""
+    try:
+        return [_seed(item) for item in text.split(",")]
+    except argparse.ArgumentTypeError as exc:
+        raise argparse.ArgumentTypeError(f"could not parse seed list '{text}': {exc}") from None
 
 
 def _report_lines(report: experiments.RunReport) -> list[str]:
@@ -104,12 +124,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 
 def _cmd_compare(args: argparse.Namespace) -> int:
-    try:
-        seeds = [int(s) for s in args.seeds.split(",")]
-    except ValueError:
-        print(f"error: could not parse seed list '{args.seeds}'", file=sys.stderr)
-        return 2
-    result = experiments.compare(args.a, args.b, seeds)
+    result = experiments.compare(args.a, args.b, args.seeds)
     header = f"{'seed':>8} {'igd:' + args.a:>28} {'igd:' + args.b:>28}"
     print(header)
     for row in result.rows:
@@ -147,18 +162,10 @@ def _cmd_list(_: argparse.Namespace) -> int:
     return 0
 
 
-_COMMANDS = {
-    "run": _cmd_run,
-    "compare": _cmd_compare,
-    "reference": _cmd_reference,
-    "list": _cmd_list,
-}
-
-
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        return _COMMANDS[args.command](args)
+        return args.handler(args)
     except (PfopsError, OSError, MemoryError) as exc:
         # numpy's MemoryError names the size it could not allocate; a bare one is empty
         print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)

@@ -54,8 +54,8 @@ class ExperimentPreset:
 
     @property
     def algorithm(self) -> str:
-        """Either "pfops" or "nsga2", from the config's type."""
-        return "pfops" if isinstance(self.config, core.PfopsConfig) else "nsga2"
+        """The name ``_CONFIG_CLASSES`` gives the config's type."""
+        return next(name for name, cls in _CONFIG_CLASSES.items() if isinstance(self.config, cls))
 
 
 def _preset_table() -> dict[str, ExperimentPreset]:
@@ -205,15 +205,14 @@ def compare(preset_a: str, preset_b: str, seeds: Iterable[int]) -> ComparisonRes
     if not seeds:
         raise InvalidInputError("seed list must not be empty")
 
-    reports_a = [run_preset(preset_a, s) for s in seeds]
-    reports_b = [run_preset(preset_b, s) for s in seeds]
-    rows = []
-    for s, ra, rb in zip(seeds, reports_a, reports_b):
-        row = {"seed": s}
-        for metric in _COMPARE_METRICS:
-            row[f"{metric}_a"] = getattr(ra, metric)
-            row[f"{metric}_b"] = getattr(rb, metric)
-        rows.append(row)
+    # every seed of preset a, then every seed of preset b
+    sides = {"a": preset_a, "b": preset_b}
+    reports = {side: [run_preset(name, s) for s in seeds] for side, name in sides.items()}
+    rows = [
+        {"seed": s}
+        | {f"{m}_{side}": getattr(reports[side][i], m) for m in _COMPARE_METRICS for side in reports}
+        for i, s in enumerate(seeds)
+    ]
     medians = {
         key: float(np.median([row[key] for row in rows]))
         for key in rows[0]
@@ -237,23 +236,15 @@ def compare(preset_a: str, preset_b: str, seeds: Iterable[int]) -> ComparisonRes
 
 
 def write_comparison_csv(result: ComparisonResult, path: str | Path) -> None:
-    """Per-seed metric table with a trailing median row."""
-    headers = ["seed"]
-    for metric in _COMPARE_METRICS:
-        headers.append(f"{metric}:{result.preset_a}")
-        headers.append(f"{metric}:{result.preset_b}")
-    lines = [",".join(headers)]
-    for row in result.rows:
-        cells = [str(row["seed"])]
-        for metric in _COMPARE_METRICS:
-            cells.append(repr(row[f"{metric}_a"]))
-            cells.append(repr(row[f"{metric}_b"]))
-        lines.append(",".join(cells))
-    median_cells = ["median"]
-    for metric in _COMPARE_METRICS:
-        median_cells.append(repr(result.medians[f"{metric}_a"]))
-        median_cells.append(repr(result.medians[f"{metric}_b"]))
-    lines.append(",".join(median_cells))
+    """Per-seed metric table with a trailing median row. Its columns are the
+    seed and the median keys, which are the rows' other keys, in order; a key
+    ``<metric>_<side>`` heads its column as ``<metric>:<that side's preset>``."""
+    presets = {"a": result.preset_a, "b": result.preset_b}
+    keys = list(result.medians)
+    header = ["seed"] + [f"{m}:{presets[side]}" for m, side in (k.rsplit("_", 1) for k in keys)]
+    lines = [",".join(header)]
+    lines += [",".join([str(row["seed"])] + [repr(row[k]) for k in keys]) for row in result.rows]
+    lines.append(",".join(["median"] + [repr(result.medians[k]) for k in keys]))
     Path(path).write_text("\n".join(lines) + "\n")
 
 
@@ -354,7 +345,7 @@ def emit_front_svg(
     Path(path).write_text("\n".join(parts) + "\n")
 
 
-_TOP_LEVEL_KEYS = {"problem", "algorithm", "seed", "pfops", "nsga2"}
+_TOP_LEVEL_KEYS = {"problem", "algorithm", "seed", *_CONFIG_CLASSES}
 # config field -> its key in a config file, where the two differ
 _FILE_KEYS = {"scalarization_kind": "scalarization"}
 

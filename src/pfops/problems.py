@@ -10,9 +10,9 @@ never estimated.
 Every batch, of plain objectives or CoordinateSums, runs one body,
 ``_evaluate_terms``, which ``evaluate_batch`` wraps and ``core`` calls
 directly. It makes every check of a call and counts only once they all pass:
-- the batch and each objective's output are read by the array rule (README,
-  "Array inputs"), and a batch that is not (n, d) raises
-  :class:`~pfops.errors.InvalidInputError`;
+- the batch, each objective's output and each CoordinateSum term's output
+  are read by the array rule (README, "Array inputs"), and a batch that is
+  not (n, d) raises :class:`~pfops.errors.InvalidInputError`;
 - an out-of-bounds row raises :class:`~pfops.errors.BoundsError` instead of
   being clamped, since silent clamping would corrupt the tally. A batch
   inside the cube that every coordinate's bounds admit passes on two flat
@@ -147,13 +147,13 @@ class BiObjectiveProblem:
         """Evaluate both objectives at an (n, d) batch through
         ``_evaluate_terms``, returning (n, 2); one (d,) point is a one-row batch.
 
-        Counts 2n evaluations. The batch and each objective's output are
-        read by the array rule (README, "Array inputs"). Raises
-        InvalidInputError if the batch is not (n, d), BoundsError if any row
-        is outside the box, and InvalidInputError if an objective does not
-        return one value per row or is NaN at any row, or if a
-        CoordinateSum's term does not return one value per coordinate
-        (nothing is counted in any case).
+        Counts 2n evaluations. The batch, each objective's output and each
+        CoordinateSum term's output are read by the array rule (README,
+        "Array inputs"). Raises InvalidInputError if the batch is not
+        (n, d), BoundsError if any row is outside the box, and
+        InvalidInputError if an objective does not return one value per row
+        or is NaN at any row, or if a CoordinateSum's term does not return
+        one value per coordinate (nothing is counted in any case).
         """
         return self._evaluate_terms(points)[0]
 
@@ -271,6 +271,8 @@ class CoordinateSum:
     ``BiObjectiveProblem`` evaluates both so when an objective is a
     CoordinateSum, computing the term once per coordinate value a particle
     takes. Each row still counts as one evaluation of the objective.
+    The term's output is read by the array rule (README, "Array inputs"), so
+    a float32 or integer term is summed in float64.
     """
 
     def __init__(self, term: Callable[[np.ndarray], np.ndarray]) -> None:
@@ -281,8 +283,9 @@ class CoordinateSum:
 
 
 def _term_values(term: Callable[[np.ndarray], np.ndarray], x: np.ndarray, owner: str) -> np.ndarray:
-    """``term(x)``; InvalidInputError naming ``owner`` unless it has x's shape."""
-    t = np.asarray(term(x))
+    """``term(x)`` read by the array rule (README, "Array inputs"), so as
+    float64; InvalidInputError naming ``owner`` unless it has x's shape."""
+    t = as_real_array(f"the term of {owner}", term(x))
     if t.shape != x.shape:
         raise InvalidInputError(
             f"the term of {owner} must return one value per coordinate, shape "

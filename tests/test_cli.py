@@ -169,9 +169,25 @@ def test_memory_error_reported(monkeypatch, capsys, owner, name, argv, message):
     assert err == f"error: {message or 'out of memory'}\n"
 
 
+def _refused_by_parser(capsys, argv):
+    """The last stderr line of ``main(argv)``, which must exit with code 2."""
+    with pytest.raises(SystemExit) as excinfo:
+        main(argv)
+    assert excinfo.value.code == 2
+    return capsys.readouterr().err.splitlines()[-1]
+
+
 def test_run_negative_seed(capsys):
-    assert main(["run", "--preset", "pfops-convex-under", "--seed", "-1"]) == 1
-    assert "seed must be an integer >= 0" in capsys.readouterr().err
+    # once refused by the config (exit code 1), now by the seed syntax
+    err = _refused_by_parser(capsys, ["run", "--preset", "pfops-convex-under", "--seed", "-1"])
+    assert err == "pfops run: error: argument --seed: '-1' is not a seed (ASCII decimal digits)"
+
+
+@pytest.mark.parametrize("seed", ["1_0", " 3", "3 ", "+3", "\u0663", "3.0", ""])
+def test_run_seed_is_ascii_digits(capsys, seed):
+    # int() reads each of these but "3.0" and "" as a seed ("1_0" as 10)
+    err = _refused_by_parser(capsys, ["run", "--preset", "pfops-convex-under", "--seed", seed])
+    assert err.endswith(f"argument --seed: '{seed}' is not a seed (ASCII decimal digits)")
 
 
 def test_run_unknown_preset(capsys):
@@ -206,16 +222,26 @@ def test_compare(tmp_path, capsys):
 
 
 def test_compare_bad_seed_list(capsys):
-    code = main(["compare", "--a", "x", "--b", "y", "--seeds", "0,oops"])
-    assert code == 2
-    assert "seed list" in capsys.readouterr().err
+    err = _refused_by_parser(capsys, ["compare", "--a", "x", "--b", "y", "--seeds", "0,oops"])
+    assert "seed list" in err and "'oops' is not a seed" in err
 
 
 @pytest.mark.parametrize("seeds", ["0,,1", "0,1,", ",0", " "])
 def test_compare_blank_seed_rejected(capsys, seeds):
     # blank items used to be dropped, so "0,,1," ran seeds 0 and 1
-    assert main(["compare", "--a", "x", "--b", "y", "--seeds", seeds]) == 2
-    assert capsys.readouterr().err == f"error: could not parse seed list '{seeds}'\n"
+    err = _refused_by_parser(capsys, ["compare", "--a", "x", "--b", "y", "--seeds", seeds])
+    item = " " if seeds == " " else ""
+    assert err == (
+        f"pfops compare: error: argument --seeds: could not parse seed list '{seeds}': "
+        f"'{item}' is not a seed (ASCII decimal digits)"
+    )
+
+
+@pytest.mark.parametrize("seeds, item", [("1_0", "1_0"), ("0, 1", " 1"), ("0,\u0663", "\u0663")])
+def test_compare_seeds_are_ascii_digits(capsys, seeds, item):
+    # int() would run "1_0" as seed 10, and " 1" and the Arabic-Indic three as 1 and 3
+    err = _refused_by_parser(capsys, ["compare", "--a", "x", "--b", "y", "--seeds", seeds])
+    assert err.endswith(f"seed list '{seeds}': '{item}' is not a seed (ASCII decimal digits)")
 
 
 def test_compare_problem_mismatch(capsys):

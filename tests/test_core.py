@@ -1197,7 +1197,7 @@ class TestCoordinateSumPath:
     def test_complex_term_at_proposals_refused(self):
         self._sweep_raises(
             lambda x: x + 0j if x.ndim == 1 else x,
-            r"^the output of objective f2 of problem 'moves' must be real numbers, "
+            r"^the term of objective f2 of problem 'moves' must be real numbers, "
             r"got dtype complex128$",
         )
 

@@ -8,6 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import pfops.core as core
 import pfops.experiments as experiments
 import pfops.nsga2 as nsga2
 import pfops.problems as problems
@@ -15,6 +16,7 @@ from pfops.core import PfopsConfig
 from pfops.errors import InvalidConfigError, InvalidInputError, NotFoundError
 from pfops.experiments import (
     PRESETS,
+    ComparisonResult,
     ExperimentPreset,
     REFERENCE_RESOLUTION,
     RunReport,
@@ -170,6 +172,20 @@ class TestRunPreset:
         with pytest.raises(NotFoundError, match="pfops-convex-sufficient"):
             run_preset("nonexistent", 0)
 
+    def test_optimizers_looked_up_at_call_time(self, monkeypatch):
+        # a tracer replaces core.run and nsga2.evolve on their modules; a run
+        # that held the function objects would miss the replacements
+        calls = []
+        for module, name in ((core, "run"), (nsga2, "evolve")):
+            def counting(cfg, problem, original=getattr(module, name), name=name):
+                calls.append((name, cfg.seed))
+                return original(cfg, problem)
+
+            monkeypatch.setattr(module, name, counting)
+        run_preset("pfops-convex-under", 5)
+        run_preset("nsga2-convex-under", 6)
+        assert calls == [("run", 5), ("evolve", 6)]
+
     def test_deterministic_apart_from_wall_time(self):
         a = run_preset("pfops-convex-under", 7)
         b = run_preset("pfops-convex-under", 7)
@@ -298,6 +314,44 @@ class TestCompare:
         monkeypatch.setattr(experiments, "run_preset", counting)
         experiments.compare("pfops-convex-under", "nsga2-convex-under", [0, 1, 2, 3])
         assert len(calls) == 8
+        # every seed of preset a, then every seed of preset b
+        assert calls == [("pfops-convex-under", s) for s in range(4)] + [
+            ("nsga2-convex-under", s) for s in range(4)
+        ]
+
+    def test_row_keys(self):
+        result = compare("pfops-convex-under", "nsga2-convex-under", [0])
+        paired = [f"{m}_{side}" for m in experiments._COMPARE_METRICS for side in "ab"]
+        assert list(result.rows[0]) == ["seed", *paired]
+        assert list(result.medians) == paired
+
+    def test_csv_bytes(self, tmp_path):
+        # seeds written as str, every other value as repr: 0.1 + 0.2 needs 17 digits
+        result = ComparisonResult(
+            preset_a="pa",
+            preset_b="pb",
+            rows=[
+                {"seed": 3, "igd_a": 0.1 + 0.2, "igd_b": 2.0, "hypervolume_a": 1 / 3,
+                 "hypervolume_b": 0.0, "eval_count_a": 200, "eval_count_b": 40,
+                 "wall_time_a": 1e-05, "wall_time_b": 12.5},
+                {"seed": 10, "igd_a": 0.5, "igd_b": 1e300, "hypervolume_a": 7.0,
+                 "hypervolume_b": 2.25, "eval_count_a": 200, "eval_count_b": 42,
+                 "wall_time_a": 0.25, "wall_time_b": 3.0},
+            ],
+            medians={"igd_a": 0.4, "igd_b": 5e299, "hypervolume_a": 3.6666666666666665,
+                     "hypervolume_b": 1.125, "eval_count_a": 200.0, "eval_count_b": 41.0,
+                     "wall_time_a": 0.125005, "wall_time_b": 7.75},
+            summary="",
+        )
+        path = tmp_path / "cmp.csv"
+        write_comparison_csv(result, path)
+        assert path.read_bytes() == (
+            b"seed,igd:pa,igd:pb,hypervolume:pa,hypervolume:pb,eval_count:pa,eval_count:pb,"
+            b"wall_time:pa,wall_time:pb\n"
+            b"3,0.30000000000000004,2.0,0.3333333333333333,0.0,200,40,1e-05,12.5\n"
+            b"10,0.5,1e+300,7.0,2.25,200,42,0.25,3.0\n"
+            b"median,0.4,5e+299,3.6666666666666665,1.125,200.0,41.0,0.125005,7.75\n"
+        )
 
     def test_medians_match_columns(self, tmp_path):
         result = compare("pfops-convex-under", "nsga2-convex-under", [0, 1, 2])

@@ -494,6 +494,76 @@ def test_coordinate_sum_term_of_the_wrong_shape_rejected_and_uncounted():
     assert p.counter.count == 0
 
 
+# a term's output that the array rule refuses, and the end of the message
+_BAD_TERMS = {
+    "ragged": (lambda x: [[0.0, 0.0], [0.0]], r" cannot be read as an array: .*inhomogeneous"),
+    "none": (lambda x: [None] * len(x), r" must be real numbers, got dtype object"),
+    "strings": (lambda x: x.astype(str), r" must be real numbers, got dtype <U\d+"),
+    "complex": (lambda x: x + 0j, r" must be real numbers, got dtype complex128"),
+}
+
+
+@pytest.mark.parametrize("case", list(_BAD_TERMS))
+def test_term_read_by_the_array_rule(case):
+    # a ragged list and None values used to escape as numpy's raw ValueError
+    # and TypeError, and strings were concatenated before the output check
+    bad, ending = _BAD_TERMS[case]
+    p = BiObjectiveProblem("t", 2, [0.0, 0.0], [1.0, 1.0], lambda x: x[:, 0].copy(),
+                           CoordinateSum(bad))
+    with pytest.raises(InvalidInputError, match=rf"^the term of objective f2 of problem 't'{ending}"):
+        p.evaluate_batch([[0.5, 0.5], [0.2, 0.2]])
+    assert p.counter.count == 0
+    with pytest.raises(InvalidInputError, match=rf"^the term of a CoordinateSum{ending}"):
+        p.f2(np.array([[0.5, 0.5], [0.2, 0.2]]))
+
+
+@pytest.mark.parametrize("case", list(_BAD_TERMS))
+def test_term_at_proposals_read_by_the_array_rule(case):
+    # the term is sound on the whole population and faulty on the one column
+    # a Metropolis proposal moves, so run reaches the one-column path; the
+    # refused batch is not counted
+    class Stop(Exception):
+        pass
+
+    def make(on_column):
+        def term(x):
+            return on_column(x) if x.ndim == 1 else np.cos(x)
+        return BiObjectiveProblem("t", 2, [0.0, 0.0], [1.0, 1.0], lambda x: x[:, 0].copy(),
+                                  CoordinateSum(term))
+
+    def stop(x):
+        raise Stop
+
+    cfg = PfopsConfig(n_targets=3, n_particles=8, sigma=1e-3, metropolis_enabled=True)
+    stopped = make(stop)
+    with pytest.raises(Stop):
+        run(cfg, stopped)
+    bad, ending = _BAD_TERMS[case]
+    p = make(bad)
+    with pytest.raises(InvalidInputError, match=rf"^the term of objective f2 of problem 't'{ending}"):
+        run(cfg, p)
+    assert p.counter.count == stopped.counter.count > 0
+
+
+@pytest.mark.parametrize("big, small, dtype", [(1.0, 2.0**-30, np.float32), (2**53, 1, np.int64)])
+def test_term_summed_in_float64(big, small, dtype):
+    # a float32 or integer term is read as float64 before its columns are
+    # added, so the sum differs from the one in the term's own dtype
+    def term(x):
+        return np.where(x > 0.5, big, small).astype(dtype)
+
+    x = np.array([[0.75, 0.25, 0.25]])
+    t = term(x)
+    native = float(t[0, 0] + t[0, 1] + t[0, 2])
+    wide = t.astype(float)
+    expected = float(wide[0, 0] + wide[0, 1] + wide[0, 2])
+    assert native != expected
+    f2 = CoordinateSum(term)
+    p = BiObjectiveProblem("t", 3, [0.0] * 3, [1.0] * 3, lambda x: x[:, 0].copy(), f2)
+    for values in (f2(x), p.evaluate_batch(x)[:, 1]):
+        assert values.dtype == np.float64 and values.tolist() == [expected]
+
+
 def _one_message_from_every_caller(f1, f2):
     """The one error text that evaluate_batch, NSGA-II, PFOPS's run and the
     Metropolis sweep raise for problem 'moves' with objectives f1 and f2, each
