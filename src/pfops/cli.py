@@ -45,7 +45,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
     ref = sub.add_parser("reference", help="regenerate a reference front CSV")
     ref.add_argument("--problem", required=True, choices=tuple(pareto.BENCHMARKS))
-    ref.add_argument("--resolution", required=True, type=int)
+    ref.add_argument(
+        "--resolution", required=True, type=_resolution,
+        help="points per grid axis, ASCII decimal digits",
+    )
     ref.add_argument("--out", help="output CSV path (default: ./<problem>_front_<n>.csv)")
     ref.set_defaults(handler=_cmd_reference)
 
@@ -53,12 +56,20 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _seed(text: str) -> int:
-    """A seed as typed: ASCII decimal digits, where ``int`` would also read
+def _digits(text: str, what: str) -> int:
+    """A count as typed: ASCII decimal digits, where ``int`` would also read
     "1_0" as 10, " 3" as 3 and the Arabic-Indic digit three as 3."""
     if not re.fullmatch("[0-9]+", text):
-        raise argparse.ArgumentTypeError(f"'{text}' is not a seed (ASCII decimal digits)")
+        raise argparse.ArgumentTypeError(f"'{text}' is not a {what} (ASCII decimal digits)")
     return int(text)
+
+
+def _seed(text: str) -> int:
+    return _digits(text, "seed")
+
+
+def _resolution(text: str) -> int:
+    return _digits(text, "resolution")
 
 
 def _seed_list(text: str) -> list[int]:

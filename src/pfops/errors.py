@@ -2,7 +2,7 @@
 
 Each rule is a predicate that its callers wrap in their own error class and
 message; :func:`check_integer` is the config form of :func:`is_integer`,
-:func:`check_sizable` bounds a config count by the arrays it sizes,
+:func:`check_sizable` bounds a count by the arrays it sizes,
 :func:`check_instance` checks an argument's type and :func:`check_key` a registry name.
 :func:`as_real_array` is the one rule for array inputs at the public boundary.
 """
@@ -59,12 +59,14 @@ def check_integer(name: str, value: object, minimum: int) -> int:
     return int(value)
 
 
-def check_sizable(name: str, count: int, row_items: int) -> None:
-    """Reject a config count whose array of ``count`` rows of ``row_items``
+def check_sizable(
+    name: str, count: int, row_items: int, error: type[PfopsError] = InvalidConfigError
+) -> None:
+    """Raise ``error`` for a count whose array of ``count`` rows of ``row_items``
     float64 values numpy cannot size: numpy refuses such a shape with a bare
     ValueError before it allocates anything."""
     if int(count) * int(row_items) * 8 > np.iinfo(np.intp).max:  # no numpy int overflow
-        raise InvalidConfigError(
+        raise error(
             f"{name} is too large: numpy cannot size {count} x {row_items} float64 values"
         )
 

@@ -20,7 +20,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import InvalidInputError, as_real_array, check_key, is_finite_pair, is_integer
+from .errors import InvalidInputError, as_real_array, check_key, check_sizable, is_finite_pair
+from .errors import is_integer
 from .problems import _INV_SQRT2, fonseca_fleming_problem, kursawe_problem
 
 _DATA_DIR = Path(__file__).parent / "data"
@@ -243,13 +244,16 @@ class Benchmark:
     front: Callable[[int], np.ndarray]
     resolution: int
     hv_ref: tuple[float, float]
+    # front(r)'s largest array: r ** grid_axes rows of row_items float64 values
+    grid_axes: int = 1
+    row_items: int = 2
 
 
 # the scoring record of each problem in problems.PROBLEM_FACTORIES
 BENCHMARKS = {
     "convex": Benchmark(_convex_front, 100, (60.0, 60.0)),
     "fonseca": Benchmark(_fonseca_front, 200, (1.1, 1.1)),
-    "kursawe": Benchmark(_kursawe_grid_front, 201, (-14.0, 1.0)),
+    "kursawe": Benchmark(_kursawe_grid_front, 201, (-14.0, 1.0), grid_axes=2, row_items=3),
 }
 
 
@@ -267,12 +271,15 @@ def reference_front(name: str, resolution: int, *, rebuild: bool = False) -> np.
     ``rebuild=True`` builds a new, writable array from the benchmark's
     :class:`Benchmark` record, reading neither a shipped CSV nor the cache.
     A name not in :data:`BENCHMARKS`, an unhashable one included, raises
-    NotFoundError, and a resolution that is not an integer >= 2 (numpy
-    integers pass) raises InvalidInputError.
+    NotFoundError. A resolution that is not an integer >= 2 (numpy integers
+    pass), or one so large that numpy cannot size the build's largest array,
+    raises InvalidInputError before anything is allocated.
     """
     benchmark = check_key(BENCHMARKS, name, "benchmark")
     if not is_integer(resolution, 2):
         raise InvalidInputError(f"resolution must be an integer >= 2, got {resolution!r}")
+    rows = int(resolution) ** benchmark.grid_axes  # a plain int cannot overflow
+    check_sizable("resolution", rows, benchmark.row_items, InvalidInputError)
     if rebuild:
         return benchmark.front(int(resolution))
     return _cached_front(name, int(resolution))

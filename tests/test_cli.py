@@ -280,6 +280,23 @@ def test_reference_rejects_resolution_below_two(capsys):
     assert capsys.readouterr().err == "error: resolution must be an integer >= 2, got 1\n"
 
 
+@pytest.mark.parametrize("resolution", ["1_0", " 5", "5 ", "+5", "\uff13", "5.0", ""])
+def test_reference_resolution_is_ascii_digits(capsys, resolution):
+    # int() reads each of these but "5.0" and "": "1_0" wrote a 10-point front
+    err = _refused_by_parser(capsys, ["reference", "--problem", "convex", "--resolution", resolution])
+    assert err.endswith(
+        f"argument --resolution: '{resolution}' is not a resolution (ASCII decimal digits)"
+    )
+
+
+def test_reference_rejects_unsizable_resolution(capsys):
+    # np.linspace refused it with a bare ValueError, printed as a traceback
+    assert main(["reference", "--problem", "convex", "--resolution", "9" * 20]) == 1
+    assert capsys.readouterr().err == (
+        f"error: resolution is too large: numpy cannot size {'9' * 20} x 2 float64 values\n"
+    )
+
+
 def test_reference_rejects_unknown_problem():
     with pytest.raises(SystemExit) as excinfo:
         main(["reference", "--problem", "zdt1", "--resolution", "5"])

@@ -1,3 +1,5 @@
+import dataclasses
+import math
 import re
 from pathlib import Path
 
@@ -425,6 +427,49 @@ class TestReferenceFronts:
             reference_front(name, resolution)
         with pytest.raises(error, match=f"^{re.escape(str(cached.value))}$"):
             reference_front(name, resolution, rebuild=True)
+
+    # the largest resolution whose build numpy can size: its largest array
+    # holds resolution ** grid_axes rows of row_items float64 values
+    _LARGEST = {
+        "convex": np.iinfo(np.intp).max // (2 * 8),
+        "fonseca": np.iinfo(np.intp).max // (2 * 8),
+        "kursawe": math.isqrt(np.iinfo(np.intp).max // (3 * 8)),
+    }
+
+    def _unbuildable(self, monkeypatch, name):
+        """Replace ``name``'s builder by one that records each call and builds nothing."""
+        calls = []
+
+        def front(resolution):
+            calls.append(resolution)
+            return np.zeros((0, 2))
+
+        monkeypatch.setitem(BENCHMARKS, name, dataclasses.replace(BENCHMARKS[name], front=front))
+        return calls
+
+    @pytest.mark.parametrize("rebuild", [False, True])
+    @pytest.mark.parametrize("name", tuple(BENCHMARKS))
+    def test_unsizable_resolution_rejected_before_building(self, monkeypatch, name, rebuild):
+        # np.linspace used to refuse 10**20 points with a bare ValueError
+        calls = self._unbuildable(monkeypatch, name)
+        for resolution in (99999999999999999999, self._LARGEST[name] + 1):
+            with pytest.raises(InvalidInputError, match="^resolution is too large: numpy cannot size "):
+                reference_front(name, resolution, rebuild=rebuild)
+        assert calls == []
+
+    @pytest.mark.parametrize("name", tuple(BENCHMARKS))
+    def test_largest_sizable_resolution_reaches_the_builder(self, monkeypatch, name):
+        calls = self._unbuildable(monkeypatch, name)
+        reference_front(name, np.int64(self._LARGEST[name]), rebuild=True)
+        assert calls == [self._LARGEST[name]]
+
+    @pytest.mark.parametrize("name", tuple(BENCHMARKS))
+    def test_one_more_point_is_what_numpy_cannot_size(self, name):
+        # numpy refuses this shape before allocating anything
+        record = BENCHMARKS[name]
+        shape = ((self._LARGEST[name] + 1) ** record.grid_axes, record.row_items)
+        with pytest.raises(ValueError, match="array is too big"):
+            np.empty(shape)
 
 
 class TestBenchmarks:

@@ -465,6 +465,13 @@ def test_kernels_bit_identical_to_axis_reductions(name):
             assert got.shape == want.shape == (len(rows),)
             assert got.dtype == want.dtype == np.float64
             assert got.tobytes() == want.tobytes()
+    # nor do a kernel's bits depend on the batch's memory layout: Kursawe's f1
+    # copies the batch to coordinate rows, which a Fortran-ordered batch or a
+    # strided view of rows must reach with the same values
+    for kernel in (p.f1, p.f2):
+        want = kernel(x)
+        assert kernel(np.asfortranarray(x)).tobytes() == want.tobytes()
+        assert kernel(x[::3]).tobytes() == want[::3].tobytes()
 
 
 def test_kursawe_term_is_elementwise():
