@@ -58,10 +58,17 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _digits(text: str, what: str) -> int:
     """A count as typed: ASCII decimal digits, where ``int`` would also read
-    "1_0" as 10, " 3" as 3 and the Arabic-Indic digit three as 3."""
+    "1_0" as 10, " 3" as 3 and the Arabic-Indic digit three as 3. More digits
+    than Python converts to an int are refused by their number, not echoed."""
     if not re.fullmatch("[0-9]+", text):
         raise argparse.ArgumentTypeError(f"'{text}' is not a {what} (ASCII decimal digits)")
-    return int(text)
+    try:
+        return int(text)
+    except ValueError:  # Python's limit on the digits of a decimal string
+        raise argparse.ArgumentTypeError(
+            f"a {what} of {len(text)} digits is too long: Python reads at most "
+            f"{sys.get_int_max_str_digits()} digits"
+        ) from None
 
 
 def _seed(text: str) -> int:

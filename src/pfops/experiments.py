@@ -249,16 +249,15 @@ def write_comparison_csv(result: ComparisonResult, path: str | Path) -> None:
 
 
 def _plot_points(name: str, points: np.ndarray) -> np.ndarray:
-    """``points`` read by :func:`pareto.as_front`, every value finite; a bad
-    shape or the first row holding a NaN or an infinity raises
+    """``points`` read by :func:`pareto.as_front`, every value finite: what
+    it refuses, and the first row holding an infinity, raise
     InvalidInputError naming ``name``."""
     try:
         points = pareto.as_front(points)
     except InvalidInputError as exc:
         raise InvalidInputError(f"{name}: {exc}") from None
-    bad = np.flatnonzero(~np.isfinite(points).all(axis=1))
-    if len(bad):
-        i = int(bad[0])
+    if np.isinf(points).any():
+        i = int(np.isinf(points).any(axis=1).argmax())
         raise InvalidInputError(f"{name}: row {i} is not finite: {points[i].tolist()}")
     return points
 
@@ -272,9 +271,9 @@ def emit_front_svg(
     """Scatter of each labelled front over the reference front as a polyline.
 
     ``fronts`` maps a legend label to an (n, 2) front, in plotting order.
-    Each front and the reference are read by :func:`pareto.as_front`; a
-    front of another shape, or with a NaN or infinite value, raises
-    InvalidInputError naming its label.
+    Each front and the reference are read by :func:`pareto.as_front`; what
+    it refuses, and a front with an infinite value, raise InvalidInputError
+    naming its label.
     Self-contained SVG: one marker group per front (distinct color), axis
     labels, and a legend of the labels.
     """

@@ -1,11 +1,12 @@
 """Pareto-dominance primitives, reference fronts, and quality metrics.
 
 All fronts are (n, 2) float arrays of objective vectors under minimization;
-:func:`as_front` is the one shape check. Ranking is one sort and one sweep
-per front (:func:`peel_fronts`); :func:`nondominated_mask` is its first
-front, and NSGA-II ranks with it too. The mask keeps duplicates (identical
-vectors do not dominate each other) and has one entry per input row, so
-``points[mask]`` keeps the input order. :class:`ParetoArchive`, the
+:func:`as_front` is the one front rule, refusing another shape or a NaN
+row, and every front reader goes through it. Ranking is one sort and one
+sweep per front (:func:`peel_fronts`); :func:`nondominated_mask` is its
+first front, and NSGA-II ranks with it too. The mask keeps duplicates
+(identical vectors do not dominate each other) and has one entry per input
+row, so ``points[mask]`` keeps the input order. :class:`ParetoArchive`, the
 decisions and front that both optimizers return, lives here too; numeric
 arguments are checked by the shared rules of :mod:`pfops.errors`.
 """
@@ -50,25 +51,24 @@ def dominates(a: np.ndarray, b: np.ndarray) -> bool:
 
 def as_front(points: np.ndarray) -> np.ndarray:
     """``points`` as a float (n, 2) array of objective vectors, read by
-    :func:`~pfops.errors.as_real_array` as ``front``.
+    :func:`~pfops.errors.as_real_array` as ``front``: the one front rule.
 
     An empty input gives shape (0, 2) and a single (2,) vector one row; any
-    other shape raises InvalidInputError naming it.
+    other shape raises InvalidInputError naming it. So does a row holding a
+    NaN, which no dominance order holds for, named by its index. Infinite
+    values pass.
     """
     points = as_real_array("front", points)
-    if points.ndim == 2 and points.shape[1] == 2:
-        return points
-    if points.size == 0 or points.shape == (2,):
-        return points.reshape(-1, 2)
-    raise InvalidInputError(f"expected an (n, 2) array, got shape {points.shape}")
-
-
-def _reject_nan_rows(points: np.ndarray) -> None:
-    """InvalidInputError naming the first NaN row of an (n, 2) front, which
-    no dominance order holds for; one reduction, the NaN-propagating min."""
-    if len(points) and math.isnan(points.min()):
+    if points.ndim != 2 or points.shape[1] != 2:
+        if points.size and points.shape != (2,):
+            raise InvalidInputError(f"expected an (n, 2) array, got shape {points.shape}")
+        points = points.reshape(-1, 2)
+    # NaN is the one value unequal to itself; counting those is cheaper than
+    # a min or np.isnan(...).any() on the many small fronts NSGA-II crowds
+    if np.count_nonzero(points != points):
         i = int(np.flatnonzero(np.isnan(points).any(axis=1))[0])
         raise InvalidInputError(f"row {i} contains NaN: {points[i].tolist()}")
+    return points
 
 
 def _first_front(f1: np.ndarray, f2: np.ndarray) -> np.ndarray:
@@ -94,18 +94,16 @@ def peel_fronts(points: np.ndarray) -> Iterator[np.ndarray]:
     """Yield the ranked fronts of an (n, 2) array, front 0 (the non-dominated
     rows) first, each as an ascending index array.
 
-    The shape (as :func:`as_front` reads it) and NaN rows are checked once,
-    and the points are sorted once by (f1, f2, index). Removing a front
+    The points are read once by :func:`as_front`, which refuses a bad shape
+    or a NaN row, and sorted once by (f1, f2, index). Removing a front
     leaves the rest of that order sorted, so each later front is one sweep
     over what is left, with no re-sort: for two objectives one sort is
     enough (Jensen 2003, IEEE TEVC 7(5)). A pass always removes the first
     point left, which nothing dominates. Exact duplicates share a front.
-    Infinite values are ordered like any other; a NaN row raises
-    InvalidInputError, since no dominance order holds for it. The generator
-    is lazy: a caller that stops early pays only for the fronts it took.
+    Infinite values are ordered like any other. The generator is lazy: a
+    caller that stops early pays only for the fronts it took.
     """
     points = as_front(points)
-    _reject_nan_rows(points)
     left = np.lexsort((np.arange(len(points)), points[:, 1], points[:, 0]))
     f1 = points[left, 0]
     f2 = points[left, 1]
@@ -119,7 +117,7 @@ def peel_fronts(points: np.ndarray) -> Iterator[np.ndarray]:
 def nondominated_mask(points: np.ndarray) -> np.ndarray:
     """Boolean mask of the non-dominated rows of an (n, 2) array: the first
     front of :func:`peel_fronts`, O(n log n). Exact duplicates survive; a
-    NaN row raises InvalidInputError.
+    NaN row raises InvalidInputError, as :func:`as_front` says.
     """
     points = as_real_array("points", points)
     if points.ndim != 2 and points.size:  # one mask entry per row of the input
@@ -138,15 +136,13 @@ def igd(estimate: np.ndarray, reference: np.ndarray) -> float:
     reference point to its nearest estimate point. Lower is better, 0 is exact.
 
     Both fronts are read by :func:`as_front`, so a single point may be given
-    as a (2,) vector and any shape other than (n, 2) raises InvalidInputError;
-    an empty front or a NaN row in either raises it too.
+    as a (2,) vector, and a shape other than (n, 2) or a NaN row in either
+    raises InvalidInputError; an empty front raises it too.
     """
     estimate = as_front(estimate)
     reference = as_front(reference)
     if len(estimate) == 0 or len(reference) == 0:
         raise InvalidInputError("igd requires non-empty estimate and reference fronts")
-    _reject_nan_rows(estimate)
-    _reject_nan_rows(reference)
     # each block of reference rows against every estimate point, in two
     # temporaries of about _IGD_BLOCK_ENTRIES entries that stay in cache,
     # where two full (n_ref, n_est) arrays do not: at 151 x 200, in the
@@ -175,9 +171,8 @@ def hypervolume_2d(front: np.ndarray, ref_point: np.ndarray) -> float:
     Every front point must be strictly below the reference point in both
     objectives. Sorts on f1 and sums rectangular strips; dominated or
     duplicate members contribute nothing extra. The front is read by
-    :func:`as_front`, which rejects a shape other than (n, 2); a NaN row,
-    and a ``ref_point`` that is not two finite numbers, raise
-    InvalidInputError.
+    :func:`as_front`, which rejects a shape other than (n, 2) or a NaN row;
+    a ``ref_point`` that is not two finite numbers raises InvalidInputError.
     """
     if not is_finite_pair(ref_point):
         raise InvalidInputError(f"ref_point must be two finite numbers, got {ref_point!r}")
@@ -185,7 +180,6 @@ def hypervolume_2d(front: np.ndarray, ref_point: np.ndarray) -> float:
     r1, r2 = float(ref_point[0]), float(ref_point[1])
     if len(front) == 0:
         return 0.0
-    _reject_nan_rows(front)
     offenders = np.flatnonzero(~((front[:, 0] < r1) & (front[:, 1] < r2)))
     if len(offenders) > 0:
         i = int(offenders[0])
@@ -300,7 +294,9 @@ def _format_value(x: float) -> str:
 
 def write_front_csv(points: np.ndarray, path: str | Path) -> None:
     """Write a front as CSV: header ``f1,f2``, rows sorted ascending by f1,
-    values in full round-trip precision."""
+    values in full round-trip precision. The front is read by
+    :func:`as_front`, so a bad shape or a NaN row raises InvalidInputError
+    and writes no file."""
     points = as_front(points)
     if len(points) > 0:
         points = points[np.argsort(points[:, 0], kind="stable")]
@@ -312,7 +308,8 @@ def write_front_csv(points: np.ndarray, path: str | Path) -> None:
 def read_front_csv(path: str | Path) -> np.ndarray:
     """Read a front written by :func:`write_front_csv`: the header ``f1,f2``,
     then one row of two numbers per point; blank lines are skipped. A row
-    that is not two numbers, or a file that is not UTF-8 text, raises
+    that is not two numbers or that holds a NaN (the rule of
+    :func:`as_front`), or a file that is not UTF-8 text, raises
     InvalidInputError naming the file (and the row's line number)."""
     try:
         text = Path(path).read_text(encoding="utf-8")
@@ -329,5 +326,7 @@ def read_front_csv(path: str | Path) -> np.ndarray:
             raise InvalidInputError(
                 f"{path}, line {number}: expected two numbers, got {line!r}"
             ) from None
+        if math.isnan(f1) or math.isnan(f2):
+            raise InvalidInputError(f"{path}, line {number}: contains NaN: {line!r}")
         rows.append((f1, f2))
     return np.array(rows, dtype=float).reshape(-1, 2)

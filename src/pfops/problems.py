@@ -49,9 +49,8 @@ numpy runs as one 2-element inner loop per row; on coordinate rows every
 operation is one contiguous loop. The operations and their order are
 unchanged, so the bits are too, whatever the batch's memory layout. On a
 500 x 3 batch (one Xeon core, numpy 2.4) that add took 8.8 of the call's
-16 us, against 1.3 us on rows plus 1.2 us for the copy; the call now takes
-10 us, and a pfops-kursawe bench run 0.160 s instead of 0.169 s. Carrying
-the CoordinateSum term matrices as (d, n) as well, scattered back with
+16 us, against 1.3 us on rows plus 1.2 us for the copy. Carrying the
+CoordinateSum term matrices as (d, n) as well, scattered back with
 ``copyto`` in the sweep, was measured at no gain (median ratio 0.99-1.00).
 
 An objective that is a sum of one term per coordinate can be given as a

@@ -1,6 +1,7 @@
 import argparse
 import dataclasses
 import json
+import sys
 
 import numpy as np
 import pytest
@@ -295,6 +296,27 @@ def test_reference_rejects_unsizable_resolution(capsys):
     assert capsys.readouterr().err == (
         f"error: resolution is too large: numpy cannot size {'9' * 20} x 2 float64 values\n"
     )
+
+
+@pytest.mark.parametrize(
+    "argv, prefix",
+    [
+        (["run", "--preset", "pfops-convex-under", "--seed"], ""),
+        (["compare", "--a", "x", "--b", "y", "--seeds"], "0,"),
+        (["reference", "--problem", "convex", "--resolution"], ""),
+    ],
+    ids=["seed", "seeds", "resolution"],
+)
+def test_count_past_the_int_digit_limit_refused(capsys, argv, prefix):
+    # int() raised its digit-limit ValueError, which argparse reported as
+    # "invalid _resolution value: '999...'" (or _seed, _seed_list)
+    limit = sys.get_int_max_str_digits()
+    with pytest.raises(SystemExit) as excinfo:
+        main(argv + [prefix + "9" * (limit + 1)])
+    assert excinfo.value.code == 2
+    err = capsys.readouterr().err
+    assert not any(name in err for name in ("_seed", "_resolution", "_seed_list"))
+    assert err.endswith(f"of {limit + 1} digits is too long: Python reads at most {limit} digits\n")
 
 
 def test_reference_rejects_unknown_problem():

@@ -1094,6 +1094,91 @@ class TestMovesOnDifferential:
                     assert counts == (2 * n_targets * n_particles * (1 + dim),) * 2
 
 
+def mutually_nondominated(front):
+    """True iff no row of ``front`` dominates another, by pairwise comparison."""
+    no_worse = (front[:, None, :] <= front[None, :, :]).all(axis=2)
+    better = (front[:, None, :] < front[None, :, :]).any(axis=2)
+    return not (no_worse & better).any()
+
+
+def infinite_on_part(make_problem, hits):
+    """``make_problem()`` with f1 at +inf where a coordinate lies in the top
+    quarter of its range or above: a row-wise f1 on its first coordinate, a
+    CoordinateSum's term above one cut, which leaves at most a quarter of
+    each coordinate's range. Each call appends whether it gave an +inf."""
+    problem = make_problem()
+    span = problem.upper - problem.lower
+
+    def infinite(mask, values):
+        hits.append(bool(mask.any()))
+        return np.where(mask, np.inf, values)
+
+    if isinstance(problem.f1, CoordinateSum):
+        cut = (problem.upper - 0.25 * span).max()
+        f1 = CoordinateSum(lambda x, term=problem.f1.term: infinite(x > cut, term(x)))
+    else:
+        cut = problem.upper[0] - 0.25 * span[0]
+        f1 = lambda x, f=problem.f1: infinite(x[:, 0] > cut, f(x))  # noqa: E731
+    return replace(problem, f1=f1)
+
+
+class TestRunInvariants:
+    """What every archive holds, whatever the oracles above compute: its
+    decisions lie in the box, its front has the bits of a fresh evaluation
+    of them, and with the final filter on no member dominates another."""
+
+    @staticmethod
+    def assert_invariants(cfg, make_problem):
+        archive, _ = run(cfg, make_problem())
+        problem = make_problem()
+        x = archive.decisions
+        assert len(archive) and x.shape == (len(archive), problem.dim)
+        assert ((problem.lower <= x) & (x <= problem.upper)).all()
+        assert_same_bits(archive.front, problem.evaluate_batch(x))
+        if cfg.final_filter_enabled:
+            assert mutually_nondominated(archive.front)
+
+    @staticmethod
+    def configs(kind, moves):
+        # seed s gives d = 1 + s % 5; the filter is off at odd seeds, and the
+        # sweep's sigma runs from 1e-3 to 10 over the seeds
+        utopian = (-30.0, -30.0) if kind is ScalarizationKind.TCHEBYCHEFF else None
+        for seed, sigma in enumerate(np.geomspace(1e-3, 10.0, 10)):
+            yield seed, PfopsConfig(
+                n_targets=2 + seed % 7, n_particles=1 + 3 * (seed % 4), sigma=sigma,
+                metropolis_enabled=moves, final_filter_enabled=seed % 2 == 0, seed=seed,
+                scalarization_kind=kind, utopian=utopian,
+            )
+
+    @GENERATED_FORMS
+    @pytest.mark.parametrize("kind", list(ScalarizationKind))
+    @pytest.mark.parametrize("moves", [False, True], ids=["moves-off", "moves-on"])
+    def test_archive_in_box_freshly_evaluated_nondominated(self, forms, kind, moves):
+        for seed, cfg in self.configs(kind, moves):
+            self.assert_invariants(cfg, partial(generated_problem, seed, forms))
+
+    @GENERATED_FORMS
+    @pytest.mark.parametrize("moves", [False, True], ids=["moves-off", "moves-on"])
+    def test_weighted_sum_finishes_where_an_objective_is_infinite(self, forms, moves):
+        # +inf is a density of zero under every target that weights f1, so
+        # those particles are never drawn and their proposals never accepted.
+        # The run stops only when every first-step particle is at +inf (here
+        # a lone particle, at 2 of 10 seeds at most), and says so
+        hits = []
+        finished = 0
+        for seed, cfg in self.configs(ScalarizationKind.WEIGHTED_SUM, moves):
+            make_problem = partial(infinite_on_part, partial(generated_problem, seed, forms), hits)
+            try:
+                self.assert_invariants(cfg, make_problem)
+                finished += 1
+            except DegenerateWeightsError as exc:
+                assert str(exc) == "every particle has zero density under the current target"
+                problem = make_problem()
+                first = initialize(cfg, problem, np.random.default_rng(cfg.seed)).particles
+                assert np.isinf(problem.evaluate_batch(first)[:, 0]).all()
+        assert any(hits) and finished >= 8
+
+
 def sum_problem_1d():
     """Both objectives CoordinateSums in one variable: each move replaces the
     only term."""

@@ -446,12 +446,14 @@ class TestEmitters:
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_svg_non_finite_point_names_label_and_row(self, tmp_path, bad):
-        # used to write nan into the coordinates, with a RuntimeWarning
+        # used to write nan into the coordinates, with a RuntimeWarning; a NaN
+        # row is refused by as_front's rule, an infinity by the plot's own
         front = np.array([[1.0, 2.0], [bad, 3.0]])
         path = tmp_path / "x.svg"
-        with pytest.raises(InvalidInputError, match=r"^front 'run': row 1 is not finite"):
+        reason = r"contains NaN: \[nan, 3\.0\]$" if np.isnan(bad) else "is not finite"
+        with pytest.raises(InvalidInputError, match=rf"^front 'run': row 1 {reason}"):
             emit_front_svg({"good": np.array([[1.0, 2.0]]), "run": front}, np.zeros((0, 2)), path)
-        with pytest.raises(InvalidInputError, match=r"^reference: row 1 is not finite"):
+        with pytest.raises(InvalidInputError, match=rf"^reference: row 1 {reason}"):
             emit_front_svg({"good": np.array([[1.0, 2.0]])}, front, path)
         assert not path.exists()
 

@@ -9,6 +9,7 @@ from scipy.spatial.distance import cdist
 
 import pfops.pareto as pareto
 from pfops.errors import InvalidInputError, NotFoundError
+from pfops.nsga2 import crowding_distance
 from pfops.pareto import (
     BENCHMARKS,
     as_front,
@@ -183,10 +184,44 @@ class TestPeelFronts:
         with pytest.raises(InvalidInputError, match=rf"shape \({shape[0]},"):
             as_front(np.ones(shape))
 
+    def test_front_rule_on_a_single_vector_and_infinities(self):
+        # a (2,) vector is one row, NaN rule included; infinities of either sign pass
+        with pytest.raises(InvalidInputError, match=r"^row 0 contains NaN: \[nan, nan\]$"):
+            as_front([np.nan, np.nan])
+        front = as_front([[np.inf, -np.inf], [0.0, 1.0]])
+        assert front.tolist() == [[np.inf, -np.inf], [0.0, 1.0]]
+
     def test_mask_rejects_a_single_vector(self):
         # a mask has one entry per input row; a (2,) vector has no rows
         with pytest.raises(InvalidInputError, match=r"shape \(2,\)"):
             nondominated_mask([1.0, 2.0])
+
+
+# the front rule and each reader of a front, which refuses a NaN row by it
+FRONT_READERS = {
+    "as_front": as_front,
+    "peel_fronts": lambda front: list(peel_fronts(front)),
+    "nondominated_mask": nondominated_mask,
+    "crowding_distance": crowding_distance,
+    "igd-estimate": lambda front: igd(front, [[0.0, 0.0]]),
+    "igd-reference": lambda front: igd([[0.0, 0.0]], front),
+    "hypervolume_2d": lambda front: hypervolume_2d(front, (10.0, 10.0)),
+}
+
+
+@pytest.mark.parametrize("read", FRONT_READERS.values(), ids=FRONT_READERS)
+@pytest.mark.parametrize(
+    "front, text",
+    [
+        ([[0.0, 1.0], [np.nan, 0.0]], "row 1 contains NaN: [nan, 0.0]"),
+        ([[0.0, 1.0], [1.0, 0.0], [2.0, np.nan], [np.nan, 3.0]], "row 2 contains NaN: [2.0, nan]"),
+        ([[np.nan, np.inf]], "row 0 contains NaN: [nan, inf]"),
+    ],
+)
+def test_front_readers_refuse_a_nan_row_with_one_text(read, front, text):
+    with pytest.raises(InvalidInputError) as info:
+        read(np.array(front))
+    assert str(info.value) == text
 
 
 class TestIgd:
@@ -208,6 +243,15 @@ class TestIgd:
             igd(np.zeros((0, 2)), np.array([[0.0, 0.0]]))
         with pytest.raises(InvalidInputError):
             igd(np.array([[0.0, 0.0]]), np.zeros((0, 2)))
+
+    @pytest.mark.parametrize("side", ["estimate", "reference"])
+    def test_nan_row_named_before_an_empty_front(self, side):
+        # each front is read by as_front, NaN rule included, before the
+        # emptiness check; it used to say "igd requires non-empty ..."
+        fronts = {"estimate": np.zeros((0, 2)), "reference": np.zeros((0, 2))}
+        fronts[side] = np.array([[np.nan, 0.0]])
+        with pytest.raises(InvalidInputError, match=r"^row 0 contains NaN: \[nan, 0\.0\]$"):
+            igd(fronts["estimate"], fronts["reference"])
 
     @pytest.mark.parametrize("side", ["estimate", "reference"])
     def test_nan_row_rejected(self, side):
@@ -508,6 +552,22 @@ class TestFrontCsv:
     def test_three_column_front_rejected(self, tmp_path):
         with pytest.raises(InvalidInputError, match=r"shape \(2, 3\)"):
             write_front_csv(np.array([[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]]), tmp_path / "f.csv")
+
+    def test_nan_row_refused_and_no_file_written(self, tmp_path):
+        # used to write "nan", which read_front_csv and every front reader refuse
+        path = tmp_path / "f.csv"
+        with pytest.raises(InvalidInputError, match=r"^row 1 contains NaN: \[nan, 2\.0\]$"):
+            write_front_csv(np.array([[1.0, 1.0], [np.nan, 2.0]]), path)
+        assert not path.exists()
+
+    @pytest.mark.parametrize("row", ["nan,1", "1,NaN", "-nan,-nan"])
+    def test_nan_row_read_refused_naming_file_and_line(self, tmp_path, row):
+        # the NaN used to be returned, for a later reader to refuse without the file
+        path = tmp_path / "front.csv"
+        path.write_text(f"f1,f2\n0,2\n\n{row}\n3,4\n")
+        with pytest.raises(InvalidInputError) as info:
+            read_front_csv(path)
+        assert str(info.value) == f"{path}, line 4: contains NaN: {row!r}"
 
     def test_header_enforced(self, tmp_path):
         path = tmp_path / "bad.csv"
