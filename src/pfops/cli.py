@@ -80,11 +80,18 @@ def _resolution(text: str) -> int:
 
 
 def _seed_list(text: str) -> list[int]:
-    """A comma-separated list of :func:`_seed` items; a blank item is refused."""
-    try:
-        return [_seed(item) for item in text.split(",")]
-    except argparse.ArgumentTypeError as exc:
-        raise argparse.ArgumentTypeError(f"could not parse seed list '{text}': {exc}") from None
+    """A comma-separated list of :func:`_seed` items; a blank item is refused.
+    A bad item is named by its position with its own error, not by echoing
+    the whole list, which may be thousands of characters long."""
+    seeds = []
+    for position, item in enumerate(text.split(","), start=1):
+        try:
+            seeds.append(_seed(item))
+        except argparse.ArgumentTypeError as exc:
+            raise argparse.ArgumentTypeError(
+                f"could not parse seed list: item {position}: {exc}"
+            ) from None
+    return seeds
 
 
 def _report_lines(report: experiments.RunReport) -> list[str]:

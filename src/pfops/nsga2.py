@@ -7,16 +7,22 @@ fixed settings of Deb et al. 2002 (IEEE TEC 6(2)): SBX with probability 0.9
 and distribution index 20, polynomial mutation with probability 1/d and
 distribution index 20. Ranks come from
 :func:`~pfops.pareto.peel_fronts`, which also filters PFOPS archives: it
-sorts the points once and sweeps each front out of that order. Selection
-takes fronts of parents and children only until the new population is full,
-and the survivors keep the rank and crowding it found, so each generation
-ranks once. The first population goes through the same selection at full
-size, which cuts nothing and so ranks and crowds every member. Not a
-general EC framework; it exists to give runs a comparison point.
+sorts the points once, marks exact duplicates once, and sweeps each front
+out of that order. Selection takes fronts of parents and children only
+until the new population is full, and the survivors keep the rank and
+crowding it found, so each generation ranks once; it writes them into
+arrays of the population's size. Crowding sorts both objectives of a front
+with one argsort. Parents and children share one decision buffer and one
+objective buffer of twice the population: children are clamped into the
+second half and the survivors gathered into the first. The first
+population goes through the same selection at full size, which cuts nothing
+and so ranks and crowds every member. Not a general EC framework; it exists
+to give runs a comparison point.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,6 +40,7 @@ from .problems import BiObjectiveProblem
 CROSSOVER_PROB = 0.9
 CROSSOVER_INDEX = 20.0
 MUTATION_INDEX = 20.0
+_COLUMNS = np.arange(2)  # gathers each objective's sorted column at once
 
 
 @dataclass(frozen=True)
@@ -67,23 +74,26 @@ def crowding_distance(front_points: np.ndarray) -> np.ndarray:
     is zero or infinite is skipped. The front is read by
     :func:`~pfops.pareto.as_front`, which rejects a shape other than (n, 2)
     or a NaN row, as in ranking.
+
+    Both objectives are sorted by one stable argsort down the columns and
+    gathered once. The gaps are added in objective order, ``0 + g1 + g2``,
+    and the boundaries are set to +inf last: a finite gap added to +inf
+    leaves +inf, so this order gives the bits of setting each objective's
+    boundaries first (Deb et al. 2002, IEEE TEC 6(2)).
     """
     front_points = as_front(front_points)
-    n = len(front_points)
-    distance = np.zeros(n)
-    if n == 0:
+    distance = np.zeros(len(front_points))
+    if len(front_points) == 0:
         return distance
-    for m in range(front_points.shape[1]):
-        values = front_points[:, m]
-        order = np.argsort(values, kind="stable")
-        lo, hi = values[order[0]], values[order[-1]]
-        distance[order[0]] = np.inf
-        distance[order[-1]] = np.inf
-        if lo == hi or hi - lo == np.inf:  # zero or infinite range
+    order = np.argsort(front_points, axis=0, kind="stable")
+    ranked = front_points[order, _COLUMNS]
+    for m, (lo, hi) in enumerate(zip(ranked[0].tolist(), ranked[-1].tolist())):
+        if lo == hi or hi - lo == math.inf:  # zero or infinite range
             continue
-        gaps = (values[order[2:]] - values[order[:-2]]) / (hi - lo)
-        interior = order[1:-1]
-        distance[interior] = distance[interior] + gaps
+        interior = order[1:-1, m]
+        distance[interior] = distance[interior] + (ranked[2:, m] - ranked[:-2, m]) / (hi - lo)
+    distance[order[0]] = np.inf
+    distance[order[-1]] = np.inf
     return distance
 
 
@@ -141,30 +151,34 @@ def _environmental_selection(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Keep ``pop_size`` rows front by front; the last front that does not
     fit keeps its most isolated members. Returns the kept row indices with
-    their ranks and crowding.
+    their ranks and crowding, written front by front into three arrays of
+    ``pop_size`` entries allocated first.
 
     Everything that dominates a survivor sits in an earlier, whole front, so
     its rank among the survivors is its rank here. Survivors are listed
     front by front in the order kept, the order in which a re-sort of them
     would pass each front to :func:`crowding_distance`. At full size nothing
-    is cut, so the result ranks and crowds every row.
+    is cut, so the result ranks and crowds every row; ``pop_size`` is at
+    most the number of rows.
     """
-    chosen: list[np.ndarray] = []
-    ranks: list[np.ndarray] = []
-    crowds: list[np.ndarray] = []
-    need = pop_size
+    chosen = np.empty(pop_size, dtype=np.intp)
+    ranks = np.empty(pop_size, dtype=int)
+    crowds = np.empty(pop_size)
+    start = 0
     for rank, front in enumerate(peel_fronts(objectives)):
         crowd = crowding_distance(objectives[front])
-        if len(front) > need:
-            front = front[np.argsort(-crowd, kind="stable")[:need]]  # most isolated first
+        stop = start + len(front)
+        if stop > pop_size:
+            stop = pop_size
+            front = front[np.argsort(-crowd, kind="stable")[:stop - start]]  # most isolated first
             crowd = crowding_distance(objectives[front])
-        chosen.append(front)
-        ranks.append(np.full(len(front), rank))
-        crowds.append(crowd)
-        need -= len(front)
-        if need == 0:
+        chosen[start:stop] = front
+        ranks[start:stop] = rank
+        crowds[start:stop] = crowd
+        start = stop
+        if start == pop_size:
             break
-    return np.concatenate(chosen), np.concatenate(ranks), np.concatenate(crowds)
+    return chosen, ranks, crowds
 
 
 def evolve(config: Nsga2Config, problem: BiObjectiveProblem) -> tuple[ParetoArchive, int]:
@@ -184,12 +198,17 @@ def evolve(config: Nsga2Config, problem: BiObjectiveProblem) -> tuple[ParetoArch
     rng = np.random.default_rng(config.seed)
     start_count = problem.counter.count
 
+    # parents in the first half, children in the second; survivors are
+    # gathered back into the first half
+    n = config.pop_size
+    pop = np.empty((2 * n, problem.dim))
+    obj = np.empty((2 * n, 2))
     span = problem.upper - problem.lower
-    pop = problem.lower + span * rng.random((config.pop_size, problem.dim))
-    obj = problem.evaluate_batch(pop)
-    idx, kept_ranks, kept_crowd = _environmental_selection(obj, config.pop_size)
-    ranks = np.empty(config.pop_size, dtype=int)
-    crowd = np.empty(config.pop_size)
+    pop[:n] = problem.lower + span * rng.random((n, problem.dim))
+    obj[:n] = problem.evaluate_batch(pop[:n])
+    idx, kept_ranks, kept_crowd = _environmental_selection(obj[:n], n)
+    ranks = np.empty(n, dtype=int)
+    crowd = np.empty(n)
     ranks[idx] = kept_ranks  # tournaments draw rows of pop: back to row order
     crowd[idx] = kept_crowd
 
@@ -197,11 +216,11 @@ def evolve(config: Nsga2Config, problem: BiObjectiveProblem) -> tuple[ParetoArch
         parents = pop[_tournament(ranks, crowd, rng)]
         children = _sbx(parents, rng)
         children = _polynomial_mutation(children, problem.lower, problem.upper, rng)
-        children = np.clip(children, problem.lower, problem.upper)
-        pop = np.vstack([pop, children])
-        obj = np.vstack([obj, problem.evaluate_batch(children)])
-        idx, ranks, crowd = _environmental_selection(obj, config.pop_size)
-        pop, obj = pop[idx], obj[idx]
+        np.clip(children, problem.lower, problem.upper, out=pop[n:])
+        obj[n:] = problem.evaluate_batch(pop[n:])
+        idx, ranks, crowd = _environmental_selection(obj, n)
+        pop[:n] = pop[idx]
+        obj[:n] = obj[idx]
 
     rank0 = np.flatnonzero(ranks == 0)
     archive = ParetoArchive(decisions=pop[rank0], front=obj[rank0])

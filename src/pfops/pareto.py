@@ -71,21 +71,22 @@ def as_front(points: np.ndarray) -> np.ndarray:
     return points
 
 
-def _first_front(f1: np.ndarray, f2: np.ndarray) -> np.ndarray:
-    """Mask of the non-dominated points of a non-empty set sorted by (f1, f2).
+def _first_front(f2: np.ndarray, duplicate: np.ndarray | None) -> np.ndarray:
+    """Mask of the non-dominated points of a non-empty set sorted by (f1, f2),
+    given its f2 and the mask of points that exactly duplicate the point
+    before them (``duplicate[0]`` is False), or None if no point does.
 
     Nothing after a point in that order dominates it, and an earlier point
     that is not its exact duplicate dominates it iff its f2 is <= the point's.
     So a point is non-dominated iff its f2 is below every earlier f2, and an
     exact duplicate of the point before it shares that point's verdict.
     """
-    on_front = np.empty(len(f1), dtype=bool)
+    on_front = np.empty(len(f2), dtype=bool)
     on_front[0] = True
     np.less(f2[1:], np.minimum.accumulate(f2)[:-1], out=on_front[1:])
-    duplicate = (f1[1:] == f1[:-1]) & (f2[1:] == f2[:-1])
-    if duplicate.any():
-        run_start = np.arange(len(f1))
-        run_start[1:][duplicate] = 0
+    if duplicate is not None:
+        run_start = np.arange(len(f2))
+        run_start[duplicate] = 0
         on_front = on_front[np.maximum.accumulate(run_start)]
     return on_front
 
@@ -99,19 +100,29 @@ def peel_fronts(points: np.ndarray) -> Iterator[np.ndarray]:
     leaves the rest of that order sorted, so each later front is one sweep
     over what is left, with no re-sort: for two objectives one sort is
     enough (Jensen 2003, IEEE TEVC 7(5)). A pass always removes the first
-    point left, which nothing dominates. Exact duplicates share a front.
-    Infinite values are ordered like any other. The generator is lazy: a
-    caller that stops early pays only for the fronts it took.
+    point left, which nothing dominates. Exact duplicates share a front, so
+    they stay adjacent in what is left: the mask of rows that duplicate the
+    row before them is taken once, after the sort, and kept with the rows
+    left (not at all if no row is a duplicate), so each front sweeps f2
+    alone (:func:`_first_front`). Infinite values are ordered like any
+    other. The generator is lazy: a caller that stops early pays only for
+    the fronts it took.
     """
     points = as_front(points)
     left = np.lexsort((np.arange(len(points)), points[:, 1], points[:, 0]))
     f1 = points[left, 0]
     f2 = points[left, 1]
+    duplicate = np.zeros(len(left), dtype=bool)
+    np.logical_and(f1[1:] == f1[:-1], f2[1:] == f2[:-1], out=duplicate[1:])
+    if not duplicate.any():
+        duplicate = None
     while len(left):
-        on_front = _first_front(f1, f2)
+        on_front = _first_front(f2, duplicate)
         yield np.sort(left[on_front])
         rest = ~on_front
-        left, f1, f2 = left[rest], f1[rest], f2[rest]
+        left, f2 = left[rest], f2[rest]
+        if duplicate is not None:
+            duplicate = duplicate[rest]
 
 
 def nondominated_mask(points: np.ndarray) -> np.ndarray:

@@ -224,17 +224,19 @@ def test_compare(tmp_path, capsys):
 
 def test_compare_bad_seed_list(capsys):
     err = _refused_by_parser(capsys, ["compare", "--a", "x", "--b", "y", "--seeds", "0,oops"])
-    assert "seed list" in err and "'oops' is not a seed" in err
+    assert err.endswith("seed list: item 2: 'oops' is not a seed (ASCII decimal digits)")
 
 
-@pytest.mark.parametrize("seeds", ["0,,1", "0,1,", ",0", " "])
-def test_compare_blank_seed_rejected(capsys, seeds):
+@pytest.mark.parametrize(
+    "seeds, position", [("0,,1", 2), ("0,1,", 3), (",0", 1), (" ", 1)]
+)
+def test_compare_blank_seed_rejected(capsys, seeds, position):
     # blank items used to be dropped, so "0,,1," ran seeds 0 and 1
     err = _refused_by_parser(capsys, ["compare", "--a", "x", "--b", "y", "--seeds", seeds])
     item = " " if seeds == " " else ""
     assert err == (
-        f"pfops compare: error: argument --seeds: could not parse seed list '{seeds}': "
-        f"'{item}' is not a seed (ASCII decimal digits)"
+        f"pfops compare: error: argument --seeds: could not parse seed list: "
+        f"item {position}: '{item}' is not a seed (ASCII decimal digits)"
     )
 
 
@@ -242,7 +244,24 @@ def test_compare_blank_seed_rejected(capsys, seeds):
 def test_compare_seeds_are_ascii_digits(capsys, seeds, item):
     # int() would run "1_0" as seed 10, and " 1" and the Arabic-Indic three as 1 and 3
     err = _refused_by_parser(capsys, ["compare", "--a", "x", "--b", "y", "--seeds", seeds])
-    assert err.endswith(f"seed list '{seeds}': '{item}' is not a seed (ASCII decimal digits)")
+    position = 1 if seeds == "1_0" else 2
+    assert err.endswith(f"seed list: item {position}: '{item}' is not a seed (ASCII decimal digits)")
+
+
+def test_compare_long_seed_item_named_by_position(capsys):
+    # the whole --seeds text used to be echoed: 5204 bytes of stderr here
+    nines = "9" * 5000
+    with pytest.raises(SystemExit) as excinfo:
+        main(["compare", "--a", "x", "--b", "y", "--seeds", f"1,{nines},2"])
+    assert excinfo.value.code == 2
+    err = capsys.readouterr().err
+    assert len(err) < 1000, err  # the usage line and one short error line
+    last = err.splitlines()[-1]
+    limit = sys.get_int_max_str_digits()
+    assert last == (
+        "pfops compare: error: argument --seeds: could not parse seed list: item 2: "
+        f"a seed of 5000 digits is too long: Python reads at most {limit} digits"
+    )
 
 
 def test_compare_problem_mismatch(capsys):

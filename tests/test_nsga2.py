@@ -14,8 +14,16 @@ from pfops.nsga2 import (
     crowding_distance,
     evolve,
 )
-from pfops.pareto import hypervolume_2d, igd, nondominated_mask, peel_fronts, reference_front
-from pfops.problems import BiObjectiveProblem, convex_problem
+from pfops.pareto import (
+    ParetoArchive,
+    as_front,
+    hypervolume_2d,
+    igd,
+    nondominated_mask,
+    peel_fronts,
+    reference_front,
+)
+from pfops.problems import BiObjectiveProblem, convex_problem, kursawe_problem
 
 
 def dense_peel_fronts(points):
@@ -50,6 +58,77 @@ def rank_and_crowding(objectives):
         ranks[front] = r
         crowd[front] = crowding_distance(objectives[front])
     return ranks, crowd
+
+
+def reference_crowding_distance(front_points):
+    """The per-objective crowding kernel :func:`crowding_distance` replaced:
+    one argsort and one scatter per objective, boundaries set first."""
+    front_points = as_front(front_points)
+    n = len(front_points)
+    distance = np.zeros(n)
+    if n == 0:
+        return distance
+    for m in range(front_points.shape[1]):
+        values = front_points[:, m]
+        order = np.argsort(values, kind="stable")
+        lo, hi = values[order[0]], values[order[-1]]
+        distance[order[0]] = np.inf
+        distance[order[-1]] = np.inf
+        if lo == hi or hi - lo == np.inf:  # zero or infinite range
+            continue
+        gaps = (values[order[2:]] - values[order[:-2]]) / (hi - lo)
+        interior = order[1:-1]
+        distance[interior] = distance[interior] + gaps
+    return distance
+
+
+def reference_selection(objectives, pop_size):
+    """The list-built environmental selection :func:`evolve` used to run,
+    ranked by :func:`dense_peel_fronts` and crowded by
+    :func:`reference_crowding_distance`."""
+    chosen, ranks, crowds = [], [], []
+    need = pop_size
+    for rank, front in enumerate(dense_peel_fronts(objectives)):
+        front = np.array(front)
+        crowd = reference_crowding_distance(objectives[front])
+        if len(front) > need:
+            front = front[np.argsort(-crowd, kind="stable")[:need]]  # most isolated first
+            crowd = reference_crowding_distance(objectives[front])
+        chosen.append(front)
+        ranks.append(np.full(len(front), rank))
+        crowds.append(crowd)
+        need -= len(front)
+        if need == 0:
+            break
+    return np.concatenate(chosen), np.concatenate(ranks), np.concatenate(crowds)
+
+
+def reference_evolve(config, problem):
+    """The NSGA-II loop :func:`evolve` used to run, which stacked parents
+    and clipped children with ``vstack`` each generation. Returns the
+    archive, the evaluation count and the generator it drew from."""
+    rng = np.random.default_rng(config.seed)
+    start_count = problem.counter.count
+    span = problem.upper - problem.lower
+    pop = problem.lower + span * rng.random((config.pop_size, problem.dim))
+    obj = problem.evaluate_batch(pop)
+    idx, kept_ranks, kept_crowd = reference_selection(obj, config.pop_size)
+    ranks = np.empty(config.pop_size, dtype=int)
+    crowd = np.empty(config.pop_size)
+    ranks[idx] = kept_ranks
+    crowd[idx] = kept_crowd
+    for _ in range(config.generations):
+        parents = pop[nsga2._tournament(ranks, crowd, rng)]
+        children = nsga2._sbx(parents, rng)
+        children = nsga2._polynomial_mutation(children, problem.lower, problem.upper, rng)
+        children = np.clip(children, problem.lower, problem.upper)
+        pop = np.vstack([pop, children])
+        obj = np.vstack([obj, problem.evaluate_batch(children)])
+        idx, ranks, crowd = reference_selection(obj, config.pop_size)
+        pop, obj = pop[idx], obj[idx]
+    rank0 = np.flatnonzero(ranks == 0)
+    archive = ParetoArchive(decisions=pop[rank0], front=obj[rank0])
+    return archive, problem.counter.count - start_count, rng
 
 
 def tie_heavy_objectives(grid, rng):
@@ -196,6 +275,42 @@ class TestCrowdingDistance:
             d = crowding_distance(np.array(pts))
         np.testing.assert_array_equal(d, [np.inf, 1.0, np.inf])
 
+    @pytest.mark.parametrize("n", [0, 1, 2, 3, 300])
+    def test_matches_reference_kernel(self, n):
+        # bit for bit, on fronts drawn to hold exact duplicates, ties in one
+        # objective, zero ranges, infinite ends and signed zeros
+        rng = np.random.default_rng(40 + n)
+        tie_grid = np.array([-np.inf, -1.0, -0.0, 0.0, 2.0, np.inf])
+        seen = set()
+        for trial in range(240):
+            kind, col = trial % 6, trial // 6 % 2  # col: the objective a kind shapes
+            if kind == 0:  # distinct values
+                pts = rng.normal(size=(n, 2))
+            elif kind == 1:  # ties, duplicates and infinite ends
+                pts = tie_grid[rng.integers(0, len(tie_grid), size=(n, 2))]
+            elif kind == 2:  # one objective tied at one value: a zero range
+                pts = rng.normal(size=(n, 2))
+                pts[:, col] = 1.5
+            elif kind == 3:  # one objective on a few values, the other distinct
+                pts = rng.normal(size=(n, 2))
+                pts[:, col] = rng.integers(0, 3, size=n)
+            elif kind == 4:  # a finite front with an infinite end in one objective
+                pts = rng.normal(size=(n, 2))
+                if n:
+                    pts[rng.integers(n), col] = rng.choice([-np.inf, np.inf])
+            else:  # signed zeros in a finite range, the other range zero
+                pts = tie_grid[rng.integers(1, 5, size=(n, 2))]
+                pts[:, col] = 1.0
+            expected = reference_crowding_distance(pts)
+            assert crowding_distance(pts).tobytes() == expected.tobytes(), pts
+            if len(np.unique(pts, axis=0)) < n:
+                seen.add("duplicate")
+            if n and (pts.min(axis=0) == pts.max(axis=0)).any():
+                seen.add("zero range")
+            if np.isinf(pts).any():
+                seen.add("infinite end")
+        assert n < 2 or seen == {"duplicate", "zero range", "infinite end"}
+
 
 class TestEnvironmentalSelection:
     @pytest.mark.parametrize("grid, seed", GRIDS)
@@ -323,6 +438,30 @@ class TestEvolve:
             transitions += len(steps)
             good += int((steps >= -1e-9).sum())
         assert good / transitions >= 0.95
+
+    @pytest.mark.parametrize("make_problem", [convex_problem, kursawe_problem])
+    def test_matches_reference_loop(self, make_problem, monkeypatch):
+        # the one-buffer loop keeps every bit of the vstack loop: archive,
+        # evaluation count and the generator's final state
+        made = []
+        default_rng = np.random.default_rng
+
+        def recording_rng(seed):
+            made.append(default_rng(seed))
+            return made[-1]
+
+        monkeypatch.setattr(np.random, "default_rng", recording_rng)
+        cases = [(2, 1, 0), (2, 5, 1), (4, 3, 2), (10, 2, 3), (16, 4, 4), (40, 5, 5), (40, 1, 6)]
+        for pop_size, generations, seed in cases:
+            config = Nsga2Config(pop_size=pop_size, generations=generations, seed=seed)
+            archive, evals = evolve(config, make_problem())
+            rng = made[-1]
+            expected, expected_evals, expected_rng = reference_evolve(config, make_problem())
+            assert archive.decisions.tobytes() == expected.decisions.tobytes()
+            assert archive.front.tobytes() == expected.front.tobytes()
+            assert archive.decisions.shape == expected.decisions.shape
+            assert evals == expected_evals == 2 * pop_size * (generations + 1)
+            assert rng.bit_generator.state == expected_rng.bit_generator.state
 
     def test_pfops_config_rejected(self):
         # used to raise a raw AttributeError naming pop_size
