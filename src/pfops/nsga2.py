@@ -22,7 +22,6 @@ to give runs a comparison point.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -88,7 +87,7 @@ def crowding_distance(front_points: np.ndarray) -> np.ndarray:
     order = np.argsort(front_points, axis=0, kind="stable")
     ranked = front_points[order, _COLUMNS]
     for m, (lo, hi) in enumerate(zip(ranked[0].tolist(), ranked[-1].tolist())):
-        if lo == hi or hi - lo == math.inf:  # zero or infinite range
+        if lo == hi or hi - lo == np.inf:  # zero or infinite range
             continue
         interior = order[1:-1, m]
         distance[interior] = distance[interior] + (ranked[2:, m] - ranked[:-2, m]) / (hi - lo)

@@ -71,10 +71,10 @@ def as_front(points: np.ndarray) -> np.ndarray:
     return points
 
 
-def _first_front(f2: np.ndarray, duplicate: np.ndarray | None) -> np.ndarray:
+def _first_front(f2: np.ndarray, duplicate: np.ndarray) -> np.ndarray:
     """Mask of the non-dominated points of a non-empty set sorted by (f1, f2),
     given its f2 and the mask of points that exactly duplicate the point
-    before them (``duplicate[0]`` is False), or None if no point does.
+    before them (``duplicate[0]`` is False).
 
     Nothing after a point in that order dominates it, and an earlier point
     that is not its exact duplicate dominates it iff its f2 is <= the point's.
@@ -84,7 +84,7 @@ def _first_front(f2: np.ndarray, duplicate: np.ndarray | None) -> np.ndarray:
     on_front = np.empty(len(f2), dtype=bool)
     on_front[0] = True
     np.less(f2[1:], np.minimum.accumulate(f2)[:-1], out=on_front[1:])
-    if duplicate is not None:
+    if duplicate.any():
         run_start = np.arange(len(f2))
         run_start[duplicate] = 0
         on_front = on_front[np.maximum.accumulate(run_start)]
@@ -103,10 +103,9 @@ def peel_fronts(points: np.ndarray) -> Iterator[np.ndarray]:
     point left, which nothing dominates. Exact duplicates share a front, so
     they stay adjacent in what is left: the mask of rows that duplicate the
     row before them is taken once, after the sort, and kept with the rows
-    left (not at all if no row is a duplicate), so each front sweeps f2
-    alone (:func:`_first_front`). Infinite values are ordered like any
-    other. The generator is lazy: a caller that stops early pays only for
-    the fronts it took.
+    left, so each front sweeps f2 alone (:func:`_first_front`). Infinite
+    values are ordered like any other. The generator is lazy: a caller that
+    stops early pays only for the fronts it took.
     """
     points = as_front(points)
     left = np.lexsort((np.arange(len(points)), points[:, 1], points[:, 0]))
@@ -114,15 +113,11 @@ def peel_fronts(points: np.ndarray) -> Iterator[np.ndarray]:
     f2 = points[left, 1]
     duplicate = np.zeros(len(left), dtype=bool)
     np.logical_and(f1[1:] == f1[:-1], f2[1:] == f2[:-1], out=duplicate[1:])
-    if not duplicate.any():
-        duplicate = None
     while len(left):
         on_front = _first_front(f2, duplicate)
         yield np.sort(left[on_front])
         rest = ~on_front
-        left, f2 = left[rest], f2[rest]
-        if duplicate is not None:
-            duplicate = duplicate[rest]
+        left, f2, duplicate = left[rest], f2[rest], duplicate[rest]
 
 
 def nondominated_mask(points: np.ndarray) -> np.ndarray:

@@ -240,11 +240,12 @@ def test_compare_blank_seed_rejected(capsys, seeds, position):
     )
 
 
-@pytest.mark.parametrize("seeds, item", [("1_0", "1_0"), ("0, 1", " 1"), ("0,\u0663", "\u0663")])
-def test_compare_seeds_are_ascii_digits(capsys, seeds, item):
+@pytest.mark.parametrize(
+    "seeds, item, position", [("1_0", "1_0", 1), ("0, 1", " 1", 2), ("0,\u0663", "\u0663", 2)]
+)
+def test_compare_seeds_are_ascii_digits(capsys, seeds, item, position):
     # int() would run "1_0" as seed 10, and " 1" and the Arabic-Indic three as 1 and 3
     err = _refused_by_parser(capsys, ["compare", "--a", "x", "--b", "y", "--seeds", seeds])
-    position = 1 if seeds == "1_0" else 2
     assert err.endswith(f"seed list: item {position}: '{item}' is not a seed (ASCII decimal digits)")
 
 
