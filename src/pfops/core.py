@@ -6,69 +6,31 @@ pi_k, the best particle becomes the step's incumbent, particles are reweighted
 by pi_k / pi_{k-1} (pi_0 = 1, the uniform start), multinomially resampled,
 and optionally rejuvenated by a componentwise Metropolis sweep (which may also
 improve the incumbent, including through rejected proposals).
-Resampling draws by inverse CDF: N uniforms from ``rng.random`` looked up in
-the cumulative weights, the lookup ``rng.choice(N, size=N, p=w)`` makes. The
-lookup sorts the uniforms first and scatters the indices back to their
-draws: the same indices from the same stream, with shorter searches.
 The K recorded incumbents form the estimated Pareto set; their objective
 vectors, kept from the evaluations already paid for, form the estimated front.
+A run consumes exactly 2*K*N single-objective evaluations, plus 2*K*N*d more
+when the sweep is on (one (f1, f2) pair per componentwise proposal,
+out-of-box proposals included).
 
-``run`` keeps the step on plain arrays: the particles are evaluated at most
-once per step and scored once under pi_k, and that one score picks the incumbent, is
-pi_k's side of the weight ratio and, gathered by the resampling index,
-starts the sweep, which keeps it in step with every accepted move. The
-gathered array is then the next step's pi_{k-1} side, so the population is
-scored once under each target. This carry gives the same bits as scoring
-pi_{k-1} afresh on one condition: each objective's value is a function of
-the decision row alone, whatever batch the row is evaluated in (the
-built-in problems' kernels work row by row). Elementwise numpy operations
+``run`` scores the particles once under each target and carries that score,
+resampled and kept in step by the sweep, as the next step's pi_{k-1} side.
+With the sweep on, it carries each ``problems.CoordinateSum`` objective's
+term matrix the same way; with the sweep off, it reuses step 1's objective
+values at every later step (``_run_moves_off``). A carried value has the bits of computing
+it afresh on one condition, the row-function condition: each objective's
+value is a function of the decision row alone, whatever batch the row is
+evaluated in. The built-in problems meet it. Elementwise numpy operations
 keep it; BLAS-backed ones (``@``, ``np.dot``) break it in the last bits,
-since BLAS may sum a row in another order in a batch of another size. A
-run thus consumes exactly 2*K*N single-objective evaluations, plus 2*K*N*d
-more when the Metropolis sweep is on (one (f1, f2) pair per componentwise
-proposal, out-of-box proposals included). The weights take one pass per
-step: the raw log weights' maximum is checked once, and the CDF is built
-from exp(log w - max) and divided by its last entry, with no log-sum in
-between.
-
-With the sweep off, only step 1 computes objectives: every later particle
-is a resampled copy of a step-1 one, so the population is a vector of
-ancestor indices into step 1's, and ``run`` charges each later step's 2N
-evaluations to the counter without computing them, as it charges
-out-of-box proposals. A score table holds step 1's values' log pi under
-every target (a row per target, ``scalarize.log_density_table``, with the
-bits of each target's ``log_density_values``), and a step gathers its row
-by the ancestor indices. The table and the steps' uniforms, from one
-``rng.random((steps, N))`` call (the stream of that many ``rng.random(N)``
-calls), are built a block of steps at a time, about 2**16 entries and at
-least one step each, so memory stays O(N + K). The incumbents are recorded
-as step-1 indices and gathered once at the end. The condition above covers
-this path too: a noisy or batch-dependent objective is sampled once per
-particle.
-
-An objective that is a ``problems.CoordinateSum`` (a sum of one elementwise
-term per coordinate, as Kursawe's f2) need not be recomputed in full. ``run``
-computes each such objective's (N, d) term matrix once, at the first step,
-and, with the sweep on, carries it as it carries log pi_{k-1}: gathered by
-the resampling index, and rewritten at the accepted rows after each
-dimension of the sweep (with the sweep off, step 1's values need no
-terms). Each later step's evaluation adds the carried columns, computing no
-term, and a proposal, which moves one coordinate, adds its row's terms with
-the moved column's term computed afresh. Both add in the same order as a
-full evaluation, so they give its bits when the term is elementwise, and a
-term is computed once per coordinate value a particle takes. Any other
-objective sees the full batch, and the counts above do not change. Every
-evaluation runs the problem's one body, which ``evaluate_batch``
-wraps; it picks each objective's path by ``isinstance`` at each call, since
-``f1`` and ``f2`` are public, mutable fields.
+since BLAS may sum a row in another order in a batch of another size, and
+so does anything that reads other rows, such as a batch mean. With the sweep
+off, a noisy or batch-dependent objective is sampled once per particle.
 
 The public step functions run the same kernels on a ``Population``, each
-scoring its particles afresh; in them and in ``run`` with the sweep on,
-``_score`` scores every batch and ``_incumbent`` picks every incumbent.
-``importance_weights`` returns
-normalized log weights, and ``resample`` turns its log weights into
-``rng.choice``'s ``p`` before the shared lookup, so it keeps ``rng.choice``'s
-stream; the CDF ``run`` builds may differ from that one in its last bits.
+scoring its particles afresh; ``_score`` scores every batch and
+``_incumbent`` picks every incumbent. ``importance_weights`` returns
+normalized log weights, and ``resample`` keeps ``rng.choice``'s stream; the
+CDF of raw weights that ``run`` builds may differ from that one in its last
+bits.
 """
 
 from __future__ import annotations
@@ -194,8 +156,7 @@ def _raw_log_weights(log_pi: np.ndarray, log_pi_prev: np.ndarray | float) -> np.
     by their maximum, which must be finite, in a new array: ``run`` carries
     ``log_pi`` forward, so neither input is written. ``log_pi_prev`` is 0.0,
     the uniform start's log pi_0, at the first step, and later, in ``run``,
-    each particle's pi_{k-1} score carried from the last step: the bits of
-    scoring it afresh when every objective is a function of its row alone."""
+    each particle's carried pi_{k-1} score (see the module docstring)."""
     log_w = log_pi - log_pi_prev
     m = log_w.max()
     if not math.isfinite(m):  # the maximum is NaN iff some weight is
@@ -218,7 +179,7 @@ def _sorted_uniforms(
     ``rng.random(N)``, one row each."""
     u = rng.random(shape)
     order = u.argsort(axis=-1)
-    # one row's ``take`` costs a few microseconds less than ``take_along_axis``
+    # one row: ``take``, which does less work than ``take_along_axis``
     return (u.take(order) if u.ndim == 1 else np.take_along_axis(u, order, axis=1)), order
 
 
@@ -302,8 +263,7 @@ def importance_weights(
 
     Raw weight: the ratio pi_k / pi_{k-1}, with pi_0 = 1 (the uniform
     start) when k = 1; both targets are scored at the same objective values,
-    so the step costs 2N evaluations. ``run`` skips the normalization and
-    draws its ancestors from the CDF of the raw weights.
+    so the step costs 2N evaluations.
 
     Raises:
         InvalidInputError: if ``k`` is not an integer >= 1 (a bool or a
@@ -333,8 +293,7 @@ def resample(pop: Population, rng: np.random.Generator) -> Population:
     the normalized cumulative weights. It is the draw that
     ``rng.choice(N, size=N, replace=True, p=w)`` makes, the same indices
     from the same stream, leaving ``rng`` in the same state, without that
-    call's validation of ``p``. ``run`` looks up the CDF of its raw
-    weights instead, skipping ``p``. Resampling costs 0 evaluations.
+    call's validation of ``p``. Resampling costs 0 evaluations.
 
     Raises:
         InvalidInputError: if there is not one log weight per particle, or
@@ -387,20 +346,10 @@ def metropolis_sweep(
 def run(config: PfopsConfig, problem: BiObjectiveProblem) -> tuple[ParetoArchive, int]:
     """Execute the full K-step loop and return the archive and evaluation count.
 
-    Per step, s_k is scored once, at the objective values of that step's
-    single evaluation, and that score drives the incumbent, pi_k's side of
-    the weight ratio and the sweep; the step's incumbent is then recorded.
-    The score, resampled and kept in step by the sweep, is the next step's
-    pi_{k-1} side, so the particles are not scored under pi_{k-1} again.
-    With the sweep on, each CoordinateSum objective's term matrix is carried
-    with it, so after the first step, the step's evaluation computes none of
-    its terms. With the sweep off, only step 1 computes objectives: the
-    population is then each particle's ancestor index among step 1's, each
-    step's scores are a row of a score table of step 1's values gathered by
-    those indices (the table built a block of steps at a time), and each
-    later step charges its 2N evaluations to the counter without computing
-    them, so the count is still 2*K*N. A noisy or batch-dependent objective
-    is then sampled once per particle.
+    Per step, s_k is scored once, and that score drives the incumbent,
+    pi_k's side of the weight ratio and the sweep, and is carried as the
+    next step's pi_{k-1} side (the module docstring states when that keeps
+    the bits). The count is 2*K*N, plus 2*K*N*d with the sweep on.
     The front entries are the objective values paid for when each incumbent
     was scored, and the final dominated-member filter, when enabled, is free.
 
@@ -409,7 +358,10 @@ def run(config: PfopsConfig, problem: BiObjectiveProblem) -> tuple[ParetoArchive
             Tchebycheff Utopian point is not strictly below the problem's
             ideal point, when the problem states one, or if K or N is too
             large for numpy to size the schedule or the (N, d) particle array.
-        InvalidInputError: if ``problem`` is not a BiObjectiveProblem.
+        InvalidInputError: if ``problem`` is not a BiObjectiveProblem, or
+            as ``problem.evaluate_batch`` raises it.
+        DegenerateWeightsError: if a step's raw log weights have no finite
+            maximum.
     """
     check_instance(InvalidConfigError, "run's config", config, PfopsConfig)
     check_instance(InvalidInputError, "run's problem", problem, BiObjectiveProblem)
@@ -475,12 +427,18 @@ def _run_moves_off(
 ) -> tuple[np.ndarray, np.ndarray]:
     """``run``'s K steps with the sweep off, on ancestor indices.
 
-    Every particle after step 1 is a resampled copy of a step-1 one, so the
-    population is ``anc``, each particle's step-1 index, and a step's log pi
-    is a row of the step-1 values' score table gathered by ``anc``. The table
-    and the steps' sorted uniforms are built a block of steps at a time,
-    holding about ``_BLOCK_ENTRIES`` each. Each step after the first charges
-    its 2N evaluations before weighting, without computing them.
+    Every particle after step 1 is a resampled copy of a step-1 one, so only
+    step 1 computes objectives. The population is ``anc``, each particle's
+    step-1 index, and a step's log pi is its row of a score table of step 1's
+    values (``scalarize.log_density_table``: a row per target, with the bits
+    of that target's ``log_density_values``), gathered by ``anc``. The table
+    and the steps' sorted uniforms, from one ``rng.random((steps, N))`` call
+    (the stream of that many ``rng.random(N)`` calls), are built a block of
+    steps at a time, about ``_BLOCK_ENTRIES`` entries and at least one step
+    each, so memory stays O(N + K). Each step after the first charges its 2N
+    evaluations before weighting, without computing them, as the sweep
+    charges out-of-box proposals. The incumbents are recorded as step-1
+    indices and gathered once at the end.
     """
     n = len(particles)
     objectives, _ = problem._evaluate_terms(particles)

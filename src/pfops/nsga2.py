@@ -3,20 +3,9 @@
 Real-coded: binary tournament on (rank, crowding), simulated-binary
 crossover, polynomial mutation, elitist environmental selection. Children
 are clamped to the box after variation. The variation operators run at the
-fixed settings of Deb et al. 2002 (IEEE TEC 6(2)): SBX with probability 0.9
-and distribution index 20, polynomial mutation with probability 1/d and
-distribution index 20. Ranks come from
-:func:`~pfops.pareto.peel_fronts`, which also filters PFOPS archives: it
-sorts the points once, marks exact duplicates once, and sweeps each front
-out of that order. Selection takes fronts of parents and children only
-until the new population is full, and the survivors keep the rank and
-crowding it found, so each generation ranks once; it writes them into
-arrays of the population's size. Crowding sorts both objectives of a front
-with one argsort. Parents and children share one decision buffer and one
-objective buffer of twice the population: children are clamped into the
-second half and the survivors gathered into the first. The first
-population goes through the same selection at full size, which cuts nothing
-and so ranks and crowds every member. Not a general EC framework; it exists
+fixed settings of Deb et al. 2002 (see :class:`Nsga2Config`). Ranks come
+from :func:`~pfops.pareto.peel_fronts`, and each generation ranks once
+(:func:`_environmental_selection`). Not a general EC framework; it exists
 to give runs a comparison point.
 """
 
@@ -70,15 +59,9 @@ def crowding_distance(front_points: np.ndarray) -> np.ndarray:
 
     Interior members sum, over objectives, the gap between their sorted
     neighbors normalized by the objective's range; an objective whose range
-    is zero or infinite is skipped. The front is read by
-    :func:`~pfops.pareto.as_front`, which rejects a shape other than (n, 2)
-    or a NaN row, as in ranking.
-
-    Both objectives are sorted by one stable argsort down the columns and
-    gathered once. The gaps are added in objective order, ``0 + g1 + g2``,
-    and the boundaries are set to +inf last: a finite gap added to +inf
-    leaves +inf, so this order gives the bits of setting each objective's
-    boundaries first (Deb et al. 2002, IEEE TEC 6(2)).
+    is zero or infinite is skipped (Deb et al. 2002, IEEE TEC 6(2)). The
+    front is read by :func:`~pfops.pareto.as_front`, which rejects a shape
+    other than (n, 2) or a NaN row.
     """
     front_points = as_front(front_points)
     distance = np.zeros(len(front_points))
@@ -91,6 +74,8 @@ def crowding_distance(front_points: np.ndarray) -> np.ndarray:
             continue
         interior = order[1:-1, m]
         distance[interior] = distance[interior] + (ranked[2:, m] - ranked[:-2, m]) / (hi - lo)
+    # +inf last: a finite gap added to +inf leaves +inf, so this gives the
+    # bits of setting each objective's boundaries before adding its gaps
     distance[order[0]] = np.inf
     distance[order[-1]] = np.inf
     return distance

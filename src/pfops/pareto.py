@@ -2,13 +2,10 @@
 
 All fronts are (n, 2) float arrays of objective vectors under minimization;
 :func:`as_front` is the one front rule, refusing another shape or a NaN
-row, and every front reader goes through it. Ranking is one sort and one
-sweep per front (:func:`peel_fronts`); :func:`nondominated_mask` is its
-first front, and NSGA-II ranks with it too. The mask keeps duplicates
-(identical vectors do not dominate each other) and has one entry per input
-row, so ``points[mask]`` keeps the input order. :class:`ParetoArchive`, the
-decisions and front that both optimizers return, lives here too; numeric
-arguments are checked by the shared rules of :mod:`pfops.errors`.
+row, and every front reader goes through it. :func:`peel_fronts` ranks
+fronts for NSGA-II, and :func:`nondominated_mask`, its first front, filters
+PFOPS archives. :class:`ParetoArchive`, the decisions and front that both
+optimizers return, lives here too.
 """
 
 from __future__ import annotations
@@ -150,11 +147,9 @@ def igd(estimate: np.ndarray, reference: np.ndarray) -> float:
     if len(estimate) == 0 or len(reference) == 0:
         raise InvalidInputError("igd requires non-empty estimate and reference fronts")
     # each block of reference rows against every estimate point, in two
-    # temporaries of about _IGD_BLOCK_ENTRIES entries that stay in cache,
-    # where two full (n_ref, n_est) arrays do not: at 151 x 200, in the
-    # traced nsga2-kursawe bench on a 2-core x86 host, 0.30 against 0.67 ms
-    # a call. Each entry takes the same float operations, so the distances'
-    # bits do not depend on the block size
+    # temporaries of about _IGD_BLOCK_ENTRIES entries that stay in cache.
+    # Each entry takes the same float operations, so the distances' bits do
+    # not depend on the block size
     e1, e2 = estimate[:, 0], estimate[:, 1]
     nearest = np.empty(len(reference))  # squared distance to the nearest estimate
     rows = max(1, _IGD_BLOCK_ENTRIES // len(estimate))

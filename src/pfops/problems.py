@@ -14,57 +14,14 @@ directly. It makes every check of a call and counts only once they all pass:
   are read by the array rule (README, "Array inputs"), and a batch that is
   not (n, d) raises :class:`~pfops.errors.InvalidInputError`;
 - an out-of-bounds row raises :class:`~pfops.errors.BoundsError` instead of
-  being clamped, since silent clamping would corrupt the tally. A batch
-  inside the cube that every coordinate's bounds admit passes on two flat
-  reductions; only other batches are compared coordinate by coordinate;
+  being clamped, since silent clamping would corrupt the tally;
 - an objective that does not return one value per row raises InvalidInputError;
 - so does a NaN objective value, since no dominance order or density holds
-  for it. The test is one reduction, the batch minimum, which is NaN iff
-  some value is; infinite values of either sign pass.
-The problem's own fields are checked when it is built, by the shared rules
-of :mod:`pfops.errors` (``is_integer`` for ``dim``, ``is_finite_pair`` for
-``ideal``).
+  for it; infinite values of either sign pass.
 
-The built-in objectives work row by row: each runs elementwise operations on
-the whole batch and then adds its two or three per-coordinate columns
-(``t[:, 0] + t[:, 1] + t[:, 2]``), so a decision row gets the same objective
-bits in any batch, which ``core.run`` relies on to carry each particle's
-density from one step to the next. A user objective built on BLAS (``@``,
-``np.dot``) does not: BLAS may sum a row in another order in a batch of
-another size, so the row's last bits can change.
-
-The columns are added instead of calling ``np.sum(t, axis=1)``: numpy's
-reduction over a 2- or 3-wide axis is slow for its size (on a 500 x 3
-batch, 19 us against 4.4 us for the two additions, on one Xeon core with
-numpy 2.4), and both forms run the same float operations
-in the same order, ``(t0 + t1) + t2``, so the values are bit-identical. A
-square is one product on one temporary for the whole batch (``sq = x * x``,
-or ``dev = x - c; sq = dev * dev``), not a power per column: numpy computes
-``x ** 2`` as ``x * x``, so the values are bit-identical there too.
-
-Kursawe's f1 works on coordinate rows instead: it copies the (n, 3) batch
-to (3, n) and adds rows, not columns. Its neighbour sum ``sq[:, :-1] +
-sq[:, 1:]`` on the batch adds two (n, 2) views of 24-byte row stride, which
-numpy runs as one 2-element inner loop per row; on coordinate rows every
-operation is one contiguous loop. The operations and their order are
-unchanged, so the bits are too, whatever the batch's memory layout. On a
-500 x 3 batch (one Xeon core, numpy 2.4) that add took 8.8 of the call's
-16 us, against 1.3 us on rows plus 1.2 us for the copy. Carrying the
-CoordinateSum term matrices as (d, n) as well, scattered back with
-``copyto`` in the sweep, was measured at no gain (median ratio 0.99-1.00).
-
-An objective that is a sum of one term per coordinate can be given as a
-:class:`CoordinateSum` of its elementwise term, as Kursawe's f2 is. Called on
-a batch, it adds the term's columns as above. Since every batch evaluation
-runs the one body, a bad term or objective value gets one error text from
-every caller, naming the problem and, for a term, the objective. The body
-returns the term matrices that ``core`` carries, and takes them back: at
-rows where they were computed it adds their columns and computes no term,
-and for the Metropolis sweep's proposals, which move one coordinate, it
-computes only the moved column's terms. So in a PFOPS run a term is
-computed once per coordinate value a particle takes, with the bits of a
-full evaluation when the term is elementwise, through the same checks on
-every call, and with the same count, 2 per row.
+The built-in objectives meet ``core``'s row-function condition (see its
+module docstring): elementwise operations on the whole batch, then their
+per-coordinate terms added left to right, ``(t0 + t1) + t2``.
 """
 
 from __future__ import annotations
@@ -192,6 +149,7 @@ class BiObjectiveProblem:
         p = self._batch(points)
         carried = iter(terms)
         outputs, computed = [], []
+        # each objective's path is picked at each call: f1 and f2 are public, mutable fields
         for which, f in (("f1", self.f1), ("f2", self.f2)):
             if not isinstance(f, CoordinateSum):
                 outputs.append(f(p))
@@ -275,13 +233,11 @@ class CoordinateSum:
     must be elementwise: each output value depends on its own input value
     alone, whatever the array's shape, and the output has the input's
     shape. Then a row whose coordinate i alone changed needs only that
-    coordinate's new term, and the sum of the row's other terms and the new
-    one, added in the same order, has the bits of a full evaluation. The
-    Metropolis sweep of ``core.run`` proposes such rows, and each step of
-    ``core.run`` evaluates resampled rows whose terms it already holds;
-    ``BiObjectiveProblem`` evaluates both so when an objective is a
-    CoordinateSum, computing the term once per coordinate value a particle
-    takes. Each row still counts as one evaluation of the objective.
+    coordinate's new term, added to the row's other terms in the same order,
+    for the bits of a full evaluation, and a row whose terms are held needs
+    none; ``core.run`` relies on this (see its module docstring) to compute
+    the term once per coordinate value a particle takes. Each row still
+    counts as one evaluation of the objective.
     The term's output is read by the array rule (README, "Array inputs"), so
     a float32 or integer term is summed in float64.
     """
@@ -391,9 +347,8 @@ def fonseca_fleming_problem() -> BiObjectiveProblem:
 
 
 def _kursawe_f1(x: np.ndarray) -> np.ndarray:
-    # on (3, n) coordinate rows each operation is one contiguous loop, where
-    # the neighbour sum of the (n, 3) batch ran one 2-element loop per row
-    # (8.8 of 16 us of a 500-row call); same operations, same values, same bits
+    # on (3, n) coordinate rows each operation is one contiguous loop; the
+    # operations and their order are the (n, 3) batch's, so are the bits
     xt = x.T.copy()
     sq = xt * xt
     t = -10.0 * np.exp(-0.2 * np.sqrt(sq[:-1] + sq[1:]))
@@ -401,17 +356,8 @@ def _kursawe_f1(x: np.ndarray) -> np.ndarray:
 
 
 def _kursawe_f2_term(x: np.ndarray) -> np.ndarray:
-    # x**3 stays, although numpy sends negative bases down its per-element
-    # pow: 143 ns a negative element against 4 ns a positive one, on one
-    # AVX-512 Xeon core with numpy 2.4. With AVX-512 dispatch off, every
-    # cube costs about 17 ns, so the saving of computing the term once per
-    # coordinate value (one column per Metropolis proposal, none when a step
-    # evaluates its resampled particles) is smaller on such CPUs. No faster
-    # cube gives the same bits, so each would move every seeded Kursawe result:
-    # x * x * x changes the last bit of about 26 % of cubes, and of 400 000
-    # uniform negative bases, copysign(abs(x)**3, x) changes 5.3 %,
-    # np.float_power(x, 3) 0.14 %, a long-double cube 0.10 % and the
-    # correctly rounded cube 0.11 %.
+    # x**3 stays: no faster cube gives its bits, so any other would move every
+    # seeded Kursawe result (CHANGES.md, the FOUND line on a faster cube)
     return np.abs(x) ** 0.8 + 5.0 * np.sin(x**3)
 
 

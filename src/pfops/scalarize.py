@@ -15,9 +15,7 @@ space (raw densities underflow: the convex benchmark reaches exp(-225)
 at the far corner of its box). One private kernel, ``_log_density``,
 computes log pi for ``Scalarization.log_density_values`` (one target) and
 ``log_density_table`` (many), and its docstring states the float
-operations and their order. Lambda, the Utopian point and the target
-count are checked by the shared rules of :mod:`pfops.errors`; a kind must be
-a ScalarizationKind member, not its string value.
+operations and their order.
 """
 
 from __future__ import annotations

@@ -339,6 +339,25 @@ def test_count_past_the_int_digit_limit_refused(capsys, argv, prefix):
     assert err.endswith(f"of {limit + 1} digits is too long: Python reads at most {limit} digits\n")
 
 
+@pytest.mark.parametrize(
+    "argv, prefix",
+    [
+        (["run", "--preset", "pfops-convex-under", "--seed"], ""),
+        (["compare", "--a", "x", "--b", "y", "--seeds"], "1,"),
+        (["reference", "--problem", "convex", "--resolution"], ""),
+    ],
+    ids=["seed", "seeds", "resolution"],
+)
+def test_long_item_quoted_by_its_start_and_length(capsys, argv, prefix):
+    # the whole item used to be echoed: 5215 bytes of stderr for --resolution
+    with pytest.raises(SystemExit) as excinfo:
+        main(argv + [prefix + "x" * 5000])
+    assert excinfo.value.code == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert all(len(line) < 200 for line in lines), lines
+    assert f"'{'x' * 60}...' (5000 characters) is not a " in lines[-1]
+
+
 def test_reference_rejects_unknown_problem():
     with pytest.raises(SystemExit) as excinfo:
         main(["reference", "--problem", "zdt1", "--resolution", "5"])

@@ -1,3 +1,4 @@
+import re
 import subprocess
 import sys
 import textwrap
@@ -93,3 +94,15 @@ def test_every_exported_name_is_in_the_readme_api_section():
     section = readme.split("## Library API", 1)[1].split("\n## ", 1)[0]
     missing = sorted(name for name in API if f"`{name}`" not in section)
     assert not missing
+
+
+def test_readme_names_no_private_identifier():
+    # each name the README shows is a promise to users; a private name
+    # (last dotted part starting with one underscore) is not one to make
+    readme = (Path(SRC).parent / "README.md").read_text()
+    prose = re.sub(r"```.*?```", "", readme, flags=re.S)
+    names = (re.match(r"[A-Za-z_][\w.]*", span) for span in re.findall(r"`([^`\n]+)`", prose))
+    private = sorted(
+        {m[0] for m in names if m and re.match(r"_(?!_)", m[0].rsplit(".", 1)[-1])}
+    )
+    assert not private
