@@ -16,7 +16,7 @@ import sys
 from pathlib import Path
 
 from . import experiments, pareto
-from .errors import PfopsError
+from .errors import PfopsError, shown
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -59,11 +59,12 @@ def _build_parser() -> argparse.ArgumentParser:
 def _digits(text: str, what: str) -> int:
     """A count as typed: ASCII decimal digits, where ``int`` would also read
     "1_0" as 10, " 3" as 3 and the Arabic-Indic digit three as 3. A refused
-    item of more than 60 characters is quoted by its first 60 and its length,
-    and more digits than Python converts to an int by their number."""
+    item is quoted by :func:`~pfops.errors.shown`, and more digits than
+    Python converts to an int by their number."""
     if not re.fullmatch("[0-9]+", text):
-        shown = f"'{text}'" if len(text) <= 60 else f"'{text[:60]}...' ({len(text)} characters)"
-        raise argparse.ArgumentTypeError(f"{shown} is not a {what} (ASCII decimal digits)")
+        raise argparse.ArgumentTypeError(
+            f"{shown(text, quote=True)} is not a {what} (ASCII decimal digits)"
+        )
     try:
         return int(text)
     except ValueError:  # Python's limit on the digits of a decimal string

@@ -26,11 +26,12 @@ so does anything that reads other rows, such as a batch mean. With the sweep
 off, a noisy or batch-dependent objective is sampled once per particle.
 
 The public step functions run the same kernels on a ``Population``, each
-scoring its particles afresh; ``_score`` scores every batch and
-``_incumbent`` picks every incumbent. ``importance_weights`` returns
-normalized log weights, and ``resample`` keeps ``rng.choice``'s stream; the
-CDF of raw weights that ``run`` builds may differ from that one in its last
-bits.
+scoring its particles afresh. ``_score`` scores every batch, a step's and
+each sweep dimension's alike, by the kernel ``scalarize.log_density`` on the
+array the evaluation has just built and checked; ``_incumbent`` picks every
+incumbent. ``importance_weights`` returns normalized log weights, and
+``resample`` keeps ``rng.choice``'s stream; the CDF of raw weights that
+``run`` builds may differ from that one in its last bits.
 """
 
 from __future__ import annotations
@@ -50,6 +51,7 @@ from .errors import (
     check_sizable,
     is_finite_number,
     is_integer,
+    shown,
 )
 from .pareto import ParetoArchive, nondominated_mask
 from .problems import BiObjectiveProblem
@@ -57,6 +59,7 @@ from .scalarize import (
     Scalarization,
     ScalarizationKind,
     equal_interval_schedule,
+    log_density,
     log_density_table,
 )
 
@@ -64,7 +67,7 @@ from .scalarize import (
 def _check_sigma(error: type[ValueError], sigma: object) -> None:
     """PfopsConfig's and metropolis_sweep's rule for ``sigma``, each raising its own ``error``."""
     if not (is_finite_number(sigma) and sigma > 0):
-        raise error(f"sigma must be a finite number > 0, got {sigma!r}")
+        raise error(f"sigma must be a finite number > 0, got {shown(sigma)}")
 
 
 @dataclass(frozen=True)
@@ -121,7 +124,7 @@ class PfopsConfig:
         object.__setattr__(self, "sigma", float(self.sigma))
         for name in ("metropolis_enabled", "final_filter_enabled"):
             if not isinstance(value := getattr(self, name), bool):
-                raise InvalidConfigError(f"{name} must be true or false, got {value!r}")
+                raise InvalidConfigError(f"{name} must be true or false, got {shown(value)}")
         object.__setattr__(self, "seed", check_integer("seed", self.seed, 0))
         # the kind and Utopian rules live in Scalarization; keep its float copy of z
         z = Scalarization(self.scalarization_kind, 0.0, self.utopian).utopian
@@ -200,28 +203,39 @@ def _inverse_cdf(weights: np.ndarray, u: np.ndarray, order: np.ndarray) -> np.nd
 
 def _sweep(
     particles: np.ndarray, log_pi: np.ndarray, terms: list, inc: Incumbent,
-    s: Scalarization, problem: BiObjectiveProblem, sigma: float, rng: np.random.Generator,
+    target: Scalarization | tuple, problem: BiObjectiveProblem, sigma: float,
+    rng: np.random.Generator,
 ) -> Incumbent:
     """Sweep ``particles`` in place, keeping ``log_pi`` (their log pi under
-    ``s``) and ``terms`` (each CoordinateSum objective's term matrix) in
-    step; return the incumbent after the sweep."""
+    ``target``, as ``_score`` takes it) and ``terms`` (each CoordinateSum
+    objective's term matrix) in step; return the incumbent after the sweep.
+
+    Each dimension's proposals are scored in one batch of the in-box rows,
+    scattered into full-length buffers (log pi at -inf elsewhere), and
+    committed with one masked copy per array. An out-of-box proposal scores
+    -inf and is never accepted, so no buffer entry outside the batch is read."""
     n = len(particles)
+    lower, upper = problem.lower.tolist(), problem.upper.tolist()
+    prop_log_pi = np.empty(n)
+    prop_terms = [np.empty(n) for _ in terms]
     for dim in range(problem.dim):
         col = particles[:, dim]
         proposed_col = rng.standard_normal(n)
         proposed_col *= sigma
         proposed_col += col
-        inside = proposed_col >= problem.lower[dim]
-        inside &= proposed_col <= problem.upper[dim]
+        inside = proposed_col >= lower[dim]
+        inside &= proposed_col <= upper[dim]
         rows = inside.nonzero()[0]
 
-        prop_log_pi = np.full(n, -np.inf)
+        prop_log_pi.fill(-np.inf)
         if rows.size:
             batch = particles.take(rows, axis=0)
             batch[:, dim] = proposed_col.take(rows)
             batch_terms = [t.take(rows, axis=0) for t in terms]
-            values, batch_log_pi, new_terms = _score(batch, s, problem, batch_terms, dim)
+            values, batch_log_pi, new_terms = _score(batch, target, problem, batch_terms, dim)
             prop_log_pi[rows] = batch_log_pi
+            for buf, new in zip(prop_terms, new_terms):
+                buf[rows] = new
             # out-of-box rows score -inf, so the batch's first maximum is the
             # first maximum over all proposals
             inc = _incumbent(batch, batch_log_pi, values, inc)
@@ -235,21 +249,25 @@ def _sweep(
         accept = rng.random(n) < ratio
         np.copyto(col, proposed_col, where=accept)
         np.copyto(log_pi, prop_log_pi, where=accept)
-        if terms and rows.size:  # an out-of-box proposal is never accepted
-            took = accept.take(rows)
-            for t, new in zip(terms, new_terms):
-                t[rows[took], dim] = new[took]
+        for t, buf in zip(terms, prop_terms):
+            np.copyto(t[:, dim], buf, where=accept)
     return inc
 
 
 def _score(
-    particles: np.ndarray, s: Scalarization, problem: BiObjectiveProblem,
+    particles: np.ndarray, target: Scalarization | tuple, problem: BiObjectiveProblem,
     terms: Sequence = (), dim: int | None = None,
 ) -> tuple[np.ndarray, np.ndarray, list]:
     """The (n, 2) values of ``problem._evaluate_terms(particles, dim, terms)``,
-    their log pi under ``s`` and its term arrays: the one scoring of a batch."""
+    their log pi under ``target`` and its term arrays: the one scoring of a
+    batch. ``target`` is a Scalarization or, as ``run`` builds it per step
+    from its checked config, its fields ``(lam, kind, utopian)``. The log pi
+    is ``scalarize.log_density``'s, computed on the float (n, 2) array the
+    evaluation has just built and checked, so it is not read again."""
     objectives, terms = problem._evaluate_terms(particles, dim, terms)
-    return objectives, s.log_density_values(objectives), terms
+    if isinstance(target, Scalarization):
+        target = target.lam, target.kind, target.utopian
+    return objectives, log_density(objectives, *target), terms
 
 
 def importance_weights(
@@ -274,7 +292,7 @@ def importance_weights(
             density under pi_k, a weight is infinite, or one is NaN.
     """
     if not is_integer(k, 1):
-        raise InvalidInputError(f"step index k must be an integer >= 1, got {k!r}")
+        raise InvalidInputError(f"step index k must be an integer >= 1, got {shown(k)}")
     if (k == 1) != (s_prev is None):
         raise InvalidInputError("s_prev is required exactly when k > 1")
     objectives, log_pi, _ = _score(pop.particles, s_k, problem)
@@ -399,9 +417,10 @@ def _run_moves_on(
     front = []
     log_pi_prev = 0.0  # each particle's log pi_{k-1}: the flat pi_0, then carried
     terms = []  # each CoordinateSum objective's term matrix, carried likewise
-    for lam in schedule:
-        s_k = config.scalarization(lam)
-        objectives, log_pi, terms = _score(particles, s_k, problem, terms)
+    kind, utopian = config.scalarization_kind, config.utopian
+    for lam in schedule.tolist():
+        target = lam, kind, utopian  # config and schedule are checked: no Scalarization
+        objectives, log_pi, terms = _score(particles, target, problem, terms)
         inc = _incumbent(particles, log_pi, objectives)
         weights = _raw_log_weights(log_pi, log_pi_prev)
         idx = _inverse_cdf(
@@ -410,7 +429,7 @@ def _run_moves_on(
         particles = particles.take(idx, axis=0)
         log_pi_prev = log_pi.take(idx)
         terms = [t.take(idx, axis=0) for t in terms]
-        inc = _sweep(particles, log_pi_prev, terms, inc, s_k, problem, config.sigma, rng)
+        inc = _sweep(particles, log_pi_prev, terms, inc, target, problem, config.sigma, rng)
         decisions.append(inc.decision)
         front.append(inc.objectives)
     return np.stack(decisions), np.stack(front)

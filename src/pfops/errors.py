@@ -5,6 +5,7 @@ message; :func:`check_integer` is the config form of :func:`is_integer`,
 :func:`check_sizable` bounds a count by the arrays it sizes,
 :func:`check_instance` checks an argument's type and :func:`check_key` a registry name.
 :func:`as_real_array` is the one rule for array inputs at the public boundary.
+:func:`shown` is the one rule for quoting a user's input in an error text.
 """
 
 import math
@@ -15,6 +16,9 @@ from typing import TypeVar
 import numpy as np
 
 _V = TypeVar("_V")
+
+# characters of a user's input that an error text quotes
+_SHOWN_CHARS = 60
 
 
 class PfopsError(Exception):
@@ -47,6 +51,19 @@ class DegenerateWeightsError(PfopsError, RuntimeError):
     NaN; the message says which."""
 
 
+def shown(value: object, quote: bool = False) -> str:
+    """A user's input as an error text quotes it: ``repr(value)`` or, with
+    ``quote``, ``str(value)`` between single quotes. A text of more than 60
+    characters keeps its first 60, marked by '...', and is followed by its
+    length, as in ``'xxxx...' (5000 characters)``: a message about a
+    5000-character input stays short."""
+    text = str(value) if quote else repr(value)
+    mark = "'" if quote else ""
+    if len(text) <= _SHOWN_CHARS:
+        return f"{mark}{text}{mark}"
+    return f"{mark}{text[:_SHOWN_CHARS]}...{mark} ({len(text)} characters)"
+
+
 def is_integer(value: object, minimum: int) -> bool:
     """An integer >= ``minimum``; numpy integers count, a bool does not."""
     return not isinstance(value, bool) and isinstance(value, numbers.Integral) and value >= minimum
@@ -55,7 +72,7 @@ def is_integer(value: object, minimum: int) -> bool:
 def check_integer(name: str, value: object, minimum: int) -> int:
     """A config count or seed as a plain int; one not an integer >= ``minimum`` is rejected."""
     if not is_integer(value, minimum):
-        raise InvalidConfigError(f"{name} must be an integer >= {minimum}, got {value!r}")
+        raise InvalidConfigError(f"{name} must be an integer >= {minimum}, got {shown(value)}")
     return int(value)
 
 
@@ -80,11 +97,16 @@ def check_instance(error: type[PfopsError], name: str, value: object, cls: type)
 def check_key(
     table: Mapping[str, _V], name: object, what: str, error: type[PfopsError] = NotFoundError
 ) -> _V:
-    """``table[name]``; any other name, an unhashable one included, raises ``error`` naming it."""
+    """``table[name]``; any other name, an unhashable one included, raises ``error`` naming it.
+    When :func:`shown` cuts the name, the available names start a second
+    line: the preset table's alone take 150 characters."""
     try:
         return table[name]
     except (KeyError, TypeError):  # TypeError: an unhashable name
-        raise error(f"unknown {what} '{name}'; available: {', '.join(table)}") from None
+        sep = "\n" if len(str(name)) > _SHOWN_CHARS else " "
+        raise error(
+            f"unknown {what} {shown(name, quote=True)};{sep}available: {', '.join(table)}"
+        ) from None
 
 
 def as_real_array(name: str, value: object) -> np.ndarray:

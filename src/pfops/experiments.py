@@ -21,6 +21,7 @@ import numpy as np
 
 from . import core, nsga2, pareto
 from .errors import InvalidConfigError, InvalidInputError, NotFoundError, check_integer, check_key
+from .errors import shown
 from .problems import lookup_problem
 from .scalarize import ScalarizationKind
 
@@ -280,7 +281,9 @@ def emit_front_svg(
     if not fronts:
         raise InvalidInputError("need at least one front to plot")
     reference = _plot_points("reference", reference)
-    checked = {label: _plot_points(f"front {label!r}", front) for label, front in fronts.items()}
+    checked = {
+        label: _plot_points(f"front {shown(label)}", front) for label, front in fronts.items()
+    }
 
     stacks = [front for front in checked.values() if len(front)]
     if len(reference):
@@ -404,12 +407,12 @@ def _parse_config_file(path: str | Path) -> ExperimentPreset:
         raise InvalidConfigError("expected a JSON object")
     unknown = sorted(set(raw) - _TOP_LEVEL_KEYS)
     if unknown:
-        raise InvalidConfigError(f"unrecognized top-level keys {unknown}")
+        raise InvalidConfigError(f"unrecognized top-level keys {shown(unknown)}")
     for key in ("problem", "algorithm"):
         if key not in raw:
             raise InvalidConfigError(f"missing required key '{key}'")
         if not isinstance(raw[key], str):
-            raise InvalidConfigError(f"'{key}' must be a string, got {raw[key]!r}")
+            raise InvalidConfigError(f"'{key}' must be a string, got {shown(raw[key])}")
     if "seed" in raw:
         check_integer("seed", raw["seed"], 0)
     problem, algorithm = raw["problem"], raw["algorithm"]
@@ -423,7 +426,7 @@ def _parse_config_file(path: str | Path) -> ExperimentPreset:
     by_key = _section_fields(cls)
     unknown = sorted(set(section) - set(by_key))
     if unknown:
-        raise InvalidConfigError(f"{algorithm}: unrecognized keys {unknown}")
+        raise InvalidConfigError(f"{algorithm}: unrecognized keys {shown(unknown)}")
     missing = [k for k, f in by_key.items() if f.default is MISSING and k not in section]
     if missing:
         raise InvalidConfigError(f"{algorithm}: missing required keys {missing}")

@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import InvalidInputError, as_real_array, check_key, check_sizable, is_finite_pair
-from .errors import is_integer
+from .errors import is_integer, shown
 from .problems import _INV_SQRT2, fonseca_fleming_problem, kursawe_problem
 
 _DATA_DIR = Path(__file__).parent / "data"
@@ -176,7 +176,7 @@ def hypervolume_2d(front: np.ndarray, ref_point: np.ndarray) -> float:
     a ``ref_point`` that is not two finite numbers raises InvalidInputError.
     """
     if not is_finite_pair(ref_point):
-        raise InvalidInputError(f"ref_point must be two finite numbers, got {ref_point!r}")
+        raise InvalidInputError(f"ref_point must be two finite numbers, got {shown(ref_point)}")
     front = as_front(front)
     r1, r2 = float(ref_point[0]), float(ref_point[1])
     if len(front) == 0:
@@ -272,7 +272,7 @@ def reference_front(name: str, resolution: int, *, rebuild: bool = False) -> np.
     """
     benchmark = check_key(BENCHMARKS, name, "benchmark")
     if not is_integer(resolution, 2):
-        raise InvalidInputError(f"resolution must be an integer >= 2, got {resolution!r}")
+        raise InvalidInputError(f"resolution must be an integer >= 2, got {shown(resolution)}")
     rows = int(resolution) ** benchmark.grid_axes  # a plain int cannot overflow
     check_sizable("resolution", rows, benchmark.row_items, InvalidInputError)
     if rebuild:
@@ -325,9 +325,9 @@ def read_front_csv(path: str | Path) -> np.ndarray:
             f1, f2 = map(float, line.split(","))
         except ValueError:
             raise InvalidInputError(
-                f"{path}, line {number}: expected two numbers, got {line!r}"
+                f"{path}, line {number}: expected two numbers, got {shown(line)}"
             ) from None
         if math.isnan(f1) or math.isnan(f2):
-            raise InvalidInputError(f"{path}, line {number}: contains NaN: {line!r}")
+            raise InvalidInputError(f"{path}, line {number}: contains NaN: {shown(line)}")
         rows.append((f1, f2))
     return np.array(rows, dtype=float).reshape(-1, 2)

@@ -34,7 +34,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import BoundsError, InvalidInputError, as_real_array, check_key
-from .errors import is_finite_pair, is_integer
+from .errors import is_finite_pair, is_integer, shown
 
 # Vectorized objective: maps an (n, d) batch to an (n,) value array.
 ObjectiveFn = Callable[[np.ndarray], np.ndarray]
@@ -88,7 +88,7 @@ class BiObjectiveProblem:
     def __post_init__(self) -> None:
         dim = self.dim
         if not is_integer(dim, 1):
-            raise InvalidInputError(f"dim must be an integer >= 1, got {dim!r}")
+            raise InvalidInputError(f"dim must be an integer >= 1, got {shown(dim)}")
         self.lower = _float_array("lower", self.lower)
         self.upper = _float_array("upper", self.upper)
         shapes = (self.lower.shape, self.upper.shape)
@@ -108,7 +108,9 @@ class BiObjectiveProblem:
             )
         if self.ideal is not None:
             if not is_finite_pair(self.ideal):
-                raise InvalidInputError(f"ideal must be two finite numbers, got {self.ideal!r}")
+                raise InvalidInputError(
+                    f"ideal must be two finite numbers, got {shown(self.ideal)}"
+                )
             self.ideal = (float(self.ideal[0]), float(self.ideal[1]))
 
     def evaluate_batch(self, points: np.ndarray) -> np.ndarray:
@@ -279,7 +281,7 @@ def _float_array(name: str, value: object) -> np.ndarray:
     if not all(
         isinstance(v, numbers.Real) and not isinstance(v, (bool, np.bool_)) for v in items
     ):
-        raise InvalidInputError(f"{name} must be integers or floats, got {value!r}")
+        raise InvalidInputError(f"{name} must be integers or floats, got {shown(value)}")
     return np.asarray(value, dtype=float)
 
 

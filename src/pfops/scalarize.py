@@ -12,9 +12,10 @@ where z = (z1, z2) is a Utopian point strictly below each objective's
 minimum. Normalizing constants are never computed: every consumer works
 with ratios of pi_k, where they cancel, and all arithmetic stays in log
 space (raw densities underflow: the convex benchmark reaches exp(-225)
-at the far corner of its box). One private kernel, ``_log_density``,
-computes log pi for ``Scalarization.log_density_values`` (one target) and
-``log_density_table`` (many), and its docstring states the float
+at the far corner of its box). One kernel, ``log_density``, computes log pi
+for ``Scalarization.log_density_values`` (one target, checked),
+``log_density_table`` (many) and ``core._score`` (one target, on the
+values an evaluation has just checked), and its docstring states the float
 operations and their order.
 """
 
@@ -26,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidConfigError, InvalidInputError, as_real_array
-from .errors import is_finite_number, is_finite_pair, is_integer
+from .errors import is_finite_number, is_finite_pair, is_integer, shown
 
 
 class ScalarizationKind(enum.Enum):
@@ -53,24 +54,26 @@ class Scalarization:
     def __post_init__(self) -> None:
         if not isinstance(self.kind, ScalarizationKind):
             raise InvalidConfigError(
-                f"scalarization_kind must be a ScalarizationKind, got {self.kind!r}"
+                f"scalarization_kind must be a ScalarizationKind, got {shown(self.kind)}"
             )
         if not (is_finite_number(self.lam) and 0.0 <= self.lam <= 1.0):
-            raise InvalidConfigError(f"lambda must be a number in [0, 1], got {self.lam!r}")
+            raise InvalidConfigError(f"lambda must be a number in [0, 1], got {shown(self.lam)}")
         z = self.utopian
         if self.kind is ScalarizationKind.TCHEBYCHEFF:
             if z is None:
                 raise InvalidConfigError("utopian is required by the Tchebycheff scalarization")
             if not is_finite_pair(z):
-                raise InvalidConfigError(f"utopian must be two finite numbers, got {z!r}")
+                raise InvalidConfigError(f"utopian must be two finite numbers, got {shown(z)}")
             object.__setattr__(self, "utopian", (float(z[0]), float(z[1])))
         elif z is not None:
-            raise InvalidConfigError(f"the weighted-sum scalarization takes no utopian, got {z!r}")
+            raise InvalidConfigError(
+                f"the weighted-sum scalarization takes no utopian, got {shown(z)}"
+            )
 
     def log_density_values(self, objectives: np.ndarray) -> np.ndarray:
         """log pi, shape (n,), at the (n, 2) objective values of a batch, as
         an evaluation returns them; at lambda = 0 or 1 the zero-weighted
-        objective is ignored, even where infinite (``_log_density`` gives
+        objective is ignored, even where infinite (``log_density`` gives
         the float operations). The values are read by the array rule
         (README, "Array inputs"); any shape other than (n, 2), a single (2,)
         point included, raises InvalidInputError naming it.
@@ -78,10 +81,10 @@ class Scalarization:
         obj = as_real_array("objective values", objectives)
         if obj.ndim != 2 or obj.shape[1] != 2:
             raise InvalidInputError(f"objective values must have shape (n, 2), got {obj.shape}")
-        return _log_density(obj, self.lam, self.kind, self.utopian)
+        return log_density(obj, self.lam, self.kind, self.utopian)
 
 
-def _log_density(
+def log_density(
     objectives: np.ndarray, lam: float | np.ndarray, kind: ScalarizationKind,
     utopian: tuple[float, float] | None,
 ) -> np.ndarray:
@@ -97,7 +100,9 @@ def _log_density(
     f1, even where that objective is infinite (``0 * inf`` would be NaN), so
     for finite objectives the value is the formula's but for the sign of a
     zero. A column keeps both terms in every row, so its lambdas must lie
-    strictly inside (0, 1).
+    strictly inside (0, 1). The caller gives valid arguments: float
+    objective values of that shape, lambdas in [0, 1] and the kind's
+    Utopian point; nothing is checked here.
     """
     column = isinstance(lam, np.ndarray)
     terms = []
@@ -124,16 +129,16 @@ def log_density_table(
     ``Scalarization(kind, lams[r], utopian).log_density_values(objectives)``.
 
     The rows whose lambda lies strictly inside (0, 1) are scored in one
-    column call of ``_log_density``; each row whose lambda is exactly 0 or 1,
+    column call of ``log_density``; each row whose lambda is exactly 0 or 1,
     wherever it sits, is scored under that float, which drops a term. The
     caller gives valid arguments: lambdas in [0, 1] and the kind's Utopian
     point; nothing is checked here.
     """
     lams = np.asarray(lams, dtype=float)
     inside = (0.0 < lams) & (lams < 1.0)
-    table = _log_density(objectives, lams[inside, None], kind, utopian)
+    table = log_density(objectives, lams[inside, None], kind, utopian)
     for r in np.flatnonzero(~inside):  # in order, so each lands at its row
-        row = _log_density(objectives, lams[r], kind, utopian)
+        row = log_density(objectives, lams[r], kind, utopian)
         table = np.concatenate((table[:r], row[None], table[r:]))
     return table
 
@@ -153,6 +158,6 @@ def equal_interval_schedule(k_targets: int) -> np.ndarray:
     if not is_integer(k_targets, 2):
         raise InvalidConfigError(
             f"need an integer of at least 2 targets to span lambda from 0 to 1, "
-            f"got {k_targets!r}"
+            f"got {shown(k_targets)}"
         )
     return np.linspace(0.0, 1.0, int(k_targets))

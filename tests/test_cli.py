@@ -2,6 +2,7 @@ import argparse
 import dataclasses
 import json
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -373,3 +374,48 @@ def test_reference_offers_the_scoring_table(monkeypatch):
     with pytest.raises(SystemExit) as excinfo:
         main(["reference", "--problem", "line", "--resolution", "5"])
     assert excinfo.value.code == 2
+
+
+def _config_bytes(section, algorithm="pfops", problem="convex"):
+    return json.dumps({"problem": problem, "algorithm": algorithm, algorithm: section}).encode()
+
+
+# each input that `pfops` refuses with exit code 1: its argv, where "FILE"
+# stands for a config file holding the given bytes
+REFUSED_INPUTS = {
+    "duplicated-key": (["run", "--config", "FILE"], (
+        b'{"problem": "convex", "algorithm": "nsga2", "seed": 1, "seed": 3,'
+        b' "nsga2": {"pop_size": 8, "generations": 2}}'
+    )),
+    "not-utf8": (["run", "--config", "FILE"], b"\xff\xfe{\x00}\x00"),  # UTF-16
+    "unsizable-count": (["run", "--config", "FILE"], _config_bytes(
+        {"n_targets": 2, "n_particles": 10**20}
+    )),
+    "unknown-preset": (["run", "--preset", "nope"], None),
+    "unsizable-resolution": (["reference", "--problem", "convex", "--resolution", "9" * 20], None),
+    # a 5000-character input is quoted by its start and its length
+    "long-preset": (["run", "--preset", "x" * 5000], None),
+    "long-problem": (["run", "--config", "FILE"], _config_bytes(
+        {"n_targets": 2, "n_particles": 2}, problem="x" * 5000
+    )),
+    "long-count": (["run", "--config", "FILE"], _config_bytes(
+        {"n_targets": "x" * 5000, "n_particles": 2}
+    )),
+}
+
+
+@pytest.mark.parametrize("case", REFUSED_INPUTS)
+def test_refused_input_exits_1_with_one_short_error_line(tmp_path, monkeypatch, capsys, case):
+    argv, content = REFUSED_INPUTS[case]
+    if content is not None:
+        # the message starts with the path as given: a short one, as typed
+        monkeypatch.chdir(tmp_path)
+        Path("run.json").write_bytes(content)
+        argv = ["run.json" if arg == "FILE" else arg for arg in argv]
+    assert main(argv) == 1  # not an exception, which would print a traceback
+    captured = capsys.readouterr()
+    lines = captured.err.splitlines()
+    assert lines[0].startswith("error: ")
+    assert sum(line.startswith("error:") for line in lines) == 1
+    assert "Traceback" not in captured.err and captured.out == ""
+    assert all(len(line) < 200 for line in lines), lines

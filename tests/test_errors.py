@@ -168,3 +168,16 @@ def test_array_rule_keeps_the_bits_of_real_inputs(dtype):
 def test_array_rule_gives_a_float64_array_back_as_is():
     array = np.ones((3, 2))
     assert errors.as_real_array("x", array) is array
+
+
+@pytest.mark.parametrize("value", ["nope", "", 3, None, ["x"], "x" * 58, ("a", 1.5)])
+def test_shown_keeps_a_short_input_whole(value):
+    assert errors.shown(value) == repr(value)
+    assert errors.shown(value, quote=True) == f"'{value}'"
+
+
+def test_shown_cuts_a_long_input_to_its_start_and_length():
+    assert errors.shown("x" * 5000, quote=True) == f"'{'x' * 60}...' (5000 characters)"
+    assert errors.shown("x" * 61, quote=True) == f"'{'x' * 60}...' (61 characters)"
+    assert errors.shown([1] * 3000) == f"{repr([1] * 30)[:60]}... (9000 characters)"
+    assert errors.shown("x" * 5000) == f"'{'x' * 59}... (5002 characters)"
