@@ -203,12 +203,11 @@ def _inverse_cdf(weights: np.ndarray, u: np.ndarray, order: np.ndarray) -> np.nd
 
 def _sweep(
     particles: np.ndarray, log_pi: np.ndarray, terms: list, inc: Incumbent,
-    target: Scalarization | tuple, problem: BiObjectiveProblem, sigma: float,
-    rng: np.random.Generator,
+    s: Scalarization, problem: BiObjectiveProblem, sigma: float, rng: np.random.Generator,
 ) -> Incumbent:
     """Sweep ``particles`` in place, keeping ``log_pi`` (their log pi under
-    ``target``, as ``_score`` takes it) and ``terms`` (each CoordinateSum
-    objective's term matrix) in step; return the incumbent after the sweep.
+    ``s``) and ``terms`` (each CoordinateSum objective's term matrix) in
+    step; return the incumbent after the sweep.
 
     Each dimension's proposals are scored in one batch of the in-box rows,
     scattered into full-length buffers (log pi at -inf elsewhere), and
@@ -232,7 +231,7 @@ def _sweep(
             batch = particles.take(rows, axis=0)
             batch[:, dim] = proposed_col.take(rows)
             batch_terms = [t.take(rows, axis=0) for t in terms]
-            values, batch_log_pi, new_terms = _score(batch, target, problem, batch_terms, dim)
+            values, batch_log_pi, new_terms = _score(batch, s, problem, batch_terms, dim)
             prop_log_pi[rows] = batch_log_pi
             for buf, new in zip(prop_terms, new_terms):
                 buf[rows] = new
@@ -255,19 +254,16 @@ def _sweep(
 
 
 def _score(
-    particles: np.ndarray, target: Scalarization | tuple, problem: BiObjectiveProblem,
+    particles: np.ndarray, s: Scalarization, problem: BiObjectiveProblem,
     terms: Sequence = (), dim: int | None = None,
 ) -> tuple[np.ndarray, np.ndarray, list]:
     """The (n, 2) values of ``problem._evaluate_terms(particles, dim, terms)``,
-    their log pi under ``target`` and its term arrays: the one scoring of a
-    batch. ``target`` is a Scalarization or, as ``run`` builds it per step
-    from its checked config, its fields ``(lam, kind, utopian)``. The log pi
-    is ``scalarize.log_density``'s, computed on the float (n, 2) array the
-    evaluation has just built and checked, so it is not read again."""
+    their log pi under ``s`` and its term arrays: the one scoring of a
+    batch. The log pi is ``scalarize.log_density``'s, computed on the float
+    (n, 2) array the evaluation has just built and checked, so it is not
+    read again."""
     objectives, terms = problem._evaluate_terms(particles, dim, terms)
-    if isinstance(target, Scalarization):
-        target = target.lam, target.kind, target.utopian
-    return objectives, log_density(objectives, *target), terms
+    return objectives, log_density(objectives, s.lam, s.kind, s.utopian), terms
 
 
 def importance_weights(
@@ -417,10 +413,9 @@ def _run_moves_on(
     front = []
     log_pi_prev = 0.0  # each particle's log pi_{k-1}: the flat pi_0, then carried
     terms = []  # each CoordinateSum objective's term matrix, carried likewise
-    kind, utopian = config.scalarization_kind, config.utopian
-    for lam in schedule.tolist():
-        target = lam, kind, utopian  # config and schedule are checked: no Scalarization
-        objectives, log_pi, terms = _score(particles, target, problem, terms)
+    for lam in schedule:
+        s_k = config.scalarization(lam)
+        objectives, log_pi, terms = _score(particles, s_k, problem, terms)
         inc = _incumbent(particles, log_pi, objectives)
         weights = _raw_log_weights(log_pi, log_pi_prev)
         idx = _inverse_cdf(
@@ -429,7 +424,7 @@ def _run_moves_on(
         particles = particles.take(idx, axis=0)
         log_pi_prev = log_pi.take(idx)
         terms = [t.take(idx, axis=0) for t in terms]
-        inc = _sweep(particles, log_pi_prev, terms, inc, target, problem, config.sigma, rng)
+        inc = _sweep(particles, log_pi_prev, terms, inc, s_k, problem, config.sigma, rng)
         decisions.append(inc.decision)
         front.append(inc.objectives)
     return np.stack(decisions), np.stack(front)

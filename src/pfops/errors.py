@@ -56,12 +56,19 @@ def shown(value: object, quote: bool = False) -> str:
     ``quote``, ``str(value)`` between single quotes. A text of more than 60
     characters keeps its first 60, marked by '...', and is followed by its
     length, as in ``'xxxx...' (5000 characters)``: a message about a
-    5000-character input stays short."""
-    text = str(value) if quote else repr(value)
-    mark = "'" if quote else ""
+    5000-character input stays short. A string's repr is cut inside its
+    quotes and counted by the string's own length."""
+    if quote:
+        mark, text = "'", str(value)
+    elif isinstance(value, str):
+        text = repr(value)
+        mark, text = text[0], text[1:-1]
+    else:
+        mark, text = "", repr(value)
     if len(text) <= _SHOWN_CHARS:
         return f"{mark}{text}{mark}"
-    return f"{mark}{text[:_SHOWN_CHARS]}...{mark} ({len(text)} characters)"
+    size = len(value) if isinstance(value, str) else len(text)
+    return f"{mark}{text[:_SHOWN_CHARS]}...{mark} ({size} characters)"
 
 
 def is_integer(value: object, minimum: int) -> bool:

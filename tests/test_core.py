@@ -1353,8 +1353,7 @@ class TestScoreKernel:
     @pytest.mark.parametrize("lam", [0.0, 0.3, 1.0])
     def test_log_pi_is_log_density_values(self, kind, lam):
         # _score calls the kernel on the evaluation's own array; its log pi
-        # must have the bits of the checked public call, given the target as
-        # a Scalarization or as run's per-step (lam, kind, utopian)
+        # must have the bits of the checked public call
         utopian = (-3.0, -3.0) if kind is ScalarizationKind.TCHEBYCHEFF else None
         s = Scalarization(kind, lam, utopian)
         problem = edge_values_problem()
@@ -1364,8 +1363,7 @@ class TestScoreKernel:
         assert np.isposinf(values).any() and (np.signbit(values) & (values == 0)).any()
         expected = s.log_density_values(values)
         assert np.isneginf(expected).any() and np.isfinite(expected).any()
-        for target in (s, (lam, kind, utopian)):
-            objectives, log_pi, terms = _score(x, target, problem)
-            assert_same_bits(objectives, values)
-            assert_same_bits(log_pi, expected)
-            assert terms == []
+        objectives, log_pi, terms = _score(x, s, problem)
+        assert_same_bits(objectives, values)
+        assert_same_bits(log_pi, expected)
+        assert terms == []

@@ -180,4 +180,7 @@ def test_shown_cuts_a_long_input_to_its_start_and_length():
     assert errors.shown("x" * 5000, quote=True) == f"'{'x' * 60}...' (5000 characters)"
     assert errors.shown("x" * 61, quote=True) == f"'{'x' * 60}...' (61 characters)"
     assert errors.shown([1] * 3000) == f"{repr([1] * 30)[:60]}... (9000 characters)"
-    assert errors.shown("x" * 5000) == f"'{'x' * 59}... (5002 characters)"
+    assert errors.shown("x" * 5000) == f"'{'x' * 60}...' (5000 characters)"
+    assert errors.shown("x" * 61) == f"'{'x' * 60}...' (61 characters)"
+    assert errors.shown("x" * 60) == repr("x" * 60)
+    assert errors.shown("it's" * 30) == '"' + "it's" * 15 + '..." (120 characters)'
