@@ -163,7 +163,7 @@ def _cmd_compare(args: argparse.Namespace) -> int:
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
         csv_path = out / f"compare_{args.a}_vs_{args.b}.csv"
-        experiments.write_comparison_csv(result, csv_path)
+        result.write_csv(csv_path)
         print(f"wrote {csv_path}")
     return 0
 

@@ -186,6 +186,19 @@ class ComparisonResult:
     medians: dict
     summary: str
 
+    def write_csv(self, path: str | Path) -> None:
+        """Per-seed metric table with a trailing median row. Its columns are
+        the seed and the median keys, which are the rows' other keys, in
+        order; a key ``<metric>_<side>`` heads its column as
+        ``<metric>:<that side's preset>``."""
+        presets = {"a": self.preset_a, "b": self.preset_b}
+        keys = list(self.medians)
+        header = ["seed"] + [f"{m}:{presets[side]}" for m, side in (k.rsplit("_", 1) for k in keys)]
+        lines = [",".join(header)]
+        lines += [",".join([str(row["seed"])] + [repr(row[k]) for k in keys]) for row in self.rows]
+        lines.append(",".join(["median"] + [repr(self.medians[k]) for k in keys]))
+        Path(path).write_text("\n".join(lines) + "\n")
+
 
 _COMPARE_METRICS = ("igd", "hypervolume", "eval_count", "wall_time")
 
@@ -234,19 +247,6 @@ def compare(preset_a: str, preset_b: str, seeds: Iterable[int]) -> ComparisonRes
         medians=medians,
         summary=summary,
     )
-
-
-def write_comparison_csv(result: ComparisonResult, path: str | Path) -> None:
-    """Per-seed metric table with a trailing median row. Its columns are the
-    seed and the median keys, which are the rows' other keys, in order; a key
-    ``<metric>_<side>`` heads its column as ``<metric>:<that side's preset>``."""
-    presets = {"a": result.preset_a, "b": result.preset_b}
-    keys = list(result.medians)
-    header = ["seed"] + [f"{m}:{presets[side]}" for m, side in (k.rsplit("_", 1) for k in keys)]
-    lines = [",".join(header)]
-    lines += [",".join([str(row["seed"])] + [repr(row[k]) for k in keys]) for row in result.rows]
-    lines.append(",".join(["median"] + [repr(result.medians[k]) for k in keys]))
-    Path(path).write_text("\n".join(lines) + "\n")
 
 
 def _plot_points(name: str, points: np.ndarray) -> np.ndarray:

@@ -2,16 +2,15 @@
 
 All fronts are (n, 2) float arrays of objective vectors under minimization;
 :func:`as_front` is the one front rule, refusing another shape or a NaN
-row, and every front reader goes through it. :func:`peel_fronts` ranks
-fronts for NSGA-II, and :func:`nondominated_mask`, its first front, filters
-PFOPS archives. :class:`ParetoArchive`, the decisions and front that both
-optimizers return, lives here too.
+row, and every function that takes a front goes through it.
+:func:`peel_fronts` ranks fronts for NSGA-II, and :func:`nondominated_mask`,
+its first front, filters PFOPS archives. :class:`ParetoArchive`, the
+decisions and front that both optimizers return, lives here too.
 """
 
 from __future__ import annotations
 
 import functools
-import math
 from collections.abc import Callable, Iterator
 from dataclasses import dataclass
 from pathlib import Path
@@ -283,7 +282,10 @@ def reference_front(name: str, resolution: int, *, rebuild: bool = False) -> np.
 @functools.lru_cache(maxsize=None)
 def _cached_front(name: str, resolution: int) -> np.ndarray:
     shipped = _DATA_DIR / f"{name}_front_{resolution}.csv"
-    front = read_front_csv(shipped) if shipped.is_file() else BENCHMARKS[name].front(resolution)
+    if shipped.is_file():  # written by write_front_csv, read to the same float bits
+        front = np.loadtxt(shipped, delimiter=",", skiprows=1, ndmin=2)
+    else:
+        front = BENCHMARKS[name].front(resolution)
     front.setflags(write=False)
     return front
 
@@ -304,30 +306,3 @@ def write_front_csv(points: np.ndarray, path: str | Path) -> None:
     lines = ["f1,f2"]
     lines += [f"{_format_value(p[0])},{_format_value(p[1])}" for p in points]
     Path(path).write_text("\n".join(lines) + "\n")
-
-
-def read_front_csv(path: str | Path) -> np.ndarray:
-    """Read a front written by :func:`write_front_csv`: the header ``f1,f2``,
-    then one row of two numbers per point; blank lines are skipped. A row
-    that is not two numbers or that holds a NaN (the rule of
-    :func:`as_front`), or a file that is not UTF-8 text, raises
-    InvalidInputError naming the file (and the row's line number)."""
-    try:
-        text = Path(path).read_text(encoding="utf-8")
-    except UnicodeDecodeError as exc:
-        raise InvalidInputError(f"{path}: not UTF-8 text: {exc}") from None
-    lines = [(i, line) for i, line in enumerate(text.splitlines(), 1) if line.strip()]
-    if not lines or lines[0][1].strip() != "f1,f2":
-        raise InvalidInputError(f"{path}: expected header 'f1,f2'")
-    rows = []
-    for number, line in lines[1:]:
-        try:
-            f1, f2 = map(float, line.split(","))
-        except ValueError:
-            raise InvalidInputError(
-                f"{path}, line {number}: expected two numbers, got {shown(line)}"
-            ) from None
-        if math.isnan(f1) or math.isnan(f2):
-            raise InvalidInputError(f"{path}, line {number}: contains NaN: {shown(line)}")
-        rows.append((f1, f2))
-    return np.array(rows, dtype=float).reshape(-1, 2)

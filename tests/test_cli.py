@@ -2,6 +2,7 @@ import argparse
 import dataclasses
 import json
 import sys
+import xml.etree.ElementTree as ET
 from pathlib import Path
 
 import numpy as np
@@ -9,7 +10,6 @@ import pytest
 
 from pfops import experiments, pareto, problems
 from pfops.cli import _build_parser, _write_run_artifacts, main
-from pfops.pareto import read_front_csv
 
 
 def test_list(capsys):
@@ -60,7 +60,7 @@ def test_run_preset_with_artifacts(tmp_path, capsys):
     svg = out_dir / "pfops-convex-under_seed3_front.svg"
     assert front_csv.is_file() and report_json.is_file() and svg.is_file()
 
-    front = read_front_csv(front_csv)
+    front = np.loadtxt(front_csv, delimiter=",", skiprows=1, ndmin=2)
     assert front.shape[1] == 2 and len(front) >= 1
     payload = json.loads(report_json.read_text())
     assert list(payload) == ["igd", "hypervolume", "eval_count", "wall_time", "seed", "metadata"]
@@ -68,6 +68,28 @@ def test_run_preset_with_artifacts(tmp_path, capsys):
     # the seed is stated once, at the top level; the config section holds none
     assert payload["seed"] == 3 and "seed" not in payload["metadata"]["config"]
     assert svg.read_text().startswith("<svg")
+
+
+@pytest.mark.parametrize("name", ["pfops-convex-under", "nsga2-convex-under"])
+def test_run_report_reruns_as_a_config_file(tmp_path, name):
+    # the report's problem, algorithm, seed and metadata.config make a config
+    # file with no edit, and its rerun writes the same front CSV, byte for byte
+    assert main(["run", "--preset", name, "--seed", "0", "--out", str(tmp_path / "cli")]) == 0
+    report = json.loads((tmp_path / "cli" / f"{name}_seed0_report.json").read_text())
+    md = report["metadata"]
+    config = tmp_path / "from-report.json"
+    config.write_text(json.dumps({
+        "problem": md["problem"], "algorithm": md["algorithm"], "seed": report["seed"],
+        md["algorithm"]: md["config"],
+    }))
+    assert main(["run", "--config", str(config), "--out", str(tmp_path / "rerun")]) == 0
+    stems = [
+        tmp_path / "cli" / f"{name}_seed0", tmp_path / "rerun" / "custom_from-report.json_seed0"
+    ]
+    first, again = (Path(f"{stem}_front.csv").read_bytes() for stem in stems)
+    assert first == again
+    for stem in stems:
+        ET.parse(f"{stem}_front.svg")  # well-formed markup
 
 
 def test_report_json_holds_every_report_field_but_the_archive(tmp_path):
@@ -277,7 +299,7 @@ def test_compare_problem_mismatch(capsys):
 def test_reference_regeneration(tmp_path, capsys):
     out = tmp_path / "convex_front.csv"
     assert main(["reference", "--problem", "convex", "--resolution", "5", "--out", str(out)]) == 0
-    front = read_front_csv(out)
+    front = np.loadtxt(out, delimiter=",", skiprows=1, ndmin=2)
     np.testing.assert_allclose(front[0], [0.0, 50.0])
     np.testing.assert_allclose(front[-1], [50.0, 0.0])
     assert len(front) == 5
@@ -292,7 +314,7 @@ def test_reference_builds_the_front_anew(tmp_path, monkeypatch, capsys):
     monkeypatch.setattr(pareto, "_DATA_DIR", data)
     out = tmp_path / "kursawe_front_21.csv"
     assert main(["reference", "--problem", "kursawe", "--resolution", "21", "--out", str(out)]) == 0
-    front = read_front_csv(out)
+    front = np.loadtxt(out, delimiter=",", skiprows=1, ndmin=2)
     np.testing.assert_array_equal(front, pareto.BENCHMARKS["kursawe"].front(21))
     assert capsys.readouterr().out == f"wrote {out} ({len(front)} points)\n"
 

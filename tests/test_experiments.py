@@ -25,14 +25,12 @@ from pfops.experiments import (
     load_config_file,
     run_config_file,
     run_preset,
-    write_comparison_csv,
 )
 from pfops.nsga2 import Nsga2Config
 from pfops.pareto import (
     BENCHMARKS,
     hypervolume_2d,
     igd,
-    read_front_csv,
     reference_front,
     write_front_csv,
 )
@@ -344,7 +342,7 @@ class TestCompare:
             summary="",
         )
         path = tmp_path / "cmp.csv"
-        write_comparison_csv(result, path)
+        result.write_csv(path)
         assert path.read_bytes() == (
             b"seed,igd:pa,igd:pb,hypervolume:pa,hypervolume:pb,eval_count:pa,eval_count:pb,"
             b"wall_time:pa,wall_time:pb\n"
@@ -363,7 +361,7 @@ class TestCompare:
                 )
         assert "lower median IGD" in result.summary or "tie" in result.summary
         csv_path = tmp_path / "cmp.csv"
-        write_comparison_csv(result, csv_path)
+        result.write_csv(csv_path)
         lines = csv_path.read_text().strip().splitlines()
         assert lines[0].startswith("seed,igd:pfops-convex-under,igd:nsga2-convex-under")
         assert len(lines) == 1 + 3 + 1  # header, three seeds, median row
@@ -385,7 +383,7 @@ class TestEmitters:
         report = run_preset("pfops-convex-under", 2)
         path = tmp_path / "front.csv"
         write_front_csv(report.archive.front, path)
-        back = read_front_csv(path)
+        back = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
         expected = report.archive.front[np.argsort(report.archive.front[:, 0], kind="stable")]
         np.testing.assert_array_equal(back, expected)
 
@@ -424,6 +422,14 @@ class TestEmitters:
         emit_front_svg({"tiny": np.array([[1.0, 2.0]])}, np.zeros((0, 2)), path)
         root = ET.parse(path).getroot()
         assert root.findall("{http://www.w3.org/2000/svg}polyline") == []
+
+    def test_svg_of_empty_fronts_only(self, tmp_path):
+        # no point to scale the axes by: the unit square is plotted
+        path = tmp_path / "plot.svg"
+        emit_front_svg({"a": np.zeros((0, 2)), "b": []}, np.zeros((0, 2)), path)
+        root = ET.parse(path).getroot()
+        groups = root.findall("{http://www.w3.org/2000/svg}g")
+        assert [(g.get("data-label"), len(g)) for g in groups] == [("a", 0), ("b", 0)]
 
     def test_svg_requires_a_front(self, tmp_path):
         with pytest.raises(InvalidInputError, match="at least one front"):
@@ -519,6 +525,28 @@ class TestConfigFile:
         path.write_text(json.dumps({"problem": "convex"}))
         with pytest.raises(InvalidConfigError, match="algorithm"):
             run_config_file(path)
+
+    @pytest.mark.parametrize(
+        "payload, message",
+        [
+            ([], "expected a JSON object"),
+            (3, "expected a JSON object"),
+            ({"problem": 3, "algorithm": "pfops"}, "'problem' must be a string, got 3"),
+            ({"problem": "convex", "algorithm": ["pfops"]},
+             "'algorithm' must be a string, got ['pfops']"),
+            ({"problem": "convex", "algorithm": "pfops", "pfops": []},
+             "'pfops' must be a JSON object"),
+            ({"problem": "convex", "algorithm": "nsga2", "nsga2": 5},
+             "'nsga2' must be a JSON object"),
+        ],
+        ids=["list", "number", "problem", "algorithm", "pfops-section", "nsga2-section"],
+    )
+    def test_value_of_the_wrong_json_type_rejected(self, tmp_path, payload, message):
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps(payload))
+        with pytest.raises(InvalidConfigError) as info:
+            load_config_file(path)
+        assert str(info.value) == f"{path}: {message}"
 
     def test_unknown_algorithm(self, tmp_path):
         path = tmp_path / "run.json"

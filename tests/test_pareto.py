@@ -18,7 +18,6 @@ from pfops.pareto import (
     igd,
     nondominated_mask,
     peel_fronts,
-    read_front_csv,
     reference_front,
     write_front_csv,
 )
@@ -541,7 +540,7 @@ class TestFrontCsv:
         front = rng.normal(size=(40, 2)) * np.array([1e-7, 1e9])
         path = tmp_path / "front.csv"
         write_front_csv(front, path)
-        back = read_front_csv(path)
+        back = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
         np.testing.assert_array_equal(back, front[np.argsort(front[:, 0], kind="stable")])
 
     def test_integral_values_have_no_decimal_point(self, tmp_path):
@@ -554,59 +553,18 @@ class TestFrontCsv:
             write_front_csv(np.array([[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]]), tmp_path / "f.csv")
 
     def test_nan_row_refused_and_no_file_written(self, tmp_path):
-        # used to write "nan", which read_front_csv and every front reader refuse
+        # used to write "nan", which every front reader refuses
         path = tmp_path / "f.csv"
         with pytest.raises(InvalidInputError, match=r"^row 1 contains NaN: \[nan, 2\.0\]$"):
             write_front_csv(np.array([[1.0, 1.0], [np.nan, 2.0]]), path)
         assert not path.exists()
 
-    @pytest.mark.parametrize("row", ["nan,1", "1,NaN", "-nan,-nan"])
-    def test_nan_row_read_refused_naming_file_and_line(self, tmp_path, row):
-        # the NaN used to be returned, for a later reader to refuse without the file
-        path = tmp_path / "front.csv"
-        path.write_text(f"f1,f2\n0,2\n\n{row}\n3,4\n")
-        with pytest.raises(InvalidInputError) as info:
-            read_front_csv(path)
-        assert str(info.value) == f"{path}, line 4: contains NaN: {row!r}"
-
-    def test_header_enforced(self, tmp_path):
-        path = tmp_path / "bad.csv"
-        path.write_text("a,b\n1,2\n")
-        with pytest.raises(InvalidInputError):
-            read_front_csv(path)
-
-    @pytest.mark.parametrize(
-        "body, line, row",
-        [
-            ("1,2,3\n4,5,6\n", 2, "1,2,3"),  # used to read back as [[1, 2], [3, 4], [5, 6]]
-            ("0,1\n1,x\n", 3, "1,x"),
-            ("0,1\n\n1\n", 4, "1"),
-            ("0,1\n1,2,\n", 3, "1,2,"),
-        ],
-    )
-    def test_row_that_is_not_two_numbers_rejected(self, tmp_path, body, line, row):
-        path = tmp_path / "bad.csv"
-        path.write_text("f1,f2\n" + body)
-        with pytest.raises(InvalidInputError) as info:
-            read_front_csv(path)
-        assert str(info.value) == f"{path}, line {line}: expected two numbers, got {row!r}"
-
-    def test_file_that_is_not_utf8_rejected(self, tmp_path):
-        # used to raise a raw UnicodeDecodeError
-        path = tmp_path / "front.csv"
-        path.write_bytes(b"\xff\xfef\x001\x00,\x00f\x002\x00\n\x00")
-        with pytest.raises(InvalidInputError, match=rf"^{re.escape(str(path))}: not UTF-8 text"):
-            read_front_csv(path)
-
-    def test_blank_lines_skipped(self, tmp_path):
-        path = tmp_path / "front.csv"
-        path.write_text("\nf1,f2\n\n1,2\n \n3,4\n\n")
-        np.testing.assert_array_equal(read_front_csv(path), [[1.0, 2.0], [3.0, 4.0]])
-
     def test_shipped_kursawe_front_read_exactly(self):
         path = Path(pareto.__file__).parent / "data" / "kursawe_front_201.csv"
-        expected = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
-        front = read_front_csv(path)
+        # each value parsed by Python's float, which rounds correctly
+        lines = path.read_text(encoding="utf-8").splitlines()
+        assert lines[0] == "f1,f2"
+        expected = np.array([[float(v) for v in line.split(",")] for line in lines[1:]])
+        front = reference_front("kursawe", 201)
         assert front.shape == expected.shape == (151, 2)
-        np.testing.assert_array_equal(front, expected)
-        np.testing.assert_array_equal(reference_front("kursawe", 201), expected)
+        assert front.tobytes() == expected.tobytes()

@@ -156,6 +156,13 @@ def test_bounds_and_ideal_that_are_not_numbers_rejected(field, kwargs):
         BiObjectiveProblem("s", 1, f1=_zero, f2=_zero, **kwargs)
 
 
+def test_ragged_bounds_rejected():
+    # a nesting numpy cannot stack is read as no number at all
+    with pytest.raises(InvalidInputError) as info:
+        BiObjectiveProblem("s", 2, [[1, 2], [3]], [5.0, 5.0], _zero, _zero)
+    assert str(info.value) == "lower must be integers or floats, got [[1, 2], [3]]"
+
+
 @pytest.mark.parametrize(
     "lower, upper, ideal",
     [
