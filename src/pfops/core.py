@@ -46,6 +46,7 @@ from .errors import (
     DegenerateWeightsError,
     InvalidConfigError,
     InvalidInputError,
+    as_real_array,
     check_instance,
     check_integer,
     check_sizable,
@@ -345,12 +346,22 @@ def metropolis_sweep(
     starts as one. Scoring the population afresh and the d proposals per
     particle cost 2N(1+d) evaluations.
 
+    The particles are read by the array rule (README, "Array inputs") into
+    a float copy, so an integer array or a nested list sweeps as its float64
+    copy does.
+
     Raises:
         InvalidInputError: if ``sigma`` is not a finite number > 0 (a bool is
-            not one), PfopsConfig's rule; nothing is evaluated or counted.
+            not one), PfopsConfig's rule, or if ``pop.particles`` is not a
+            real (N, d) array; nothing is evaluated, counted or drawn.
     """
     _check_sigma(InvalidInputError, sigma)
-    particles = pop.particles.copy()
+    particles = as_real_array("pop.particles", pop.particles)
+    if particles.ndim != 2:
+        raise InvalidInputError(
+            f"pop.particles must be an (N, d) array, got shape {particles.shape}"
+        )
+    particles = particles.copy()
     objectives, log_pi, terms = _score(particles, s, problem)
     inc = pop.incumbent or _incumbent(particles, log_pi, objectives)
     inc = _sweep(particles, log_pi, terms, inc, s, problem, sigma, rng)

@@ -11,6 +11,7 @@ decisions and front that both optimizers return, lives here too.
 from __future__ import annotations
 
 import functools
+import math
 from collections.abc import Callable, Iterator
 from dataclasses import dataclass
 from pathlib import Path
@@ -139,7 +140,9 @@ def igd(estimate: np.ndarray, reference: np.ndarray) -> float:
 
     Both fronts are read by :func:`as_front`, so a single point may be given
     as a (2,) vector, and a shape other than (n, 2) or a NaN row in either
-    raises InvalidInputError; an empty front raises it too.
+    raises InvalidInputError; an empty front raises it too. So does an
+    infinity of one sign in the same column of both fronts, whose distance
+    ``inf - inf`` is undefined; the error names the column and a row of each.
     """
     estimate = as_front(estimate)
     reference = as_front(reference)
@@ -152,17 +155,32 @@ def igd(estimate: np.ndarray, reference: np.ndarray) -> float:
     e1, e2 = estimate[:, 0], estimate[:, 1]
     nearest = np.empty(len(reference))  # squared distance to the nearest estimate
     rows = max(1, _IGD_BLOCK_ENTRIES // len(estimate))
-    for start in range(0, len(reference), rows):
-        block = reference[start:start + rows]
-        d1 = block[:, 0, None] - e1
-        d2 = block[:, 1, None] - e2
-        d1 *= d1
-        d2 *= d2
-        d1 += d2
-        d1.min(axis=1, out=nearest[start:start + rows])
+    # with no NaN row, inf - inf is the one NaN a distance can hold, and the
+    # row minimum and the mean carry it to the result, checked below
+    with np.errstate(invalid="ignore"):
+        for start in range(0, len(reference), rows):
+            block = reference[start:start + rows]
+            d1 = block[:, 0, None] - e1
+            d2 = block[:, 1, None] - e2
+            d1 *= d1
+            d2 *= d2
+            d1 += d2
+            d1.min(axis=1, out=nearest[start:start + rows])
     # sqrt is correctly rounded and monotone, so taking it after the row
     # minimum gives the same bits as the minimum of the distances
-    return float(np.sqrt(nearest).mean())
+    result = float(np.sqrt(nearest).mean())
+    if math.isnan(result):  # name the first column both fronts hold one infinity in
+        for col in range(2):
+            for inf in (np.inf, -np.inf):
+                in_estimate = np.flatnonzero(estimate[:, col] == inf)
+                in_reference = np.flatnonzero(reference[:, col] == inf)
+                if len(in_estimate) and len(in_reference):
+                    raise InvalidInputError(
+                        f"igd cannot measure a distance in column {col}: estimate row "
+                        f"{in_estimate[0]} and reference row {in_reference[0]} both hold "
+                        f"{inf} there"
+                    )
+    return result
 
 
 def hypervolume_2d(front: np.ndarray, ref_point: np.ndarray) -> float:
@@ -214,15 +232,24 @@ def _kursawe_grid_front(resolution: int) -> np.ndarray:
     Each x1-slice is prefiltered before the global filter so that peak
     memory stays at one slice; a slice-dominated point can never be
     globally non-dominated.
+
+    f2 is a :class:`~pfops.problems.CoordinateSum`, so its term is computed
+    once, on the grid's axis values, and each point's f2 is the sum of its
+    coordinates' terms, ``(t[i] + t[j]) + t[k]``. These are the bits of
+    ``problem.f2`` on the slice: the term is elementwise, so a value's term
+    does not depend on the array it sits in, and the additions run in the
+    same order, left to right.
     """
     problem = kursawe_problem()
     g = np.linspace(problem.lower[0], problem.upper[0], resolution)
     g2, g3 = np.meshgrid(g, g, indexing="ij")
     cols23 = np.stack([g2.ravel(), g3.ravel()], axis=1)
+    t = problem.f2.term(g)
+    t2, t3 = np.repeat(t, resolution), np.tile(t, resolution)  # the terms of cols23
     survivors = []
-    for x1 in g:
+    for x1, t1 in zip(g, t):
         chunk = np.column_stack([np.full(len(cols23), x1), cols23])
-        values = np.stack([problem.f1(chunk), problem.f2(chunk)], axis=1)
+        values = np.stack([problem.f1(chunk), (t1 + t2) + t3], axis=1)
         survivors.append(values[nondominated_mask(values)])
     candidates = np.concatenate(survivors)
     front = candidates[nondominated_mask(candidates)]

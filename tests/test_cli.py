@@ -319,6 +319,18 @@ def test_reference_builds_the_front_anew(tmp_path, monkeypatch, capsys):
     assert capsys.readouterr().out == f"wrote {out} ({len(front)} points)\n"
 
 
+def test_shipped_kursawe_front_is_its_grid_rebuilt(tmp_path, capsys):
+    # the shipped CSV against what `reference` builds anew, by value: on
+    # another SIMD level (numpy's AVX-512 dispatch off, say) the rebuild's
+    # last bits differ
+    out = tmp_path / "kursawe_front_201.csv"
+    assert main(["reference", "--problem", "kursawe", "--resolution", "201", "--out", str(out)]) == 0
+    shipped_path = Path(pareto.__file__).parent / "data" / "kursawe_front_201.csv"
+    built, shipped = (np.loadtxt(p, delimiter=",", skiprows=1, ndmin=2) for p in (out, shipped_path))
+    assert built.shape == shipped.shape
+    assert np.allclose(built, shipped, rtol=0, atol=1e-12), np.abs(built - shipped).max()
+
+
 def test_reference_rejects_resolution_below_two(capsys):
     assert main(["reference", "--problem", "convex", "--resolution", "1"]) == 1
     assert capsys.readouterr().err == "error: resolution must be an integer >= 2, got 1\n"

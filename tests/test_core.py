@@ -497,6 +497,52 @@ class TestMetropolisSweep:
         assert prob.counter.count == 0
         assert rng.bit_generator.state == state
 
+    @pytest.mark.parametrize(
+        "given",
+        [lambda p: p, lambda p: p.astype(np.int32), lambda p: p.tolist()],
+        ids=["int64", "int32", "nested-list"],
+    )
+    def test_integer_or_list_particles_sweep_as_their_float_copy(self, given):
+        # these used to escape _sweep as a raw TypeError, after the
+        # population's 2N evaluations had been counted
+        ints = np.random.default_rng(5).integers(-5, 6, size=(40, 3))
+        sides = []
+        for particles in (given(ints), ints.astype(float)):
+            prob = kursawe_problem()
+            pop = Population(particles, np.full(40, -np.log(40)))
+            rng = np.random.default_rng(6)
+            out = metropolis_sweep(pop, weighted_sum(0.5), prob, 1.0, rng)
+            sides.append((out, prob.counter.count, rng.bit_generator.state))
+        (got, got_count, got_state), (want, want_count, want_state) = sides
+        assert_same_bits(got.particles, want.particles)
+        assert_same_bits(got.incumbent.decision, want.incumbent.decision)
+        assert_same_bits(got.incumbent.objectives, want.incumbent.objectives)
+        assert got.incumbent.log_density == want.incumbent.log_density
+        assert got_count == want_count == 2 * 40 * 4
+        assert got_state == want_state
+
+    @pytest.mark.parametrize(
+        "particles, message",
+        [
+            (np.zeros(3), r"pop\.particles must be an \(N, d\) array, got shape \(3,\)"),
+            (np.zeros((2, 4, 3)), r"pop\.particles must be an \(N, d\) array, got shape \(2, 4, 3\)"),
+            (np.array([["a", "b", "c"]]), r"pop\.particles must be real numbers, got dtype <U1"),
+        ],
+    )
+    def test_particles_not_a_real_matrix_refused_before_anything_is_counted(
+        self, particles, message
+    ):
+        # a (d,) vector used to be evaluated as one point, counted, then
+        # escape _sweep as a raw IndexError
+        prob = kursawe_problem()
+        pop = Population(particles, np.zeros(1))
+        rng = np.random.default_rng(1)
+        state = rng.bit_generator.state
+        with pytest.raises(InvalidInputError, match=f"^{message}$"):
+            metropolis_sweep(pop, weighted_sum(0.5), prob, 1.0, rng)
+        assert prob.counter.count == 0
+        assert rng.bit_generator.state == state
+
     def test_vanishing_sigma_accepts_everything(self):
         prob = convex_problem()
         rng = np.random.default_rng(10)

@@ -21,7 +21,7 @@ from pfops.pareto import (
     reference_front,
     write_front_csv,
 )
-from pfops.problems import PROBLEM_FACTORIES, fonseca_fleming_problem
+from pfops.problems import PROBLEM_FACTORIES, fonseca_fleming_problem, kursawe_problem
 
 
 def brute_force_mask(points):
@@ -301,6 +301,28 @@ class TestIgd:
             igd(est, ref)
 
     @pytest.mark.parametrize(
+        "estimate, reference, where",
+        [
+            ([[np.inf, 0.0], [0.0, 1.0]], [[np.inf, 0.0], [1.0, 1.0]],
+             "column 0: estimate row 0 and reference row 0 both hold inf"),
+            ([[0.0, 1.0], [1.0, -np.inf], [2.0, -np.inf]], [[2.0, 2.0], [0.0, 0.0], [3.0, -np.inf]],
+             "column 1: estimate row 1 and reference row 2 both hold -inf"),
+            ([[np.inf, -np.inf]], [[-np.inf, 0.0], [0.0, -np.inf]],
+             "column 1: estimate row 0 and reference row 1 both hold -inf"),
+        ],
+    )
+    def test_one_infinity_in_both_fronts_rejected(self, estimate, reference, where):
+        # the first case used to return NaN, with a RuntimeWarning from inf - inf
+        with pytest.raises(InvalidInputError) as info:
+            igd(estimate, reference)
+        assert str(info.value) == f"igd cannot measure a distance in {where} there"
+
+    def test_infinities_of_opposite_signs_are_an_infinite_distance(self):
+        # one infinity on one side only is test_bit_identical_to_cdist's case
+        assert igd([[np.inf, 0.0]], [[-np.inf, 0.0]]) == np.inf
+        assert igd([[0.0, -np.inf], [1.0, 0.0]], [[0.0, np.inf]]) == np.inf
+
+    @pytest.mark.parametrize(
         "estimate, reference",
         [
             (np.zeros((4, 3)), np.zeros((5, 2))),  # would read the first two columns
@@ -513,6 +535,31 @@ class TestReferenceFronts:
         shape = ((self._LARGEST[name] + 1) ** record.grid_axes, record.row_items)
         with pytest.raises(ValueError, match="array is too big"):
             np.empty(shape)
+
+
+def kursawe_grid_front_by_f2_calls(resolution):
+    """The oracle of the Kursawe grid front: each x1-slice's f2 by a full
+    ``problem.f2`` call on the slice, where the builder sums per-value terms."""
+    problem = kursawe_problem()
+    g = np.linspace(problem.lower[0], problem.upper[0], resolution)
+    g2, g3 = np.meshgrid(g, g, indexing="ij")
+    cols23 = np.stack([g2.ravel(), g3.ravel()], axis=1)
+    survivors = []
+    for x1 in g:
+        chunk = np.column_stack([np.full(len(cols23), x1), cols23])
+        values = np.stack([problem.f1(chunk), problem.f2(chunk)], axis=1)
+        survivors.append(values[nondominated_mask(values)])
+    candidates = np.concatenate(survivors)
+    front = candidates[nondominated_mask(candidates)]
+    return front[np.argsort(front[:, 0], kind="stable")]
+
+
+@pytest.mark.parametrize("resolution", [2, 3, 17, 50])
+def test_kursawe_grid_f2_terms_give_the_bits_of_f2_calls(resolution):
+    rebuilt = reference_front("kursawe", resolution, rebuild=True)
+    expected = kursawe_grid_front_by_f2_calls(resolution)
+    assert rebuilt.dtype == expected.dtype and rebuilt.shape == expected.shape
+    assert rebuilt.tobytes() == expected.tobytes()
 
 
 class TestBenchmarks:
