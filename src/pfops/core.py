@@ -24,6 +24,11 @@ keep it; BLAS-backed ones (``@``, ``np.dot``) break it in the last bits,
 since BLAS may sum a row in another order in a batch of another size, and
 so does anything that reads other rows, such as a batch mean. With the sweep
 off, a noisy or batch-dependent objective is sampled once per particle.
+Also with the sweep off, once resampling has kept a single step-1 particle
+(path degeneracy: every particle is its copy), each later step's weights
+are all exactly 1 and the rest of the run is fixed, so ``_run_moves_off``
+stops stepping and finishes it from that particle's scores, with the same
+archive, count, stream and errors.
 
 The public step functions run the same kernels on a ``Population``, each
 scoring its particles afresh. ``_score`` scores every batch, a step's and
@@ -155,6 +160,22 @@ def _incumbent(
     return Incumbent(particles[j].copy(), float(log_pi[j]), objectives[j].copy())
 
 
+def _read_particles(pop: Population) -> np.ndarray:
+    """``pop.particles`` read by the array rule (README, "Array inputs"):
+    a float64 array, the same object if it is one already, checked to be a
+    real (N, d) array with N >= 1 before the caller evaluates or draws."""
+    particles = as_real_array("pop.particles", pop.particles)
+    if particles.ndim != 2:
+        raise InvalidInputError(
+            f"pop.particles must be an (N, d) array, got shape {particles.shape}"
+        )
+    if not len(particles):
+        raise InvalidInputError(
+            f"pop.particles must hold at least one particle, got shape {particles.shape}"
+        )
+    return particles
+
+
 def _raw_log_weights(log_pi: np.ndarray, log_pi_prev: np.ndarray | float) -> np.ndarray:
     """The step's unnormalized log weights, log pi_k - log pi_{k-1}, shifted
     by their maximum, which must be finite, in a new array: ``run`` carries
@@ -187,15 +208,15 @@ def _sorted_uniforms(
     return (u.take(order) if u.ndim == 1 else np.take_along_axis(u, order, axis=1)), order
 
 
-def _inverse_cdf(weights: np.ndarray, u: np.ndarray, order: np.ndarray) -> np.ndarray:
-    """N ancestor indices drawn by inverse CDF from N non-negative weights
-    (any scale, largest > 0): ``rng.choice``'s lookup, one uniform per draw,
+def _inverse_cdf(cdf: np.ndarray, u: np.ndarray, order: np.ndarray) -> np.ndarray:
+    """N ancestor indices drawn by inverse CDF from ``cdf``, the cumulative
+    sums of N non-negative weights (any scale, largest > 0), which it
+    normalizes in place: ``rng.choice``'s lookup, one uniform per draw,
     given as ``_sorted_uniforms`` returns a row.
 
     The uniforms are looked up in ascending order and the indices scattered
     back to their draws: the same indices as an unsorted lookup, faster,
     since each search starts where the last one ended."""
-    cdf = weights.cumsum()
     cdf /= cdf[-1]
     idx = np.empty(len(u), dtype=np.intp)
     idx[order] = cdf.searchsorted(u, side="right")
@@ -282,8 +303,10 @@ def importance_weights(
 
     Raises:
         InvalidInputError: if ``k`` is not an integer >= 1 (a bool or a
-            float is refused, a numpy integer passes), or ``s_prev`` is
-            given at k = 1 or missing at k > 1.
+            float is refused, a numpy integer passes), ``s_prev`` is given
+            at k = 1 or missing at k > 1, or ``pop.particles`` is not a real
+            (N, d) array with N >= 1 (an empty population is refused);
+            nothing is evaluated or counted.
         DegenerateWeightsError: if the raw log weights' maximum is not
             finite; its text says which case: every particle has zero
             density under pi_k, a weight is infinite, or one is NaN.
@@ -292,7 +315,7 @@ def importance_weights(
         raise InvalidInputError(f"step index k must be an integer >= 1, got {shown(k)}")
     if (k == 1) != (s_prev is None):
         raise InvalidInputError("s_prev is required exactly when k > 1")
-    objectives, log_pi, _ = _score(pop.particles, s_k, problem)
+    objectives, log_pi, _ = _score(_read_particles(pop), s_k, problem)
     log_pi_prev = 0.0 if s_prev is None else s_prev.log_density_values(objectives)
     # zero density under both targets gives -inf - -inf, the NaN the error names
     with np.errstate(invalid="ignore"):
@@ -308,13 +331,18 @@ def resample(pop: Population, rng: np.random.Generator) -> Population:
     the normalized cumulative weights. It is the draw that
     ``rng.choice(N, size=N, replace=True, p=w)`` makes, the same indices
     from the same stream, leaving ``rng`` in the same state, without that
-    call's validation of ``p``. Resampling costs 0 evaluations.
+    call's validation of ``p``. Resampling costs 0 evaluations. The
+    particles are read by the array rule (README, "Array inputs"), so an
+    integer array or a nested list resamples as its float64 copy does.
 
     Raises:
-        InvalidInputError: if there is not one log weight per particle, or
-            their maximum is not finite (a NaN, a +inf, or all -inf).
+        InvalidInputError: if ``pop.particles`` is not a real (N, d) array
+            with N >= 1 (an empty population is refused), if there is not
+            one log weight per particle, or if their maximum is not finite
+            (a NaN, a +inf, or all -inf); nothing is drawn.
     """
-    n = len(pop)
+    particles = _read_particles(pop)
+    n = len(particles)
     log_weights = pop.log_weights
     m = log_weights.max()
     if log_weights.shape != (n,) or not math.isfinite(m):
@@ -324,8 +352,8 @@ def resample(pop: Population, rng: np.random.Generator) -> Population:
         )
     p = np.exp(log_weights - m)
     p /= p.sum()
-    idx = _inverse_cdf(p, *_sorted_uniforms(rng, n))
-    return Population(pop.particles[idx], np.full(n, -np.log(n)), pop.incumbent)
+    idx = _inverse_cdf(p.cumsum(), *_sorted_uniforms(rng, n))
+    return Population(particles.take(idx, axis=0), np.full(n, -np.log(n)), pop.incumbent)
 
 
 def metropolis_sweep(
@@ -353,15 +381,11 @@ def metropolis_sweep(
     Raises:
         InvalidInputError: if ``sigma`` is not a finite number > 0 (a bool is
             not one), PfopsConfig's rule, or if ``pop.particles`` is not a
-            real (N, d) array; nothing is evaluated, counted or drawn.
+            real (N, d) array with N >= 1 (an empty population is refused);
+            nothing is evaluated, counted or drawn.
     """
     _check_sigma(InvalidInputError, sigma)
-    particles = as_real_array("pop.particles", pop.particles)
-    if particles.ndim != 2:
-        raise InvalidInputError(
-            f"pop.particles must be an (N, d) array, got shape {particles.shape}"
-        )
-    particles = particles.copy()
+    particles = _read_particles(pop).copy()
     objectives, log_pi, terms = _score(particles, s, problem)
     inc = pop.incumbent or _incumbent(particles, log_pi, objectives)
     inc = _sweep(particles, log_pi, terms, inc, s, problem, sigma, rng)
@@ -430,7 +454,7 @@ def _run_moves_on(
         inc = _incumbent(particles, log_pi, objectives)
         weights = _raw_log_weights(log_pi, log_pi_prev)
         idx = _inverse_cdf(
-            np.exp(weights, out=weights), *_sorted_uniforms(rng, len(particles))
+            np.exp(weights, out=weights).cumsum(), *_sorted_uniforms(rng, len(particles))
         )
         particles = particles.take(idx, axis=0)
         log_pi_prev = log_pi.take(idx)
@@ -464,12 +488,32 @@ def _run_moves_off(
     evaluations before weighting, without computing them, as the sweep
     charges out-of-box proposals. The incumbents are recorded as step-1
     indices and gathered once at the end.
+
+    Once resampling has kept one step-1 index ``a`` alone (``lone``: path
+    degeneracy), the steps left are finished in whole arrays on column ``a``
+    of each block's table (``_one_ancestor_steps``). This is exact: every
+    later step's raw log weights are one number, ``table[k, a] -
+    table[k-1, a]``; shifted by their maximum they are exactly 0, so each
+    weight is exp(0) = 1 and resampling keeps ``a`` again, whatever the
+    uniforms. The rest of the run is thus fixed: each incumbent is ``a``,
+    and the first step whose raw weight is not finite, if any, raises the
+    per-step loop's DegenerateWeightsError, charged through that step. Each
+    skipped step is still charged 2N and still draws its N uniforms, in its
+    block's ``rng.random((steps, N))`` call (left unsorted when the block
+    steps none), so the count and the stream are unchanged; each block still
+    builds its table. For a skipped step k, ESS is N, the distinct ancestors
+    are 1 and the incumbent's log pi is ``table[k, a]``, so a per-step trace
+    can fill those columns without the loop. The state is screened for
+    free, by every weight being exactly 1 (their cumulative sum then ends
+    at exactly N), and confirmed by ``anc``, so it is found at most one step
+    after the resampling that kept ``a`` alone (at that step when N = 1).
     """
     n = len(particles)
     objectives, _ = problem._evaluate_terms(particles)
     anc = np.arange(n)
     picks = np.empty(len(schedule), dtype=np.intp)  # each step's incumbent, by step-1 index
     log_pi_prev = 0.0
+    lone = -1  # the one step-1 index resampling has kept, once it keeps no other
     steps = max(1, _BLOCK_ENTRIES // n)
     for start in range(0, len(schedule), steps):
         lams = schedule[start:start + steps]
@@ -481,14 +525,49 @@ def _run_moves_off(
             table = log_density_table(
                 objectives, lams, config.scalarization_kind, config.utopian
             )
-        uniforms, orders = _sorted_uniforms(rng, (len(lams), n))
-        for k in range(len(lams)):
-            if start + k:  # charged, not computed
-                problem.counter.add(2 * n)
-            log_pi = table[k].take(anc)
-            picks[start + k] = anc[log_pi.argmax()]
-            weights = _raw_log_weights(log_pi, log_pi_prev)
-            idx = _inverse_cdf(np.exp(weights, out=weights), uniforms[k], orders[k])
-            anc = anc.take(idx)
-            log_pi_prev = log_pi.take(idx)
+        stepped = 0  # the block's steps stepped one by one; if lone >= 0, the rest are skipped
+        if lone < 0:
+            uniforms, orders = _sorted_uniforms(rng, (len(lams), n))
+            for k in range(len(lams)):
+                if start + k:  # charged, not computed
+                    problem.counter.add(2 * n)
+                log_pi = table[k].take(anc)
+                picks[start + k] = anc[log_pi.argmax()]
+                weights = _raw_log_weights(log_pi, log_pi_prev)
+                cdf = np.exp(weights, out=weights).cumsum()
+                every_weight_one = cdf[-1] == n
+                idx = _inverse_cdf(cdf, uniforms[k], orders[k])
+                anc = anc.take(idx)
+                log_pi_prev = log_pi.take(idx)
+                if every_weight_one and (anc == anc[0]).all():
+                    lone, log_pi_prev = int(anc[0]), log_pi_prev[0]
+                    break
+            stepped = k + 1
+        else:
+            rng.random((len(lams), n))  # each skipped step still draws its N uniforms
+        if lone >= 0 and stepped < len(lams):
+            _one_ancestor_steps(table[stepped:, lone], log_pi_prev, n, problem)
+            picks[start + stepped:start + len(lams)] = lone
+            log_pi_prev = table[-1, lone]
     return particles.take(picks, axis=0), objectives.take(picks, axis=0)
+
+
+def _one_ancestor_steps(
+    log_pi: np.ndarray, log_pi_prev: float, n: int, problem: BiObjectiveProblem
+) -> None:
+    """The steps ``_run_moves_off`` skips once every particle descends from
+    one step-1 one, whose log pi at those steps is ``log_pi``, after
+    ``log_pi_prev``: charge each 2N, as the per-step loop does, or raise its
+    DegenerateWeightsError at the first step whose raw weight is not finite,
+    charged through that step."""
+    prev = np.concatenate(([log_pi_prev], log_pi[:-1]))
+    with np.errstate(all="ignore"):  # steps after a raising one are never reached
+        finite = np.isfinite(log_pi - prev)
+    if finite.all():
+        problem.counter.add(2 * n * len(log_pi))
+        return
+    j = int(finite.argmin())
+    problem.counter.add(2 * n * (j + 1))
+    # the raising step's weights, one entry of the n equal ones: the same
+    # error text, and the same floating-point warnings
+    _raw_log_weights(log_pi[j:j + 1], prev[j:j + 1])

@@ -143,6 +143,10 @@ def igd(estimate: np.ndarray, reference: np.ndarray) -> float:
     raises InvalidInputError; an empty front raises it too. So does an
     infinity of one sign in the same column of both fronts, whose distance
     ``inf - inf`` is undefined; the error names the column and a row of each.
+    Finite fronts far apart give their finite distance, without a warning:
+    a reference row whose squared distances all overflow is measured again
+    by ``np.hypot``, and every other row keeps the bits of the square root
+    of its squared distance.
     """
     estimate = as_front(estimate)
     reference = as_front(reference)
@@ -157,7 +161,7 @@ def igd(estimate: np.ndarray, reference: np.ndarray) -> float:
     rows = max(1, _IGD_BLOCK_ENTRIES // len(estimate))
     # with no NaN row, inf - inf is the one NaN a distance can hold, and the
     # row minimum and the mean carry it to the result, checked below
-    with np.errstate(invalid="ignore"):
+    with np.errstate(invalid="ignore", over="ignore"):
         for start in range(0, len(reference), rows):
             block = reference[start:start + rows]
             d1 = block[:, 0, None] - e1
@@ -166,9 +170,18 @@ def igd(estimate: np.ndarray, reference: np.ndarray) -> float:
             d2 *= d2
             d1 += d2
             d1.min(axis=1, out=nearest[start:start + rows])
-    # sqrt is correctly rounded and monotone, so taking it after the row
-    # minimum gives the same bits as the minimum of the distances
-    result = float(np.sqrt(nearest).mean())
+        # sqrt is correctly rounded and monotone, so taking it after the row
+        # minimum gives the same bits as the minimum of the distances
+        distance = np.sqrt(nearest)
+        # an infinite row minimum may be a finite distance whose square
+        # overflowed; hypot does not square, and where a coordinate is
+        # infinite it gives inf again
+        far = np.flatnonzero(np.isinf(distance))
+        for start in range(0, len(far), rows):
+            at = far[start:start + rows]
+            block = reference[at]
+            distance[at] = np.hypot(block[:, 0, None] - e1, block[:, 1, None] - e2).min(axis=1)
+    result = float(distance.mean())
     if math.isnan(result):  # name the first column both fronts hold one infinity in
         for col in range(2):
             for inf in (np.inf, -np.inf):

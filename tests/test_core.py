@@ -4,6 +4,7 @@ from functools import partial
 import ast
 import re
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -14,6 +15,8 @@ from pfops.core import (
     PfopsConfig,
     Population,
     _incumbent,
+    _one_ancestor_steps,
+    _raw_log_weights,
     _score,
     _sweep,
     importance_weights,
@@ -373,6 +376,39 @@ class TestResample:
         pop = Population(particles=np.zeros((3, 1)), log_weights=np.array(log_weights))
         with pytest.raises(InvalidInputError, match="log weight"):
             resample(pop, np.random.default_rng(0))
+
+    def test_list_particles_resample_as_their_float_copy(self):
+        # a nested list used to raise a raw TypeError from its fancy index
+        particles = np.random.default_rng(9).uniform(-5.0, 10.0, size=(12, 2))
+        log_w = np.log(np.random.default_rng(10).dirichlet(np.ones(12)))
+        sides = []
+        for given in (particles.tolist(), particles):
+            rng = np.random.default_rng(11)
+            out = resample(Population(given, log_w), rng)
+            sides.append((out.particles, rng.bit_generator.state))
+        (got, got_state), (want, want_state) = sides
+        assert_same_bits(got, want)
+        assert got_state == want_state
+
+
+@pytest.mark.parametrize("step", ["importance_weights", "resample", "metropolis_sweep"])
+def test_empty_population_refused_before_anything_is_counted(step):
+    # each used to escape as a raw numpy ValueError: argmax of an empty
+    # sequence, or a reduction of a zero-size array
+    problem = convex_problem()
+    rng = np.random.default_rng(0)
+    state = rng.bit_generator.state
+    pop = Population(np.zeros((0, 2)), np.zeros(0))
+    calls = {
+        "importance_weights": lambda: importance_weights(pop, 1, weighted_sum(0.5), None, problem),
+        "resample": lambda: resample(pop, rng),
+        "metropolis_sweep": lambda: metropolis_sweep(pop, weighted_sum(0.5), problem, 1.0, rng),
+    }
+    message = r"^pop\.particles must hold at least one particle, got shape \(0, 2\)$"
+    with pytest.raises(InvalidInputError, match=message):
+        calls[step]()
+    assert problem.counter.count == 0
+    assert rng.bit_generator.state == state
 
 
 def reference_metropolis_sweep(pop, s, problem, sigma, rng):
@@ -795,15 +831,78 @@ class TestRun:
             assert calls == ([12] if name.endswith(".term") else [12] * 5)
         assert evals == problem.counter.count == 2 * 5 * 12 * (1 + problem.dim)
 
-    def test_later_step_degenerate_weights_moves_off(self):
+    @pytest.mark.parametrize(
+        "n_particles, f1_scale", [(6, 1.0), (1, 1.0), (6, 1e6)],
+        ids=["stepped", "one-particle", "one-ancestor-after-step-1"],
+    )
+    def test_later_step_degenerate_weights_moves_off(self, n_particles, f1_scale):
         # lambda = 0 ignores f2 = +inf, so step 1 passes and step 2 meets zero
-        # density everywhere; the carried step is charged before the raise
+        # density everywhere; the carried step is charged before the raise.
+        # One particle is one ancestor from step 1 on, so its step 2 raises
+        # in _one_ancestor_steps, which also computes step 3's -inf - -inf: a
+        # RuntimeWarning, an error here, if it surfaced. A steep f1 leaves
+        # one ancestor after step 1, and step 2 raises in the per-step loop
         problem = replace(convex_problem(), f2=lambda x: np.full(len(x), np.inf))
-        cfg = PfopsConfig(n_targets=3, n_particles=6, metropolis_enabled=False, seed=0)
+        problem.f1 = partial(lambda f1, x: f1_scale * f1(x), problem.f1)  # 1.0 keeps the bits
+        cfg = PfopsConfig(n_targets=3, n_particles=n_particles, metropolis_enabled=False, seed=0)
+        first = initialize(cfg, problem, np.random.default_rng(cfg.seed)).particles
+        f1 = problem.f1(first)
+        drawn = np.exp(f1.min() - f1) > 0  # the step-1 weights resampling can draw
+        assert drawn.sum() == (1 if f1_scale > 1 else n_particles)
         message = r"^every particle has zero density under the current target$"
         with pytest.raises(DegenerateWeightsError, match=message):
             run(cfg, problem)
-        assert problem.counter.count == 2 * 2 * 6
+        assert problem.counter.count == 2 * 2 * n_particles
+
+    @pytest.mark.parametrize(
+        "column",
+        [[1.0, 2.0, np.inf, np.nan], [-1.0, -np.inf, -np.inf], [0.5, np.nan, 1.0], [3.0, 1.0, 2.0],
+         [1e308, -1e308, 0.0], [-np.inf]],
+    )
+    def test_one_ancestor_steps_charge_and_raise_as_the_loop(self, column):
+        # the whole-array finish against the per-step loop on N copies of one
+        # ancestor: the same count, the same error text, and only the raising
+        # step's RuntimeWarnings (1e308 - -1e308 overflows; inf - inf and
+        # nan arithmetic warn or not as numpy does for one step)
+        column, n = np.array(column), 4
+        sides = []
+        for finish in (self._one_ancestor_loop, _one_ancestor_steps):
+            problem = convex_problem()
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                try:
+                    finish(column, 0.25, n, problem)
+                    error = None
+                except DegenerateWeightsError as exc:
+                    error = str(exc)
+            sides.append((problem.counter.count, error, [str(w.message) for w in caught]))
+        assert sides[0] == sides[1]
+
+    @staticmethod
+    def _one_ancestor_loop(column, log_pi_prev, n, problem):
+        """The per-step loop's charging and weighting, N particles of one ancestor."""
+        for log_pi in column:
+            problem.counter.add(2 * n)
+            _raw_log_weights(np.full(n, log_pi), np.full(n, log_pi_prev))
+            log_pi_prev = log_pi
+
+    def test_moves_off_stops_stepping_at_one_ancestor(self, monkeypatch):
+        # pfops-convex-under's seed 0 keeps one step-1 ancestor after step 1,
+        # so step 2 gives every particle weight 1 and is the last step
+        # weighted; the other 18 are finished from that ancestor's column of
+        # the score table, with reference_run's archive, count and stream
+        calls = []
+
+        def recording(*args):
+            calls.append(len(args[0]))
+            return _raw_log_weights(*args)
+
+        monkeypatch.setattr("pfops.core._raw_log_weights", recording)
+        preset = PRESETS["pfops-convex-under"]
+        cfg = replace(preset.config, seed=0)
+        counts = assert_run_equals_reference(cfg, partial(lookup_problem, preset.problem))
+        assert calls == [5, 5]
+        assert counts == (2 * 20 * 5,) * 2
 
     @pytest.mark.parametrize("kind", list(ScalarizationKind))
     @pytest.mark.parametrize("n_targets, n_particles", [(2, 12), (3, 12), (200, 1000)])

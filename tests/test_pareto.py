@@ -322,6 +322,25 @@ class TestIgd:
         assert igd([[np.inf, 0.0]], [[-np.inf, 0.0]]) == np.inf
         assert igd([[0.0, -np.inf], [1.0, 0.0]], [[0.0, np.inf]]) == np.inf
 
+    def test_far_finite_fronts_give_their_finite_distance(self):
+        # the squares overflow: this used to warn "overflow encountered in
+        # multiply", an error here, and return inf
+        assert igd([[1e200, 0.0]], [[-1e200, 0.0]]) == 2e200
+        assert igd([[0.0, 3e200]], [[4e200, -1e153]]) == math.hypot(4e200, 3e200 + 1e153)
+
+    def test_rows_measured_again_leave_the_others_bits(self):
+        # one reference row's squares overflow and it is measured by hypot;
+        # the other rows keep the bits of the square root of their squares
+        rng = np.random.default_rng(3)
+        est, ref = rng.normal(size=(9, 2)), rng.normal(size=(40, 2))
+        d1 = ref[:, 0, None] - est[:, 0]
+        d2 = ref[:, 1, None] - est[:, 1]
+        near = np.sqrt((d1 * d1 + d2 * d2).min(axis=1))
+        far = np.vstack([ref, [[-1e200, 5.0]]])
+        expected = np.append(near, np.hypot(-1e200 - est[:, 0], 5.0 - est[:, 1]).min()).mean()
+        assert igd(est, far).hex() == float(expected).hex()
+        assert igd(est, ref).hex() == float(near.mean()).hex()
+
     @pytest.mark.parametrize(
         "estimate, reference",
         [
