@@ -11,7 +11,6 @@ from dataclasses import replace
 from pathlib import Path
 
 import pfops
-from pfops.scalarize import ScalarizationKind
 
 OUT = Path(__file__).parent / "output"
 OUT.mkdir(exist_ok=True)
@@ -27,7 +26,7 @@ tch_report = pfops.run_preset("pfops-fonseca", seed=0)
 
 ws_config = replace(
     pfops.PRESETS["pfops-fonseca"].config,
-    scalarization_kind=ScalarizationKind.WEIGHTED_SUM,
+    scalarization_kind=pfops.ScalarizationKind.WEIGHTED_SUM,
     utopian=None,
     seed=0,
 )

@@ -9,9 +9,8 @@ for free.
 import numpy as np
 
 import pfops
-from pfops.problems import BiObjectiveProblem
 
-problem = BiObjectiveProblem(
+problem = pfops.BiObjectiveProblem(
     name="schaffer",
     dim=1,
     lower=np.array([-10.0]),

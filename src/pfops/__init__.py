@@ -4,12 +4,12 @@ The optimizer sweeps a balance parameter across a family of scalarized
 target densities and tracks one incumbent per target; the incumbents form
 the estimated Pareto set/front. Ships with three bi-objective benchmarks,
 an NSGA-II baseline, dominance/quality metrics, and a preset experiment
-runner (library API here, command line via ``pfops``). The step functions
-and the other internals live in the submodules (``pfops.core``,
-``pfops.scalarize``, ``pfops.problems``, ``pfops.experiments``, ...).
+runner (library API here, command line via ``pfops``). The names below,
+the three PFOPS step functions and the types they take included, are the
+whole documented API; the submodules are internal.
 """
 
-from .core import PfopsConfig, importance_weights, run
+from .core import PfopsConfig, Population, importance_weights, metropolis_sweep, resample, run
 from .errors import (
     BoundsError,
     DegenerateWeightsError,
@@ -36,12 +36,13 @@ from .pareto import (
     reference_front,
     write_front_csv,
 )
-from .problems import BiObjectiveProblem, convex_problem, lookup_problem
-from .scalarize import ScalarizationKind
+from .problems import BiObjectiveProblem, CoordinateSum, convex_problem, lookup_problem
+from .scalarize import Scalarization, ScalarizationKind
 
 __all__ = [
     "BiObjectiveProblem",
     "BoundsError",
+    "CoordinateSum",
     "DegenerateWeightsError",
     "InvalidConfigError",
     "InvalidInputError",
@@ -51,7 +52,9 @@ __all__ = [
     "ParetoArchive",
     "PfopsConfig",
     "PfopsError",
+    "Population",
     "RunReport",
+    "Scalarization",
     "ScalarizationKind",
     "compare",
     "convex_problem",
@@ -63,8 +66,10 @@ __all__ = [
     "igd",
     "importance_weights",
     "lookup_problem",
+    "metropolis_sweep",
     "nondominated_mask",
     "reference_front",
+    "resample",
     "run",
     "run_config_file",
     "run_preset",

@@ -332,18 +332,25 @@ def resample(pop: Population, rng: np.random.Generator) -> Population:
     ``rng.choice(N, size=N, replace=True, p=w)`` makes, the same indices
     from the same stream, leaving ``rng`` in the same state, without that
     call's validation of ``p``. Resampling costs 0 evaluations. The
-    particles are read by the array rule (README, "Array inputs"), so an
-    integer array or a nested list resamples as its float64 copy does.
+    particles and the log weights are read by the array rule (README, "Array
+    inputs"), so an integer array or a nested list resamples as its float64
+    copy does.
 
     Raises:
         InvalidInputError: if ``pop.particles`` is not a real (N, d) array
-            with N >= 1 (an empty population is refused), if there is not
-            one log weight per particle, or if their maximum is not finite
-            (a NaN, a +inf, or all -inf); nothing is drawn.
+            with N >= 1 (an empty population is refused), if
+            ``pop.log_weights`` is not real numbers, if there is not one log
+            weight per particle, or if their maximum is not finite (a NaN, a
+            +inf, or all -inf); nothing is drawn.
     """
     particles = _read_particles(pop)
     n = len(particles)
-    log_weights = pop.log_weights
+    log_weights = as_real_array("pop.log_weights", pop.log_weights)
+    if not log_weights.size:  # no maximum to quote
+        raise InvalidInputError(
+            f"pop.log_weights must hold one log weight per particle ({n}), "
+            f"got shape {log_weights.shape}"
+        )
     m = log_weights.max()
     if log_weights.shape != (n,) or not math.isfinite(m):
         raise InvalidInputError(

@@ -143,10 +143,13 @@ def igd(estimate: np.ndarray, reference: np.ndarray) -> float:
     raises InvalidInputError; an empty front raises it too. So does an
     infinity of one sign in the same column of both fronts, whose distance
     ``inf - inf`` is undefined; the error names the column and a row of each.
-    Finite fronts far apart give their finite distance, without a warning:
-    a reference row whose squared distances all overflow is measured again
-    by ``np.hypot``, and every other row keeps the bits of the square root
-    of its squared distance.
+    Finite fronts far apart or close together give their finite distance,
+    without a warning: a reference row whose nearest squared distance
+    overflows, or falls below the smallest normal float (0 included), is
+    measured again by ``np.hypot``, and every other row keeps the bits of
+    the square root of its squared distance. The mean is the plain one
+    unless that overflows with every distance finite; then it is the sum of
+    the distances each divided by their count.
     """
     estimate = as_front(estimate)
     reference = as_front(reference)
@@ -174,14 +177,17 @@ def igd(estimate: np.ndarray, reference: np.ndarray) -> float:
         # minimum gives the same bits as the minimum of the distances
         distance = np.sqrt(nearest)
         # an infinite row minimum may be a finite distance whose square
-        # overflowed; hypot does not square, and where a coordinate is
-        # infinite it gives inf again
-        far = np.flatnonzero(np.isinf(distance))
-        for start in range(0, len(far), rows):
-            at = far[start:start + rows]
+        # overflowed, and a minimum below the smallest normal float a distance
+        # whose square underflowed; hypot does not square, and where a
+        # coordinate is infinite it gives inf again
+        again = np.flatnonzero(np.isinf(nearest) | (nearest < np.finfo(float).tiny))
+        for start in range(0, len(again), rows):
+            at = again[start:start + rows]
             block = reference[at]
             distance[at] = np.hypot(block[:, 0, None] - e1, block[:, 1, None] - e2).min(axis=1)
-    result = float(distance.mean())
+        result = float(distance.mean())
+        if math.isinf(result) and np.isfinite(distance).all():  # the sum overflowed
+            result = float((distance / len(distance)).sum())
     if math.isnan(result):  # name the first column both fronts hold one infinity in
         for col in range(2):
             for inf in (np.inf, -np.inf):

@@ -143,10 +143,6 @@ def log_density_table(
     return table
 
 
-def weighted_sum(lam: float) -> Scalarization:
-    return Scalarization(ScalarizationKind.WEIGHTED_SUM, lam)
-
-
 def equal_interval_schedule(k_targets: int) -> np.ndarray:
     """Balance parameters lambda_k = (k-1)/(K-1) for k = 1..K.
 

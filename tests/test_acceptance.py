@@ -12,6 +12,7 @@ turns the suite red so the change gets noticed.
 
 import time
 from dataclasses import replace
+from functools import partial
 
 import numpy as np
 import pytest
@@ -19,9 +20,17 @@ from scipy.spatial.distance import cdist
 from scipy.stats import binomtest, chisquare, norm
 
 import pfops
-from pfops.core import PfopsConfig, Population, metropolis_sweep, resample
-from pfops.problems import BiObjectiveProblem
-from pfops.scalarize import ScalarizationKind, weighted_sum
+from pfops import (
+    BiObjectiveProblem,
+    PfopsConfig,
+    Population,
+    Scalarization,
+    ScalarizationKind,
+    metropolis_sweep,
+    resample,
+)
+
+weighted_sum = partial(Scalarization, ScalarizationKind.WEIGHTED_SUM)
 
 # IGD of 100 analytic convex minimizers (5*lam, 5*lam) perturbed by
 # disk-uniform noise of radius 0.25, against the resolution-100 analytic

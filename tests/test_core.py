@@ -43,8 +43,9 @@ from pfops.scalarize import (
     ScalarizationKind,
     equal_interval_schedule,
     log_density_table,
-    weighted_sum,
 )
+
+weighted_sum = partial(Scalarization, ScalarizationKind.WEIGHTED_SUM)
 
 
 def line_problem(length=20.0):
@@ -389,6 +390,26 @@ class TestResample:
         (got, got_state), (want, want_state) = sides
         assert_same_bits(got, want)
         assert got_state == want_state
+
+    @pytest.mark.parametrize("kind", ["list", "strings", "empty"])
+    def test_log_weights_read_by_the_array_rule(self, kind):
+        # these used to raise a raw AttributeError (a list has no max), a raw
+        # UFuncTypeError, and numpy's zero-size reduction error
+        particles = np.random.default_rng(12).uniform(-5.0, 10.0, size=(12, 2))
+        log_w = np.log(np.random.default_rng(13).dirichlet(np.ones(12)))
+        given = {"list": log_w.tolist(), "strings": np.array(["a"] * 12), "empty": np.zeros(0)}
+        rng = np.random.default_rng(14)
+        state = rng.bit_generator.state
+        if kind == "list":
+            out = resample(Population(particles, given[kind]), rng)
+            rng_ref = np.random.default_rng(14)
+            ref = resample(Population(particles, log_w), rng_ref)
+            assert_same_bits(out.particles, ref.particles)
+            assert rng.bit_generator.state == rng_ref.bit_generator.state
+        else:
+            with pytest.raises(InvalidInputError, match=r"^pop\.log_weights "):
+                resample(Population(particles, given[kind]), rng)
+            assert rng.bit_generator.state == state
 
 
 @pytest.mark.parametrize("step", ["importance_weights", "resample", "metropolis_sweep"])

@@ -1,6 +1,7 @@
 """The input rules in pfops.errors, run through every entry point that uses them."""
 
 import re
+from functools import partial
 
 import numpy as np
 import pytest
@@ -20,7 +21,9 @@ from pfops.pareto import (
     write_front_csv,
 )
 from pfops.problems import PROBLEM_FACTORIES, BiObjectiveProblem, convex_problem, lookup_problem
-from pfops.scalarize import equal_interval_schedule, weighted_sum
+from pfops.scalarize import Scalarization, ScalarizationKind, equal_interval_schedule
+
+weighted_sum = partial(Scalarization, ScalarizationKind.WEIGHTED_SUM)
 
 
 def _zero(x):

@@ -1,3 +1,4 @@
+import pkgutil
 import re
 import subprocess
 import sys
@@ -5,6 +6,7 @@ import textwrap
 from pathlib import Path
 
 import pfops
+from pfops import core, problems, scalarize
 
 SRC = str(Path(pfops.__file__).resolve().parents[1])
 
@@ -40,11 +42,13 @@ def test_library_runs_without_scipy(tmp_path):
 
 
 # the documented library API: what the README lists, what the acceptance
-# gate, the demos and bench/ read from `pfops`, the error classes and
-# ScalarizationKind; everything else stays in its submodule
+# gate, the demos and bench/ read from `pfops`, the error classes, and the
+# three PFOPS step functions with the types they take; everything else
+# stays in its submodule
 API = {
     "BiObjectiveProblem",
     "BoundsError",
+    "CoordinateSum",
     "DegenerateWeightsError",
     "InvalidConfigError",
     "InvalidInputError",
@@ -54,7 +58,9 @@ API = {
     "ParetoArchive",
     "PfopsConfig",
     "PfopsError",
+    "Population",
     "RunReport",
+    "Scalarization",
     "ScalarizationKind",
     "compare",
     "convex_problem",
@@ -66,8 +72,10 @@ API = {
     "igd",
     "importance_weights",
     "lookup_problem",
+    "metropolis_sweep",
     "nondominated_mask",
     "reference_front",
+    "resample",
     "run",
     "run_config_file",
     "run_preset",
@@ -76,7 +84,7 @@ API = {
 
 
 def test_public_api_is_pinned():
-    assert len(API) == 29
+    assert len(API) == 34
     assert set(pfops.__all__) == API
     assert len(pfops.__all__) == len(API)  # no name listed twice
 
@@ -84,6 +92,15 @@ def test_public_api_is_pinned():
 def test_every_exported_name_resolves():
     for name in pfops.__all__:
         assert getattr(pfops, name) is not None, name
+    # the step API is re-exported, not copied: each name is its submodule's object
+    for module, name in [
+        (core, "Population"),
+        (core, "resample"),
+        (core, "metropolis_sweep"),
+        (scalarize, "Scalarization"),
+        (problems, "CoordinateSum"),
+    ]:
+        assert getattr(pfops, name) is getattr(module, name), name
     namespace = {}
     exec("from pfops import *", namespace)
     assert API <= set(namespace)
@@ -106,3 +123,13 @@ def test_readme_names_no_private_identifier():
         {m[0] for m in names if m and re.match(r"_(?!_)", m[0].rsplit(".", 1)[-1])}
     )
     assert not private
+
+
+def test_readme_names_no_submodule_path():
+    # the README documents `pfops.__all__` alone, so its prose points into
+    # no submodule: each documented name is reached as `pfops.<name>`
+    readme = (Path(SRC).parent / "README.md").read_text()
+    prose = re.sub(r"```.*?```", "", readme, flags=re.S)
+    submodules = "|".join(m.name for m in pkgutil.iter_modules(pfops.__path__))
+    paths = sorted(set(re.findall(rf"\bpfops\.(?:{submodules})\b[\w.]*", prose)))
+    assert not paths

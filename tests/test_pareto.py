@@ -341,6 +341,37 @@ class TestIgd:
         assert igd(est, far).hex() == float(expected).hex()
         assert igd(est, ref).hex() == float(near.mean()).hex()
 
+    def test_mean_of_distances_near_the_float_maximum_is_finite(self):
+        # the plain mean's sum overflows: this used to warn "overflow
+        # encountered in reduce", an error here, and return inf
+        assert igd([[0.0, 0.0]], [[1.5e308, 0.0], [1.5e308, 0.0]]) == 1.5e308
+        assert igd([[0.0, 0.0]], [[1.5e308, 0.0], [0.0, -1e308]]) == pytest.approx(1.25e308)
+        # a distance from an infinite coordinate is a real infinity
+        assert igd([[0.0, 0.0]], [[1.5e308, 0.0], [0.0, np.inf]]) == np.inf
+        assert igd([[np.inf, 0.0]], [[1.5e308, 0.0], [0.0, 0.0]]) == np.inf
+
+    def test_tiny_distances_are_not_rounded_to_zero(self):
+        # the squares underflow: the first two used to return 0.0
+        assert igd([[1e-200, 0.0]], [[0.0, 0.0]]) == 1e-200
+        assert igd([[1e300, 1e-300]], [[1e300, 2e-300]]) == 1e-300
+        rng = np.random.default_rng(5)
+        fronts = [
+            rng.normal(size=(30, 2)),
+            np.repeat(rng.normal(size=(4, 2)), 3, axis=0),  # duplicated rows
+            np.array([[5e-324, 0.0], [0.0, -5e-324], [1e-160, 1e160]]),
+        ]
+        for front in fronts:
+            assert igd(front, front) == 0.0
+        assert igd([[1e200, 0.0]], [[-1e200, 0.0]]) == 2e200
+        # one reference row lies 5e-180 from the estimate point at the
+        # origin and is measured by hypot; the others keep their bits
+        est = np.vstack([rng.normal(size=(8, 2)), [[0.0, 0.0]]])
+        ref = rng.normal(size=(40, 2))
+        near = np.sqrt(((ref[:, None, :] - est) ** 2).sum(axis=2).min(axis=1))
+        close = np.vstack([ref, [[3e-180, -4e-180]]])
+        expected = np.append(near, np.hypot(3e-180, -4e-180)).mean()
+        assert igd(est, close).hex() == float(expected).hex()
+
     @pytest.mark.parametrize(
         "estimate, reference",
         [

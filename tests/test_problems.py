@@ -1,3 +1,5 @@
+from functools import partial
+
 import numpy as np
 import pytest
 
@@ -15,7 +17,9 @@ from pfops.problems import (
     kursawe_problem,
     lookup_problem,
 )
-from pfops.scalarize import weighted_sum
+from pfops.scalarize import Scalarization, ScalarizationKind
+
+weighted_sum = partial(Scalarization, ScalarizationKind.WEIGHTED_SUM)
 
 
 def test_convex_values():

@@ -1,4 +1,5 @@
 import re
+from functools import partial
 
 import numpy as np
 import pytest
@@ -10,8 +11,9 @@ from pfops.scalarize import (
     ScalarizationKind,
     equal_interval_schedule,
     log_density_table,
-    weighted_sum,
 )
+
+weighted_sum = partial(Scalarization, ScalarizationKind.WEIGHTED_SUM)
 
 
 def analytic_weighted_sum_minimizer_convex(lam: float) -> np.ndarray:
