@@ -93,9 +93,6 @@ class Population:
     log_weights: np.ndarray
     incumbent: Incumbent | None = None
 
-    def __len__(self) -> int:
-        return len(self.particles)
-
 
 @dataclass(frozen=True)
 class PfopsConfig:
@@ -346,17 +343,14 @@ def resample(pop: Population, rng: np.random.Generator) -> Population:
     particles = _read_particles(pop)
     n = len(particles)
     log_weights = as_real_array("pop.log_weights", pop.log_weights)
-    if not log_weights.size:  # no maximum to quote
+    if log_weights.shape != (n,):
         raise InvalidInputError(
             f"pop.log_weights must hold one log weight per particle ({n}), "
             f"got shape {log_weights.shape}"
         )
     m = log_weights.max()
-    if log_weights.shape != (n,) or not math.isfinite(m):
-        raise InvalidInputError(
-            f"resampling needs one log weight per particle ({n}) with a finite "
-            f"maximum, got shape {log_weights.shape} and maximum {m}"
-        )
+    if not math.isfinite(m):
+        raise InvalidInputError(f"pop.log_weights must have a finite maximum log weight, got {m}")
     p = np.exp(log_weights - m)
     p /= p.sum()
     idx = _inverse_cdf(p.cumsum(), *_sorted_uniforms(rng, n))
@@ -388,13 +382,20 @@ def metropolis_sweep(
     Raises:
         InvalidInputError: if ``sigma`` is not a finite number > 0 (a bool is
             not one), PfopsConfig's rule, or if ``pop.particles`` is not a
-            real (N, d) array with N >= 1 (an empty population is refused);
+            real (N, d) array with N >= 1 (an empty population is refused),
+            or if ``pop.incumbent`` is neither None nor an Incumbent;
             nothing is evaluated, counted or drawn.
     """
     _check_sigma(InvalidInputError, sigma)
+    if not (pop.incumbent is None or isinstance(pop.incumbent, Incumbent)):
+        raise InvalidInputError(
+            f"pop.incumbent must be None or an Incumbent, got {shown(pop.incumbent)}"
+        )
     particles = _read_particles(pop).copy()
     objectives, log_pi, terms = _score(particles, s, problem)
-    inc = pop.incumbent or _incumbent(particles, log_pi, objectives)
+    inc = pop.incumbent
+    if inc is None:
+        inc = _incumbent(particles, log_pi, objectives)
     inc = _sweep(particles, log_pi, terms, inc, s, problem, sigma, rng)
     return replace(pop, particles=particles, incumbent=inc)
 

@@ -73,8 +73,8 @@ class Scalarization:
     def log_density_values(self, objectives: np.ndarray) -> np.ndarray:
         """log pi, shape (n,), at the (n, 2) objective values of a batch, as
         an evaluation returns them; at lambda = 0 or 1 the zero-weighted
-        objective is ignored, even where infinite (``log_density`` gives
-        the float operations). The values are read by the array rule
+        objective is ignored, even where infinite or NaN (``log_density``
+        gives the float operations). The values are read by the array rule
         (README, "Array inputs"); any shape other than (n, 2), a single (2,)
         point included, raises InvalidInputError naming it.
         """
@@ -95,28 +95,26 @@ def log_density(
     With w1 = 1 - lambda and w2 = lambda, the float operations and their
     order are those of -(w1 f1 + w2 f2) and -max{w1 |f1 - z1|, w2 |f2 - z2|}
     (a product's operands commute exactly); each runs on a fresh temporary,
-    never on ``objectives``. Under a float, a weight of exactly 0 drops its
-    term: at lambda = 0 the value ignores f2, and at lambda = 1 it ignores
-    f1, even where that objective is infinite (``0 * inf`` would be NaN), so
-    for finite objectives the value is the formula's but for the sign of a
-    zero. A column keeps both terms in every row, so its lambdas must lie
-    strictly inside (0, 1). The caller gives valid arguments: float
-    objective values of that shape, lambdas in [0, 1] and the kind's
-    Utopian point; nothing is checked here.
+    never on ``objectives``. One rule holds for a float and for every row of
+    a column: a term whose weight is exactly 0 is an exact +0, not a
+    product, so at lambda = 0 the value ignores f2 and at lambda = 1 it
+    ignores f1, even where that objective is infinite or NaN (``0 * inf``
+    would be NaN). For finite objectives the value is the formula's but for
+    the sign of a zero: under the weighted sum at lambda = 1, f2 = -0.0
+    gives -0.0 (+0 + -0.0 is +0), and likewise f1 = -0.0 at lambda = 0.
+    The caller gives valid arguments: float objective values of that shape,
+    lambdas in [0, 1] and the kind's Utopian point; nothing is checked here.
     """
-    column = isinstance(lam, np.ndarray)
+    shape = np.broadcast(objectives[:, 0], lam).shape
     terms = []
     for i, w in enumerate((1.0 - lam, lam)):
-        if column or w:
-            f = objectives[:, i]
-            if kind is ScalarizationKind.TCHEBYCHEFF:
-                f = f - utopian[i]  # type: ignore[index]
-                np.abs(f, out=f)
-            terms.append(f * w)
-    out = terms[0]
-    if len(terms) == 2:
-        combine = np.add if kind is ScalarizationKind.WEIGHTED_SUM else np.maximum
-        combine(out, terms[1], out=out)
+        f = objectives[:, i]
+        if kind is ScalarizationKind.TCHEBYCHEFF:
+            f = f - utopian[i]  # type: ignore[index]
+            np.abs(f, out=f)
+        terms.append(np.multiply(f, w, out=np.zeros(shape), where=w != 0))
+    combine = np.add if kind is ScalarizationKind.WEIGHTED_SUM else np.maximum
+    out = combine(terms[0], terms[1], out=terms[0])
     return np.negative(out, out=out)
 
 
@@ -125,22 +123,14 @@ def log_density_table(
     utopian: tuple[float, float] | None = None,
 ) -> np.ndarray:
     """log pi, shape (len(lams), n), of the (n, 2) float objective values of
-    a batch under each balance parameter in ``lams``: row r has the bits of
-    ``Scalarization(kind, lams[r], utopian).log_density_values(objectives)``.
-
-    The rows whose lambda lies strictly inside (0, 1) are scored in one
-    column call of ``log_density``; each row whose lambda is exactly 0 or 1,
-    wherever it sits, is scored under that float, which drops a term. The
-    caller gives valid arguments: lambdas in [0, 1] and the kind's Utopian
-    point; nothing is checked here.
+    a batch under each balance parameter in ``lams``, in one column call of
+    ``log_density``: by its one zero-weight rule, row r has the bits of
+    ``Scalarization(kind, lams[r], utopian).log_density_values(objectives)``
+    wherever a lambda of exactly 0 or 1 sits. The caller gives valid
+    arguments: lambdas in [0, 1] and the kind's Utopian point; nothing is
+    checked here.
     """
-    lams = np.asarray(lams, dtype=float)
-    inside = (0.0 < lams) & (lams < 1.0)
-    table = log_density(objectives, lams[inside, None], kind, utopian)
-    for r in np.flatnonzero(~inside):  # in order, so each lands at its row
-        row = log_density(objectives, lams[r], kind, utopian)
-        table = np.concatenate((table[:r], row[None], table[r:]))
-    return table
+    return log_density(objectives, np.asarray(lams, dtype=float)[:, None], kind, utopian)
 
 
 def equal_interval_schedule(k_targets: int) -> np.ndarray:

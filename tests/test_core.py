@@ -391,13 +391,17 @@ class TestResample:
         assert_same_bits(got, want)
         assert got_state == want_state
 
-    @pytest.mark.parametrize("kind", ["list", "strings", "empty"])
+    @pytest.mark.parametrize("kind", ["list", "strings", "empty", "short"])
     def test_log_weights_read_by_the_array_rule(self, kind):
         # these used to raise a raw AttributeError (a list has no max), a raw
-        # UFuncTypeError, and numpy's zero-size reduction error
+        # UFuncTypeError, numpy's zero-size reduction error, and a text that
+        # named neither the field nor the fault
         particles = np.random.default_rng(12).uniform(-5.0, 10.0, size=(12, 2))
         log_w = np.log(np.random.default_rng(13).dirichlet(np.ones(12)))
-        given = {"list": log_w.tolist(), "strings": np.array(["a"] * 12), "empty": np.zeros(0)}
+        given = {"list": log_w.tolist(), "strings": np.array(["a"] * 12), "empty": np.zeros(0),
+                 "short": np.zeros(2)}
+        if kind == "short":
+            particles = particles[:3]
         rng = np.random.default_rng(14)
         state = rng.bit_generator.state
         if kind == "list":
@@ -428,6 +432,20 @@ def test_empty_population_refused_before_anything_is_counted(step):
     message = r"^pop\.particles must hold at least one particle, got shape \(0, 2\)$"
     with pytest.raises(InvalidInputError, match=message):
         calls[step]()
+    assert problem.counter.count == 0
+    assert rng.bit_generator.state == state
+
+
+@pytest.mark.parametrize("incumbent", [5, (1, 2, 3), 0])
+def test_sweep_refuses_an_incumbent_that_is_not_one(incumbent):
+    # 5 used to be evaluated, counted and drawn for before a raw
+    # AttributeError, and 0 was silently replaced by a fresh incumbent
+    problem = convex_problem()
+    rng = np.random.default_rng(0)
+    state = rng.bit_generator.state
+    pop = Population(np.zeros((4, 2)), np.zeros(4), incumbent)
+    with pytest.raises(InvalidInputError, match=r"^pop\.incumbent must be None or an Incumbent"):
+        metropolis_sweep(pop, weighted_sum(0.5), problem, 1.0, rng)
     assert problem.counter.count == 0
     assert rng.bit_generator.state == state
 

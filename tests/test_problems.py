@@ -151,6 +151,7 @@ def test_bounds_of_the_wrong_shape_rejected(lower, upper):
         ("ideal", {"lower": [-5.0], "upper": [5.0], "ideal": (0.0, np.True_)}),
         ("lower", {"lower": [1j], "upper": [5.0]}),
         ("lower", {"lower": [None], "upper": [5.0]}),
+        ("lower", {"lower": [np.zeros((2, 2)), np.zeros((2, 3))], "upper": [5.0]}),
     ],
 )
 def test_bounds_and_ideal_that_are_not_numbers_rejected(field, kwargs):

@@ -1,3 +1,4 @@
+import itertools
 import re
 from functools import partial
 
@@ -182,8 +183,8 @@ class TestLogDensity:
 
 
 class TestLogDensityTable:
-    # rows of +-inf and of +-0.0 in each objective: a zero weight must drop
-    # its term (0 * inf is NaN; 0 * 2 + -0.0 is +0.0, the dropped value -0.0)
+    # rows of +-inf and of +-0.0 in each objective: a zero weight must make
+    # its term an exact +0, never a product (0 * inf is NaN)
     EDGES = np.array(
         [[np.inf, 2.0], [-np.inf, 2.0], [2.0, np.inf], [2.0, -np.inf],
          [-0.0, 3.0], [3.0, -0.0], [-0.0, -0.0], [0.0, -0.0], [1.5, -4.25]]
@@ -205,6 +206,24 @@ class TestLogDensityTable:
                 expected = Scalarization(kind, lam, utopian).log_density_values(objectives)
                 assert row.tobytes() == expected.tobytes()
                 assert not np.isnan(row).any()
+
+    @pytest.mark.parametrize("kind", list(ScalarizationKind))
+    def test_one_zero_weight_rule_for_floats_and_rows(self, kind):
+        # a zero-weighted term is +0 and +0 + -0.0 is +0, so the weighted sum
+        # gives -0.0 at lambda 1 for f2 = -0.0 and at lambda 0 for f1 = -0.0
+        # (a dropped term gave +0.0); a table row follows the same rule
+        # wherever 0 and 1 sit among the lambdas
+        utopian = (-0.5, -5.0) if kind is ScalarizationKind.TCHEBYCHEFF else None
+        if kind is ScalarizationKind.WEIGHTED_SUM:
+            for lam, objectives in ((1.0, [[2.0, -0.0]]), (0.0, [[-0.0, 2.0]])):
+                value = weighted_sum(lam).log_density_values(objectives)
+                assert value.tolist() == [0.0] and np.signbit(value).tolist() == [True]
+        for i, j in itertools.permutations(range(4), 2):
+            lams = np.array([0.3, 0.5, 0.9, 0.1])
+            lams[i], lams[j] = 0.0, 1.0
+            for lam, row in zip(lams, log_density_table(self.EDGES, lams, kind, utopian)):
+                expected = Scalarization(kind, lam, utopian).log_density_values(self.EDGES)
+                assert row.tobytes() == expected.tobytes()
 
 
 def assert_ignores_objective(s, ignored, seed):
