@@ -27,8 +27,8 @@ off, a noisy or batch-dependent objective is sampled once per particle.
 Also with the sweep off, once resampling has kept a single step-1 particle
 (path degeneracy: every particle is its copy), each later step's weights
 are all exactly 1 and the rest of the run is fixed, so ``_run_moves_off``
-stops stepping and finishes it from that particle's scores, with the same
-archive, count, stream and errors.
+stops stepping there and finishes the run from that particle's scores alone,
+with the same archive, count, final generator state and errors.
 
 The public step functions run the same kernels on a ``Population``, each
 scoring its particles afresh. ``_score`` scores every batch, a step's and
@@ -42,6 +42,7 @@ incumbent. ``importance_weights`` returns normalized log weights, and
 from __future__ import annotations
 
 import math
+from contextlib import nullcontext
 from dataclasses import dataclass, replace
 from typing import Sequence
 
@@ -66,7 +67,6 @@ from .scalarize import (
     ScalarizationKind,
     equal_interval_schedule,
     log_density,
-    log_density_table,
 )
 
 
@@ -239,8 +239,12 @@ def _sweep(
     for dim in range(problem.dim):
         col = particles[:, dim]
         proposed_col = rng.standard_normal(n)
-        proposed_col *= sigma
-        proposed_col += col
+        # a proposal that overflows is +-inf: outside the box, so rejected
+        # and charged as any out-of-box one. At sigma <= 1 none can:
+        # |sigma * z| <= |z|, far below the 2**970 that the sum would need
+        with np.errstate(over="ignore") if sigma > 1.0 else nullcontext():
+            proposed_col *= sigma
+            proposed_col += col
         inside = proposed_col >= lower[dim]
         inside &= proposed_col <= upper[dim]
         rows = inside.nonzero()[0]
@@ -351,7 +355,9 @@ def resample(pop: Population, rng: np.random.Generator) -> Population:
     m = log_weights.max()
     if not math.isfinite(m):
         raise InvalidInputError(f"pop.log_weights must have a finite maximum log weight, got {m}")
-    p = np.exp(log_weights - m)
+    # a spread that overflows gives -inf: exactly the zero weight it stands for
+    with np.errstate(over="ignore"):
+        p = np.exp(log_weights - m)
     p /= p.sum()
     idx = _inverse_cdf(p.cumsum(), *_sorted_uniforms(rng, n))
     return Population(particles.take(idx, axis=0), np.full(n, -np.log(n)), pop.incumbent)
@@ -487,41 +493,39 @@ def _run_moves_off(
     Every particle after step 1 is a resampled copy of a step-1 one, so only
     step 1 computes objectives. The population is ``anc``, each particle's
     step-1 index, and a step's log pi is its row of a score table of step 1's
-    values (``scalarize.log_density_table``: a row per target, with the bits
-    of that target's ``log_density_values``), gathered by ``anc``. The table
-    and the steps' sorted uniforms, from one ``rng.random((steps, N))`` call
-    (the stream of that many ``rng.random(N)`` calls), are built a block of
-    steps at a time, about ``_BLOCK_ENTRIES`` entries and at least one step
-    each, so memory stays O(N + K). Each step after the first charges its 2N
-    evaluations before weighting, without computing them, as the sweep
-    charges out-of-box proposals. The incumbents are recorded as step-1
-    indices and gathered once at the end.
+    values (``scalarize.log_density`` under a column of lambdas: a row per
+    target, with the bits of that target's ``log_density_values``), gathered
+    by ``anc``. The table and the steps' sorted uniforms, from one
+    ``rng.random((steps, N))`` call (the stream of that many ``rng.random(N)``
+    calls), are built a block of steps at a time, about ``_BLOCK_ENTRIES``
+    entries and at least one step each, so memory stays O(N + K). Each step
+    after the first charges its 2N evaluations before weighting, without
+    computing them, as the sweep charges out-of-box proposals. The incumbents
+    are recorded as step-1 indices and gathered once at the end.
 
-    Once resampling has kept one step-1 index ``a`` alone (``lone``: path
-    degeneracy), the steps left are finished in whole arrays on column ``a``
-    of each block's table (``_one_ancestor_steps``). This is exact: every
-    later step's raw log weights are one number, ``table[k, a] -
-    table[k-1, a]``; shifted by their maximum they are exactly 0, so each
-    weight is exp(0) = 1 and resampling keeps ``a`` again, whatever the
-    uniforms. The rest of the run is thus fixed: each incumbent is ``a``,
-    and the first step whose raw weight is not finite, if any, raises the
-    per-step loop's DegenerateWeightsError, charged through that step. Each
-    skipped step is still charged 2N and still draws its N uniforms, in its
-    block's ``rng.random((steps, N))`` call (left unsorted when the block
-    steps none), so the count and the stream are unchanged; each block still
-    builds its table. For a skipped step k, ESS is N, the distinct ancestors
-    are 1 and the incumbent's log pi is ``table[k, a]``, so a per-step trace
-    can fill those columns without the loop. The state is screened for
-    free, by every weight being exactly 1 (their cumulative sum then ends
-    at exactly N), and confirmed by ``anc``, so it is found at most one step
+    Stepping stops in one place: at the step whose resampling keeps one
+    step-1 index ``a`` alone (path degeneracy). That state is screened for
+    free, by every weight being exactly 1 (their cumulative sum then ends at
+    exactly N), and confirmed by ``anc``, so it is found at most one step
     after the resampling that kept ``a`` alone (at that step when N = 1).
+    The run is then finished there, exactly: each later step's raw log
+    weights are one number, a's log pi_k - log pi_{k-1}; shifted by their
+    maximum they are exactly 0, so each weight is exp(0) = 1 and resampling
+    keeps ``a`` again, whatever the uniforms. Each incumbent left is ``a``,
+    and ``_one_ancestor_steps`` charges the steps left, or raises where the
+    per-step loop would, from a's log pi: the rest of the block's column
+    ``a``, then any later block's targets scored on row ``a`` alone, in one
+    call. One ``bit_generator.advance`` skips the later blocks' uniforms, so
+    the final generator state is unchanged. For a finished step, ESS is N,
+    the distinct ancestors are 1 and the incumbent's log pi is a's, so a
+    per-step trace can fill those columns without the loop.
     """
     n = len(particles)
     objectives, _ = problem._evaluate_terms(particles)
+    kind, z = config.scalarization_kind, config.utopian
     anc = np.arange(n)
     picks = np.empty(len(schedule), dtype=np.intp)  # each step's incumbent, by step-1 index
     log_pi_prev = 0.0
-    lone = -1  # the one step-1 index resampling has kept, once it keeps no other
     steps = max(1, _BLOCK_ENTRIES // n)
     for start in range(0, len(schedule), steps):
         lams = schedule[start:start + steps]
@@ -530,33 +534,30 @@ def _run_moves_off(
         # step 1 (lambda = 0) scores it -inf, so it is never drawn, or +inf,
         # which stops the run there, so the NaN never reaches a weight
         with np.errstate(invalid="ignore"):
-            table = log_density_table(
-                objectives, lams, config.scalarization_kind, config.utopian
-            )
-        stepped = 0  # the block's steps stepped one by one; if lone >= 0, the rest are skipped
-        if lone < 0:
-            uniforms, orders = _sorted_uniforms(rng, (len(lams), n))
-            for k in range(len(lams)):
-                if start + k:  # charged, not computed
-                    problem.counter.add(2 * n)
-                log_pi = table[k].take(anc)
-                picks[start + k] = anc[log_pi.argmax()]
-                weights = _raw_log_weights(log_pi, log_pi_prev)
-                cdf = np.exp(weights, out=weights).cumsum()
-                every_weight_one = cdf[-1] == n
-                idx = _inverse_cdf(cdf, uniforms[k], orders[k])
-                anc = anc.take(idx)
-                log_pi_prev = log_pi.take(idx)
-                if every_weight_one and (anc == anc[0]).all():
-                    lone, log_pi_prev = int(anc[0]), log_pi_prev[0]
-                    break
-            stepped = k + 1
-        else:
-            rng.random((len(lams), n))  # each skipped step still draws its N uniforms
-        if lone >= 0 and stepped < len(lams):
-            _one_ancestor_steps(table[stepped:, lone], log_pi_prev, n, problem)
-            picks[start + stepped:start + len(lams)] = lone
-            log_pi_prev = table[-1, lone]
+            table = log_density(objectives, lams[:, None], kind, z)
+        uniforms, orders = _sorted_uniforms(rng, (len(lams), n))
+        for k in range(len(lams)):
+            if start + k:  # charged, not computed
+                problem.counter.add(2 * n)
+            log_pi = table[k].take(anc)
+            picks[start + k] = anc[log_pi.argmax()]
+            weights = _raw_log_weights(log_pi, log_pi_prev)
+            cdf = np.exp(weights, out=weights).cumsum()
+            every_weight_one = cdf[-1] == n
+            idx = _inverse_cdf(cdf, uniforms[k], orders[k])
+            anc = anc.take(idx)
+            log_pi_prev = log_pi.take(idx)
+            if every_weight_one and (anc == anc[0]).all():
+                a = int(anc[0])
+                rest = table[k + 1:, a]
+                later = schedule[start + len(lams):]
+                if len(later):  # a's f1 is finite (step 1 drew it), so its row has no NaN
+                    row = log_density(objectives[a:a + 1], later[:, None], kind, z)
+                    rest = np.concatenate((rest, row[:, 0]))
+                    rng.bit_generator.advance(len(later) * n)  # the later steps' uniforms
+                _one_ancestor_steps(rest, log_pi_prev[0], n, problem)
+                picks[start + k + 1:] = a
+                return particles.take(picks, axis=0), objectives.take(picks, axis=0)
     return particles.take(picks, axis=0), objectives.take(picks, axis=0)
 
 

@@ -14,9 +14,9 @@ with ratios of pi_k, where they cancel, and all arithmetic stays in log
 space (raw densities underflow: the convex benchmark reaches exp(-225)
 at the far corner of its box). One kernel, ``log_density``, computes log pi
 for ``Scalarization.log_density_values`` (one target, checked),
-``log_density_table`` (many) and ``core._score`` (one target, on the
-values an evaluation has just checked), and its docstring states the float
-operations and their order.
+``core._score`` (one target, on the values an evaluation has just checked)
+and ``core._run_moves_off`` (a column of targets, one row each), and its
+docstring states the float operations and their order.
 """
 
 from __future__ import annotations
@@ -116,21 +116,6 @@ def log_density(
     combine = np.add if kind is ScalarizationKind.WEIGHTED_SUM else np.maximum
     out = combine(terms[0], terms[1], out=terms[0])
     return np.negative(out, out=out)
-
-
-def log_density_table(
-    objectives: np.ndarray, lams: np.ndarray, kind: ScalarizationKind,
-    utopian: tuple[float, float] | None = None,
-) -> np.ndarray:
-    """log pi, shape (len(lams), n), of the (n, 2) float objective values of
-    a batch under each balance parameter in ``lams``, in one column call of
-    ``log_density``: by its one zero-weight rule, row r has the bits of
-    ``Scalarization(kind, lams[r], utopian).log_density_values(objectives)``
-    wherever a lambda of exactly 0 or 1 sits. The caller gives valid
-    arguments: lambdas in [0, 1] and the kind's Utopian point; nothing is
-    checked here.
-    """
-    return log_density(objectives, np.asarray(lams, dtype=float)[:, None], kind, utopian)
 
 
 def equal_interval_schedule(k_targets: int) -> np.ndarray:

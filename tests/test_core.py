@@ -42,7 +42,7 @@ from pfops.scalarize import (
     Scalarization,
     ScalarizationKind,
     equal_interval_schedule,
-    log_density_table,
+    log_density,
 )
 
 weighted_sum = partial(Scalarization, ScalarizationKind.WEIGHTED_SUM)
@@ -369,6 +369,15 @@ class TestResample:
             np.testing.assert_array_equal(idx, ref)
             assert rng_new.bit_generator.state == rng_ref.bit_generator.state
 
+    def test_overflowing_spread_is_a_zero_weight(self):
+        # 1e308 apart, -1e308 - 1e308 overflows to -inf: the zero weight it
+        # stands for, with no RuntimeWarning (an error under pytest)
+        pop = Population(np.arange(2.0)[:, None], np.array([1e308, -1e308]))
+        rng_new, rng_ref = np.random.default_rng(3), np.random.default_rng(3)
+        idx = resample(pop, rng_new).particles[:, 0].astype(int)
+        np.testing.assert_array_equal(idx, rng_ref.choice(2, size=2, p=[1.0, 0.0]))
+        assert rng_new.bit_generator.state == rng_ref.bit_generator.state
+
     @pytest.mark.parametrize(
         "log_weights",
         [[0.0, np.nan, 0.0], [-np.inf, -np.inf, -np.inf], [0.0, np.inf, 0.0], [0.0, 0.0]],
@@ -652,6 +661,18 @@ class TestMetropolisSweep:
         assert prob.counter.count - before == 2 * 300 * 3
         inside = np.all(out.particles >= prob.lower, axis=1) & np.all(out.particles <= prob.upper, axis=1)
         assert inside.all()
+
+    def test_overflowing_proposals_rejected_but_counted(self):
+        # sigma near the float maximum: a proposal that overflows is +-inf,
+        # outside the box, so it is rejected and charged like any other
+        # out-of-box one, with no RuntimeWarning (an error under pytest)
+        prob = convex_problem()
+        pop = make_population(np.random.default_rng(15).uniform(-5, 10, size=(50, 2)))
+        rng = np.random.default_rng(16)
+        out = metropolis_sweep(pop, weighted_sum(0.5), prob, sigma=1.7e308, rng=rng)
+        assert (np.abs(np.random.default_rng(16).standard_normal(50)) > 1.06).any()
+        assert prob.counter.count == 2 * 50 * (1 + 2)
+        assert_same_bits(out.particles, pop.particles)
 
     def test_tied_best_proposals_first_wins(self):
         # log pi is 0 on (0, 1] and -1 elsewhere in the box; every particle
@@ -943,20 +964,51 @@ class TestRun:
         assert calls == [5, 5]
         assert counts == (2 * 20 * 5,) * 2
 
+    def test_finish_scores_later_blocks_on_one_row(self, monkeypatch):
+        # as above, stepping stops at step 2, but at 20 entries a block holds
+        # 4 of the 20 steps: only the first block builds a table, and the 16
+        # targets of the four later ones are scored once, on the ancestor's
+        # row alone, each with the bits of log_density_values there; the
+        # archive, the count and the final generator state are reference_run's
+        calls = []
+
+        def recording(objectives, lams, *args):
+            calls.append((objectives.copy(), lams[:, 0].copy(), log_density(objectives, lams, *args)))
+            return calls[-1][2]
+
+        monkeypatch.setattr("pfops.core._BLOCK_ENTRIES", 20)
+        monkeypatch.setattr("pfops.core.log_density", recording)
+        preset = PRESETS["pfops-convex-under"]
+        cfg = replace(preset.config, seed=0)
+        counts = assert_run_equals_reference(cfg, partial(lookup_problem, preset.problem))
+        assert counts == (2 * 20 * 5,) * 2
+        assert [(len(objectives), len(lams)) for objectives, lams, _ in calls] == [(5, 4), (1, 16)]
+        lams = np.concatenate([lams for _, lams, _ in calls])
+        assert_same_bits(lams, equal_interval_schedule(20))
+        problem = lookup_problem(preset.problem)
+        first = initialize(cfg, problem, np.random.default_rng(cfg.seed)).particles
+        step1 = problem.evaluate_batch(first)
+        (objectives, _, _), (row, later, column) = calls
+        assert_same_bits(objectives, step1)
+        a = [r.tobytes() for r in step1].index(row.tobytes())
+        for lam, value in zip(later, column[:, 0]):
+            assert_same_bits(value, cfg.scalarization(lam).log_density_values(step1)[a])
+
     @pytest.mark.parametrize("kind", list(ScalarizationKind))
     @pytest.mark.parametrize("n_targets, n_particles", [(2, 12), (3, 12), (200, 1000)])
     def test_scores_each_target_once(self, monkeypatch, kind, n_targets, n_particles):
         # with moves off the population is scored once per target, in order:
         # the rows of score tables of step 1's values, built a block of steps
         # at a time (K = 200, N = 1000 spans four blocks), each row with the
-        # bits of log_density_values; no objective is called after step 1
+        # bits of log_density_values; no objective is called after step 1.
+        # No run here keeps one step-1 particle alone, so every call is a table
         tables = []
 
         def recording(objectives, lams, *args):
-            tables.append((objectives.copy(), lams.copy(), log_density_table(objectives, lams, *args)))
+            tables.append((objectives.copy(), lams[:, 0].copy(), log_density(objectives, lams, *args)))
             return tables[-1][2]
 
-        monkeypatch.setattr("pfops.core.log_density_table", recording)
+        monkeypatch.setattr("pfops.core.log_density", recording)
         utopian = (-30.0, -30.0) if kind is ScalarizationKind.TCHEBYCHEFF else None
         cfg = PfopsConfig(
             n_targets=n_targets, n_particles=n_particles, metropolis_enabled=False, seed=4,
@@ -1076,6 +1128,12 @@ class TestRun:
         cfg = PfopsConfig(n_targets=4, n_particles=5, sigma=1000.0, seed=2)
         _, evals = run(cfg, convex_problem())
         assert evals == 2 * 4 * 5 + 2 * 4 * 5 * 2
+
+    def test_eval_count_with_overflowing_sigma(self):
+        # proposals that overflow to +-inf are out of the box, and charged
+        cfg = PfopsConfig(n_targets=3, n_particles=10, sigma=1.7e308)
+        _, evals = run(cfg, convex_problem())
+        assert evals == 2 * 3 * 10 * (1 + 2)
 
     def test_bit_identical_reruns(self):
         cfg = PfopsConfig(n_targets=10, n_particles=20, seed=123)

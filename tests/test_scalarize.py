@@ -11,7 +11,7 @@ from pfops.scalarize import (
     Scalarization,
     ScalarizationKind,
     equal_interval_schedule,
-    log_density_table,
+    log_density,
 )
 
 weighted_sum = partial(Scalarization, ScalarizationKind.WEIGHTED_SUM)
@@ -202,7 +202,7 @@ class TestLogDensityTable:
         utopian = (-0.5, -5.0) if kind is ScalarizationKind.TCHEBYCHEFF else None
         lams = np.asarray(lams, dtype=float)
         for objectives in (self.EDGES, np.random.default_rng(0).normal(size=(50, 2))):
-            for lam, row in zip(lams, log_density_table(objectives, lams, kind, utopian)):
+            for lam, row in zip(lams, log_density(objectives, lams[:, None], kind, utopian)):
                 expected = Scalarization(kind, lam, utopian).log_density_values(objectives)
                 assert row.tobytes() == expected.tobytes()
                 assert not np.isnan(row).any()
@@ -221,7 +221,7 @@ class TestLogDensityTable:
         for i, j in itertools.permutations(range(4), 2):
             lams = np.array([0.3, 0.5, 0.9, 0.1])
             lams[i], lams[j] = 0.0, 1.0
-            for lam, row in zip(lams, log_density_table(self.EDGES, lams, kind, utopian)):
+            for lam, row in zip(lams, log_density(self.EDGES, lams[:, None], kind, utopian)):
                 expected = Scalarization(kind, lam, utopian).log_density_values(self.EDGES)
                 assert row.tobytes() == expected.tobytes()
 
