@@ -189,34 +189,31 @@ def _raw_log_weights(log_pi: np.ndarray, log_pi_prev: np.ndarray | float) -> np.
             "target, from an objective at -inf, or zero density under the previous one"
             if m > 0 else "every particle has zero density under the current target"
         )
-    log_w -= m
+    # a shift that overflows gives -inf: exactly the zero weight it stands
+    # for. It can overflow only when m >= 2**970, so the errstate is skipped
+    # below that
+    if m > 2.0**969:
+        with np.errstate(over="ignore"):
+            log_w -= m
+    else:
+        log_w -= m
     return log_w
 
 
-def _sorted_uniforms(
-    rng: np.random.Generator, shape: int | tuple[int, int]
-) -> tuple[np.ndarray, np.ndarray]:
-    """``rng.random(shape)`` with each row sorted ascending, and the order
-    that sorts it; a (steps, N) block draws the stream of ``steps`` calls of
-    ``rng.random(N)``, one row each."""
-    u = rng.random(shape)
-    order = u.argsort(axis=-1)
-    # one row: ``take``, which does less work than ``take_along_axis``
-    return (u.take(order) if u.ndim == 1 else np.take_along_axis(u, order, axis=1)), order
-
-
-def _inverse_cdf(cdf: np.ndarray, u: np.ndarray, order: np.ndarray) -> np.ndarray:
+def _inverse_cdf(cdf: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     """N ancestor indices drawn by inverse CDF from ``cdf``, the cumulative
     sums of N non-negative weights (any scale, largest > 0), which it
-    normalizes in place: ``rng.choice``'s lookup, one uniform per draw,
-    given as ``_sorted_uniforms`` returns a row.
+    normalizes in place: ``rng.choice``'s lookup of ``rng.random(N)``, one
+    uniform per draw, leaving ``rng`` as that call does.
 
-    The uniforms are looked up in ascending order and the indices scattered
-    back to their draws: the same indices as an unsorted lookup, faster,
-    since each search starts where the last one ended."""
+    The uniforms are sorted, looked up in ascending order and the indices
+    scattered back to their draws: the same indices as an unsorted lookup,
+    faster, since each search starts where the last one ended."""
+    u = rng.random(len(cdf))
+    order = u.argsort()
     cdf /= cdf[-1]
     idx = np.empty(len(u), dtype=np.intp)
-    idx[order] = cdf.searchsorted(u, side="right")
+    idx[order] = cdf.searchsorted(u.take(order), side="right")
     return idx
 
 
@@ -359,7 +356,7 @@ def resample(pop: Population, rng: np.random.Generator) -> Population:
     with np.errstate(over="ignore"):
         p = np.exp(log_weights - m)
     p /= p.sum()
-    idx = _inverse_cdf(p.cumsum(), *_sorted_uniforms(rng, n))
+    idx = _inverse_cdf(p.cumsum(), rng)
     return Population(particles.take(idx, axis=0), np.full(n, -np.log(n)), pop.incumbent)
 
 
@@ -467,9 +464,7 @@ def _run_moves_on(
         objectives, log_pi, terms = _score(particles, s_k, problem, terms)
         inc = _incumbent(particles, log_pi, objectives)
         weights = _raw_log_weights(log_pi, log_pi_prev)
-        idx = _inverse_cdf(
-            np.exp(weights, out=weights).cumsum(), *_sorted_uniforms(rng, len(particles))
-        )
+        idx = _inverse_cdf(np.exp(weights, out=weights).cumsum(), rng)
         particles = particles.take(idx, axis=0)
         log_pi_prev = log_pi.take(idx)
         terms = [t.take(idx, axis=0) for t in terms]
@@ -479,8 +474,8 @@ def _run_moves_on(
     return np.stack(decisions), np.stack(front)
 
 
-# score-table entries (and uniforms) built at once by ``_run_moves_off``: a
-# block of steps holds about this many, and at least one step
+# score-table entries built at once by ``_run_moves_off``: a block of steps
+# holds about this many, and at least one step
 _BLOCK_ENTRIES = 1 << 16
 
 
@@ -495,13 +490,13 @@ def _run_moves_off(
     step-1 index, and a step's log pi is its row of a score table of step 1's
     values (``scalarize.log_density`` under a column of lambdas: a row per
     target, with the bits of that target's ``log_density_values``), gathered
-    by ``anc``. The table and the steps' sorted uniforms, from one
-    ``rng.random((steps, N))`` call (the stream of that many ``rng.random(N)``
-    calls), are built a block of steps at a time, about ``_BLOCK_ENTRIES``
-    entries and at least one step each, so memory stays O(N + K). Each step
-    after the first charges its 2N evaluations before weighting, without
-    computing them, as the sweep charges out-of-box proposals. The incumbents
-    are recorded as step-1 indices and gathered once at the end.
+    by ``anc``. The table is built a block of steps at a time, about
+    ``_BLOCK_ENTRIES`` entries and at least one step each, so memory stays
+    O(N + K); each step draws its own uniforms in ``_inverse_cdf``, as the
+    moves-on loop does. Each step after the first charges its 2N evaluations
+    before weighting, without computing them, as the sweep charges out-of-box
+    proposals. The incumbents are recorded as step-1 indices and gathered
+    once at the end.
 
     Stepping stops in one place: at the step whose resampling keeps one
     step-1 index ``a`` alone (path degeneracy). That state is screened for
@@ -515,10 +510,11 @@ def _run_moves_off(
     and ``_one_ancestor_steps`` charges the steps left, or raises where the
     per-step loop would, from a's log pi: the rest of the block's column
     ``a``, then any later block's targets scored on row ``a`` alone, in one
-    call. One ``bit_generator.advance`` skips the later blocks' uniforms, so
-    the final generator state is unchanged. For a finished step, ESS is N,
-    the distinct ancestors are 1 and the incumbent's log pi is a's, so a
-    per-step trace can fill those columns without the loop.
+    call. One ``bit_generator.advance`` skips the N uniforms of each step
+    left, so the final generator state is the per-step loop's. For a
+    finished step, ESS is N, the distinct ancestors are 1 and the
+    incumbent's log pi is a's, so a per-step trace can fill those columns
+    without the loop.
     """
     n = len(particles)
     objectives, _ = problem._evaluate_terms(particles)
@@ -535,7 +531,6 @@ def _run_moves_off(
         # which stops the run there, so the NaN never reaches a weight
         with np.errstate(invalid="ignore"):
             table = log_density(objectives, lams[:, None], kind, z)
-        uniforms, orders = _sorted_uniforms(rng, (len(lams), n))
         for k in range(len(lams)):
             if start + k:  # charged, not computed
                 problem.counter.add(2 * n)
@@ -544,7 +539,7 @@ def _run_moves_off(
             weights = _raw_log_weights(log_pi, log_pi_prev)
             cdf = np.exp(weights, out=weights).cumsum()
             every_weight_one = cdf[-1] == n
-            idx = _inverse_cdf(cdf, uniforms[k], orders[k])
+            idx = _inverse_cdf(cdf, rng)
             anc = anc.take(idx)
             log_pi_prev = log_pi.take(idx)
             if every_weight_one and (anc == anc[0]).all():
@@ -554,8 +549,8 @@ def _run_moves_off(
                 if len(later):  # a's f1 is finite (step 1 drew it), so its row has no NaN
                     row = log_density(objectives[a:a + 1], later[:, None], kind, z)
                     rest = np.concatenate((rest, row[:, 0]))
-                    rng.bit_generator.advance(len(later) * n)  # the later steps' uniforms
                 _one_ancestor_steps(rest, log_pi_prev[0], n, problem)
+                rng.bit_generator.advance(len(rest) * n)  # the uniforms they would draw
                 picks[start + k + 1:] = a
                 return particles.take(picks, axis=0), objectives.take(picks, axis=0)
     return particles.take(picks, axis=0), objectives.take(picks, axis=0)

@@ -84,6 +84,16 @@ def flat_problem(f1_value):
     )
 
 
+def steep_problem():
+    """1-D problem whose f1 jumps from -1e308 to 1e308 at x0 = 0.5, f2 = 0:
+    at lambda = 0 the two halves' log pi are 2e308 apart, beyond the float
+    range."""
+    return BiObjectiveProblem(
+        name="steep", dim=1, lower=[0.0], upper=[1.0],
+        f1=lambda x: np.where(x[:, 0] > 0.5, 1e308, -1e308), f2=lambda x: np.zeros(len(x)),
+    )
+
+
 def edge_values_problem():
     """2-D problem with objective values at -0.0 and at +inf: f1 is +inf
     where x0 > 0.8, which only lambda = 1 drops, and f2 where x1 > 0.8,
@@ -287,6 +297,23 @@ class TestImportanceWeights:
             r"two zero or two infinite densities, or a density at objectives of \+inf and -inf$",
         ):
             importance_weights(pop, 2, weighted_sum(0.75), weighted_sum(0.5), flat_problem(np.inf))
+
+    def test_overflowing_shift_is_a_zero_weight(self):
+        # log pi 1e308 and -1e308: shifting the second by the first overflows
+        # to -inf, the zero weight it stands for, with no RuntimeWarning (an
+        # error under pytest)
+        pop = make_population([[0.25], [0.75]])
+        pop = importance_weights(pop, 1, weighted_sum(0.0), None, steep_problem())
+        np.testing.assert_array_equal(pop.log_weights, [0.0, -np.inf])
+
+    @pytest.mark.parametrize(
+        "m, lowest", [(2.0**969, -np.finfo(float).max), (2.0**970, -np.inf)], ids=["2**969", "2**970"]
+    )
+    def test_shift_overflows_only_from_2_to_the_970(self, m, lowest):
+        # the lowest finite raw log weight shifted by a maximum of 2**969
+        # rounds back to itself; by 2**970 it rounds to -inf, silently
+        log_w = _raw_log_weights(np.array([m, -np.finfo(float).max]), 0.0)
+        np.testing.assert_array_equal(log_w, [0.0, lowest])
 
     def test_step_contract(self):
         pop = make_population([[0.0, 0.0]])
@@ -790,6 +817,29 @@ def reference_run(config, problem, sweep=metropolis_sweep):
     return ParetoArchive(decisions=decisions[keep], front=front[keep])
 
 
+class LoggedPCG64(np.random.PCG64):
+    """PCG64 that logs each ``advance`` in ``draws``, and through
+    ``LoggedGenerator`` each ``random`` call's size, in order."""
+
+    def advance(self, delta):
+        self.draws.append(("advance", delta))
+        return super().advance(delta)
+
+
+class LoggedGenerator(np.random.Generator):
+    def random(self, size=None, *args, **kwargs):
+        self.bit_generator.draws.append(("random", size))
+        return super().random(size, *args, **kwargs)
+
+
+def logged_rng(seed):
+    """``np.random.default_rng(seed)``'s stream, its draws logged in
+    ``.bit_generator.draws``; its state names ``LoggedPCG64``."""
+    bits = LoggedPCG64(seed)
+    bits.draws = []
+    return LoggedGenerator(bits)
+
+
 class TestRun:
     @pytest.mark.parametrize(
         "make_problem", [convex_problem, fonseca_fleming_problem, kursawe_problem]
@@ -950,19 +1000,30 @@ class TestRun:
         # pfops-convex-under's seed 0 keeps one step-1 ancestor after step 1,
         # so step 2 gives every particle weight 1 and is the last step
         # weighted; the other 18 are finished from that ancestor's column of
-        # the score table, with reference_run's archive, count and stream
+        # the score table, drawing only the two weighted steps' uniforms and
+        # skipping the rest by one advance, with reference_run's archive,
+        # count and stream (both sides' generators logged alike)
         calls = []
+        made = []
 
         def recording(*args):
             calls.append(len(args[0]))
             return _raw_log_weights(*args)
 
+        def recording_rng(seed):
+            made.append(logged_rng(seed))
+            return made[-1]
+
         monkeypatch.setattr("pfops.core._raw_log_weights", recording)
+        monkeypatch.setattr(np.random, "default_rng", recording_rng)
         preset = PRESETS["pfops-convex-under"]
         cfg = replace(preset.config, seed=0)
         counts = assert_run_equals_reference(cfg, partial(lookup_problem, preset.problem))
         assert calls == [5, 5]
         assert counts == (2 * 20 * 5,) * 2
+        start = ("random", (5, 2))
+        assert made[0].bit_generator.draws == [start, ("random", 5), ("random", 5), ("advance", 18 * 5)]
+        assert made[1].bit_generator.draws == [start] + [("random", 5)] * 20
 
     def test_finish_scores_later_blocks_on_one_row(self, monkeypatch):
         # as above, stepping stops at step 2, but at 20 entries a block holds
@@ -1061,6 +1122,16 @@ class TestRun:
             assert made[0].bit_generator.state == made[1].bit_generator.state
             assert evals == 2 * cfg.n_targets * cfg.n_particles * (1 + 2 * moves)
 
+    @pytest.mark.parametrize("moves", [False, True])
+    def test_weight_shift_that_overflows_is_a_zero_weight(self, moves):
+        # step 1's raw log weights are 1e308 on x0 < 0.5 and -1e308 beyond:
+        # their shift overflows to -inf, the zero weight it stands for, with
+        # no RuntimeWarning (an error here), and every incumbent has f1 =
+        # -1e308
+        archive, evals = run(PfopsConfig(3, 4, metropolis_enabled=moves), steep_problem())
+        assert archive.front.tolist() == [[-1e308, 0.0]] * 3
+        assert evals == 2 * 3 * 4 * (1 + moves)
+
     @pytest.mark.parametrize("f1_value", [np.inf, -np.inf])
     def test_moves_off_table_nan_is_never_drawn(self, f1_value):
         # a particle at objectives of +inf and -inf has a NaN in its table
@@ -1093,9 +1164,8 @@ class TestRun:
             assert problem.counter.count == 2 * 6
 
     def test_moves_off_memory_is_blocked(self):
-        # the score table and the uniforms are built a block of steps at a
-        # time: about 4 MiB at its peak here, where a full float64 table alone
-        # would take 15.3 MiB
+        # the score table is built a block of steps at a time: about 3 MiB at
+        # its peak here, where a full float64 table alone would take 15.3 MiB
         cfg = PfopsConfig(n_targets=200, n_particles=10_000, metropolis_enabled=False, seed=0)
         tracemalloc.start()
         try:
