@@ -16,10 +16,9 @@ from functools import partial
 
 import numpy as np
 import pytest
-from scipy.spatial.distance import cdist
-from scipy.stats import binomtest, chisquare, norm
 
 import pfops
+from exact_stats import cdist, chisquare_pvalue, normal_cdf, sign_test_pvalue
 from pfops import (
     BiObjectiveProblem,
     PfopsConfig,
@@ -106,7 +105,7 @@ class TestCriterion2UndersamplingSuperiority:
         ns = np.array(ns)
         wins = int((pf < ns).sum())
         ties = int((pf == ns).sum())
-        p_value = binomtest(wins, 30 - ties, 0.5, alternative="greater").pvalue
+        p_value = sign_test_pvalue(wins, 30 - ties)
         median_ok = float(np.median(pf)) < float(np.median(ns))
         ok = median_ok and p_value < 0.05
         _verdict(
@@ -258,9 +257,9 @@ class TestCriterion7PropertySuites:
         x = pop.particles[:, 0]
         edges = np.concatenate([[-10.0], np.linspace(-2.5, 2.5, 11), [10.0]])
         observed, _ = np.histogram(x, bins=edges)
-        cdf = norm.cdf(edges)
+        cdf = normal_cdf(edges)
         expected = 2000.0 * np.diff(cdf) / (cdf[-1] - cdf[0])
-        p_value = float(chisquare(observed, expected).pvalue)
+        p_value = chisquare_pvalue(observed, expected)
         assert _verdict(
             "7c (Metropolis 1-D stationarity)",
             p_value > 0.01,

@@ -8,8 +8,8 @@ import warnings
 
 import numpy as np
 import pytest
-from scipy.stats import chisquare, norm
 
+from exact_stats import chisquare_pvalue, normal_cdf
 from pfops.core import (
     Incumbent,
     PfopsConfig,
@@ -27,7 +27,7 @@ from pfops.core import (
 )
 from pfops.errors import DegenerateWeightsError, InvalidConfigError, InvalidInputError
 from pfops.experiments import PRESETS
-from pfops.nsga2 import Nsga2Config
+from pfops.nsga2 import Nsga2Config, evolve
 from pfops.pareto import ParetoArchive, nondominated_mask
 from pfops.problems import (
     BiObjectiveProblem,
@@ -745,9 +745,56 @@ class TestMetropolisSweep:
         assert abs(x.var() - 1.0) < 0.15
         edges = np.concatenate([[-10.0], np.linspace(-2.5, 2.5, 11), [10.0]])
         observed, _ = np.histogram(x, bins=edges)
-        cdf = norm.cdf(edges)
+        cdf = normal_cdf(edges)
         expected = 2000.0 * np.diff(cdf) / (cdf[-1] - cdf[0])
-        assert chisquare(observed, expected).pvalue > 0.01
+        assert chisquare_pvalue(observed, expected) > 0.01
+
+
+class TestEvidence:
+    """The product over steps j <= k of the mean incremental weight
+    pi_j / pi_{j-1} over the particles entering step j, Z_hat_k, is an
+    unbiased estimate of Z_k / Z_0 for every N, with or without moves (Del
+    Moral 2004, Feynman-Kac Formulae; Del Moral, Doucet & Jasra 2006). A
+    wrong weight rule biases it, even one an oracle of the tests shares."""
+
+    REPLICATES, N, K = 120, 50, 11
+
+    @pytest.mark.parametrize("moves", [False, True])
+    def test_evidence_estimate_is_unbiased(self, moves):
+        # weighted sum, f1 = x and f2 = -x on [-2, 2]: pi_lambda = exp(-r x)
+        # with r = 1 - 2 lambda, so against the uniform start's Z_0 = 4,
+        # Z(lambda) / Z_0 = sinh(2r) / (2r), and 1 at lambda = 1/2
+        problem = BiObjectiveProblem(
+            name="slope", dim=1, lower=[-2.0], upper=[2.0],
+            f1=lambda x: x[:, 0].copy(), f2=lambda x: -x[:, 0],
+        )
+        lams = equal_interval_schedule(self.K)
+        exact = np.array([np.sinh(t) / t if t else 1.0 for t in 2.0 * (1.0 - 2.0 * lams)])
+        targets = [weighted_sum(lam) for lam in lams]
+        rng = np.random.default_rng(21)
+        log_z = np.zeros((self.REPLICATES, self.K))
+        for i in range(self.REPLICATES):
+            pop = make_population(rng.uniform(-2.0, 2.0, size=(self.N, 1)))
+            total, s_prev = 0.0, None
+            for k, s_k in enumerate(targets, start=1):
+                f = problem.evaluate_batch(pop.particles)
+                log_w = s_k.log_density_values(f)
+                if s_prev is not None:
+                    log_w -= s_prev.log_density_values(f)
+                total += np.log(np.exp(log_w).mean())
+                log_z[i, k - 1] = total
+                pop = resample(importance_weights(pop, k, s_k, s_prev, problem), rng)
+                if moves:
+                    pop = metropolis_sweep(pop, s_k, problem, 1.0, rng)
+                s_prev = s_k
+        ratio = np.exp(log_z) / exact
+        z = (ratio.mean(axis=0) - 1.0) / (ratio.std(axis=0, ddof=1) / np.sqrt(self.REPLICATES))
+        # with a right weight rule, max |z| over the K steps read at most
+        # 4.23 (moves off) and 4.03 (on) over generator seeds 0-399, 99th
+        # percentiles 3.01 and 3.26. Over seeds 0-9, a weight that drops
+        # log pi_{k-1} read at least 411 and 95, one that subtracts it twice
+        # at least 20 and 27
+        assert np.abs(z).max() < 5.0, z.round(2).tolist()
 
 
 def chain_run(config, problem, rng):
@@ -940,6 +987,22 @@ class TestRun:
         for name, calls in rows.items():
             assert calls == ([12] if name.endswith(".term") else [12] * 5)
         assert evals == problem.counter.count == 2 * 5 * 12 * (1 + problem.dim)
+
+    @pytest.mark.parametrize(
+        "optimize, budget",
+        [
+            (partial(run, PfopsConfig(4, 6, seed=2)), 2 * 4 * 6 * (1 + 2)),  # d = 2
+            (partial(run, PfopsConfig(4, 6, metropolis_enabled=False, seed=2)), 2 * 4 * 6),
+            (partial(evolve, Nsga2Config(6, 3, seed=2)), 2 * 6 * (3 + 1)),
+        ],
+        ids=["pfops-moves-on", "pfops-moves-off", "nsga2"],
+    )
+    def test_each_run_on_a_reused_problem_counts_its_own_budget(self, optimize, budget):
+        # the problem's counter runs on across runs; each run reports its
+        # documented budget, not the counter's reading
+        problem = convex_problem()
+        assert [optimize(problem)[1] for _ in range(2)] == [budget, budget]
+        assert problem.counter.count == 2 * budget
 
     @pytest.mark.parametrize(
         "n_particles, f1_scale", [(6, 1.0), (1, 1.0), (6, 1e6)],

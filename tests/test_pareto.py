@@ -5,8 +5,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from scipy.spatial.distance import cdist
 
+from exact_stats import cdist
 import pfops.pareto as pareto
 from pfops.errors import InvalidInputError, NotFoundError
 from pfops.nsga2 import crowding_distance

@@ -116,6 +116,17 @@ class TestLogDensity:
         # -max{0.5 * |1 - 0|, 0.5 * |3 - 0|}
         assert s.log_density_values(np.array([[1.0, 3.0]])) == pytest.approx([-1.5])
 
+    def test_tchebycheff_hand_value_at_a_nonzero_utopian(self):
+        # -max{0.5 * |1 - (-1)|, 0.5 * |1 - (-2)|}; adding z would give -0.5
+        s = Scalarization(ScalarizationKind.TCHEBYCHEFF, 0.5, utopian=(-1.0, -2.0))
+        assert s.log_density_values([[1.0, 1.0]]).tolist() == [-1.5]
+        # the score table's path: a row per lambda of a column
+        table = log_density(
+            np.array([[1.0, 1.0], [3.0, -1.0]]), np.array([[0.0], [0.5], [1.0]]),
+            ScalarizationKind.TCHEBYCHEFF, (-1.0, -2.0),
+        )
+        assert table.tolist() == [[-2.0, -4.0], [-1.5, -2.0], [-3.0, -1.0]]
+
     def test_vectorized_matches_scalar(self):
         s = Scalarization(ScalarizationKind.TCHEBYCHEFF, 0.25, utopian=(-1.0, -2.0))
         batch = np.array([[0.0, 1.0], [3.0, 2.0], [0.5, 0.25]])
